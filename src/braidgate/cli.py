@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import enhancement, entangling_power, hietarinta, invariants, yang_baxter
-from .matrix_core import DEFAULT_TOL, is_xtype
+from .matrix_core import DEFAULT_TOL, XTYPE_SUPPORT, default_tol, is_xtype
 from .yang_baxter import BraidWord, CATALOG, VARIANT_COUNTS, assemble
 
 USAGE_ERROR = 2
@@ -275,9 +275,8 @@ def cmd_invariants(args) -> int:
     ids = invariants.check_identities(inv)
     report["identity_residuals"] = list(ids)
     if is_xtype(r):
-        h = [r[0, 0], r[0, 3], r[1, 1], r[1, 2], r[2, 1], r[2, 2], r[3, 0], r[3, 3]]
         report["xtype_closed_forms"] = {
-            k: _cnum(v) for k, v in invariants.xtype_closed_forms(h).items()
+            k: _cnum(v) for k, v in invariants.xtype_closed_forms(r[XTYPE_SUPPORT]).items()
         }
     failed = not all(v < args.tol for v in ids)
     return _emit(args, report, failed)
@@ -379,8 +378,7 @@ def cmd_orbit(args) -> int:
     r, echo = resolve_operator(args)
     if not is_xtype(r, args.tol):
         raise UsageError("orbit analysis addresses X-type operators")
-    h = [r[0, 0], r[0, 3], r[1, 1], r[1, 2], r[2, 1], r[2, 2], r[3, 0], r[3, 3]]
-    rank, gen_report = yang_baxter.lie_orbit_rank(h)
+    rank, gen_report = yang_baxter.lie_orbit_rank(r[XTYPE_SUPPORT])
     report = _base_report(args, "orbit")
     report["operator"] = echo
     report["rank"] = rank
@@ -432,8 +430,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--csv", action="store_true", help="emit CSV rows")
     p.add_argument("--tol", type=float,
-                   default=float(os.environ.get("BRAIDGATE_TOL", DEFAULT_TOL)),
-                   help="comparison tolerance")
+                   help=f"comparison tolerance (default: BRAIDGATE_TOL, else {DEFAULT_TOL:g})")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
 
@@ -511,6 +508,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        if args.tol is None:
+            args.tol = default_tol()
         code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

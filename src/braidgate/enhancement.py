@@ -41,7 +41,7 @@ from .matrix_core import (
     partial_trace,
     tensor_product,
 )
-from .yang_baxter import BraidWord, assemble, braid_rep, catalog_entry, rep_of_word
+from .yang_baxter import BraidWord, assemble, braid_rep, catalog_entry, evaluate_expr, rep_of_word
 
 __all__ = [
     "EnhancedOperator",
@@ -383,9 +383,14 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float | None = None) -
     env = {k: complex(params[k]) for k in recipe.free_params}
     class_params = dict(env)
     for slot, expr in recipe.constraints.items():
-        class_params[slot] = complex(eval(expr, {"__builtins__": {}}, env))
+        class_params[slot] = evaluate_expr(expr, env)
     r = assemble(entry.fill(class_params))
-    alpha, beta, gamma, delta, x, y = recipe.build(env)
+    try:
+        alpha, beta, gamma, delta, x, y = recipe.build(env)
+    except ZeroDivisionError:
+        raise InvalidEnhancementError(
+            f"{recipe_id} is undefined at {params}: its formulas divide by zero"
+        ) from None
     mu = _mu_matrix(alpha, beta, gamma, delta)
     candidate = EnhancedOperator(R=r, mu=mu, x=complex(x), y=complex(y), recipe_id=recipe_id)
     _, ok = verify_enhancement(candidate, tol)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, is_xtype, max_norm
+from .matrix_core import XTYPE_SUPPORT, _EPS, _h_tuple, as_matrix, is_xtype, max_norm
 from .yang_baxter import CatalogEntry, XTypeParams, assemble, catalog_entry
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
     "state_action_rank",
     "EIGEN_EXPRESSIBLE_CLASSES",
 ]
-
-_EPS = np.array([[0, 1], [-1, 0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class ProductState:
@@ -138,13 +135,9 @@ def entangling_power_closed(h) -> float:
         r = as_matrix(h)
         if not is_xtype(r):
             raise ValueError("closed form applies to X-patterned operators only")
-        h1, h2, h3, h4, h5, h6, h7, h8 = (
-            r[0, 0], r[0, 3], r[1, 1], r[1, 2], r[2, 1], r[2, 2], r[3, 0], r[3, 3]
-        )
+        h1, h2, h3, h4, h5, h6, h7, h8 = r[XTYPE_SUPPORT]
     else:
-        h1, h2, h3, h4, h5, h6, h7, h8 = (
-            h.as_tuple() if hasattr(h, "as_tuple") else tuple(h)
-        )
+        h1, h2, h3, h4, h5, h6, h7, h8 = _h_tuple(h)
     first = (
         abs(h1 * h7) ** 2 + abs(h2 * h8) ** 2 + abs(h3 * h5) ** 2 + abs(h4 * h6) ** 2
     )

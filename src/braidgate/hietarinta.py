@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import as_matrix, default_tol, invert, max_norm, tensor_product
-from .yang_baxter import assemble, catalog_entry
+from .yang_baxter import assemble, catalog_entry, evaluate_expr
 
 __all__ = [
     "HIETARINTA_FORMS",
@@ -35,8 +35,6 @@ __all__ = [
     "rh_extras_report",
     "PERMUTATION",
 ]
-
-_SQ = np.sqrt
 
 PERMUTATION = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -137,13 +135,6 @@ def conjugate_split(r, q1, q2) -> np.ndarray:
 # Equivalence recipes (the appendix table, one record per printed relation)
 # ---------------------------------------------------------------------------
 
-_ENV = {"sqrt": lambda z: complex(np.sqrt(complex(z))), "I": 1j}
-
-
-def _ev(expr, base):
-    return complex(eval(expr, {"__builtins__": {}}, {**_ENV, **base}))
-
-
 @dataclass(frozen=True)
 class EquivalenceRecipe:
     """One verified equivalence: steps(source(params)) == target(params).
@@ -164,7 +155,7 @@ class EquivalenceRecipe:
     def _materialize(self, side: str, exprs: dict[str, str] | None, base: dict):
         name = self.source if side == "source" else self.target
         values = (
-            {k: _ev(v, base) for k, v in exprs.items()}
+            {k: evaluate_expr(v, base) for k, v in exprs.items()}
             if exprs is not None
             else dict(base)
         )
@@ -182,12 +173,12 @@ class EquivalenceRecipe:
                 m = discrete_transform(m, kind)
             elif kind == "conj":
                 _, kappa_e, q_rows = step
-                q = np.array([[_ev(e, base) for e in row] for row in q_rows])
-                m = conjugate(m, _ev(kappa_e, base), q)
+                q = np.array([[evaluate_expr(e, base) for e in row] for row in q_rows])
+                m = conjugate(m, evaluate_expr(kappa_e, base), q)
             elif kind == "conj2":
                 _, q1_rows, q2_rows = step
-                q1 = np.array([[_ev(e, base) for e in row] for row in q1_rows])
-                q2 = np.array([[_ev(e, base) for e in row] for row in q2_rows])
+                q1 = np.array([[evaluate_expr(e, base) for e in row] for row in q1_rows])
+                q2 = np.array([[evaluate_expr(e, base) for e in row] for row in q2_rows])
                 m = conjugate_split(m, q1, q2)
             else:
                 raise ValueError(f"unknown step {step!r}")

@@ -24,6 +24,8 @@ import numpy as np
 
 from .matrix_core import (
     PAULI_Y,
+    _EPS,
+    _h_tuple,
     as_matrix,
     default_tol,
     partial_trace,
@@ -46,9 +48,6 @@ __all__ = [
     "random_sl2",
     "INDEPENDENT_COUNTS",
 ]
-
-_EPS = np.array([[0, 1], [-1, 0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class InvariantSet:
@@ -194,10 +193,7 @@ def check_identities(inv: InvariantSet) -> tuple[float, ...]:
 
 def xtype_closed_forms(h) -> dict[str, complex]:
     """The six X-type closed forms: I1 and I2_{4,5,8,9,10} in terms of h."""
-    if hasattr(h, "as_tuple"):
-        h1, h2, h3, h4, h5, h6, h7, h8 = h.as_tuple()
-    else:
-        h1, h2, h3, h4, h5, h6, h7, h8 = h
+    h1, h2, h3, h4, h5, h6, h7, h8 = _h_tuple(h)
     return {
         "I1": h1 + h3 + h6 + h8,
         "I2_4": 2 * (h1 * h6 - h4 * h5 - h2 * h7 + h3 * h8),

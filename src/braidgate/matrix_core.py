@@ -29,6 +29,7 @@ __all__ = [
     "eigenvalues_general",
     "max_norm",
     "is_xtype",
+    "XTYPE_SUPPORT",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -37,12 +38,33 @@ I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_EPS = np.array([[0, 1], [-1, 0]], dtype=complex)
+
+# The X pattern: diagonal plus anti-diagonal.  Row-major order of the True
+# cells is h1..h8, so r[XTYPE_SUPPORT] reads and writes the eight slots.
+XTYPE_SUPPORT = np.array(
+    [
+        [True, False, False, True],
+        [False, True, True, False],
+        [False, True, True, False],
+        [True, False, False, True],
+    ]
+)
 
 
 def default_tol() -> float:
-    """Default comparison tolerance, overridable via BRAIDGATE_TOL."""
+    """Default comparison tolerance, overridable via BRAIDGATE_TOL.
+
+    An unset or empty variable means DEFAULT_TOL; a value that does not
+    parse as a float raises ValueError.
+    """
     env = os.environ.get("BRAIDGATE_TOL")
-    return float(env) if env else DEFAULT_TOL
+    if not env:
+        return DEFAULT_TOL
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"BRAIDGATE_TOL must be a number, got {env!r}") from None
 
 
 class SingularMatrixError(ValueError):
@@ -104,17 +126,22 @@ def partial_transpose(r, qubit: int) -> np.ndarray:
     raise ValueError("qubit index must be 1 or 2")
 
 
-def invert(m) -> np.ndarray:
-    """Matrix inverse with an explicit singularity check.
+def _singularity(a: np.ndarray) -> tuple[float, bool]:
+    """|det a| and whether ``a`` counts as singular.
 
-    A matrix counts as singular when |det| < 1e-12 * max_norm^dim, which at
-    catalog parameters is far below any admissible draw.
+    A matrix counts as singular when |det| < 1e-12 * max(max_norm, 1)^dim,
+    which at catalog parameters is far below any admissible draw.
     """
+    det = abs(np.linalg.det(a))
+    return det, det < 1e-12 * max(max_norm(a), 1.0) ** a.shape[0]
+
+
+def invert(m) -> np.ndarray:
+    """Matrix inverse with an explicit singularity check (see _singularity)."""
     a = as_matrix(m)
-    det = np.linalg.det(a)
-    scale = max(max_norm(a), 1.0)
-    if abs(det) < 1e-12 * scale ** a.shape[0]:
-        raise SingularMatrixError(f"matrix is singular (|det| = {abs(det):.3e})")
+    det, singular = _singularity(a)
+    if singular:
+        raise SingularMatrixError(f"matrix is singular (|det| = {det:.3e})")
     return np.linalg.inv(a)
 
 
@@ -150,15 +177,7 @@ def is_xtype(r, tol: float | None = None) -> bool:
     """True when all eight off-pattern entries of a 4x4 matrix vanish."""
     r = _as_two_qubit(r)
     tol = default_tol() if tol is None else tol
-    mask = np.array(
-        [
-            [False, True, True, False],
-            [True, False, False, True],
-            [True, False, False, True],
-            [False, True, True, False],
-        ]
-    )
-    return bool(np.all(np.abs(r[mask]) <= tol))
+    return bool(np.all(np.abs(r[~XTYPE_SUPPORT]) <= tol))
 
 
 def _h_tuple(h):

@@ -15,10 +15,19 @@ invertible X-type solutions of the constant Yang-Baxter equation
 
 as declarative constraint records, keyed "C<class>.<variant>" with variant 0
 the representative.
+
+Every expression string in the package's tables (this catalog, the
+enhancement recipes and the equivalence recipes) is evaluated by
+:func:`evaluate_expr`: each string is compiled once, on first use, and run
+with only ``sqrt`` and ``I`` besides its parameters.  The strings are
+package constants; user input never reaches the evaluator.  The test suite
+also evaluates them over sympy symbols and proves that all 38 entries solve
+the equation identically.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,9 @@ from .matrix_core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    XTYPE_SUPPORT,
+    _h_tuple,
+    _singularity,
     as_matrix,
     default_tol,
     invert,
@@ -79,28 +91,9 @@ class XTypeParams:
 
 def assemble(h) -> np.ndarray:
     """Build the 4x4 X-patterned matrix from h1..h8."""
-    if not isinstance(h, XTypeParams):
-        h = XTypeParams(*_coerce_eight(h))
-    return np.array(
-        [
-            [h.h1, 0, 0, h.h2],
-            [0, h.h3, h.h4, 0],
-            [0, h.h5, h.h6, 0],
-            [h.h7, 0, 0, h.h8],
-        ],
-        dtype=complex,
-    )
-
-
-def _coerce_eight(h):
-    if hasattr(h, "as_tuple"):
-        return h.as_tuple()
-    if isinstance(h, dict):
-        return tuple(h[f"h{k}"] for k in range(1, 9))
-    t = tuple(h)
-    if len(t) != 8:
-        raise ValueError("expected eight X-type parameters")
-    return t
+    r = np.zeros((4, 4), dtype=complex)
+    r[XTYPE_SUPPORT] = _h_tuple(h)
+    return r
 
 
 def check_ybe(r, tol: float | None = None) -> tuple[float, bool]:
@@ -117,9 +110,8 @@ def check_ybe(r, tol: float | None = None) -> tuple[float, bool]:
     a = tensor_product(r, I2)
     b = tensor_product(I2, r)
     residual = max_norm(a @ b @ a - b @ a @ b)
-    scale = max(max_norm(r), 1.0)
-    invertible = abs(np.linalg.det(r)) > 1e-12 * scale**4
-    return residual, residual < tol and invertible
+    _, singular = _singularity(r)
+    return residual, residual < tol and not singular
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:
@@ -234,7 +226,7 @@ class PauliExpansion:
 
 def pauli_expand(h) -> PauliExpansion:
     """Expand an X-type operator over {II, ZI, IZ, ZZ, XX, XY, YX, YY}."""
-    h1, h2, h3, h4, h5, h6, h7, h8 = _coerce_eight(h)
+    h1, h2, h3, h4, h5, h6, h7, h8 = _h_tuple(h)
     return PauliExpansion(
         l=(h1 + h3 + h6 + h8) / 4,
         a3=(h1 + h3 - h6 - h8) / 4,
@@ -256,15 +248,6 @@ _GENERATORS = (
     ("Z2", PAULI_Z, 2),
 )
 
-_XTYPE_SUPPORT = np.array(
-    [
-        [True, False, False, True],
-        [False, True, True, False],
-        [False, True, True, False],
-        [True, False, False, True],
-    ]
-)
-
 
 def lie_orbit_rank(h, rank_tol: float = 1e-8) -> tuple[int, dict[str, dict]]:
     """Rank of the local-algebra orbit directions at an X-type operator.
@@ -282,7 +265,7 @@ def lie_orbit_rank(h, rank_tol: float = 1e-8) -> tuple[int, dict[str, dict]]:
         full = tensor_product(g, I2) if pos == 1 else tensor_product(I2, g)
         comm = full @ r - r @ full
         rows.append(comm.ravel())
-        off_pattern = max_norm(comm[~_XTYPE_SUPPORT]) if comm[~_XTYPE_SUPPORT].size else 0.0
+        off_pattern = max_norm(comm[~XTYPE_SUPPORT])
         report[name] = {
             "nonzero": max_norm(comm) > rank_tol,
             "preserves_xtype": off_pattern <= rank_tol * max(max_norm(comm), 1.0),
@@ -298,11 +281,22 @@ def lie_orbit_rank(h, rank_tol: float = 1e-8) -> tuple[int, dict[str, dict]]:
 # Solution catalog
 # --------------------------------------------------------------------------
 
-_SAFE_ENV = {"sqrt": lambda z: complex(np.sqrt(complex(z))), "I": 1j}
+_EXPR_GLOBALS = {
+    "__builtins__": {},
+    "sqrt": lambda z: complex(np.sqrt(complex(z))),
+    "I": 1j,
+}
 
 
-def _eval_expr(expr: str, params: dict[str, complex]) -> complex:
-    return complex(eval(expr, {"__builtins__": {}}, {**_SAFE_ENV, **params}))
+@functools.lru_cache(maxsize=None)  # keys are the tables' string constants
+def compile_expr(expr: str):
+    """Code object of one table expression, compiled on first use."""
+    return compile(expr, "<table expression>", "eval")
+
+
+def evaluate_expr(expr: str, params: dict[str, complex]) -> complex:
+    """Value of a table expression at the given parameter values."""
+    return complex(eval(compile_expr(expr), _EXPR_GLOBALS, params))
 
 
 @dataclass(frozen=True)
@@ -339,18 +333,18 @@ class CatalogEntry:
             raise InadmissibleParamsError(f"{self.entry_id}: unexpected parameters {extra}")
         env = {k: complex(params[k]) for k in self.free_params}
         for expr in self.nonzero:
-            if abs(_eval_expr(expr, env)) < 1e-12:
+            if abs(evaluate_expr(expr, env)) < 1e-12:
                 raise InadmissibleParamsError(
                     f"{self.entry_id}: requires nonzero {expr}"
                 )
         full = dict(env)
         for slot, expr in self.constraints.items():
-            full[slot] = _eval_expr(expr, env)
+            full[slot] = evaluate_expr(expr, env)
         return XTypeParams(**{f"h{k}": full.get(f"h{k}", 0j) for k in range(1, 9)})
 
     def eigen_values(self, params: dict[str, complex]) -> dict[str, complex]:
         env = {k: complex(params[k]) for k in self.free_params}
-        return {name: _eval_expr(expr, env) for name, expr in self.eigen_named.items()}
+        return {name: evaluate_expr(expr, env) for name, expr in self.eigen_named.items()}
 
     def random_params(self, rng: np.random.Generator, scale: float = 1.0) -> dict[str, complex]:
         """Draw admissible free parameters (re/im standard normal, rejection)."""

@@ -138,6 +138,14 @@ class TestLinkpolyCommand:
                          "--params", "h1=1", "--word", "s1^2")
         assert code == 2
 
+    def test_undefined_recipe_point_is_usage_error(self, capsys):
+        # C4.mu5 divides by 2 h1 - h6, which vanishes here
+        code, out, err = run(capsys, "linkpoly", "--recipe", "C4.mu5",
+                             "--params", "h1=1,h4=1,h6=2", "--word", "s1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: C4.mu5") and err.count("\n") == 1
+
 
 class TestEpowerCommand:
     BELL = ("0.7071067811865476,0.7071067811865476,0.7071067811865476,"
@@ -212,6 +220,22 @@ class TestDeterminism:
         assert code == 0
         assert report["tolerance"] == 1e-2
 
+    def test_malformed_env_tolerance_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDGATE_TOL", "abc")
+        code, out, err = run(capsys, "verify", "--xtype", "1,0,0,1,1,0,0,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: BRAIDGATE_TOL must be a number, got 'abc'\n"
+        # an explicit --tol does not need the variable
+        code, _, _ = run(capsys, "verify", "--xtype", "1,0,0,1,1,0,0,1", "--tol", "1e-9")
+        assert code == 0
+
+    def test_empty_env_tolerance_means_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDGATE_TOL", "")
+        code, report = run_json(capsys, "verify", "--xtype", "1,0,0,1,1,0,0,1")
+        assert code == 0
+        assert report["tolerance"] == 1e-9
+
 
 class TestReportAll(object):
     def test_writes_golden_file(self, capsys, tmp_path):
@@ -220,3 +244,10 @@ class TestReportAll(object):
         blob = json.loads((tmp_path / "catalog_report.json").read_text())
         assert len(blob["entries"]) == 38
         assert all(v["ybe_pass"] for v in blob["entries"].values())
+        written = []
+        for run_dir in ("first", "second"):
+            outdir = tmp_path / run_dir
+            code, _, _ = run(capsys, "report-all", "--outdir", str(outdir), "--seed", "0")
+            assert code == 0
+            written.append((outdir / "catalog_report.json").read_bytes())
+        assert written[0] == written[1]

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from braidgate.matrix_core import max_norm
+from braidgate.enhancement import RECIPES
+from braidgate.hietarinta import RECIPE_TABLE
+from braidgate.matrix_core import XTYPE_SUPPORT, max_norm
 from braidgate.yang_baxter import (
     BraidWord,
     CATALOG,
@@ -15,6 +17,7 @@ from braidgate.yang_baxter import (
     catalog_entry,
     catalog_instantiate,
     check_ybe,
+    compile_expr,
     lie_orbit_rank,
     pauli_expand,
     rep_of_word,
@@ -41,6 +44,9 @@ class TestAssemble:
         r = assemble(XTypeParams(h2=7))
         assert r[0, 3] == 7
         assert np.count_nonzero(r) == 1
+
+    def test_support_reads_slots_in_order(self):
+        assert_allclose(assemble(range(1, 9))[XTYPE_SUPPORT], np.arange(1, 9))
 
 
 class TestCheckYBE:
@@ -187,6 +193,58 @@ class TestCatalog:
             h = entry.fill(entry.random_params(RNG))
             residual, ok = check_ybe(assemble(h))
             assert ok, f"{entry_id}: residual {residual}"
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    else:
+        for item in obj:
+            yield from _strings(item)
+
+
+def _table_expressions():
+    """(record, names it may use, its expression strings) for every table."""
+    for eid, entry in CATALOG.items():
+        exprs = [*entry.constraints.values(), *entry.nonzero, *entry.eigen_named.values()]
+        yield eid, set(entry.free_params), exprs
+    for rid, recipe in RECIPES.items():
+        yield rid, set(recipe.free_params), list(recipe.constraints.values())
+    for recipe in RECIPE_TABLE:
+        exprs = [*(recipe.source_params or {}).values(),
+                 *(recipe.target_params or {}).values(),
+                 *(e for step in recipe.steps for e in _strings(step[1:]))]
+        yield f"{recipe.source}->{recipe.target}", set(recipe.base_params), exprs
+
+
+class TestTableExpressions:
+    def test_names_are_the_records_parameters(self):
+        count = 0
+        for record, params, exprs in _table_expressions():
+            for expr in exprs:
+                names = set(compile_expr(expr).co_names)
+                assert names <= params | {"sqrt", "I"}, (record, expr, names)
+                count += 1
+        assert count > 300
+
+    @pytest.mark.parametrize("entry_id", sorted(CATALOG))
+    def test_entry_solves_ybe_symbolically(self, entry_id):
+        sympy = pytest.importorskip("sympy")
+        entry = CATALOG[entry_id]
+        free = {k: sympy.Symbol(k) for k in entry.free_params}
+        env = {"__builtins__": {}, "sqrt": sympy.sqrt, "I": sympy.I}
+        h = dict(free)
+        for slot, expr in entry.constraints.items():
+            # rational=True turns complex literals such as (1-1j)/2 exact
+            h[slot] = sympy.nsimplify(eval(compile_expr(expr), env, free), rational=True)
+        r = sympy.zeros(4, 4)
+        for (i, j), k in zip(np.argwhere(XTYPE_SUPPORT), range(1, 9)):
+            r[i, j] = h[f"h{k}"]
+        a = sympy.kronecker_product(r, sympy.eye(2))
+        b = sympy.kronecker_product(sympy.eye(2), r)
+        residual = a * b * a - b * a * b
+        assert all(sympy.cancel(v) == 0 for v in residual), entry_id
+        assert sympy.cancel(r.det()) != 0, entry_id
 
 
 class TestPauliExpansion:
