@@ -370,6 +370,13 @@ def cmd_classify(args) -> int:
         )
         if recipe is not None:
             base = _parse_params(args.params)
+            missing = [k for k in recipe.base_params if k not in base]
+            unknown = sorted(set(base) - set(recipe.base_params))
+            if missing or unknown:
+                raise UsageError(
+                    f"the {recipe.source} -> {recipe.target} recipe takes parameters "
+                    f"{list(recipe.base_params)} (missing {missing}, unknown {unknown})"
+                )
             report["recipe_residual"] = hietarinta.verify_recipe(recipe, base)
     return _emit(args, report, failed=False)
 
@@ -464,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", required=True, help="enhancement recipe id, e.g. C1.I")
     p.add_argument("--params", help="recipe parameters, e.g. h1=1,h4=2,h5=2")
     p.add_argument("--word", required=True, help='braid word, e.g. "s1^3 s2^-1"')
-    p.add_argument("--strands", type=int, help="strand count (default: inferred)")
+    p.add_argument("--strands", type=int,
+                   help=f"strand count, at most {yang_baxter.MAX_STRANDS} (default: inferred)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_linkpoly)
 
@@ -476,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epower", help="entangling power (closed form and quadrature)")
     _add_operator_flags(p)
-    p.add_argument("--nodes", type=int, default=16, help="quadrature nodes per angle")
+    p.add_argument("--nodes", type=int, default=16,
+                   help=f"quadrature nodes per angle, 8 to {entangling_power.MAX_NODES}")
     p.add_argument("--mc", type=int, default=0,
                    help="also run a Monte Carlo cross-check with this many samples")
     p.add_argument("--closed-only", action="store_true",

@@ -41,7 +41,15 @@ from .matrix_core import (
     partial_trace,
     tensor_product,
 )
-from .yang_baxter import BraidWord, assemble, braid_rep, catalog_entry, evaluate_expr, rep_of_word
+from .yang_baxter import (
+    BraidWord,
+    apply_word,
+    assemble,
+    braid_rep,
+    catalog_entry,
+    check_strands,
+    evaluate_expr,
+)
 
 __all__ = [
     "EnhancedOperator",
@@ -123,20 +131,29 @@ def writhe(word: BraidWord) -> int:
     return word.writhe()
 
 
-def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float | None = None) -> complex:
-    """Evaluate L(w) = x^-w(xi) y^-n Tr[rho(xi) mu^(x n)]."""
+def _require_enhancement(e: EnhancedOperator, tol: float | None) -> None:
     residuals, ok = verify_enhancement(e, tol)
     if not ok:
         raise InvalidEnhancementError(
             f"enhancement conditions fail with residuals {residuals}"
         )
+
+
+def _link_value(e: EnhancedOperator, word: BraidWord) -> complex:
     n = word.strands
-    rho = rep_of_word(e.R, word)
-    mun = e.mu
-    for _ in range(n - 1):
-        mun = tensor_product(mun, e.mu)
-    value = np.trace(rho @ mun)
+    value = np.trace(apply_word(e.R, word, e.mu))
     return complex(e.x ** (-writhe(word)) * e.y ** (-n) * value)
+
+
+def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float | None = None) -> complex:
+    """Evaluate L(w) = x^-w(xi) y^-n Tr[rho(xi) mu^(x n)].
+
+    The letters are applied one at a time to mu^(x n) (see
+    :func:`~braidgate.yang_baxter.apply_word`), at O(4^n) each.  More than
+    ``MAX_STRANDS`` strands raise ``ValueError`` before the state is built.
+    """
+    _require_enhancement(e, tol)
+    return _link_value(e, word)
 
 
 def _inverse_word(word: BraidWord) -> BraidWord:
@@ -165,12 +182,13 @@ def markov_check(
     conjugated = BraidWord(
         n, conjugator.letters + word.letters + _inverse_word(conjugator).letters
     )
-    base = link_polynomial(e, word)
-    res_conj = abs(link_polynomial(e, conjugated) - base)
-
     sign = 1 if (rng is None or rng.random() < 0.5) else -1
     widened = BraidWord(n + 1, word.letters + ((n, sign),))
-    res_stab = abs(link_polynomial(e, widened) - base)
+    check_strands(widened.strands)
+    _require_enhancement(e, None)
+    base = _link_value(e, word)
+    res_conj = abs(_link_value(e, conjugated) - base)
+    res_stab = abs(_link_value(e, widened) - base)
     return res_conj, res_stab
 
 

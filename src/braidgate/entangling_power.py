@@ -50,6 +50,7 @@ __all__ = [
     "class_epower",
     "state_action_rank",
     "EIGEN_EXPRESSIBLE_CLASSES",
+    "MAX_NODES",
 ]
 
 @dataclass(frozen=True)
@@ -145,6 +146,11 @@ def entangling_power_closed(h) -> float:
     return float(first / 9 + second / 36)
 
 
+# The grid has nodes^4 points and a quadrature holds about 256 bytes per
+# point at its peak: 256 MiB at 32 nodes.  The average is already exact at 8.
+MAX_NODES = 32
+
+
 def _product_grid(nodes: int):
     """Tensor quadrature grid over (phi1, phi2, u1, u2), exact for the average.
 
@@ -155,6 +161,8 @@ def _product_grid(nodes: int):
     """
     if nodes < 8:
         raise ValueError("need at least 8 nodes per dimension")
+    if nodes > MAX_NODES:
+        raise ValueError(f"{nodes} nodes exceed the limit of {MAX_NODES}")
     phis = -np.pi + np.pi * np.arange(nodes) / nodes
     u, w = np.polynomial.legendre.leggauss(nodes)
     thetas = np.arccos(u) / 2
@@ -183,7 +191,9 @@ def entangling_power_quadrature(r, nodes: int = 16) -> float:
 
     Works for any 4x4 operator; agrees with the closed form on X-patterned
     input to near machine precision because the quadrature is exact for the
-    integrand's trigonometric degree.
+    integrand's trigonometric degree.  ``nodes`` must lie in
+    [8, ``MAX_NODES``]; outside it ``ValueError`` is raised before the grid
+    is built.
     """
     r = as_matrix(r)
     if r.shape != (4, 4):

@@ -59,6 +59,9 @@ __all__ = [
     "check_ybe",
     "braid_rep",
     "rep_of_word",
+    "apply_word",
+    "check_strands",
+    "MAX_STRANDS",
     "pauli_expand",
     "lie_orbit_rank",
     "InadmissibleParamsError",
@@ -180,22 +183,54 @@ class BraidWord:
         return " ".join(f"s{g}^{e}" for g, e in self.letters) or "<empty>"
 
 
-def rep_of_word(r, word: BraidWord) -> np.ndarray:
-    """Image of a braid word, multiplying generator powers left to right."""
+# A braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
+# bytes, 256 MiB at 12 strands.  Evaluating a word holds two such states.
+MAX_STRANDS = 12
+
+
+def check_strands(n: int) -> None:
+    """Raise ``ValueError`` for more than ``MAX_STRANDS`` strands."""
+    if n > MAX_STRANDS:
+        raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
+
+
+def apply_word(r, word: BraidWord, site) -> np.ndarray:
+    """rho(word) (site x ... x site), the n-fold tensor power of a 2x2 ``site``.
+
+    Each distinct exponent's power of R or R^-1 is taken once at 4x4.  The
+    letters act right to left on the state's row index: a letter on strands
+    i, i+1 is one 4x4 product over the middle axis of the state viewed as
+    (2^(i-1), 4, 2^(n-i-1) * 2^n), so it costs O(4^n) rather than the O(8^n)
+    of a dense 2^n x 2^n product.  Words on more than ``MAX_STRANDS`` strands
+    raise ``ValueError`` before anything is allocated.
+    """
     n = word.strands
-    out = np.eye(2**n, dtype=complex)
+    check_strands(n)
     r = as_matrix(r)
-    inv_cache: np.ndarray | None = None
-    for gen, exp in word.letters:
-        if exp >= 0:
-            base = r
-        else:
-            if inv_cache is None:
-                inv_cache = invert(r)
-            base = inv_cache
-        g = braid_rep(base, gen, n)
-        out = out @ np.linalg.matrix_power(g, abs(exp))
-    return out
+    if r.shape != (4, 4):
+        raise ValueError("braid generators are built from a 4x4 operator")
+    r_inv = None
+    powers: dict[int, np.ndarray] = {}
+    for _, exp in word.letters:
+        if exp not in powers:
+            if exp < 0 and r_inv is None:
+                r_inv = invert(r)
+            powers[exp] = np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
+    state = as_matrix(site)
+    for _ in range(n - 1):
+        state = tensor_product(state, site)
+    spare = np.empty_like(state)
+    dim = 2**n
+    for gen, exp in reversed(word.letters):
+        shape = (2 ** (gen - 1), 4, dim * 2 ** (n - gen - 1))
+        np.matmul(powers[exp], state.reshape(shape), out=spare.reshape(shape))
+        state, spare = spare, state
+    return state
+
+
+def rep_of_word(r, word: BraidWord) -> np.ndarray:
+    """Image rho(word) of a braid word as a dense 2^n x 2^n matrix."""
+    return apply_word(r, word, I2)
 
 
 @dataclass(frozen=True)

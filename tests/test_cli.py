@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,16 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+def run_traced(capsys, *argv):
+    """run() plus the peak bytes allocated while the command ran."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        return code, out, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCatalogCommand:
@@ -146,6 +157,15 @@ class TestLinkpolyCommand:
         assert out == ""
         assert err.startswith("error: C4.mu5") and err.count("\n") == 1
 
+    def test_strand_bound_is_usage_error(self, capsys):
+        code, out, err, peak = run_traced(
+            capsys, "linkpoly", "--recipe", "C1.I", "--params", "h1=1,h4=2,h5=2",
+            "--word", "s1", "--strands", "40",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: 40 strands") and err.count("\n") == 1
+        assert peak < 2**20
+
 
 class TestEpowerCommand:
     BELL = ("0.7071067811865476,0.7071067811865476,0.7071067811865476,"
@@ -178,6 +198,14 @@ class TestEpowerCommand:
         )
         assert code == 2
 
+    def test_node_bound_is_usage_error(self, capsys):
+        code, out, err, peak = run_traced(
+            capsys, "epower", "--xtype", "1,0,0,1,1,0,0,1", "--nodes", "4096"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: 4096 nodes") and err.count("\n") == 1
+        assert peak < 2**20
+
 
 class TestClassifyCommand:
     @pytest.mark.parametrize(
@@ -192,6 +220,21 @@ class TestClassifyCommand:
     def test_unknown_is_flagged(self, capsys):
         code, _, _ = run(capsys, "classify", "--class", "C99.0")
         assert code == 2  # unknown id is a spec error
+
+    def test_recipe_residual(self, capsys):
+        code, report = run_json(capsys, "classify", "--class", "C6.0",
+                                "--params", "h1=1,h2=1,h8=2")
+        assert code == 0
+        assert report["recipe_residual"] < 1e-12
+
+    @pytest.mark.parametrize("params,named", [
+        ("h1=1", "missing ['h2', 'h8']"),
+        ("h1=1,h2=1,h8=2,sqrt=1", "unknown ['sqrt']"),
+    ])
+    def test_recipe_params_checked(self, capsys, params, named):
+        code, out, err = run(capsys, "classify", "--class", "C6.0", "--params", params)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
 
 
 class TestOrbitCommand:

@@ -160,6 +160,12 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             entangling_power_quadrature(np.eye(4), nodes=4)
 
+    def test_maximum_nodes_enforced(self):
+        from braidgate.entangling_power import MAX_NODES
+
+        with pytest.raises(ValueError):
+            entangling_power_quadrature(np.eye(4), nodes=MAX_NODES + 1)
+
     def test_monte_carlo_oracle(self):
         h = rand_xtype()
         quad = entangling_power_quadrature(assemble(h))
