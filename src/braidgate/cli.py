@@ -32,14 +32,22 @@ class UsageError(Exception):
     pass
 
 
+def _json_complex(v) -> complex:
+    """A parsed JSON number or [re, im] pair of numbers as a complex value."""
+    pair = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in pair):
+        raise UsageError(f"expected a number or a [re, im] pair, got {json.dumps(v)}")
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise UsageError(f"{json.dumps(v)} is out of range") from None
+
+
 def _parse_complex(text: str) -> complex:
     """Accept 'a+bi', plain reals, or '[re,im]'."""
     text = text.strip()
     if text.startswith("["):
-        parts = json.loads(text)
-        if not isinstance(parts, list) or len(parts) != 2:
-            raise UsageError(f"bad complex literal {text!r}")
-        return complex(float(parts[0]), float(parts[1]))
+        return _json_complex(json.loads(text))
     try:
         return complex(text.replace("i", "j"))
     except ValueError:
@@ -120,10 +128,10 @@ def resolve_operator(args) -> tuple[np.ndarray, dict]:
         return m, {"hietarinta": args.hietarinta,
                    "params": {k: _cnum(v) for k, v in params.items()}}
     rows = json.loads(args.matrix)
-    m = np.array([[complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                   for v in row] for row in rows])
-    if m.shape != (4, 4):
+    if not (isinstance(rows, list) and len(rows) == 4
+            and all(isinstance(row, list) and len(row) == 4 for row in rows)):
         raise UsageError("--matrix must be a 4x4 array")
+    m = np.array([[_json_complex(v) for v in row] for row in rows])
     return m, {"matrix": [[_cnum(v) for v in row] for row in m]}
 
 
@@ -274,7 +282,7 @@ def cmd_invariants(args) -> int:
     report["invariants"] = inv.to_json()
     ids = invariants.check_identities(inv)
     report["identity_residuals"] = list(ids)
-    if is_xtype(r):
+    if is_xtype(r, args.tol):
         report["xtype_closed_forms"] = {
             k: _cnum(v) for k, v in invariants.xtype_closed_forms(r[XTYPE_SUPPORT]).items()
         }
@@ -331,20 +339,14 @@ def cmd_epower(args) -> int:
     r, echo = resolve_operator(args)
     report = _base_report(args, "epower")
     report["operator"] = echo
-    quad = entangling_power.entangling_power_quadrature(r, nodes=args.nodes)
-    report["quadrature"] = quad
+    value = entangling_power.entangling_power(r)
+    report["entangling_power"] = value
     failed = False
     if is_xtype(r, args.tol):
-        closed = entangling_power.entangling_power_closed(r)
+        closed = entangling_power.entangling_power_closed(r[XTYPE_SUPPORT])
         report["closed"] = closed
-        report["difference"] = abs(closed - quad)
+        report["difference"] = abs(closed - value)
         failed = report["difference"] > args.tol
-    elif args.closed_only:
-        raise UsageError("closed form requested for a non-X-type operator")
-    if args.mc:
-        report["monte_carlo"] = entangling_power.entangling_power_monte_carlo(
-            r, samples=args.mc, seed=args.seed
-        )
     return _emit(args, report, failed)
 
 
@@ -429,7 +431,7 @@ def _add_operator_flags(p: argparse.ArgumentParser):
     p.add_argument("--class", dest="cls", help="catalog id, e.g. C3.0")
     p.add_argument("--xtype", help="eight comma-separated complex h values")
     p.add_argument("--hietarinta", help="family name, e.g. 'H1,3'")
-    p.add_argument("--matrix", help="4x4 matrix as JSON rows of [re,im]")
+    p.add_argument("--matrix", help="4x4 matrix as JSON rows of numbers or [re,im] pairs")
     p.add_argument("--params", help="comma-separated name=value assignments")
 
 
@@ -482,14 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("epower", help="entangling power (closed form and quadrature)")
+    p = sub.add_parser("epower", help="exact entangling power, X-type checked by closed form")
     _add_operator_flags(p)
-    p.add_argument("--nodes", type=int, default=16,
-                   help=f"quadrature nodes per angle, 8 to {entangling_power.MAX_NODES}")
-    p.add_argument("--mc", type=int, default=0,
-                   help="also run a Monte Carlo cross-check with this many samples")
-    p.add_argument("--closed-only", action="store_true",
-                   help="fail rather than fall back to quadrature on non-X input")
     _add_common_flags(p)
     p.set_defaults(func=cmd_epower)
 

@@ -506,8 +506,10 @@ def solve_enhancement(
     Solutions are reported normalized: the first nonzero Pauli coefficient of
     mu (scan order I, X, Y, Z) is scaled to one, and the simultaneous sign of
     (x, y) is canonicalized.  An empty list is a verified-absence claim only
-    at the configured number of starts.
+    at the configured number of starts, which must be at least one.
     """
+    if starts < 1:
+        raise ValueError(f"need at least one solver start, got {starts}")
     tol = default_tol() if tol is None else tol
     r = as_matrix(r)
     r_inv = invert(r)

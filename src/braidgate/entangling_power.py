@@ -22,9 +22,11 @@ exact quadrature, Monte Carlo, and symbolic integration all agree).  For a
 normalized output state |det t|^2 <= 1/4 pointwise, which bounds e_P of any
 unitary by 1/4; the Bell matrix attains the unitary X-type maximum 1/9.
 
-The quadrature route evaluates the average numerically for any 4x4 operator.
-The integrand is a trigonometric polynomial of low degree per angle, so a
-uniform grid in the phases and Gauss-Legendre in u = cos(2 theta) are exact.
+For any 4x4 operator the average is a Haar fourth moment with an exact
+operator form, :func:`entangling_power`, the production route.  The test
+oracles evaluate the average itself: Monte Carlo, and a quadrature that is
+exact because the integrand is a trigonometric polynomial of low degree per
+angle (a uniform grid in the phases, Gauss-Legendre in u = cos(2 theta)).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import XTYPE_SUPPORT, _EPS, _h_tuple, as_matrix, is_xtype, max_norm
+from .matrix_core import (XTYPE_SUPPORT, _EPS, _as_two_qubit, _h_tuple, is_xtype, max_norm,
+                          partial_transpose)
 from .yang_baxter import CatalogEntry, XTypeParams, assemble, catalog_entry
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "j2_invariant",
     "epsilon_reduction_check",
     "linear_entropy",
+    "entangling_power",
     "entangling_power_closed",
     "entangling_power_quadrature",
     "entangling_power_monte_carlo",
@@ -52,6 +56,9 @@ __all__ = [
     "EIGEN_EXPRESSIBLE_CLASSES",
     "MAX_NODES",
 ]
+
+_EPS_EPS = np.kron(_EPS, _EPS)
+
 
 @dataclass(frozen=True)
 class ProductState:
@@ -70,12 +77,8 @@ class ProductState:
 
     @classmethod
     def from_angles(cls, theta1: float, phi1: float, theta2: float, phi2: float):
-        return cls(
-            a1=np.exp(1j * phi1) * np.cos(theta1),
-            b1=np.exp(-1j * phi1) * np.sin(theta1),
-            a2=np.exp(1j * phi2) * np.cos(theta2),
-            b2=np.exp(-1j * phi2) * np.sin(theta2),
-        )
+        (a1, b1), (a2, b2) = _qubit_states([phi1, phi2], [theta1, theta2])
+        return cls(a1=a1, b1=b1, a2=a2, b2=b2)
 
     def vector(self) -> np.ndarray:
         return np.array(
@@ -99,10 +102,7 @@ class StateCoeffs:
 
 def apply_to_product(r, p: ProductState) -> StateCoeffs:
     """Amplitudes of R acting on a product state."""
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("expected a two-qubit operator")
-    return StateCoeffs((r @ p.vector()).reshape(2, 2))
+    return StateCoeffs((_as_two_qubit(r) @ p.vector()).reshape(2, 2))
 
 
 def j2_invariant(t: StateCoeffs | np.ndarray) -> complex:
@@ -131,9 +131,9 @@ def linear_entropy(t: StateCoeffs | np.ndarray) -> float:
 
 
 def entangling_power_closed(h) -> float:
-    """Closed-form entangling power of an X-patterned operator."""
-    if isinstance(h, np.ndarray) or (hasattr(h, "shape") and not hasattr(h, "as_tuple")):
-        r = as_matrix(h)
+    """Closed-form entangling power of an X-patterned 4x4 matrix or of h1..h8."""
+    if np.ndim(h) == 2:
+        r = _as_two_qubit(h)
         if not is_xtype(r):
             raise ValueError("closed form applies to X-patterned operators only")
         h1, h2, h3, h4, h5, h6, h7, h8 = r[XTYPE_SUPPORT]
@@ -146,18 +146,30 @@ def entangling_power_closed(h) -> float:
     return float(first / 9 + second / 36)
 
 
-# The grid has nodes^4 points and a quadrature holds about 256 bytes per
-# point at its peak: 256 MiB at 32 nodes.  The average is already exact at 8.
+# A quadrature holds (4, nodes^2, nodes^2) amplitudes at its peak: 96 MiB at
+# 32 nodes (tracemalloc).  The average is already exact at 8.
 MAX_NODES = 32
 
 
-def _product_grid(nodes: int):
-    """Tensor quadrature grid over (phi1, phi2, u1, u2), exact for the average.
+def _qubit_states(phi, theta) -> np.ndarray:
+    """One-qubit states [e^(i phi) cos(theta), e^(-i phi) sin(theta)] on a last axis."""
+    phase = np.exp(1j * np.asarray(phi))
+    return np.stack([phase * np.cos(theta), phase.conj() * np.sin(theta)], axis=-1)
+
+
+def _det_sq(amps) -> np.ndarray:
+    """|det t|^2 from amplitudes (t00, t01, t10, t11) stacked on the first axis."""
+    return np.abs(amps[0] * amps[3] - amps[1] * amps[2]) ** 2
+
+
+def _qubit_grid(nodes: int):
+    """One-qubit quadrature grid, exact for the average: states (nodes^2, 2), weights.
 
     The phi dependence enters only through e^(+-2 i k phi) with k <= 2, for
     which a uniform grid over one period [-pi, 0) is exact; the theta part is
     polynomial of degree <= 2 in u = cos(2 theta), where Gauss-Legendre is
-    exact.  The measure splits as d(phi)/pi x du/2 per qubit.
+    exact.  The measure splits as d(phi)/pi x du/2 per qubit, so the
+    two-qubit grid is the product of two copies of this one.
     """
     if nodes < 8:
         raise ValueError("need at least 8 nodes per dimension")
@@ -165,64 +177,53 @@ def _product_grid(nodes: int):
         raise ValueError(f"{nodes} nodes exceed the limit of {MAX_NODES}")
     phis = -np.pi + np.pi * np.arange(nodes) / nodes
     u, w = np.polynomial.legendre.leggauss(nodes)
-    thetas = np.arccos(u) / 2
-    theta_w = w / 2
-    phi_w = np.full(nodes, 1.0 / nodes)
-    return phis, phi_w, thetas, theta_w
+    phi, theta = np.meshgrid(phis, np.arccos(u) / 2, indexing="ij")
+    return _qubit_states(phi, theta).reshape(-1, 2), np.tile(w / (2 * nodes), nodes)
 
 
-def _grid_states(nodes: int):
-    phis, phi_w, thetas, theta_w = _product_grid(nodes)
-    p1, t1, p2, t2 = np.meshgrid(phis, thetas, phis, thetas, indexing="ij")
-    wp1, wt1, wp2, wt2 = np.meshgrid(phi_w, theta_w, phi_w, theta_w, indexing="ij")
-    a1 = np.exp(1j * p1) * np.cos(t1)
-    b1 = np.exp(-1j * p1) * np.sin(t1)
-    a2 = np.exp(1j * p2) * np.cos(t2)
-    b2 = np.exp(-1j * p2) * np.sin(t2)
-    states = np.stack(
-        [a1 * a2, a1 * b2, b1 * a2, b1 * b2], axis=-1
-    ).reshape(-1, 4)
-    weights = (wp1 * wt1 * wp2 * wt2).reshape(-1)
-    return states, weights
+def entangling_power(r) -> float:
+    """Exact entangling power of any 4x4 operator (the production route).
+
+    The product-state average of |det t|^2 is a Haar fourth moment with the
+    closed operator form (Zanardi, Zalka & Faoro, PRA 62, 030301 (2000))
+
+        M = R^T (eps x eps) R,   e_P = (2 |M|_F^2 + 2 Re <M, M^G>) / 144,
+
+    where G swaps the second qubit's row and column indices.
+    """
+    r = _as_two_qubit(r)
+    m = r.T @ _EPS_EPS @ r
+    m_g = partial_transpose(m, 2)
+    return float((2 * np.vdot(m, m).real + 2 * np.vdot(m, m_g).real) / 144)
 
 
 def entangling_power_quadrature(r, nodes: int = 16) -> float:
-    """Average |det t|^2 over uniformly distributed product states.
+    """Average |det t|^2 over a product grid of states (test oracle).
 
-    Works for any 4x4 operator; agrees with the closed form on X-patterned
-    input to near machine precision because the quadrature is exact for the
-    integrand's trigonometric degree.  ``nodes`` must lie in
-    [8, ``MAX_NODES``]; outside it ``ValueError`` is raised before the grid
-    is built.
+    Works for any 4x4 operator and is exact for the integrand's trigonometric
+    degree, so it agrees with :func:`entangling_power` to rounding.  The
+    amplitudes on the grid are a separable contraction of R with the
+    one-qubit states.  ``nodes`` must lie in [8, ``MAX_NODES``]; outside it
+    ``ValueError`` is raised before the grid is built.
     """
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("expected a two-qubit operator")
-    states, weights = _grid_states(nodes)
-    amps = states @ r.T
-    dets = amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2]
-    values = np.abs(dets) ** 2
-    # pairwise summation (numpy default) keeps the reduction deterministic
-    return float(np.sum(values * weights))
+    r = _as_two_qubit(r)
+    states, weights = _qubit_grid(nodes)
+    amps = np.einsum("kij,ai->kaj", r.reshape(4, 2, 2), states) @ states.T
+    return float(weights @ _det_sq(amps) @ weights)
 
 
 def entangling_power_monte_carlo(r, samples: int = 1_000_000, seed: int = 0) -> float:
     """Monte Carlo cross-check of the Bloch-sphere average (about 1% at 1e6)."""
-    r = as_matrix(r)
+    r = _as_two_qubit(r)
     rng = np.random.default_rng(seed)
     phi1 = rng.uniform(-np.pi, 0, samples)
     phi2 = rng.uniform(-np.pi, 0, samples)
     # u = cos(2 theta) uniform on [-1, 1] realizes the sin cos measure
     th1 = np.arccos(rng.uniform(-1, 1, samples)) / 2
     th2 = np.arccos(rng.uniform(-1, 1, samples)) / 2
-    a1 = np.exp(1j * phi1) * np.cos(th1)
-    b1 = np.exp(-1j * phi1) * np.sin(th1)
-    a2 = np.exp(1j * phi2) * np.cos(th2)
-    b2 = np.exp(-1j * phi2) * np.sin(th2)
-    states = np.stack([a1 * a2, a1 * b2, b1 * a2, b1 * b2], axis=-1)
-    amps = states @ r.T
-    dets = amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2]
-    return float(np.mean(np.abs(dets) ** 2))
+    q1, q2 = _qubit_states(phi1, th1), _qubit_states(phi2, th2)
+    states = (q1[:, :, None] * q2[:, None, :]).reshape(-1, 4)
+    return float(np.mean(_det_sq(r @ states.T)))
 
 
 def unitary_xtype(

@@ -216,9 +216,7 @@ def apply_word(r, word: BraidWord, site) -> np.ndarray:
             if exp < 0 and r_inv is None:
                 r_inv = invert(r)
             powers[exp] = np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
-    state = as_matrix(site)
-    for _ in range(n - 1):
-        state = tensor_product(state, site)
+    state = functools.reduce(np.kron, [as_matrix(site)] * n)
     spare = np.empty_like(state)
     dim = 2**n
     for gen, exp in reversed(word.letters):

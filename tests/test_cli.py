@@ -1,9 +1,15 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from braidgate.cli import main
+from braidgate.entangling_power import entangling_power_quadrature
+from braidgate.hietarinta import hietarinta_assemble
+
+# X-patterned but for one 1e-6 entry: X-type at --tol 1e-3, not at the default
+NEAR_X = "[[1,1e-6,0,1],[0,1,1,0],[0,1,1,0],[1,0,0,1]]"
 
 
 def run(capsys, *argv):
@@ -104,6 +110,29 @@ class TestOperatorSpecs:
         assert code == 0
         assert report["invariants"]["I1"] == [4.0, 0.0]
 
+    @pytest.mark.parametrize("matrix", [
+        "5",
+        "[1,2,3,4]",
+        "[[null,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+    ])
+    def test_malformed_matrix_is_usage_error(self, capsys, matrix):
+        code, out, err = run(capsys, "epower", "--matrix", matrix)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_complex_pair_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "invariants", "--class", "C12.0",
+                             "--params", "h1=[null,0],h2=1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_xtype_detection_uses_tol(self, capsys):
+        code, report = run_json(capsys, "invariants", "--tol", "1e-3", "--matrix", NEAR_X)
+        assert code == 0
+        assert "xtype_closed_forms" in report
+        code, report = run_json(capsys, "invariants", "--matrix", NEAR_X)
+        assert code == 0 and "xtype_closed_forms" not in report
+
     def test_two_specs_rejected(self, capsys):
         code, _, _ = run(capsys, "invariants", "--class", "C1.0",
                          "--xtype", "1,0,0,0,0,0,0,1", "--params", "h1=1")
@@ -176,7 +205,7 @@ class TestEpowerCommand:
         code, report = run_json(capsys, "epower", "--xtype", self.BELL)
         assert code == 0
         assert abs(report["closed"] - 1 / 9) < 1e-10
-        assert abs(report["quadrature"] - 1 / 9) < 1e-10
+        assert abs(report["entangling_power"] - 1 / 9) < 1e-10
         assert report["difference"] < 1e-10
 
     def test_swap(self, capsys):
@@ -189,22 +218,33 @@ class TestEpowerCommand:
             capsys, "epower", "--hietarinta", "H1,3", "--params", "k=1,p=1,q=0"
         )
         assert code == 0
-        assert abs(report["quadrature"] - 1 / 9) < 1e-9
+        assert abs(report["entangling_power"] - 1 / 9) < 1e-9
 
-    def test_closed_only_rejects_non_xtype(self, capsys):
-        code, _, _ = run(
-            capsys, "epower", "--hietarinta", "H2,3",
-            "--params", "k=1,p=1,q=2,s=0", "--closed-only",
+    def test_non_xtype_reports_exact_value(self, capsys):
+        code, report = run_json(
+            capsys, "epower", "--hietarinta", "H2,3", "--params", "k=1,p=1,q=2,s=0"
         )
-        assert code == 2
+        assert code == 0
+        assert "closed" not in report and "difference" not in report
+        r = hietarinta_assemble("H2,3", {"k": 1, "p": 1, "q": 2, "s": 0})
+        quad = entangling_power_quadrature(r)
+        assert abs(report["entangling_power"] - quad) < 1e-12 * np.linalg.norm(r) ** 4 / 36
 
-    def test_node_bound_is_usage_error(self, capsys):
-        code, out, err, peak = run_traced(
-            capsys, "epower", "--xtype", "1,0,0,1,1,0,0,1", "--nodes", "4096"
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: 4096 nodes") and err.count("\n") == 1
-        assert peak < 2**20
+    @pytest.mark.parametrize("flag", [["--nodes", "16"], ["--mc", "1000"], ["--closed-only"]],
+                             ids=["nodes", "mc", "closed-only"])
+    def test_quadrature_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["epower", "--xtype", "1,0,0,1,1,0,0,1", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_xtype_detection_uses_tol(self, capsys):
+        code, report = run_json(capsys, "epower", "--tol", "1e-3", "--matrix", NEAR_X)
+        assert code == 0
+        assert report["closed"] == 4 / 9
+        assert report["difference"] < 1e-3
+        code, report = run_json(capsys, "epower", "--matrix", NEAR_X)
+        assert code == 0 and "closed" not in report
 
 
 class TestClassifyCommand:
@@ -235,6 +275,14 @@ class TestClassifyCommand:
         code, out, err = run(capsys, "classify", "--class", "C6.0", "--params", params)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+class TestEnhanceCommand:
+    def test_no_starts_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enhance", "--class", "C2.0",
+                             "--params", "h2=1,h3=2,h7=3", "--starts", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: need at least one solver start, got -3\n"
 
 
 class TestOrbitCommand:

@@ -368,6 +368,12 @@ class TestWordInvariances:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_no_starts_rejected(self, starts):
+        # an empty result from zero starts would read as an absence claim
+        with pytest.raises(ValueError, match="at least one solver start"):
+            solve_enhancement(np.eye(4), starts=starts)
+
     def test_class2_only_identity_family(self):
         entry = CATALOG["C2.0"]
         r = assemble(entry.fill(entry.random_params(RNG)))

@@ -8,6 +8,7 @@ from braidgate.entangling_power import (
     StateCoeffs,
     apply_to_product,
     class_epower,
+    entangling_power,
     entangling_power_closed,
     entangling_power_monte_carlo,
     entangling_power_quadrature,
@@ -172,6 +173,22 @@ class TestQuadrature:
         mc = entangling_power_monte_carlo(assemble(h), samples=1_000_000, seed=4)
         assert abs(mc - quad) < 0.01 * max(1.0, quad)
 
+    def test_monte_carlo_draws_documented_states(self):
+        # the seed draws phi1, phi2, then u1, u2 (u = cos 2 theta), in that order
+        r = rand_dense(np.random.default_rng(404))
+        samples, seed = 64, 11
+        rng = np.random.default_rng(seed)
+        phi1, phi2 = rng.uniform(-np.pi, 0, samples), rng.uniform(-np.pi, 0, samples)
+        th1 = np.arccos(rng.uniform(-1, 1, samples)) / 2
+        th2 = np.arccos(rng.uniform(-1, 1, samples)) / 2
+        dets = [
+            np.linalg.det(apply_to_product(r, ProductState.from_angles(*angles)).t)
+            for angles in zip(th1, phi1, th2, phi2)
+        ]
+        expected = np.mean(np.abs(dets) ** 2)
+        mc = entangling_power_monte_carlo(r, samples=samples, seed=seed)
+        assert abs(mc - expected) < 1e-12 * epower_scale(r)
+
     def test_works_for_non_xtype(self):
         r = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         quad = entangling_power_quadrature(r)
@@ -188,6 +205,63 @@ class TestQuadrature:
             assert abs(
                 entangling_power_quadrature(rotated) - entangling_power_quadrature(r)
             ) < 1e-10
+
+
+def rand_dense(rng):
+    return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+
+def rand_su2(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q / np.sqrt(np.linalg.det(q))
+
+
+def epower_scale(r):
+    """|R|_F^4 / 36, an upper bound of the entangling power (and its scale)."""
+    return np.linalg.norm(r) ** 4 / 36
+
+
+class TestExactForm:
+    """The Haar form against the two independent routes, at 1e-12 of |R|_F^4/36."""
+
+    def test_matches_quadrature_on_dense_operators(self):
+        rng = np.random.default_rng(401)
+        for _ in range(300):
+            r = rand_dense(rng)
+            assert abs(entangling_power(r) - entangling_power_quadrature(r)) < (
+                1e-12 * epower_scale(r)
+            )
+
+    def test_matches_closed_form_on_xtype(self):
+        rng = np.random.default_rng(402)
+        for _ in range(300):
+            h = rand_xtype(rng)
+            r = assemble(h)
+            assert abs(entangling_power(r) - entangling_power_closed(h)) < (
+                1e-12 * epower_scale(r)
+            )
+
+    def test_special_values(self):
+        assert abs(entangling_power(assemble(BELL)) - 1 / 9) < 1e-15
+        assert abs(entangling_power(assemble(SWAP))) < 1e-15
+        assert abs(entangling_power(np.eye(4))) < 1e-15
+
+    def test_local_invariance(self):
+        # |det t|^2 is invariant under SL(2) x SL(2) on the output, and the
+        # Bloch measure under SU(2) x SU(2) on the input
+        rng = np.random.default_rng(403)
+        for _ in range(50):
+            r = rand_dense(rng)
+            left = np.kron(random_sl2(rng), random_sl2(rng))
+            right = np.kron(rand_su2(rng), rand_su2(rng))
+            moved = left @ r @ right
+            assert abs(entangling_power(moved) - entangling_power(r)) < 1e-12 * max(
+                epower_scale(r), epower_scale(moved)
+            )
+
+    def test_rejects_non_two_qubit(self):
+        with pytest.raises(ValueError):
+            entangling_power(np.eye(3))
 
 
 class TestUnitaryXType:
