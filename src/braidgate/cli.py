@@ -316,9 +316,7 @@ def cmd_linkpoly(args) -> int:
 
 def cmd_enhance(args) -> int:
     r, echo = resolve_operator(args)
-    solutions = enhancement.solve_enhancement(
-        r, args.tol, starts=args.starts, seed=args.seed
-    )
+    solutions, outcomes = enhancement._solve(r, args.tol, args.starts, args.seed)
     report = _base_report(args, "enhance")
     report["operator"] = echo
     report["families"] = [
@@ -332,6 +330,7 @@ def cmd_enhance(args) -> int:
         )
     ]
     report["count"] = len(solutions)
+    report["starts"] = outcomes
     return _emit(args, report, failed=False)
 
 
@@ -346,7 +345,8 @@ def cmd_epower(args) -> int:
         closed = entangling_power.entangling_power_closed(r[XTYPE_SUPPORT])
         report["closed"] = closed
         report["difference"] = abs(closed - value)
-        failed = report["difference"] > args.tol
+        report["scale"] = np.linalg.norm(r) ** 4 / 36
+        failed = report["difference"] > args.tol * report["scale"]
     return _emit(args, report, failed)
 
 
@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enhance", help="solve for all (mu, x, y) enhancements")
     _add_operator_flags(p)
-    p.add_argument("--starts", type=int, default=200, help="solver restarts")
+    p.add_argument("--starts", type=int, default=200,
+                   help=f"solver restarts, 1 to {enhancement.MAX_STARTS} (default: 200)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_enhance)
 

@@ -59,6 +59,8 @@ __all__ = [
     "instantiate_recipe",
     "verify_enhancement",
     "solve_enhancement",
+    "MAX_STARTS",
+    "START_OUTCOMES",
     "writhe",
     "link_polynomial",
     "markov_check",
@@ -427,42 +429,80 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float | None = None) -
 # Enhancement solver
 # ---------------------------------------------------------------------------
 
-def _residual_vector(r, r_inv, v):
-    alpha = v[0] + 1j * v[1]
-    beta = v[2] + 1j * v[3]
-    gamma = v[4] + 1j * v[5]
-    delta = v[6] + 1j * v[7]
-    x = v[8] + 1j * v[9]
-    y = v[10] + 1j * v[11]
-    mu = _mu_matrix(alpha, beta, gamma, delta)
-    mm = tensor_product(mu, mu)
+# mu x mu = sum_kl c_k c_l P_k x P_l, so conditions (a)-(c) are quadratic in
+# the Pauli coefficients c of mu: each is outer(c, c).ravel() @ (its table).
+_PAULIS = np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z])
+_PAULI_PAIRS = np.array([[np.kron(p, q) for q in _PAULIS] for p in _PAULIS])
+_MU_ROWS = _PAULIS.reshape(4, 4)  # mu.ravel() = c @ _MU_ROWS
+
+
+def _condition_tables(r, r_inv) -> np.ndarray:
+    """(16, 24) table T of R: row (k, l) holds, for mu x mu = P_k x P_l, the
+    entries of [R, mu x mu] (16), then tr_2 R (mu x mu) (4), then
+    tr_2 R^-1 (mu x mu) (4)."""
+    t = _PAULI_PAIRS
+    a = r @ t - t @ r
+    b = np.trace((r @ t).reshape(4, 4, 2, 2, 2, 2), axis1=3, axis2=5)
+    c = np.trace((r_inv @ t).reshape(4, 4, 2, 2, 2, 2), axis1=3, axis2=5)
+    return np.concatenate([a.reshape(16, 16), b.reshape(16, 4), c.reshape(16, 4)], axis=1)
+
+
+def _residual(table, v):
+    """Real residual of conditions (a)-(c) and the gauge |mu|^2 = 2 at v.
+
+    ``v`` holds (Re, Im) of alpha, beta, gamma, delta, x, y.  The layout is
+    [Re of 24 condition entries, gauge, Im of the 24, 0].
+    """
+    z = v[0::2] + 1j * v[1::2]
+    c, x, y = z[:4], z[4], z[5]
+    mu = c @ _MU_ROWS
+    f = np.outer(c, c).ravel() @ table
+    f[16:20] -= x * y * mu
+    f[20:] -= y / x * mu
     # conditions are homogeneous in mu, so mu = 0 solves them trivially;
     # pinning |mu|^2 = 2 keeps the search on the nonzero gauge orbits
-    parts = [
-        (r @ mm - mm @ r).ravel(),
-        (partial_trace(r @ mm, 2) - x * y * mu).ravel(),
-        (partial_trace(r_inv @ mm, 2) - y / x * mu).ravel(),
-        np.array([np.vdot(mu, mu).real - 2.0]),
-    ]
-    c = np.concatenate(parts)
-    return np.concatenate([c.real, c.imag])
+    gauge = 2 * np.vdot(c, c).real - 2.0
+    return np.concatenate([f.real, [gauge], f.imag, [0.0]])
 
 
-def _gauss_newton(r, r_inv, v0, max_iter=80, converge=1e-12):
+def _jacobian(table, v):
+    """Exact (50, 12) Jacobian of :func:`_residual`.
+
+    The 24 condition entries are holomorphic in z = (c, x, y), so the real
+    Jacobian is [[Re J, -Im J], [Im J, Re J]] of the complex (24, 6) one.
+    """
+    z = v[0::2] + 1j * v[1::2]
+    c, x, y = z[:4], z[4], z[5]
+    mu = c @ _MU_ROWS
+    tab = table.reshape(4, 4, 24)
+    jac = np.zeros((24, 6), dtype=complex)
+    # d(c_k c_l)/dc_m reaches both the (m, l) and the (l, m) rows
+    jac[:, :4] = (c @ (tab + tab.transpose(1, 0, 2))).T
+    jac[16:20, :4] -= x * y * _MU_ROWS.T
+    jac[20:, :4] -= y / x * _MU_ROWS.T
+    jac[16:20, 4] = -y * mu
+    jac[16:20, 5] = -x * mu
+    jac[20:, 4] = y / x**2 * mu
+    jac[20:, 5] = -mu / x
+    out = np.zeros((50, 12))
+    out[:24, 0::2] = jac.real
+    out[:24, 1::2] = -jac.imag
+    out[25:49, 0::2] = jac.imag
+    out[25:49, 1::2] = jac.real
+    out[24, 0:8:2] = 4 * c.real
+    out[24, 1:8:2] = 4 * c.imag
+    return out
+
+
+def _gauss_newton(table, v0, max_iter=80, converge=1e-12):
     v = np.array(v0, dtype=float)
-    f = _residual_vector(r, r_inv, v)
+    f = _residual(table, v)
     cost = np.linalg.norm(f)
     for _ in range(max_iter):
         if cost < converge:
             break
-        jac = np.empty((f.size, v.size))
-        eps = 1e-7
-        for k in range(v.size):
-            dv = v.copy()
-            dv[k] += eps
-            jac[:, k] = (_residual_vector(r, r_inv, dv) - f) / eps
         try:
-            step, *_ = np.linalg.lstsq(jac, f, rcond=None)
+            step, *_ = np.linalg.lstsq(_jacobian(table, v), f, rcond=None)
         except np.linalg.LinAlgError:
             break
         damping = 1.0
@@ -470,7 +510,7 @@ def _gauss_newton(r, r_inv, v0, max_iter=80, converge=1e-12):
             trial = v - damping * step
             if abs(trial[8]) + abs(trial[9]) < 1e-8:
                 trial[8] += 1e-4  # keep x away from the pole
-            ft = _residual_vector(r, r_inv, trial)
+            ft = _residual(table, trial)
             ct = np.linalg.norm(ft)
             if ct < cost:
                 v, f, cost = trial, ft, ct
@@ -495,6 +535,77 @@ def _normalize_solution(mu_coeffs, x, y):
     return tuple(coeffs), x, y
 
 
+# Memory does not grow with the starts, but time does, by a few ms per start.
+MAX_STARTS = 10_000
+
+# What can become of one solver start, in the order the filters apply.
+START_OUTCOMES = (
+    "new_family",  # converged onto a verified family not found before
+    "rejected_cost",  # final residual norm above 1e-9
+    "rejected_degenerate",  # mu or x (near) zero
+    "rejected_y_ratio",  # |y| / |mu| too small: a boundary curve, not a family
+    "rejected_verification",  # the normalized quadruple fails verify_enhancement
+    "duplicate",  # converged onto a family already found
+)
+
+
+def _solve(r, tol, starts, seed) -> tuple[list[EnhancedOperator], dict[str, int]]:
+    """The solver behind :func:`solve_enhancement`, plus per-start outcome counts
+    (keys :data:`START_OUTCOMES`, summing to ``starts``)."""
+    if starts < 1:
+        raise ValueError(f"need at least one solver start, got {starts}")
+    if starts > MAX_STARTS:
+        raise ValueError(f"at most {MAX_STARTS} solver starts, got {starts}")
+    tol = default_tol() if tol is None else tol
+    r = as_matrix(r)
+    table = _condition_tables(r, invert(r))
+    found: dict[tuple, EnhancedOperator] = {}
+    outcomes = dict.fromkeys(START_OUTCOMES, 0)
+    for start in range(starts):
+        rng = np.random.default_rng(seed + 1000 * start)
+        v0 = rng.normal(size=12)
+        v, cost = _gauss_newton(table, v0)
+        outcome = _start_outcome(r, tol, v, cost, found)
+        outcomes[outcome] += 1
+    return list(found.values()), outcomes
+
+
+def _start_outcome(r, tol, v, cost, found) -> str:
+    """Judge one start's end point; a new family is added to ``found``."""
+    if cost > 1e-9:
+        return "rejected_cost"
+    alpha, beta, gamma, delta = (
+        v[0] + 1j * v[1],
+        v[2] + 1j * v[3],
+        v[4] + 1j * v[5],
+        v[6] + 1j * v[7],
+    )
+    x, y = v[8] + 1j * v[9], v[10] + 1j * v[11]
+    # x, y must lie in C*: the solver otherwise drifts onto degenerate
+    # boundary curves (nilpotent mu directions with y/|mu| -> 0, possibly
+    # disguised by a diverging mu scale) that satisfy the equations only
+    # in the limit.  |y|/|mu| is the gauge-invariant discriminator.
+    mu_scale = max(abs(c) for c in (alpha, beta, gamma, delta))
+    if mu_scale < 1e-8 or abs(x) < 1e-5:
+        return "rejected_degenerate"
+    if abs(y) / mu_scale < 1e-4 * (1 + abs(x)):
+        return "rejected_y_ratio"
+    normalized = _normalize_solution((alpha, beta, gamma, delta), x, y)
+    if normalized is None:
+        return "rejected_degenerate"
+    coeffs, x, y = normalized
+    candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=x, y=y)
+    _, ok = verify_enhancement(candidate, tol)
+    if not ok:
+        return "rejected_verification"
+    key = tuple(np.round([c.real for c in coeffs] + [c.imag for c in coeffs]
+                         + [x.real, x.imag, y.real, y.imag], 5))
+    if key in found:
+        return "duplicate"
+    found[key] = candidate
+    return "new_family"
+
+
 def solve_enhancement(
     r,
     tol: float | None = None,
@@ -503,51 +614,15 @@ def solve_enhancement(
 ) -> list[EnhancedOperator]:
     """Find all enhancements with mu in the Pauli span by multi-start root finding.
 
-    Solutions are reported normalized: the first nonzero Pauli coefficient of
-    mu (scan order I, X, Y, Z) is scaled to one, and the simultaneous sign of
-    (x, y) is canonicalized.  An empty list is a verified-absence claim only
-    at the configured number of starts, which must be at least one.
+    Each start runs a damped Gauss-Newton iteration on conditions (a)-(c) and
+    the gauge |mu|^2 = 2, with the exact Jacobian of those quadratic
+    conditions (see :func:`_condition_tables`).  Solutions are reported
+    normalized: the first nonzero Pauli coefficient of mu (scan order I, X,
+    Y, Z) is scaled to one, and the simultaneous sign of (x, y) is
+    canonicalized.  An empty list is a verified-absence claim only at the
+    configured number of starts, which must lie in [1, ``MAX_STARTS``].
     """
-    if starts < 1:
-        raise ValueError(f"need at least one solver start, got {starts}")
-    tol = default_tol() if tol is None else tol
-    r = as_matrix(r)
-    r_inv = invert(r)
-    found: dict[tuple, EnhancedOperator] = {}
-    for start in range(starts):
-        rng = np.random.default_rng(seed + 1000 * start)
-        v0 = rng.normal(size=12)
-        v, cost = _gauss_newton(r, r_inv, v0)
-        if cost > 1e-9:
-            continue
-        alpha, beta, gamma, delta = (
-            v[0] + 1j * v[1],
-            v[2] + 1j * v[3],
-            v[4] + 1j * v[5],
-            v[6] + 1j * v[7],
-        )
-        x, y = v[8] + 1j * v[9], v[10] + 1j * v[11]
-        # x, y must lie in C*: the solver otherwise drifts onto degenerate
-        # boundary curves (nilpotent mu directions with y/|mu| -> 0, possibly
-        # disguised by a diverging mu scale) that satisfy the equations only
-        # in the limit.  |y|/|mu| is the gauge-invariant discriminator.
-        mu_scale = max(abs(c) for c in (alpha, beta, gamma, delta))
-        if mu_scale < 1e-8 or abs(x) < 1e-5:
-            continue
-        if abs(y) / mu_scale < 1e-4 * (1 + abs(x)):
-            continue
-        normalized = _normalize_solution((alpha, beta, gamma, delta), x, y)
-        if normalized is None:
-            continue
-        coeffs, x, y = normalized
-        candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=x, y=y)
-        residuals, ok = verify_enhancement(candidate, tol)
-        if not ok:
-            continue
-        key = tuple(np.round([c.real for c in coeffs] + [c.imag for c in coeffs]
-                             + [x.real, x.imag, y.real, y.imag], 5))
-        found.setdefault(key, candidate)
-    return list(found.values())
+    return _solve(r, tol, starts, seed)[0]
 
 
 # ---------------------------------------------------------------------------

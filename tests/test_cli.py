@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from braidgate.cli import main
+from braidgate.enhancement import START_OUTCOMES
 from braidgate.entangling_power import entangling_power_quadrature
 from braidgate.hietarinta import hietarinta_assemble
 
@@ -238,6 +239,26 @@ class TestEpowerCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xtype", [
+        "223.4,156.7+8i,99.1,23.5,144,13.3-2i,97.7,199",
+        "1000,2000,3000,4000,5000,6000,7000,8100",
+    ])
+    def test_large_norm_judged_against_scale(self, capsys, xtype):
+        code, report = run_json(capsys, "epower", "--xtype", xtype)
+        assert code == 0
+        h = np.array(report["operator"]["xtype"])  # [re, im] rows
+        assert report["scale"] == pytest.approx(np.sum(h**2) ** 2 / 36, rel=1e-12)
+        assert report["difference"] <= 1e-9 * report["scale"]
+
+    def test_off_pattern_disagreement_fails(self, capsys):
+        # every entry lies within --tol of zero, so the X pattern holds at
+        # that tolerance, but the off-pattern entries are as large as the rest
+        rows = "[[1,1,1,1],[1,2,1,1],[1,1,3,1],[1,1,1,4]]"
+        matrix = json.dumps((np.array(json.loads(rows)) * 1e-3).tolist())
+        code, report = run_json(capsys, "epower", "--tol", "1e-3", "--matrix", matrix)
+        assert code == 1
+        assert report["difference"] > 1e-3 * report["scale"]
+
     def test_xtype_detection_uses_tol(self, capsys):
         code, report = run_json(capsys, "epower", "--tol", "1e-3", "--matrix", NEAR_X)
         assert code == 0
@@ -283,6 +304,28 @@ class TestEnhanceCommand:
                              "--params", "h2=1,h3=2,h7=3", "--starts", "-3")
         assert code == 2 and out == ""
         assert err == "error: need at least one solver start, got -3\n"
+
+    def test_start_bound_is_usage_error(self, capsys):
+        # raised before the first start runs
+        code, out, err = run(capsys, "enhance", "--class", "C2.0",
+                             "--params", "h2=1,h3=2,h7=3", "--starts", "10001")
+        assert code == 2 and out == ""
+        assert err == "error: at most 10000 solver starts, got 10001\n"
+
+    def test_help_names_start_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enhance", "--help"])
+        assert exc.value.code == 0
+        assert "1 to 10000" in capsys.readouterr().out
+
+    def test_start_outcomes_reported(self, capsys):
+        code, report = run_json(capsys, "enhance", "--class", "C6.0",
+                                "--params", "h1=1,h8=2,h2=1", "--starts", "40")
+        assert code == 0
+        outcomes = report["starts"]
+        assert set(outcomes) == set(START_OUTCOMES)
+        assert sum(outcomes.values()) == 40
+        assert outcomes["new_family"] == report["count"] == len(report["families"])
 
 
 class TestOrbitCommand:

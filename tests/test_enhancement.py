@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 from braidgate.enhancement import (
     EnhancedOperator,
     InvalidEnhancementError,
+    MAX_STARTS,
     RECIPES,
+    START_OUTCOMES,
+    _condition_tables,
+    _jacobian,
+    _residual,
+    _solve,
     bmw_witness,
     class_bmw_params,
     class_hecke_params,
@@ -22,7 +28,8 @@ from braidgate.enhancement import (
     verify_enhancement,
     writhe,
 )
-from braidgate.matrix_core import I2, PAULI_Z
+from braidgate.hietarinta import hietarinta_assemble
+from braidgate.matrix_core import I2, PAULI_X, PAULI_Y, PAULI_Z, partial_trace
 from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry
 
 RNG = np.random.default_rng(55)
@@ -391,9 +398,10 @@ class TestSolver:
         coeffs = sols[0].mu_coeffs()
         assert max(abs(c) for c in coeffs[:3]) < 1e-8 and abs(coeffs[3] - 1) < 1e-8
 
-    def test_class6_five_families(self):
+    @pytest.mark.parametrize("draw", range(3))
+    def test_class6_five_families(self, draw):
         entry = CATALOG["C6.0"]
-        params = entry.random_params(RNG)
+        params = entry.random_params(np.random.default_rng(600 + draw))
         r = assemble(entry.fill(params))
         sols = solve_enhancement(r, starts=200)
         assert len(sols) == 5
@@ -405,6 +413,80 @@ class TestSolver:
         got = [_canonical(s) for s in sols]
         for key in expected:
             assert any(np.allclose(key, g, atol=1e-6) for g in got), key
+
+    def test_start_bound(self):
+        # raised before the first start runs
+        with pytest.raises(ValueError, match=f"at most {MAX_STARTS} solver starts"):
+            solve_enhancement(np.eye(4), starts=MAX_STARTS + 1)
+
+    def test_outcome_counts(self):
+        entry = CATALOG["C6.0"]
+        r = assemble(entry.fill(entry.random_params(np.random.default_rng(61))))
+        families, outcomes = _solve(r, None, 50, 3)
+        assert tuple(outcomes) == START_OUTCOMES
+        assert sum(outcomes.values()) == 50
+        assert outcomes["new_family"] == len(families)
+
+
+def _residual_oracle(r, r_inv, v):
+    """The solver's residual by dense products: mu x mu by np.kron and the
+    conditions through partial_trace, in the solver's [Re, gauge, Im, 0]
+    layout."""
+    alpha, beta, gamma, delta, x, y = v[0::2] + 1j * v[1::2]
+    mu = alpha * I2 + beta * PAULI_X + gamma * PAULI_Y + delta * PAULI_Z
+    mm = np.kron(mu, mu)
+    parts = [
+        (r @ mm - mm @ r).ravel(),
+        (partial_trace(r @ mm, 2) - x * y * mu).ravel(),
+        (partial_trace(r_inv @ mm, 2) - y / x * mu).ravel(),
+        np.array([np.vdot(mu, mu).real - 2.0]),
+    ]
+    c = np.concatenate(parts)
+    return np.concatenate([c.real, c.imag]), mu
+
+
+KERNEL_OPERATORS = ("C2.0", "C6.0", "C11.0", "H2,3")
+
+
+def _kernel_operator(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    if name == "H2,3":
+        return hietarinta_assemble("H2,3", {k: rand_complex(rng) for k in "kpqs"}), rng
+    entry = CATALOG[name]
+    return assemble(entry.fill(entry.random_params(rng))), rng
+
+
+class TestSolverKernel:
+    """The table residual and its exact Jacobian against independent routes."""
+
+    @pytest.mark.parametrize("name", KERNEL_OPERATORS)
+    def test_residual_matches_dense_oracle(self, name):
+        r, rng = _kernel_operator(name)
+        r_inv = np.linalg.inv(r)
+        table = _condition_tables(r, r_inv)
+        for _ in range(20):
+            v = rng.normal(size=12) * rng.choice([0.3, 1.0, 3.0])
+            want, mu = _residual_oracle(r, r_inv, v)
+            scale = max(1.0, np.max(np.abs(r)) * np.max(np.abs(mu)) ** 2)
+            got = _residual(table, v)
+            assert got.shape == (50,)
+            assert np.max(np.abs(got - want)) < 1e-13 * scale, name
+
+    @pytest.mark.parametrize("name", KERNEL_OPERATORS)
+    def test_jacobian_matches_central_differences(self, name):
+        r, rng = _kernel_operator(name)
+        table = _condition_tables(r, np.linalg.inv(r))
+        h = 1e-6
+        for _ in range(10):
+            v = rng.normal(size=12)
+            jac = _jacobian(table, v)
+            assert jac.shape == (50, 12)
+            numeric = np.empty_like(jac)
+            for k in range(12):
+                dv = np.zeros(12)
+                dv[k] = h
+                numeric[:, k] = (_residual(table, v + dv) - _residual(table, v - dv)) / (2 * h)
+            assert np.max(np.abs(jac - numeric)) < 1e-7 * np.max(np.abs(jac)), name
 
 
 def _canonical(e):
