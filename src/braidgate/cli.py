@@ -469,12 +469,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("linkpoly", help="evaluate the link polynomial of a braid word")
+    limit = yang_baxter.MAX_ENTRIES.bit_length() - 1
+    p = sub.add_parser(
+        "linkpoly", help="evaluate the link polynomial of a braid word",
+        description="Evaluate L(w) by contracting the closed braid as a tensor network. "
+                    f"A word whose planned contraction needs an intermediate of more than "
+                    f"2^{limit} entries is refused before anything is allocated (exit 2).")
     p.add_argument("--recipe", required=True, help="enhancement recipe id, e.g. C1.I")
     p.add_argument("--params", help="recipe parameters, e.g. h1=1,h4=2,h5=2")
     p.add_argument("--word", required=True, help='braid word, e.g. "s1^3 s2^-1"')
     p.add_argument("--strands", type=int,
-                   help=f"strand count, at most {yang_baxter.MAX_STRANDS} (default: inferred)")
+                   help="strand count (default: inferred); the bound is on the planned "
+                        f"contraction, at most 2^{limit} entries per intermediate")
     _add_common_flags(p)
     p.set_defaults(func=cmd_linkpoly)
 

@@ -28,6 +28,7 @@ the equation identically.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,12 @@ __all__ = [
     "braid_rep",
     "rep_of_word",
     "apply_word",
+    "trace_word",
+    "plan_word",
+    "WordPlan",
     "check_strands",
     "MAX_STRANDS",
+    "MAX_ENTRIES",
     "pauli_expand",
     "lie_orbit_rank",
     "InadmissibleParamsError",
@@ -183,9 +188,15 @@ class BraidWord:
         return " ".join(f"s{g}^{e}" for g, e in self.letters) or "<empty>"
 
 
-# A braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
-# bytes, 256 MiB at 12 strands.  Evaluating a word holds two such states.
+# A dense braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
+# bytes, 256 MiB at 12 strands.  Evaluating a word densely holds two such
+# states.  Only ``apply_word`` and ``rep_of_word`` build that state; link
+# traces go through ``trace_word``, whose bound is ``MAX_ENTRIES``.
 MAX_STRANDS = 12
+
+# The largest intermediate tensor a planned closed-braid contraction may
+# hold: 2^24 complex entries, 256 MiB, the size of the 12-strand state.
+MAX_ENTRIES = 2**24
 
 
 def check_strands(n: int) -> None:
@@ -194,28 +205,36 @@ def check_strands(n: int) -> None:
         raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
 
 
+def _letter_powers(r, letters) -> dict[int, np.ndarray]:
+    """Each distinct exponent's 4x4 power of R or R^-1, taken once."""
+    r = as_matrix(r)
+    if r.shape != (4, 4):
+        raise ValueError("braid generators are built from a 4x4 operator")
+    r_inv = None
+    powers: dict[int, np.ndarray] = {}
+    for _, exp in letters:
+        if exp not in powers:
+            if exp < 0 and r_inv is None:
+                r_inv = invert(r)
+            powers[exp] = np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
+    return powers
+
+
 def apply_word(r, word: BraidWord, site) -> np.ndarray:
     """rho(word) (site x ... x site), the n-fold tensor power of a 2x2 ``site``.
 
-    Each distinct exponent's power of R or R^-1 is taken once at 4x4.  The
-    letters act right to left on the state's row index: a letter on strands
-    i, i+1 is one 4x4 product over the middle axis of the state viewed as
+    This is the dense route: ``rep_of_word`` needs the whole matrix, and the
+    tests use it as the oracle for :func:`trace_word`.  Each distinct
+    exponent's power of R or R^-1 is taken once at 4x4.  The letters act
+    right to left on the state's row index: a letter on strands i, i+1 is one
+    4x4 product over the middle axis of the state viewed as
     (2^(i-1), 4, 2^(n-i-1) * 2^n), so it costs O(4^n) rather than the O(8^n)
     of a dense 2^n x 2^n product.  Words on more than ``MAX_STRANDS`` strands
     raise ``ValueError`` before anything is allocated.
     """
     n = word.strands
     check_strands(n)
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("braid generators are built from a 4x4 operator")
-    r_inv = None
-    powers: dict[int, np.ndarray] = {}
-    for _, exp in word.letters:
-        if exp not in powers:
-            if exp < 0 and r_inv is None:
-                r_inv = invert(r)
-            powers[exp] = np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
+    powers = _letter_powers(r, word.letters)
     state = functools.reduce(np.kron, [as_matrix(site)] * n)
     spare = np.empty_like(state)
     dim = 2**n
@@ -224,6 +243,165 @@ def apply_word(r, word: BraidWord, site) -> np.ndarray:
         np.matmul(powers[exp], state.reshape(shape), out=spare.reshape(shape))
         state, spare = spare, state
     return state
+
+
+@dataclass(frozen=True)
+class WordPlan:
+    """How to contract the closed braid of one word, in integers only.
+
+    The closed braid is a network with one 2x2x2x2 tensor per letter, axes
+    (out_i, out_i+1, in_i, in_i+1).  On each strand an edge joins a letter's
+    output to the input of the next letter applied to that strand (letters
+    apply last first), and a closure edge joins the last output to the first
+    input.  The 2x2 ``site`` of each strand is folded into the input side of
+    the first letter applied to it; a strand no letter touches contributes
+    tr(site).  Labels are integers and a tensor's label set is an int
+    bitmask: every label lies on exactly two legs, so contracting two tensors
+    leaves the XOR of their masks, and a closure edge on the only letter of a
+    strand cancels out of that letter's mask (einsum sums it as a trace).
+
+    ``folds`` follows the letters in application order: 2 when strand i is
+    first touched there, plus 1 for strand i+1.
+    ``steps`` are pairwise contractions ``(a, b, subs_a, subs_b, subs_out)``
+    whose result is the next tensor; subscripts are renumbered per step,
+    since einsum takes at most 52 labels.  ``roots`` are the tensors left,
+    one per connected component, with the subscripts they still trace over.
+    """
+
+    word: BraidWord
+    folds: tuple[int, ...]
+    steps: tuple[tuple[int, int, list[int], list[int], list[int]], ...]
+    roots: tuple[tuple[int, list[int]], ...]
+    untouched: int
+
+    def trace(self, r, site) -> complex:
+        """Tr[rho(word) site^(x n)] by executing the plan."""
+        site = as_matrix(site)
+        if site.shape != (2, 2):
+            raise ValueError("the site of a closed braid is a 2x2 matrix")
+        letters = self.word.letters
+        powers = _letter_powers(r, letters)
+        # np.kron(a, b) of 2x2 factors, for fold 1 = I x site, 2 = site x I, 3
+        folded = [None] + [(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+                           for a, b in ((I2, site), (site, I2), (site, site))]
+        tensors = []
+        for (_, exp), fold in zip(reversed(letters), self.folds):
+            p = powers[exp] if not fold else powers[exp] @ folded[fold]
+            tensors.append(p.reshape(2, 2, 2, 2))
+        for a, b, sa, sb, so in self.steps:
+            tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
+            tensors[a] = tensors[b] = None
+        value = complex(np.trace(site)) ** self.untouched
+        for k, subs in self.roots:
+            value *= complex(np.einsum(tensors[k], subs, []))
+        return value
+
+
+def plan_word(word: BraidWord) -> WordPlan:
+    """Greedy pairwise contraction plan of the closed braid of ``word``.
+
+    Among tensors that share a label, the pair with the least
+    size(result) - size(a) - size(b) contracts next (ties go to the lower
+    tensor numbers), taken from a heap of candidate pairs; a label-to-tensor
+    map finds the new neighbours of each result.  Only integers are touched,
+    so a word whose largest intermediate would exceed ``MAX_ENTRIES`` raises
+    ``ValueError`` before any array is allocated.
+    """
+    cur: dict[int, tuple[int, int, int]] = {}  # strand -> (open label, letter, leg)
+    first: dict[int, int] = {}  # strand -> label of its first input
+    subs: list = []  # per tensor, its labels in axis order
+    folds = []
+    label = 0
+    for k, (gen, _) in enumerate(reversed(word.letters)):
+        fold = 0
+        if gen in cur:
+            in_a = cur[gen][0]
+        else:
+            in_a = first[gen] = label
+            label += 1
+            fold = 2
+        if gen + 1 in cur:
+            in_b = cur[gen + 1][0]
+        else:
+            in_b = first[gen + 1] = label
+            label += 1
+            fold |= 1
+        subs.append([label, label + 1, in_a, in_b])
+        folds.append(fold)
+        cur[gen], cur[gen + 1] = (label, k, 0), (label + 1, k, 1)
+        label += 2
+    for s, (_, k, leg) in cur.items():  # closure: last output = first input
+        subs[k][leg] = first[s]
+    masks = [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d) for a, b, c, d in subs]
+    sizes = [1 << m.bit_count() for m in masks]
+    owners: list[list[int]] = [[] for _ in range(label)]
+    for k, leg in enumerate(subs):
+        for l in leg:
+            if masks[k] >> l & 1:
+                owners[l].append(k)
+    heap = []
+    for a, b in {tuple(o) for o in owners if o}:
+        m = masks[a] ^ masks[b]
+        heap.append(((1 << m.bit_count()) - sizes[a] - sizes[b], a, b))
+    heapq.heapify(heap)
+    alive = [True] * len(masks)
+    steps = []
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if not (alive[a] and alive[b]):
+            continue
+        mask = masks[a] ^ masks[b]
+        entries = 1 << mask.bit_count()
+        if entries > MAX_ENTRIES:
+            raise ValueError(
+                f"contracting this {word.strands}-strand closed braid needs an "
+                f"intermediate of 2^{mask.bit_count()} entries, above the limit "
+                f"of 2^{MAX_ENTRIES.bit_length() - 1}"
+            )
+        # shared labels and closure self-loops are summed away
+        both = subs[a] + subs[b]
+        out = [l for l in both if mask >> l & 1]
+        local = {l: i for i, l in enumerate(dict.fromkeys(both))}
+        idx = [local[l] for l in both]
+        k = len(subs[a])
+        steps.append((a, b, idx[:k], idx[k:], [local[l] for l in out]))
+        c = len(masks)
+        masks.append(mask)
+        sizes.append(entries)
+        subs.append(out)
+        alive.append(True)
+        alive[a] = alive[b] = False
+        neighbours = set()
+        for l in out:
+            pair = owners[l]
+            if pair[0] == a or pair[0] == b:
+                pair[0] = c
+                neighbours.add(pair[1])
+            else:
+                pair[1] = c
+                neighbours.add(pair[0])
+        for t in neighbours:
+            m = masks[t] ^ mask
+            heapq.heappush(heap, ((1 << m.bit_count()) - sizes[t] - entries, t, c))
+    roots = []
+    for k in range(len(masks)):
+        if alive[k]:  # a lone letter keeps its global labels: renumber them too
+            local = {l: i for i, l in enumerate(dict.fromkeys(subs[k]))}
+            roots.append((k, [local[l] for l in subs[k]]))
+    return WordPlan(word, tuple(folds), tuple(steps), tuple(roots), word.strands - len(cur))
+
+
+def trace_word(r, word: BraidWord, site) -> complex:
+    """Tr[rho(word) (site x ... x site)] by contracting the closed braid.
+
+    The closed braid is contracted as a tensor network (see
+    :class:`WordPlan`), so the cost follows the diagram's treewidth, not the
+    2^n x 2^n state of :func:`apply_word`.  The plan is made first, from
+    integers only: a word whose largest intermediate would exceed
+    ``MAX_ENTRIES`` entries raises ``ValueError`` before anything is
+    allocated.  There is no bound on the strand count itself.
+    """
+    return plan_word(word).trace(r, site)
 
 
 def rep_of_word(r, word: BraidWord) -> np.ndarray:

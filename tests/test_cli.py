@@ -188,13 +188,38 @@ class TestLinkpolyCommand:
         assert err.startswith("error: C4.mu5") and err.count("\n") == 1
 
     def test_strand_bound_is_usage_error(self, capsys):
+        # the full twist on 14 strands plans a 2^26-entry intermediate,
+        # above the 2^24 bound; it is refused before anything is allocated
+        twist = " ".join(f"s{g}" for _ in range(14) for g in range(1, 14))
         code, out, err, peak = run_traced(
+            capsys, "linkpoly", "--recipe", "C1.I", "--params", "h1=1,h4=2,h5=2",
+            "--word", twist,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: contracting this 14-strand") and err.count("\n") == 1
+        assert "above the limit of 2^24" in err
+        assert peak < 2**20
+
+    def test_many_strands_are_not_refused(self, capsys):
+        # 40 strands, 38 of them untouched: (tr mu / y)^39 = 2^39 for C1.I
+        code, report = run_json(
             capsys, "linkpoly", "--recipe", "C1.I", "--params", "h1=1,h4=2,h5=2",
             "--word", "s1", "--strands", "40",
         )
+        assert code == 0 and report["value"] == [2.0**39, 0.0]
+
+    def test_overflowing_value_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "linkpoly", "--recipe", "C7.I",
+                             "--params", "h1=0.5,h2=1,h3=0.2", "--word", "s1",
+                             "--strands", "100000")
         assert code == 2 and out == ""
-        assert err.startswith("error: 40 strands") and err.count("\n") == 1
-        assert peak < 2**20
+        assert err.startswith("error: the link value") and err.count("\n") == 1
+
+    def test_help_names_planned_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["linkpoly", "--help"])
+        assert exc.value.code == 0
+        assert "2^24 entries" in capsys.readouterr().out
 
 
 class TestEpowerCommand:
@@ -317,6 +342,15 @@ class TestEnhanceCommand:
             main(["enhance", "--help"])
         assert exc.value.code == 0
         assert "1 to 10000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [("--starts", "200", "--seed", "0"),
+                                      ("--starts", "30", "--seed", "7")])
+    def test_imaginary_x_is_one_family(self, capsys, argv):
+        # C11.0's one family has x = 2i; rounding in Re x must not split it
+        # into (x, y) and (-x, -y)
+        code, report = run_json(capsys, "enhance", "--class", "C11.0",
+                                "--params", "h7=1,h8=2", *argv)
+        assert code == 0 and report["count"] == 1
 
     def test_start_outcomes_reported(self, capsys):
         code, report = run_json(capsys, "enhance", "--class", "C6.0",

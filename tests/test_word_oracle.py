@@ -1,19 +1,22 @@
-"""Letter-by-letter word evaluation against the dense Kronecker route.
+"""Word evaluation against dense oracles.
 
-``apply_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state.
-The oracle here builds rho(w) the dense way instead: one ``braid_rep``
-factor per letter, raised with ``matrix_power`` and multiplied left to right,
-and mu^(x n) from ``np.kron``.  Both routes round differently, so every
-comparison is made against a stated scale:
+``apply_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state,
+and ``link_polynomial`` contracts the closed braid as a tensor network.  The
+oracles here are dense: ``rep_of_word`` is compared with rho(w) built the
+explicit way, one ``braid_rep`` factor per letter, raised with
+``matrix_power`` and multiplied left to right; ``link_polynomial`` is
+compared with the trace of ``apply_word(R, w, mu)``.  The routes round
+differently, so every comparison is made against a stated scale:
 
-    |rho| = the same product taken over the factors' entrywise moduli.
+    |rho| = the same product taken over the factors' entrywise moduli,
 
-|rho|_ij bounds the moduli of the product terms that add up to rho_ij, so
-float64 rounding in either route is a small multiple of eps times it.  On
-these draws the largest difference is 1.0e-15 |rho| entrywise and 5.6e-16
-of the link scale below, so RTOL = 1e-12 has three orders of headroom.
-Apart from two C1.Z words whose value vanishes, every link value is at least
-2.9e-5 of its scale, so a wrong value still shows.
+and for a trace, Tr[|rho| |mu|^(x n)], the sum of the moduli of all the
+terms it adds up.  |rho|_ij bounds the moduli of the product terms that add
+up to rho_ij, so float64 rounding in either route is a small multiple of eps
+times it.  On these draws the largest difference is 1.0e-15 |rho| entrywise
+and 5.3e-16 of the link scale, so RTOL = 1e-12 has three orders of headroom.
+Apart from six C1.Z words whose value vanishes (tr Z = 0), every link value
+is at least 2.8e-10 of its scale, so a wrong value still shows.
 """
 
 import tracemalloc
@@ -32,7 +35,15 @@ from braidgate.enhancement import (
     markov_check,
 )
 from braidgate.matrix_core import I2, PAULI_Z
-from braidgate.yang_baxter import MAX_STRANDS, BraidWord, braid_rep, rep_of_word
+from braidgate.yang_baxter import (
+    MAX_STRANDS,
+    BraidWord,
+    apply_word,
+    braid_rep,
+    plan_word,
+    rep_of_word,
+    trace_word,
+)
 
 RTOL = 1e-12
 FORMULA_RECIPES = sorted(rid for rid, r in RECIPES.items() if r.link_behavior == "formula")
@@ -69,24 +80,119 @@ def _kron_power(m, n):
     return out
 
 
-@pytest.mark.parametrize("strands", range(2, 8))
-@pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+def _modulus_trace(r, word, mu):
+    """Tr[|rho| |mu|^(x n)], |rho| taken letter by letter on a dense state."""
+    n = word.strands
+    r_inv = np.linalg.inv(r)
+    state = _kron_power(np.abs(mu), n).reshape((2,) * n + (2**n,))
+    for gen, exp in reversed(word.letters):
+        g = np.linalg.matrix_power(np.abs(r if exp > 0 else r_inv), abs(exp))
+        state = np.tensordot(g.reshape(2, 2, 2, 2), state, axes=([2, 3], [gen - 1, gen]))
+        state = np.moveaxis(state, [0, 1], [gen - 1, gen])
+    return np.trace(state.reshape(2**n, 2**n)).real
+
+
+def _assert_matches_dense_trace(e, w):
+    pref = e.x ** (-w.writhe()) * e.y ** (-w.strands)
+    want = pref * np.trace(apply_word(e.R, w, e.mu))
+    scale = abs(pref) * _modulus_trace(e.R, w, e.mu)
+    assert abs(link_polynomial(e, w) - want) <= RTOL * scale
+
+
 class TestDenseOracle:
+    @pytest.mark.parametrize("strands", range(2, 8))
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
     def test_rep_of_word_matches_explicit_product(self, recipe_id, strands):
         e, w = _draw(recipe_id, strands)
         rho, rho_abs = _dense_rep(e.R, w)
         # entrywise, each entry against its own |rho| scale
         assert np.all(np.abs(rep_of_word(e.R, w) - rho) <= RTOL * rho_abs)
 
+    @pytest.mark.parametrize("strands", range(2, 11))
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
     def test_link_polynomial_matches_dense_trace(self, recipe_id, strands):
-        e, w = _draw(recipe_id, strands)
-        rho, rho_abs = _dense_rep(e.R, w)
-        pref = e.x ** (-w.writhe()) * e.y ** (-strands)
-        want = pref * np.trace(rho @ _kron_power(e.mu, strands))
-        # scale: |x^-writhe y^-n| Tr[|rho| |mu|^(x n)], the sum of the moduli
-        # of all terms the trace adds up
-        scale = abs(pref) * np.trace(rho_abs @ _kron_power(np.abs(e.mu), strands)).real
-        assert abs(link_polynomial(e, w) - want) <= RTOL * scale
+        _assert_matches_dense_trace(*_draw(recipe_id, strands))
+
+
+@pytest.mark.parametrize("strands", range(2, 11))
+def test_trace_word_matches_dense_trace_on_generic_operators(strands):
+    # a generic R and site satisfy no enhancement condition, so unlike a
+    # link value this trace also changes when the word is read backwards
+    rng = np.random.default_rng(100 + strands)
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    site = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    _, w = _draw("C1.I", strands)
+    want = np.trace(apply_word(r, w, site))
+    assert abs(trace_word(r, w, site) - want) <= RTOL * _modulus_trace(r, w, site)
+
+
+# Network shapes a random 3n-letter word rarely makes.
+SHAPES = {
+    "untouched_strands": BraidWord(6, ((2, 1), (3, -2), (2, 3))),
+    "empty": BraidWord(4, ()),
+    "disconnected": BraidWord(5, ((1, 1), (3, 1))),
+    "same_generator": BraidWord(4, ((2, 1), (2, 2), (1, -1), (2, -2), (3, 1), (2, 1))),
+    "exponent_3": BraidWord(3, ((1, 3), (2, -3), (1, -3), (2, 3))),
+    # applied last, the lone s4 gets global labels above einsum's 52
+    "late_isolated_letter": BraidWord(
+        6, ((4, 1),) + tuple((1 + k % 2, 1 if k % 3 else -1) for k in range(25))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+def test_link_polynomial_network_shapes(recipe_id, shape):
+    e, _ = _draw(recipe_id, 2)
+    _assert_matches_dense_trace(e, SHAPES[shape])
+
+
+def _network_modulus_trace(e, word):
+    """Tr[|rho| |mu|^(x n)] on the closed-braid network, by the library's
+    plan: every tensor is replaced by its letter's power of |R| or |R^-1|
+    with |mu| folded in, so no term can cancel another."""
+    plan = plan_word(word)
+    r_inv = np.linalg.inv(e.R)
+    mu = np.abs(e.mu)
+    tensors = []
+    for (_, exp), fold in zip(reversed(word.letters), plan.folds):
+        g = np.linalg.matrix_power(np.abs(e.R if exp > 0 else r_inv), abs(exp))
+        site = np.kron(mu if fold & 2 else np.eye(2), mu if fold & 1 else np.eye(2))
+        tensors.append((g @ site).reshape(2, 2, 2, 2))
+    for a, b, sa, sb, so in plan.steps:
+        tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
+    value = np.trace(mu) ** plan.untouched
+    for k, subs in plan.roots:
+        value *= np.einsum(tensors[k], subs, [])
+    return float(value)
+
+
+@pytest.mark.parametrize("strands", (12, 16, 20))
+@pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+def test_markov_invariance_beyond_the_dense_oracle(recipe_id, strands):
+    """Conjugation and stabilization residuals, with no dense oracle.
+
+    Each residual compares two link values, so its scale is the sum of their
+    modulus traces (the scale above, taken on the network).  C1.I and C2.I
+    values are 4e-3 to 1 of that scale; C4.mu5 and C7.I values cancel to
+    1e-17 to 1e-6 of it and C1.Z values vanish, so those rows check little."""
+    e, w = _draw(recipe_id, strands)
+    rng = np.random.default_rng(strands)
+    conjugator = BraidWord(strands, tuple(
+        (int(rng.integers(1, strands)), int(rng.choice([-2, -1, 1, 2]))) for _ in range(3)))
+    sign_seed = 17 * strands
+    res_conj, res_stab = markov_check(e, w, conjugator=conjugator,
+                                      rng=np.random.default_rng(sign_seed))
+    inverse = tuple((g, -k) for g, k in reversed(conjugator.letters))
+    conjugated = BraidWord(strands, conjugator.letters + w.letters + inverse)
+    sign = 1 if np.random.default_rng(sign_seed).random() < 0.5 else -1
+    widened = BraidWord(strands + 1, w.letters + ((strands, sign),))
+
+    def scale(word):
+        return abs(e.x ** (-word.writhe()) * e.y ** (-word.strands)) * \
+            _network_modulus_trace(e, word)
+
+    assert res_conj <= RTOL * (scale(w) + scale(conjugated))
+    assert res_stab <= RTOL * (scale(w) + scale(widened))
 
 
 def _peak_bytes(fn, *args):
@@ -100,37 +206,78 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _full_twist(strands):
+    """Delta^2 = (s1 s2 ... s_{n-1})^n, whose planned contraction needs
+    2^(2n) entries: 2^24 at 12 strands, the largest the bound lets through."""
+    return BraidWord(strands, tuple((g, 1) for _ in range(strands) for g in range(1, strands)))
+
+
 class TestStrandBound:
-    # at MAX_STRANDS + 1 one state alone would take 1 GiB
+    # at MAX_STRANDS + 1 one dense state alone would take 1 GiB
     WORD = BraidWord(MAX_STRANDS + 1, ((1, 1), (MAX_STRANDS, -1)))
+    TWIST = _full_twist(14)
 
     def test_rep_of_word_refuses_before_allocating(self):
         assert _peak_bytes(rep_of_word, np.eye(4), self.WORD) < 2**20
 
     def test_link_polynomial_refuses_before_allocating(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
-        assert _peak_bytes(link_polynomial, e, self.WORD) < 2**20
+        assert _peak_bytes(link_polynomial, e, self.TWIST) < 2**20
 
     def test_markov_check_refuses_the_stabilized_word(self):
-        # the word fits, but stabilization adds a strand
+        # the base, conjugated and stabilized words are all planned, and so
+        # bounded, before any of them is evaluated
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
-        w = BraidWord(MAX_STRANDS, ((1, 1),))
-        assert _peak_bytes(markov_check, e, w) < 2**20
+        assert _peak_bytes(markov_check, e, self.TWIST) < 2**20
+
+    def test_link_polynomial_takes_the_dense_bound_word(self):
+        # s1 s12^-1 on 13 strands: two closed two-strand pieces and nine
+        # untouched strands, so Tr = (x y tr mu) (y/x tr mu) (tr mu)^9 and
+        # L = (tr mu / y)^11
+        e, _ = _draw("C4.mu5", 2)
+        want = (np.trace(e.mu) / e.y) ** 11
+        assert abs(link_polynomial(e, self.WORD) - want) <= RTOL * abs(want)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """A list that grows by one for every ``verify_enhancement`` call."""
+    calls = []
+    verify = enhancement.verify_enhancement
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(enhancement, "verify_enhancement", counting)
+    return calls
 
 
 class TestMarkovCheckVerification:
-    def test_verifies_once(self, monkeypatch):
-        e, w = _draw("C1.I", 3)
-        calls = []
-        verify = enhancement.verify_enhancement
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return verify(*args, **kwargs)
-
-        monkeypatch.setattr(enhancement, "verify_enhancement", counting)
+    def test_verifies_once(self, verify_calls):
+        drawn, w = _draw("C1.I", 3)
+        # a quadruple not yet verified: markov_check verifies it once for
+        # all three of its words
+        e = EnhancedOperator(drawn.R, drawn.mu, drawn.x, drawn.y)
+        verify_calls.clear()
         markov_check(e, w)
-        assert len(calls) == 1
+        assert len(verify_calls) == 1
+
+    def test_instantiated_recipe_is_not_verified_again(self, verify_calls):
+        e, w = _draw("C1.I", 3)  # instantiate_recipe verified it
+        verify_calls.clear()
+        link_polynomial(e, w)
+        markov_check(e, w)
+        assert len(verify_calls) == 0
+        # a tighter tolerance than the one it passed at verifies again
+        link_polynomial(e, w, tol=1e-13)
+        assert len(verify_calls) == 1
+
+    def test_verified_quadruple_is_read_only(self):
+        e, _ = _draw("C1.I", 3)
+        for a in (e.R, e.mu):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
 
     def test_invalid_enhancement_still_raises(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), PAULI_Z + 0.3 * I2, 1, 1)
