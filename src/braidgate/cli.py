@@ -469,18 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_invariants)
 
-    limit = yang_baxter.MAX_ENTRIES.bit_length() - 1
+    entries = yang_baxter.MAX_ENTRIES.bit_length() - 1
+    terms = yang_baxter.MAX_TERMS.bit_length() - 1
     p = sub.add_parser(
         "linkpoly", help="evaluate the link polynomial of a braid word",
         description="Evaluate L(w) by contracting the closed braid as a tensor network. "
-                    f"A word whose planned contraction needs an intermediate of more than "
-                    f"2^{limit} entries is refused before anything is allocated (exit 2).")
+                    f"A word whose planned contraction would hold more than 2^{entries} "
+                    f"entries at once, or sum more than 2^{terms} terms in one step, is "
+                    "refused before anything is allocated (exit 2).")
     p.add_argument("--recipe", required=True, help="enhancement recipe id, e.g. C1.I")
     p.add_argument("--params", help="recipe parameters, e.g. h1=1,h4=2,h5=2")
     p.add_argument("--word", required=True, help='braid word, e.g. "s1^3 s2^-1"')
     p.add_argument("--strands", type=int,
                    help="strand count (default: inferred); the bound is on the planned "
-                        f"contraction, at most 2^{limit} entries per intermediate")
+                        f"contraction, not on the strands: at most 2^{entries} entries "
+                        f"held at once and 2^{terms} terms per step")
     _add_common_flags(p)
     p.set_defaults(func=cmd_linkpoly)
 

@@ -48,6 +48,7 @@ from .yang_baxter import (
     braid_rep,
     catalog_entry,
     evaluate_expr,
+    letter_tensors,
     plan_word,
 )
 
@@ -160,15 +161,20 @@ def _require_enhancement(e: EnhancedOperator, tol: float | None) -> None:
         )
 
 
-def _link_value(e: EnhancedOperator, plan: WordPlan) -> complex:
-    word = plan.word
-    try:
-        value = plan.trace(e.R, e.mu)
-        return complex(e.x ** (-writhe(word)) * e.y ** (-word.strands) * value)
-    except OverflowError:
-        raise ValueError(
-            f"the link value of this {word.strands}-strand word overflows a float64"
-        ) from None
+def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
+    """L(w) for each planned word; the letter tensors are made once for all."""
+    tensors = letter_tensors(e.R, e.mu, plans)
+    values = []
+    for plan in plans:
+        word = plan.word
+        try:
+            value = plan.trace(tensors, e.mu)
+            values.append(complex(e.x ** (-writhe(word)) * e.y ** (-word.strands) * value))
+        except OverflowError:
+            raise ValueError(
+                f"the link value of this {word.strands}-strand word overflows a float64"
+            ) from None
+    return values
 
 
 def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float | None = None) -> complex:
@@ -176,14 +182,15 @@ def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float | None = No
 
     The trace contracts the closed braid as a tensor network, one 2x2x2x2
     tensor per letter with mu folded into the first letter on each strand
-    (see :func:`~braidgate.yang_baxter.trace_word`), so its cost follows the
+    (see :func:`~braidgate.yang_baxter.plan_word`), so its cost follows the
     diagram's treewidth rather than 2^n.  The contraction is planned first:
-    a word whose largest intermediate would exceed ``MAX_ENTRIES`` (2^24)
-    entries raises ``ValueError`` before anything is allocated.  The
-    quadruple is verified unless it already passed at ``tol`` or tighter.
+    a word whose plan would hold more than ``MAX_ENTRIES`` (2^25) entries at
+    once, or sum more than ``MAX_TERMS`` (2^28) terms in one step, raises
+    ``ValueError`` before anything is allocated.  The quadruple is verified
+    unless it already passed at ``tol`` or tighter.
     """
     _require_enhancement(e, tol)
-    return _link_value(e, plan_word(word))
+    return _link_values(e, [plan_word(word)])[0]
 
 
 def _inverse_word(word: BraidWord) -> BraidWord:
@@ -217,7 +224,7 @@ def markov_check(
     # every word is planned, and so bounded, before any is evaluated
     plans = [plan_word(w) for w in (word, conjugated, widened)]
     _require_enhancement(e, None)
-    base, conj, wide = (_link_value(e, p) for p in plans)
+    base, conj, wide = _link_values(e, plans)
     return abs(conj - base), abs(wide - base)
 
 

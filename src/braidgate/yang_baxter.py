@@ -61,12 +61,13 @@ __all__ = [
     "braid_rep",
     "rep_of_word",
     "apply_word",
-    "trace_word",
+    "letter_tensors",
     "plan_word",
     "WordPlan",
     "check_strands",
     "MAX_STRANDS",
     "MAX_ENTRIES",
+    "MAX_TERMS",
     "pauli_expand",
     "lie_orbit_rank",
     "InadmissibleParamsError",
@@ -190,13 +191,20 @@ class BraidWord:
 
 # A dense braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
 # bytes, 256 MiB at 12 strands.  Evaluating a word densely holds two such
-# states.  Only ``apply_word`` and ``rep_of_word`` build that state; link
-# traces go through ``trace_word``, whose bound is ``MAX_ENTRIES``.
+# states.  Only ``apply_word`` and ``rep_of_word`` build that state; a link
+# trace contracts the closed braid (``plan_word``), bounded by ``MAX_ENTRIES``
+# and ``MAX_TERMS`` instead.
 MAX_STRANDS = 12
 
-# The largest intermediate tensor a planned closed-braid contraction may
-# hold: 2^24 complex entries, 256 MiB, the size of the 12-strand state.
-MAX_ENTRIES = 2**24
+# The most complex entries a planned closed-braid contraction may hold at
+# once, counting every live tensor and the result being formed: 2^25, 512
+# MiB, the two 12-strand states of the dense route.
+MAX_ENTRIES = 2**25
+
+# The most terms one contraction step may sum: a two-operand einsum loops
+# over every value of the labels of both operands, about 5 ns a term, so a
+# step takes at most a second or two.
+MAX_TERMS = 2**28
 
 
 def check_strands(n: int) -> None:
@@ -205,14 +213,14 @@ def check_strands(n: int) -> None:
         raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
 
 
-def _letter_powers(r, letters) -> dict[int, np.ndarray]:
+def _letter_powers(r, exponents) -> dict[int, np.ndarray]:
     """Each distinct exponent's 4x4 power of R or R^-1, taken once."""
     r = as_matrix(r)
     if r.shape != (4, 4):
         raise ValueError("braid generators are built from a 4x4 operator")
     r_inv = None
     powers: dict[int, np.ndarray] = {}
-    for _, exp in letters:
+    for exp in exponents:
         if exp not in powers:
             if exp < 0 and r_inv is None:
                 r_inv = invert(r)
@@ -224,17 +232,17 @@ def apply_word(r, word: BraidWord, site) -> np.ndarray:
     """rho(word) (site x ... x site), the n-fold tensor power of a 2x2 ``site``.
 
     This is the dense route: ``rep_of_word`` needs the whole matrix, and the
-    tests use it as the oracle for :func:`trace_word`.  Each distinct
-    exponent's power of R or R^-1 is taken once at 4x4.  The letters act
-    right to left on the state's row index: a letter on strands i, i+1 is one
-    4x4 product over the middle axis of the state viewed as
+    tests use its trace as the oracle for :meth:`WordPlan.trace`.  Each
+    distinct exponent's power of R or R^-1 is taken once at 4x4.  The letters
+    act right to left on the state's row index: a letter on strands i, i+1 is
+    one 4x4 product over the middle axis of the state viewed as
     (2^(i-1), 4, 2^(n-i-1) * 2^n), so it costs O(4^n) rather than the O(8^n)
     of a dense 2^n x 2^n product.  Words on more than ``MAX_STRANDS`` strands
     raise ``ValueError`` before anything is allocated.
     """
     n = word.strands
     check_strands(n)
-    powers = _letter_powers(r, word.letters)
+    powers = _letter_powers(r, (exp for _, exp in word.letters))
     state = functools.reduce(np.kron, [as_matrix(site)] * n)
     spare = np.empty_like(state)
     dim = 2**n
@@ -255,10 +263,10 @@ class WordPlan:
     apply last first), and a closure edge joins the last output to the first
     input.  The 2x2 ``site`` of each strand is folded into the input side of
     the first letter applied to it; a strand no letter touches contributes
-    tr(site).  Labels are integers and a tensor's label set is an int
-    bitmask: every label lies on exactly two legs, so contracting two tensors
-    leaves the XOR of their masks, and a closure edge on the only letter of a
-    strand cancels out of that letter's mask (einsum sums it as a trace).
+    tr(site).  Labels are integers, and every label lies on exactly two
+    legs, so contracting two tensors leaves the labels that appear once on
+    the pair; a closure edge on the only letter of a strand lies on two legs
+    of that letter, and einsum sums it as a trace.
 
     ``folds`` follows the letters in application order: 2 when strand i is
     first touched there, plus 1 for strand i+1.
@@ -274,27 +282,39 @@ class WordPlan:
     roots: tuple[tuple[int, list[int]], ...]
     untouched: int
 
-    def trace(self, r, site) -> complex:
-        """Tr[rho(word) site^(x n)] by executing the plan."""
-        site = as_matrix(site)
-        if site.shape != (2, 2):
-            raise ValueError("the site of a closed braid is a 2x2 matrix")
-        letters = self.word.letters
-        powers = _letter_powers(r, letters)
-        # np.kron(a, b) of 2x2 factors, for fold 1 = I x site, 2 = site x I, 3
-        folded = [None] + [(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-                           for a, b in ((I2, site), (site, I2), (site, site))]
-        tensors = []
-        for (_, exp), fold in zip(reversed(letters), self.folds):
-            p = powers[exp] if not fold else powers[exp] @ folded[fold]
-            tensors.append(p.reshape(2, 2, 2, 2))
+    def keys(self):
+        """(exponent, fold) of each letter, in application order."""
+        return zip((exp for _, exp in reversed(self.word.letters)), self.folds)
+
+    def trace(self, tensors, site) -> complex:
+        """Tr[rho(word) site^(x n)] by executing the plan on the letter
+        ``tensors`` of :func:`letter_tensors`, made with the same ``site``."""
+        tensors = [tensors[key] for key in self.keys()]
         for a, b, sa, sb, so in self.steps:
             tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
             tensors[a] = tensors[b] = None
-        value = complex(np.trace(site)) ** self.untouched
+        value = complex(np.trace(as_matrix(site))) ** self.untouched
         for k, subs in self.roots:
             value *= complex(np.einsum(tensors[k], subs, []))
         return value
+
+
+def letter_tensors(r, site, plans) -> dict[tuple[int, int], np.ndarray]:
+    """The 2x2x2x2 tensor of every letter of the planned words, by
+    (exponent, fold): the exponent's 4x4 power of R or R^-1, each taken once,
+    with the 2x2 ``site`` folded into the input side of the strands the
+    letter touches first (see :class:`WordPlan`)."""
+    site = as_matrix(site)
+    if site.shape != (2, 2):
+        raise ValueError("the site of a closed braid is a 2x2 matrix")
+    keys = {key for plan in plans for key in plan.keys()}
+    powers = _letter_powers(r, (exp for exp, _ in keys))
+    # fold 1 = I x site, 2 = site x I, 3 = site x site, each np.kron(a, b)
+    # written as one broadcast product: 9 us for the three, np.kron 63 us
+    folded = [None] + [(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+                       for a, b in ((I2, site), (site, I2), (site, site))]
+    return {(exp, fold): (powers[exp] @ folded[fold] if fold else powers[exp]).reshape(2, 2, 2, 2)
+            for exp, fold in keys}
 
 
 def plan_word(word: BraidWord) -> WordPlan:
@@ -304,104 +324,108 @@ def plan_word(word: BraidWord) -> WordPlan:
     size(result) - size(a) - size(b) contracts next (ties go to the lower
     tensor numbers), taken from a heap of candidate pairs; a label-to-tensor
     map finds the new neighbours of each result.  Only integers are touched,
-    so a word whose largest intermediate would exceed ``MAX_ENTRIES`` raises
-    ``ValueError`` before any array is allocated.
+    so the plan is bounded before any array is allocated: it raises
+    ``ValueError`` when, at some step, the live tensors and the result being
+    formed would hold more than ``MAX_ENTRIES`` entries, or the step would
+    sum more than ``MAX_TERMS`` terms.  There is no bound on the strand count
+    itself.
     """
     cur: dict[int, tuple[int, int, int]] = {}  # strand -> (open label, letter, leg)
     first: dict[int, int] = {}  # strand -> label of its first input
     subs: list = []  # per tensor, its labels in axis order
+    owners: list[list[int]] = []  # per label, the tensors it lies on
     folds = []
-    label = 0
     for k, (gen, _) in enumerate(reversed(word.letters)):
         fold = 0
         if gen in cur:
             in_a = cur[gen][0]
+            owners[in_a].append(k)
         else:
-            in_a = first[gen] = label
-            label += 1
+            in_a = first[gen] = len(owners)
+            owners.append([k])
             fold = 2
         if gen + 1 in cur:
             in_b = cur[gen + 1][0]
+            owners[in_b].append(k)
         else:
-            in_b = first[gen + 1] = label
-            label += 1
+            in_b = first[gen + 1] = len(owners)
+            owners.append([k])
             fold |= 1
-        subs.append([label, label + 1, in_a, in_b])
+        out = len(owners)
+        owners += [k], [k]
+        subs.append([out, out + 1, in_a, in_b])
         folds.append(fold)
-        cur[gen], cur[gen + 1] = (label, k, 0), (label + 1, k, 1)
-        label += 2
-    for s, (_, k, leg) in cur.items():  # closure: last output = first input
+        cur[gen], cur[gen + 1] = (out, k, 0), (out + 1, k, 1)
+    for s, (last, k, leg) in cur.items():  # closure: last output = first input
         subs[k][leg] = first[s]
-    masks = [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d) for a, b, c, d in subs]
-    sizes = [1 << m.bit_count() for m in masks]
-    owners: list[list[int]] = [[] for _ in range(label)]
-    for k, leg in enumerate(subs):
-        for l in leg:
-            if masks[k] >> l & 1:
-                owners[l].append(k)
-    heap = []
-    for a, b in {tuple(o) for o in owners if o}:
-        m = masks[a] ^ masks[b]
-        heap.append(((1 << m.bit_count()) - sizes[a] - sizes[b], a, b))
+        owners[first[s]].append(k)
+        owners[last] = []
+    # a closure loop on a strand's only letter is not an open label of that
+    # letter: it appears twice in its subscripts and einsum sums it as a trace
+    opens = [4] * len(subs)  # per tensor, the number of its open labels
+    for _, k, _ in cur.values():
+        opens[k] = 2 * len(set(subs[k])) - 4
+    held = [16] * len(subs)  # entries each tensor's array holds
+    live = sum(held)  # every letter's tensor is built before the first step
+    shared: dict[tuple[int, int], int] = {}
+    for o in owners:
+        if o and o[0] != o[1]:
+            shared[o[0], o[1]] = shared.get((o[0], o[1]), 0) + 1
+    heap = [((1 << opens[a] + opens[b] - 2 * n) - (1 << opens[a]) - (1 << opens[b]), a, b)
+            for (a, b), n in shared.items()]
     heapq.heapify(heap)
-    alive = [True] * len(masks)
     steps = []
     while heap:
         _, a, b = heapq.heappop(heap)
-        if not (alive[a] and alive[b]):
+        if subs[a] is None or subs[b] is None:
             continue
-        mask = masks[a] ^ masks[b]
-        entries = 1 << mask.bit_count()
-        if entries > MAX_ENTRIES:
-            raise ValueError(
-                f"contracting this {word.strands}-strand closed braid needs an "
-                f"intermediate of 2^{mask.bit_count()} entries, above the limit "
-                f"of 2^{MAX_ENTRIES.bit_length() - 1}"
-            )
-        # shared labels and closure self-loops are summed away
         both = subs[a] + subs[b]
-        out = [l for l in both if mask >> l & 1]
-        local = {l: i for i, l in enumerate(dict.fromkeys(both))}
-        idx = [local[l] for l in both]
+        # renumbered in order of first appearance; a label on both tensors,
+        # or twice on one, is summed away
+        local = dict.fromkeys(both)
+        out = [l for l in local if both.count(l) == 1]
+        local = dict(zip(local, range(len(local))))
+        entries = 1 << len(out)
+        if live + entries > MAX_ENTRIES:
+            raise ValueError(
+                f"contracting this {word.strands}-strand closed braid would hold "
+                f"{live + entries} entries at once, above the limit of "
+                f"2^{MAX_ENTRIES.bit_length() - 1}"
+            )
+        if 1 << len(local) > MAX_TERMS:
+            raise ValueError(
+                f"contracting this {word.strands}-strand closed braid needs a step "
+                f"of 2^{len(local)} terms, above the limit of "
+                f"2^{MAX_TERMS.bit_length() - 1}"
+            )
+        idx = list(map(local.get, both))
         k = len(subs[a])
-        steps.append((a, b, idx[:k], idx[k:], [local[l] for l in out]))
-        c = len(masks)
-        masks.append(mask)
-        sizes.append(entries)
+        steps.append((a, b, idx[:k], idx[k:], list(map(local.get, out))))
+        live += entries - held[a] - held[b]
+        c = len(subs)
         subs.append(out)
-        alive.append(True)
-        alive[a] = alive[b] = False
-        neighbours = set()
+        opens.append(len(out))
+        held.append(entries)
+        subs[a] = subs[b] = None
+        shared = {}
         for l in out:
             pair = owners[l]
             if pair[0] == a or pair[0] == b:
                 pair[0] = c
-                neighbours.add(pair[1])
+                t = pair[1]
             else:
                 pair[1] = c
-                neighbours.add(pair[0])
-        for t in neighbours:
-            m = masks[t] ^ mask
-            heapq.heappush(heap, ((1 << m.bit_count()) - sizes[t] - entries, t, c))
+                t = pair[0]
+            shared[t] = shared.get(t, 0) + 1
+        for t, n in shared.items():
+            score = (1 << opens[t] + len(out) - 2 * n) - (1 << opens[t]) - entries
+            heapq.heappush(heap, (score, t, c))
     roots = []
-    for k in range(len(masks)):
-        if alive[k]:  # a lone letter keeps its global labels: renumber them too
-            local = {l: i for i, l in enumerate(dict.fromkeys(subs[k]))}
-            roots.append((k, [local[l] for l in subs[k]]))
+    for k, leg in enumerate(subs):
+        if leg is not None:  # a lone letter keeps its global labels: renumber them too
+            local = {l: i for i, l in enumerate(dict.fromkeys(leg))}
+            roots.append((k, [local[l] for l in leg]))
     return WordPlan(word, tuple(folds), tuple(steps), tuple(roots), word.strands - len(cur))
-
-
-def trace_word(r, word: BraidWord, site) -> complex:
-    """Tr[rho(word) (site x ... x site)] by contracting the closed braid.
-
-    The closed braid is contracted as a tensor network (see
-    :class:`WordPlan`), so the cost follows the diagram's treewidth, not the
-    2^n x 2^n state of :func:`apply_word`.  The plan is made first, from
-    integers only: a word whose largest intermediate would exceed
-    ``MAX_ENTRIES`` entries raises ``ValueError`` before anything is
-    allocated.  There is no bound on the strand count itself.
-    """
-    return plan_word(word).trace(r, site)
 
 
 def rep_of_word(r, word: BraidWord) -> np.ndarray:

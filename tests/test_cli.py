@@ -188,8 +188,8 @@ class TestLinkpolyCommand:
         assert err.startswith("error: C4.mu5") and err.count("\n") == 1
 
     def test_strand_bound_is_usage_error(self, capsys):
-        # the full twist on 14 strands plans a 2^26-entry intermediate,
-        # above the 2^24 bound; it is refused before anything is allocated
+        # the full twist on 14 strands would hold more than 2^25 entries at
+        # once; it is refused before anything is allocated
         twist = " ".join(f"s{g}" for _ in range(14) for g in range(1, 14))
         code, out, err, peak = run_traced(
             capsys, "linkpoly", "--recipe", "C1.I", "--params", "h1=1,h4=2,h5=2",
@@ -197,7 +197,7 @@ class TestLinkpolyCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: contracting this 14-strand") and err.count("\n") == 1
-        assert "above the limit of 2^24" in err
+        assert "at once, above the limit of 2^25" in err
         assert peak < 2**20
 
     def test_many_strands_are_not_refused(self, capsys):
@@ -219,7 +219,8 @@ class TestLinkpolyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["linkpoly", "--help"])
         assert exc.value.code == 0
-        assert "2^24 entries" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2^25 entries at once" in out and "2^28 terms in one step" in out
 
 
 class TestEpowerCommand:

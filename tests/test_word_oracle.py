@@ -36,13 +36,14 @@ from braidgate.enhancement import (
 )
 from braidgate.matrix_core import I2, PAULI_Z
 from braidgate.yang_baxter import (
+    MAX_ENTRIES,
     MAX_STRANDS,
     BraidWord,
     apply_word,
     braid_rep,
+    letter_tensors,
     plan_word,
     rep_of_word,
-    trace_word,
 )
 
 RTOL = 1e-12
@@ -115,7 +116,7 @@ class TestDenseOracle:
 
 
 @pytest.mark.parametrize("strands", range(2, 11))
-def test_trace_word_matches_dense_trace_on_generic_operators(strands):
+def test_plan_trace_matches_dense_trace_on_generic_operators(strands):
     # a generic R and site satisfy no enhancement condition, so unlike a
     # link value this trace also changes when the word is read backwards
     rng = np.random.default_rng(100 + strands)
@@ -123,7 +124,9 @@ def test_trace_word_matches_dense_trace_on_generic_operators(strands):
     site = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     _, w = _draw("C1.I", strands)
     want = np.trace(apply_word(r, w, site))
-    assert abs(trace_word(r, w, site) - want) <= RTOL * _modulus_trace(r, w, site)
+    plan = plan_word(w)
+    got = plan.trace(letter_tensors(r, site, [plan]), site)
+    assert abs(got - want) <= RTOL * _modulus_trace(r, w, site)
 
 
 # Network shapes a random 3n-letter word rarely makes.
@@ -206,16 +209,20 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def _full_twist(strands):
-    """Delta^2 = (s1 s2 ... s_{n-1})^n, whose planned contraction needs
-    2^(2n) entries: 2^24 at 12 strands, the largest the bound lets through."""
-    return BraidWord(strands, tuple((g, 1) for _ in range(strands) for g in range(1, strands)))
+def _full_twist(strands, offset=0):
+    """Delta^2 = (s1 s2 ... s_{n-1})^n, on strands offset+1 .. offset+n.
+
+    The greedy plan of a twist grows fast: at 10 strands one step sums 2^28
+    terms, the most ``MAX_TERMS`` lets through, and holds 1.65e6 entries; at
+    11 strands a step would sum 2^31 terms, and at 14 the plan would hold
+    more than ``MAX_ENTRIES`` entries at once."""
+    return tuple((g + offset, 1) for _ in range(strands) for g in range(1, strands))
 
 
 class TestStrandBound:
     # at MAX_STRANDS + 1 one dense state alone would take 1 GiB
     WORD = BraidWord(MAX_STRANDS + 1, ((1, 1), (MAX_STRANDS, -1)))
-    TWIST = _full_twist(14)
+    TWIST = BraidWord(14, _full_twist(14))
 
     def test_rep_of_word_refuses_before_allocating(self):
         assert _peak_bytes(rep_of_word, np.eye(4), self.WORD) < 2**20
@@ -224,11 +231,44 @@ class TestStrandBound:
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
         assert _peak_bytes(link_polynomial, e, self.TWIST) < 2**20
 
+    def test_link_polynomial_refuses_a_step_over_the_term_bound(self):
+        e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
+        twist = BraidWord(11, _full_twist(11))
+        with pytest.raises(ValueError, match="terms"):
+            plan_word(twist)
+        assert _peak_bytes(link_polynomial, e, twist) < 2**20
+
     def test_markov_check_refuses_the_stabilized_word(self):
-        # the base, conjugated and stabilized words are all planned, and so
-        # bounded, before any of them is evaluated
+        # the 14-strand twist is over the bound, and so are its conjugated
+        # and stabilized words: nothing is evaluated
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
         assert _peak_bytes(markov_check, e, self.TWIST) < 2**20
+
+    def test_markov_check_plans_every_word_before_evaluating(self):
+        # the 10-strand twist fits, and evaluating it would take 25 MiB;
+        # conjugated by s7 it needs a step of 2^29 terms.  markov_check
+        # refuses it having allocated nothing, so the base word was not
+        # evaluated before the conjugated one was planned.
+        e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
+        base = BraidWord(10, _full_twist(10))
+        conjugator = BraidWord(10, ((7, 1),))
+        plan_word(base)
+        with pytest.raises(ValueError):
+            plan_word(BraidWord(10, ((7, 1),) + base.letters + ((7, -1),)))
+        assert _peak_bytes(markov_check, e, base, conjugator) < 2**20
+
+    def test_disjoint_components_are_bounded_together(self):
+        # 54 disjoint 10-strand twists: each fits alone, but the plan
+        # advances identical components together, so their intermediates
+        # are live at once, over MAX_ENTRIES (512 MiB).  The word is refused
+        # while the planner holds only its own integers, about 4 MiB for
+        # these 4860 letters.
+        e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
+        plan_word(BraidWord(10, _full_twist(10)))
+        copies = BraidWord(540, sum((_full_twist(10, 10 * c) for c in range(54)), ()))
+        with pytest.raises(ValueError, match=f"at once, above the limit of 2\\^{MAX_ENTRIES.bit_length() - 1}"):
+            plan_word(copies)
+        assert _peak_bytes(link_polynomial, e, copies) < 2**23
 
     def test_link_polynomial_takes_the_dense_bound_word(self):
         # s1 s12^-1 on 13 strands: two closed two-strand pieces and nine
