@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import enhancement, entangling_power, hietarinta, invariants, yang_baxter
-from .matrix_core import DEFAULT_TOL, XTYPE_SUPPORT, default_tol, is_xtype
+from .matrix_core import DEFAULT_TOL, XTYPE_SUPPORT, is_xtype
 from .yang_baxter import BraidWord, CATALOG, VARIANT_COUNTS, assemble
 
 USAGE_ERROR = 2
@@ -30,6 +30,18 @@ CHECK_FAILED = 1
 
 class UsageError(Exception):
     pass
+
+
+def default_tol() -> float:
+    """The tolerance without --tol: BRAIDGATE_TOL if set and non-empty, else
+    DEFAULT_TOL.  The package reads the environment nowhere else."""
+    env = os.environ.get("BRAIDGATE_TOL")
+    if not env:
+        return DEFAULT_TOL
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"BRAIDGATE_TOL must be a number, got {env!r}") from None
 
 
 def _json_complex(v) -> complex:
@@ -86,7 +98,7 @@ def _parse_params(text: str | None) -> dict[str, complex]:
 
 def _cnum(z) -> list[float]:
     z = complex(z)
-    return [float(f"{z.real:.17g}"), float(f"{z.imag:.17g}")]
+    return [z.real, z.imag]
 
 
 def _jsonable(obj):

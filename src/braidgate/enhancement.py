@@ -30,12 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix_core import (
+    DEFAULT_TOL,
     I2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SINGULAR_TOL,
     as_matrix,
-    default_tol,
     invert,
     max_norm,
     partial_trace,
@@ -88,8 +89,8 @@ class EnhancedOperator:
 
     R and mu are held as read-only complex copies, so a verdict of
     :func:`verify_enhancement` stays true of the quadruple: the operator
-    records the smallest tolerance it passed at, and link evaluations at
-    that tolerance or a looser one do not verify it again.
+    records the smallest tolerance it passed at with its residuals, and
+    verifications and link evaluations at that tolerance or looser reuse them.
     """
 
     R: np.ndarray
@@ -97,7 +98,7 @@ class EnhancedOperator:
     x: complex
     y: complex
     recipe_id: str | None = None
-    _passed_at: float | None = field(default=None, init=False, repr=False, compare=False)
+    _passed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("R", "mu"):
@@ -120,15 +121,17 @@ def _mu_matrix(alpha, beta, gamma, delta) -> np.ndarray:
     return alpha * I2 + beta * PAULI_X + gamma * PAULI_Y + delta * PAULI_Z
 
 
-def verify_enhancement(e: EnhancedOperator, tol: float | None = None):
+def verify_enhancement(e: EnhancedOperator, tol: float = DEFAULT_TOL):
     """Residuals of conditions (a), (b), (c) in max-norm, plus the verdict.
 
     Residuals are reported raw; the verdict compares each against the
     condition's own magnitude scale, so near-degenerate parameters (tiny
     eigenvalues blowing up mu) are judged relatively.  A pass is recorded on
-    the operator, so link evaluations at ``tol`` or looser skip verifying it.
+    the operator with its residuals, so a later verification or link
+    evaluation at ``tol`` or looser returns them without recomputing.
     """
-    tol = default_tol() if tol is None else tol
+    if e._passed is not None and e._passed[0] <= tol:
+        return e._passed[1], True
     r = as_matrix(e.R)
     r_inv = invert(r)
     mu_n = max_norm(e.mu)
@@ -140,8 +143,8 @@ def verify_enhancement(e: EnhancedOperator, tol: float | None = None):
     scale_b = max(1.0, max_norm(r) * mu_n**2, abs(e.x * e.y) * mu_n)
     scale_c = max(1.0, max_norm(r_inv) * mu_n**2, abs(e.y / e.x) * mu_n)
     ok = (res_a < tol * scale_a and res_b < tol * scale_b and res_c < tol * scale_c)
-    if ok and (e._passed_at is None or tol < e._passed_at):
-        object.__setattr__(e, "_passed_at", tol)
+    if ok:
+        object.__setattr__(e, "_passed", (tol, (res_a, res_b, res_c)))
     return (res_a, res_b, res_c), ok
 
 
@@ -150,9 +153,8 @@ def writhe(word: BraidWord) -> int:
     return word.writhe()
 
 
-def _require_enhancement(e: EnhancedOperator, tol: float | None) -> None:
-    tol = default_tol() if tol is None else tol
-    if e._passed_at is not None and e._passed_at <= tol:
+def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
+    if e._passed is not None and e._passed[0] <= tol:
         return
     residuals, ok = verify_enhancement(e, tol)
     if not ok:
@@ -177,7 +179,7 @@ def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
     return values
 
 
-def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float | None = None) -> complex:
+def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float = DEFAULT_TOL) -> complex:
     """Evaluate L(w) = x^-w(xi) y^-n Tr[rho(xi) mu^(x n)].
 
     The trace contracts the closed braid as a tensor network, one 2x2x2x2
@@ -223,7 +225,7 @@ def markov_check(
     widened = BraidWord(n + 1, word.letters + ((n, sign),))
     # every word is planned, and so bounded, before any is evaluated
     plans = [plan_word(w) for w in (word, conjugated, widened)]
-    _require_enhancement(e, None)
+    _require_enhancement(e, DEFAULT_TOL)
     base, conj, wide = _link_values(e, plans)
     return abs(conj - base), abs(wide - base)
 
@@ -421,14 +423,13 @@ def recipe_ids_for_class(class_id: int) -> tuple[str, ...]:
     return tuple(rid for rid, r_ in RECIPES.items() if r_.class_id == class_id)
 
 
-def instantiate_recipe(recipe_id: str, params: dict, tol: float | None = None) -> EnhancedOperator:
+def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -> EnhancedOperator:
     """Build the enhanced operator for a recipe at given class parameters.
 
     The y sign is re-paired against condition (b) when a recipe's square
     roots land on the opposite branch; the (-x, -y) partner is always valid
     when the returned quadruple is.
     """
-    tol = default_tol() if tol is None else tol
     recipe = RECIPES[recipe_id]
     entry = catalog_entry(recipe.entry_id)
     missing = [k for k in recipe.free_params if k not in params]
@@ -598,7 +599,6 @@ def _solve(r, tol, starts, seed) -> tuple[list[EnhancedOperator], dict[str, int]
         raise ValueError(f"need at least one solver start, got {starts}")
     if starts > MAX_STARTS:
         raise ValueError(f"at most {MAX_STARTS} solver starts, got {starts}")
-    tol = default_tol() if tol is None else tol
     r = as_matrix(r)
     table = _condition_tables(r, invert(r))
     found: dict[tuple, EnhancedOperator] = {}
@@ -650,7 +650,7 @@ def _start_outcome(r, tol, v, cost, found) -> str:
 
 def solve_enhancement(
     r,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     starts: int = 200,
     seed: int = 0,
 ) -> list[EnhancedOperator]:
@@ -680,10 +680,9 @@ class AlgebraWitness:
     realized: bool
 
 
-def bmw_witness(r, scale, l, m, tol: float | None = None) -> AlgebraWitness:
+def bmw_witness(r, scale, l, m, tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check the BMW relations for g_i = scale * R on two and three strands."""
-    tol = default_tol() if tol is None else tol
-    if abs(m) < 1e-12:
+    if abs(m) < SINGULAR_TOL:
         raise ValueError("BMW witness requires m != 0")
     r = as_matrix(r)
     scale, l, m = complex(scale), complex(l), complex(m)
@@ -712,9 +711,8 @@ def bmw_witness(r, scale, l, m, tol: float | None = None) -> AlgebraWitness:
     return AlgebraWitness("BMW", scale, {"l": l, "m": m}, res, realized)
 
 
-def hecke_witness(r, scale, q, tol: float | None = None) -> AlgebraWitness:
+def hecke_witness(r, scale, q, tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check sigma^2 = (q-1) sigma + q and the braid relation for sigma = scale * R."""
-    tol = default_tol() if tol is None else tol
     r = as_matrix(r)
     scale, q = complex(scale), complex(q)
     sigma = scale * r
@@ -729,9 +727,8 @@ def hecke_witness(r, scale, q, tol: float | None = None) -> AlgebraWitness:
     return AlgebraWitness("Hecke", scale, {"q": q}, res, realized)
 
 
-def jordan_witness(r, coeffs: dict[int, complex], tol: float | None = None) -> AlgebraWitness:
+def jordan_witness(r, coeffs: dict[int, complex], tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check a polynomial identity sum_k c_k R^k = 0 (k = -1 allowed)."""
-    tol = default_tol() if tol is None else tol
     r = as_matrix(r)
     total = np.zeros_like(r)
     r_inv = None

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import (XTYPE_SUPPORT, _EPS, _as_two_qubit, _h_tuple, is_xtype, max_norm,
-                          partial_transpose)
-from .yang_baxter import CatalogEntry, XTypeParams, assemble, catalog_entry
+from .matrix_core import (DEFAULT_TOL, XTYPE_SUPPORT, _EPS, _as_two_qubit, _h_tuple, is_xtype,
+                          max_norm, numerical_rank, partial_transpose)
+from .yang_baxter import CatalogEntry, XTypeParams, catalog_entry
 
 __all__ = [
     "ProductState",
@@ -72,7 +72,7 @@ class ProductState:
     def __post_init__(self):
         for (a, b), tag in (((self.a1, self.b1), "1"), ((self.a2, self.b2), "2")):
             norm = abs(a) ** 2 + abs(b) ** 2
-            if abs(norm - 1.0) > 1e-9:
+            if abs(norm - 1.0) > DEFAULT_TOL:
                 raise ValueError(f"qubit {tag} factor is not normalized (|.|^2 = {norm})")
 
     @classmethod
@@ -312,7 +312,7 @@ def _class_epower_formula(class_id: int, p: dict[str, complex]) -> float:
     raise ValueError(f"unknown class {class_id}")
 
 
-def class_epower(entry: CatalogEntry | str, params: dict, tol: float = 1e-9) -> dict:
+def class_epower(entry: CatalogEntry | str, params: dict, tol: float = DEFAULT_TOL) -> dict:
     """Per-class closed form for the entangling power, cross-checked.
 
     Returns the formula value, the general X-type closed form, their
@@ -337,12 +337,12 @@ def class_epower(entry: CatalogEntry | str, params: dict, tol: float = 1e-9) -> 
     }
 
 
-def state_action_rank(psi, rank_tol: float = 1e-8) -> int:
+def state_action_rank(psi) -> int:
     """Rank of the six one-qubit Pauli actions on a two-qubit state.
 
     Applying X, Y, Z on either qubit to a generic state yields six vectors of
     which only three are linearly independent; the single normal direction is
-    the state invariant.
+    the state invariant.  The rank is :func:`~braidgate.matrix_core.numerical_rank`.
     """
     v = np.asarray(psi, dtype=complex).reshape(4)
     x1 = v[[2, 3, 0, 1]]
@@ -351,7 +351,4 @@ def state_action_rank(psi, rank_tol: float = 1e-8) -> int:
     x2 = v[[1, 0, 3, 2]]
     y2 = np.array([-1j * v[1], 1j * v[0], -1j * v[3], 1j * v[2]])
     z2 = np.array([v[0], -v[1], v[2], -v[3]])
-    stack = np.array([x1, y1, z1, x2, y2, z2])
-    svals = np.linalg.svd(stack, compute_uv=False)
-    cutoff = rank_tol * (svals[0] if svals.size else 0.0)
-    return int(np.sum(svals > cutoff))
+    return numerical_rank(np.array([x1, y1, z1, x2, y2, z2]))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, default_tol, invert, max_norm, tensor_product
+from .matrix_core import (DEFAULT_TOL, SINGULAR_TOL, _as_two_qubit, as_matrix, invert, max_norm,
+                          tensor_product)
 from .yang_baxter import assemble, catalog_entry, evaluate_expr
 
 __all__ = [
@@ -102,9 +103,7 @@ def discrete_transform(r, which: str) -> np.ndarray:
     "3a" transposes, "3b" negates all indices (conjugation by X x X), and
     "3c" swaps the two tensor factors on rows and columns simultaneously.
     """
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("discrete transforms act on 4x4 operators")
+    r = _as_two_qubit(r)
     if which == "3a":
         return r.T.copy()
     if which == "3b":
@@ -376,18 +375,17 @@ def classify(entry_id: str) -> dict:
 # The two non-X families (closed-form report)
 # ---------------------------------------------------------------------------
 
-def rh_extras_report(which: str, params: dict, tol: float | None = None) -> dict:
+def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict:
     """Closed-form invariants, enhancement, link values, and entangling power
     for the families H1,3 and H2,3, ready to compare against direct module
     computation.
     """
     from .enhancement import EnhancedOperator  # local import avoids a cycle
 
-    tol = default_tol() if tol is None else tol
     p = {k: complex(v) for k, v in params.items()}
     if which == "H1,3":
         k, pp, q = p["k"], p["p"], p["q"]
-        if abs(k) < 1e-12:
+        if abs(k) < SINGULAR_TOL:
             raise ValueError("H1,3 requires k != 0")
         r = hietarinta_assemble("H1,3", {"k": k, "p": pp, "q": q})
         mu = np.eye(2, dtype=complex) - (pp + q) / (2 * k) * np.array(
@@ -414,7 +412,7 @@ def rh_extras_report(which: str, params: dict, tol: float | None = None) -> dict
         }
     if which == "H2,3":
         k, pp, q, s = p["k"], p["p"], p["q"], p["s"]
-        if abs(k) < 1e-12:
+        if abs(k) < SINGULAR_TOL:
             raise ValueError("H2,3 requires k != 0")
         r = hietarinta_assemble("H2,3", {"k": k, "p": pp, "q": q, "s": s})
         out = {

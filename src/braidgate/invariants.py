@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import (
+    DEFAULT_TOL,
+    DRAW_MIN_DET,
     PAULI_Y,
     _EPS,
+    _as_two_qubit,
     _h_tuple,
-    as_matrix,
-    default_tol,
     partial_trace,
     partial_transpose,
     tensor_product,
@@ -73,19 +74,12 @@ class InvariantSet:
 
 def linear_invariant(r) -> complex:
     """I1 = Tr R."""
-    return complex(np.trace(_as4(r)))
-
-
-def _as4(r) -> np.ndarray:
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("invariants are defined for 4x4 operators")
-    return r
+    return complex(np.trace(_as_two_qubit(r)))
 
 
 def quadratic_invariants(r) -> InvariantSet:
     """All ten quadratic invariants via their closed matrix expressions."""
-    r = _as4(r)
+    r = _as_two_qubit(r)
     y1 = tensor_product(PAULI_Y, np.eye(2))
     y2 = tensor_product(np.eye(2), PAULI_Y)
     yy = tensor_product(PAULI_Y, PAULI_Y)
@@ -114,7 +108,7 @@ def quadratic_invariants(r) -> InvariantSet:
 # qubits 2 and 3.
 def contraction_oracle(r, which: str) -> complex:
     """Evaluate one invariant as the literal sum over all index assignments."""
-    r4 = _as4(r).reshape(2, 2, 2, 2)
+    r4 = _as_two_qubit(r).reshape(2, 2, 2, 2)
     rng2 = (0, 1)
 
     def eps(a, b):
@@ -164,7 +158,7 @@ def contraction_oracle(r, which: str) -> complex:
 
 def two_copy_invariants(r) -> tuple[complex, complex]:
     """I2_9 and I2_10 via the explicit 8x8 two-copy operators R12 and R23."""
-    r = _as4(r)
+    r = _as_two_qubit(r)
     i2 = np.eye(2, dtype=complex)
     r12 = tensor_product(r, i2)
     r23 = tensor_product(i2, r)
@@ -204,7 +198,7 @@ def xtype_closed_forms(h) -> dict[str, complex]:
     }
 
 
-def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float | None = None) -> dict[str, complex]:
+def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float = DEFAULT_TOL) -> dict[str, complex]:
     """Recover X-type parameter combinations from invariants and eigenvalues.
 
     ``eigenvalues`` is the labeled tuple (lam1+, lam1-, lam2+, lam2-).  The
@@ -215,7 +209,6 @@ def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float | None = None)
     Raises ValueError when the invariants and eigenvalues cannot come from a
     common source (detected through the trace, which both must reproduce).
     """
-    tol = default_tol() if tol is None else tol
     l1p, l1m, l2p, l2m = (complex(v) for v in eigenvalues)
     lam_sum = l1p + l1m + l2p + l2m
     scale = max(abs(inv.I1), abs(lam_sum), 1.0)
@@ -239,11 +232,12 @@ def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float | None = None)
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:
-    """Random 2x2 complex matrix rescaled to unit determinant."""
+    """Random 2x2 complex matrix rescaled to unit determinant (draws with
+    |det| <= DRAW_MIN_DET are rejected)."""
     while True:
         q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         det = np.linalg.det(q)
-        if abs(det) > 1e-6:
+        if abs(det) > DRAW_MIN_DET:
             return q / np.sqrt(det)
 
 
@@ -393,11 +387,10 @@ class EigenReport:
     passed: bool
 
 
-def class_eigen_report(entry: CatalogEntry | str, params: dict, tol: float | None = None) -> EigenReport:
+def class_eigen_report(entry: CatalogEntry | str, params: dict, tol: float = DEFAULT_TOL) -> EigenReport:
     """Evaluate the class's invariant-vs-eigenvalue formulas at given params."""
     if isinstance(entry, str):
         entry = catalog_entry(entry)
-    tol = default_tol() if tol is None else tol
     h = entry.fill(params)
     inv = quadratic_invariants(assemble(h))
     direct = {f"I2_{r}": inv.q(r) for r in (4, 5, 8, 9, 10)}

@@ -3,18 +3,18 @@
 Everything here works on plain ``numpy`` complex arrays.  Operators on two
 qubits are 4x4 with rows/columns labelled by the pair index (i1 i2) in the
 order 00, 01, 10, 11; ``braid`` representations grow them to 2^n x 2^n.
-All functions are pure.
+All functions are pure, and every threshold of the package is named here.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
-    "default_tol",
+    "SINGULAR_TOL",
+    "RANK_TOL",
+    "DRAW_MIN_DET",
     "I2",
     "PAULI_X",
     "PAULI_Y",
@@ -29,10 +29,22 @@ __all__ = [
     "eigenvalues_general",
     "max_norm",
     "is_xtype",
+    "numerical_rank",
     "XTYPE_SUPPORT",
 ]
 
+# Comparison tolerance, judged against the scale each comparison states.
 DEFAULT_TOL = 1e-9
+
+# An n x n matrix is singular when |det| < SINGULAR_TOL * max(max_norm, 1)^n.
+# At n = 1 that reads |z| < SINGULAR_TOL, which the scalar checks use directly.
+SINGULAR_TOL = 1e-12
+
+# Singular values at or below RANK_TOL times the largest count as zero.
+RANK_TOL = 1e-8
+
+# Random draws with |det| <= DRAW_MIN_DET are rejected; absolute, as it picks the draws.
+DRAW_MIN_DET = 1e-6
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,21 +62,6 @@ XTYPE_SUPPORT = np.array(
         [True, False, False, True],
     ]
 )
-
-
-def default_tol() -> float:
-    """Default comparison tolerance, overridable via BRAIDGATE_TOL.
-
-    An unset or empty variable means DEFAULT_TOL; a value that does not
-    parse as a float raises ValueError.
-    """
-    env = os.environ.get("BRAIDGATE_TOL")
-    if not env:
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(f"BRAIDGATE_TOL must be a number, got {env!r}") from None
 
 
 class SingularMatrixError(ValueError):
@@ -129,11 +126,11 @@ def partial_transpose(r, qubit: int) -> np.ndarray:
 def _singularity(a: np.ndarray) -> tuple[float, bool]:
     """|det a| and whether ``a`` counts as singular.
 
-    A matrix counts as singular when |det| < 1e-12 * max(max_norm, 1)^dim,
+    A matrix counts as singular when |det| < SINGULAR_TOL * max(max_norm, 1)^dim,
     which at catalog parameters is far below any admissible draw.
     """
     det = abs(np.linalg.det(a))
-    return det, det < 1e-12 * max(max_norm(a), 1.0) ** a.shape[0]
+    return det, det < SINGULAR_TOL * max(max_norm(a), 1.0) ** a.shape[0]
 
 
 def invert(m) -> np.ndarray:
@@ -173,11 +170,20 @@ def eigenvalues_general(m) -> np.ndarray:
     return np.linalg.eigvals(as_matrix(m))
 
 
-def is_xtype(r, tol: float | None = None) -> bool:
-    """True when all eight off-pattern entries of a 4x4 matrix vanish."""
-    r = _as_two_qubit(r)
-    tol = default_tol() if tol is None else tol
-    return bool(np.all(np.abs(r[~XTYPE_SUPPORT]) <= tol))
+def is_xtype(r, tol: float = DEFAULT_TOL) -> bool:
+    """True when all eight off-pattern entries of a 4x4 matrix vanish.
+
+    An entry vanishes when |entry| <= tol * max_norm(R): the scale is the
+    largest entry of R, so scaling R does not change the verdict.
+    """
+    a = np.abs(_as_two_qubit(r))
+    return bool(np.all(a[~XTYPE_SUPPORT] <= tol * a.max()))
+
+
+def numerical_rank(m) -> int:
+    """Number of singular values of ``m`` above RANK_TOL times the largest."""
+    svals = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(svals > RANK_TOL * (svals[0] if svals.size else 0.0)))
 
 
 def _h_tuple(h):

@@ -34,17 +34,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import (
+    DEFAULT_TOL,
+    DRAW_MIN_DET,
     I2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    RANK_TOL,
+    SINGULAR_TOL,
     XTYPE_SUPPORT,
+    _as_two_qubit,
     _h_tuple,
     _singularity,
     as_matrix,
-    default_tol,
     invert,
     max_norm,
+    numerical_rank,
     tensor_product,
 )
 
@@ -94,9 +99,6 @@ class XTypeParams:
     def as_tuple(self):
         return (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6, self.h7, self.h8)
 
-    def as_dict(self):
-        return {f"h{k}": v for k, v in zip(range(1, 9), self.as_tuple())}
-
 
 def assemble(h) -> np.ndarray:
     """Build the 4x4 X-patterned matrix from h1..h8."""
@@ -105,17 +107,14 @@ def assemble(h) -> np.ndarray:
     return r
 
 
-def check_ybe(r, tol: float | None = None) -> tuple[float, bool]:
+def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     """Residual and verdict of the braided Yang-Baxter equation on 8x8.
 
     The verdict also requires invertibility, since a braiding operator is by
     definition an invertible solution (the all-ones X pattern, for example,
     satisfies the equation identically but is singular).
     """
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("YBE check expects a 4x4 operator")
-    tol = default_tol() if tol is None else tol
+    r = _as_two_qubit(r)
     a = tensor_product(r, I2)
     b = tensor_product(I2, r)
     residual = max_norm(a @ b @ a - b @ a @ b)
@@ -125,9 +124,7 @@ def check_ybe(r, tol: float | None = None) -> tuple[float, bool]:
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:
     """Generator sigma_i of B_n represented on n qubits: I^(i-1) x R x I^(n-i-1)."""
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("braid generators are built from a 4x4 operator")
+    r = _as_two_qubit(r)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for {n} strands")
     out = r
@@ -215,9 +212,7 @@ def check_strands(n: int) -> None:
 
 def _letter_powers(r, exponents) -> dict[int, np.ndarray]:
     """Each distinct exponent's 4x4 power of R or R^-1, taken once."""
-    r = as_matrix(r)
-    if r.shape != (4, 4):
-        raise ValueError("braid generators are built from a 4x4 operator")
+    r = _as_two_qubit(r)
     r_inv = None
     powers: dict[int, np.ndarray] = {}
     for exp in exponents:
@@ -484,14 +479,14 @@ _GENERATORS = (
 )
 
 
-def lie_orbit_rank(h, rank_tol: float = 1e-8) -> tuple[int, dict[str, dict]]:
+def lie_orbit_rank(h) -> tuple[int, dict[str, dict]]:
     """Rank of the local-algebra orbit directions at an X-type operator.
 
     Commutes the operator with the six one-qubit generators {X, Y, Z} x I and
     I x {X, Y, Z}, stacks the flattened commutators, and counts singular
-    values above rank_tol times the largest.  The report notes which
-    generators keep the commutator inside the X pattern (only Z1 and Z2 do,
-    for generic parameters).
+    values above RANK_TOL times the largest.  The report notes which
+    generators keep the commutator inside the X pattern, to RANK_TOL of its
+    scale (only Z1 and Z2 do, for generic parameters).
     """
     r = assemble(h)
     rows = []
@@ -502,14 +497,10 @@ def lie_orbit_rank(h, rank_tol: float = 1e-8) -> tuple[int, dict[str, dict]]:
         rows.append(comm.ravel())
         off_pattern = max_norm(comm[~XTYPE_SUPPORT])
         report[name] = {
-            "nonzero": max_norm(comm) > rank_tol,
-            "preserves_xtype": off_pattern <= rank_tol * max(max_norm(comm), 1.0),
+            "nonzero": max_norm(comm) > RANK_TOL,
+            "preserves_xtype": off_pattern <= RANK_TOL * max(max_norm(comm), 1.0),
         }
-    stack = np.array(rows)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    cutoff = rank_tol * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    return rank, report
+    return numerical_rank(np.array(rows)), report
 
 
 # --------------------------------------------------------------------------
@@ -568,7 +559,7 @@ class CatalogEntry:
             raise InadmissibleParamsError(f"{self.entry_id}: unexpected parameters {extra}")
         env = {k: complex(params[k]) for k in self.free_params}
         for expr in self.nonzero:
-            if abs(evaluate_expr(expr, env)) < 1e-12:
+            if abs(evaluate_expr(expr, env)) < SINGULAR_TOL:
                 raise InadmissibleParamsError(
                     f"{self.entry_id}: requires nonzero {expr}"
                 )
@@ -581,18 +572,16 @@ class CatalogEntry:
         env = {k: complex(params[k]) for k in self.free_params}
         return {name: evaluate_expr(expr, env) for name, expr in self.eigen_named.items()}
 
-    def random_params(self, rng: np.random.Generator, scale: float = 1.0) -> dict[str, complex]:
-        """Draw admissible free parameters (re/im standard normal, rejection)."""
+    def random_params(self, rng: np.random.Generator) -> dict[str, complex]:
+        """Draw admissible free parameters (re/im standard normal, rejection
+        of draws whose operator has |det| <= DRAW_MIN_DET)."""
         for _ in range(100):
-            params = {
-                k: complex(rng.normal(scale=scale), rng.normal(scale=scale))
-                for k in self.free_params
-            }
+            params = {k: complex(rng.normal(), rng.normal()) for k in self.free_params}
             try:
                 h = self.fill(params)
             except InadmissibleParamsError:
                 continue
-            if abs(np.linalg.det(assemble(h))) > 1e-6:
+            if abs(np.linalg.det(assemble(h))) > DRAW_MIN_DET:
                 return params
         raise RuntimeError(f"could not draw admissible parameters for {self.entry_id}")
 

@@ -29,7 +29,7 @@ from braidgate.enhancement import (
     writhe,
 )
 from braidgate.hietarinta import hietarinta_assemble
-from braidgate.matrix_core import I2, PAULI_X, PAULI_Y, PAULI_Z, partial_trace
+from braidgate.matrix_core import DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, partial_trace
 from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry
 
 RNG = np.random.default_rng(55)
@@ -422,7 +422,7 @@ class TestSolver:
     def test_outcome_counts(self):
         entry = CATALOG["C6.0"]
         r = assemble(entry.fill(entry.random_params(np.random.default_rng(61))))
-        families, outcomes = _solve(r, None, 50, 3)
+        families, outcomes = _solve(r, DEFAULT_TOL, 50, 3)
         assert tuple(outcomes) == START_OUTCOMES
         assert sum(outcomes.values()) == 50
         assert outcomes["new_family"] == len(families)

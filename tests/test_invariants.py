@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from braidgate.invariants import (
     INDEPENDENT_COUNTS,
+    _CLASS_FORMULAS,
     check_identities,
     class_eigen_report,
     contraction_oracle,
@@ -16,7 +17,8 @@ from braidgate.invariants import (
     xtype_closed_forms,
 )
 from braidgate.matrix_core import eigenvalues_xtype, max_norm, tensor_product
-from braidgate.yang_baxter import CATALOG, XTypeParams, assemble, catalog_instantiate
+from braidgate.yang_baxter import (CATALOG, XTypeParams, assemble, catalog_instantiate,
+                                   compile_expr)
 
 RNG = np.random.default_rng(31)
 
@@ -241,6 +243,29 @@ class TestClassEigenReports:
         for _ in range(5):
             rep = class_eigen_report(entry, entry.random_params(RNG))
             assert rep.passed, f"{entry_id}: diff {rep.max_diff}"
+
+    @pytest.mark.parametrize("entry_id", sorted(CATALOG))
+    def test_formulas_hold_symbolically(self, entry_id):
+        # criterion 04: the class's eigenvalue formulas equal the X-type
+        # closed forms of the entry's h slots, as rational functions of the
+        # free parameters, for the five quadratic invariants
+        sympy = pytest.importorskip("sympy")
+        entry = CATALOG[entry_id]
+        free = {k: sympy.Symbol(k) for k in entry.free_params}
+        env = {"__builtins__": {}, "sqrt": sympy.sqrt, "I": sympy.I}
+
+        def value(expr):
+            # rational=True turns complex literals such as (1-1j)/2 exact
+            return sympy.nsimplify(eval(compile_expr(expr), env, dict(free)), rational=True)
+
+        h = dict(free)
+        h.update((slot, value(expr)) for slot, expr in entry.constraints.items())
+        direct = xtype_closed_forms(tuple(h[f"h{k}"] for k in range(1, 9)))
+        eigen = {name: value(expr) for name, expr in entry.eigen_named.items()}
+        closed = _CLASS_FORMULAS[entry.class_id](eigen)
+        assert sorted(closed) == ["I2_10", "I2_4", "I2_5", "I2_8", "I2_9"]
+        for key, formula in closed.items():
+            assert sympy.cancel(sympy.sympify(formula) - direct[key]) == 0, key
 
     def test_counts_table(self):
         assert INDEPENDENT_COUNTS == {1: 3, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2,

@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import braidgate
+from braidgate.enhancement import instantiate_recipe, link_polynomial
 from braidgate.matrix_core import (
     I2,
     PAULI_X,
@@ -14,11 +19,12 @@ from braidgate.matrix_core import (
     invert,
     is_xtype,
     max_norm,
+    numerical_rank,
     partial_trace,
     partial_transpose,
     tensor_product,
 )
-from braidgate.yang_baxter import XTypeParams, assemble
+from braidgate.yang_baxter import BraidWord, XTypeParams, assemble, check_ybe
 
 RNG = np.random.default_rng(101)
 
@@ -173,6 +179,67 @@ class TestIsXType:
         m = np.eye(4, dtype=complex)
         m[0, 1] = 1e-3
         assert not is_xtype(m)
+
+    def test_judged_relative_to_largest_entry(self):
+        m = assemble([1, 2, 3, 4, 5, 6, 7, 8])
+        m[0, 1] = 4e-3  # half of tol * max|R| at tol 1e-3
+        for scale in (1e-6, 1.0, 1e6):
+            assert is_xtype(scale * m, tol=1e-3)
+            assert not is_xtype(scale * m, tol=1e-4)
+        # entries 1e-3..4e-3 all lie within tol of zero, but not of max|R|
+        dense = np.tile([1.0, 2.0, 3.0, 4.0], (4, 1)) * 1e-3
+        assert not is_xtype(dense, tol=1e-3)
+
+
+class TestNumericalRank:
+    def test_cutoff_is_relative(self):
+        for scale in (1e-6, 1.0, 1e6):
+            assert numerical_rank(scale * np.diag([1.0, 1e-7, 1e-9])) == 2
+        assert numerical_rank(np.zeros((3, 3))) == 0
+        assert numerical_rank(np.zeros((0, 3))) == 0
+
+
+# Step-control constants of the enhancement solver's search: heuristics of
+# where to look, not thresholds a verdict is judged by.
+SEARCH_HEURISTICS = {"_gauss_newton", "_start_outcome", "_normalize_solution", "_IMAGINARY_TOL"}
+
+
+def _unnamed_thresholds(path: Path) -> list[str]:
+    """Float literals below 1e-3 in one module, outside SEARCH_HEURISTICS."""
+    found = []
+
+    def visit(node, exempt):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exempt = exempt or node.name in SEARCH_HEURISTICS
+        elif isinstance(node, ast.Assign):
+            exempt = exempt or any(isinstance(t, ast.Name) and t.id in SEARCH_HEURISTICS
+                                   for t in node.targets)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, float)
+              and 0 < abs(node.value) < 1e-3 and not exempt):
+            found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, exempt)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def test_thresholds_are_named_in_matrix_core():
+    modules = sorted(Path(braidgate.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    found = [hit for path in modules if path.name != "matrix_core.py"
+             for hit in _unnamed_thresholds(path)]
+    assert found == []
+
+
+def test_library_does_not_read_the_environment(monkeypatch):
+    # only the CLI resolves BRAIDGATE_TOL; a library call never sees it
+    monkeypatch.setenv("BRAIDGATE_TOL", "not a number")
+    r = assemble([1, 0, 0, 1, 1, 0, 0, 1])
+    assert is_xtype(r)
+    assert check_ybe(r)[1]
+    e = instantiate_recipe("C1.I", {"h1": 1, "h4": 2, "h5": 3})
+    link_polynomial(e, BraidWord(2, ((1, 3),)))
 
 
 @given(st.lists(complex_st, min_size=8, max_size=8))
