@@ -255,11 +255,12 @@ def cmd_verify(args) -> int:
     report["operator"] = echo
     checks = {}
     residual, ok = yang_baxter.check_ybe(r, args.tol)
-    checks["ybe"] = {"residual": residual, "pass": ok}
+    checks["ybe"] = {"residual": residual, "scale": yang_baxter.ybe_scale(r), "pass": ok}
     inv = invariants.quadratic_invariants(r)
     ids = invariants.check_identities(inv)
-    checks["invariant_identities"] = {"residuals": list(ids),
-                                      "pass": all(v < args.tol for v in ids)}
+    scale = invariants.identity_scale(r)
+    checks["invariant_identities"] = {"residuals": list(ids), "scale": scale,
+                                      "pass": all(v < args.tol * scale for v in ids)}
     if args.enhancements:
         if not args.cls:
             raise UsageError("--enhancements requires --class")
@@ -293,12 +294,14 @@ def cmd_invariants(args) -> int:
     report["operator"] = echo
     report["invariants"] = inv.to_json()
     ids = invariants.check_identities(inv)
+    scale = invariants.identity_scale(r)
     report["identity_residuals"] = list(ids)
+    report["identity_scale"] = scale
     if is_xtype(r, args.tol):
         report["xtype_closed_forms"] = {
             k: _cnum(v) for k, v in invariants.xtype_closed_forms(r[XTYPE_SUPPORT]).items()
         }
-    failed = not all(v < args.tol for v in ids)
+    failed = not all(v < args.tol * scale for v in ids)
     return _emit(args, report, failed)
 
 
@@ -328,7 +331,7 @@ def cmd_linkpoly(args) -> int:
 
 def cmd_enhance(args) -> int:
     r, echo = resolve_operator(args)
-    solutions, outcomes = enhancement._solve(r, args.tol, args.starts, args.seed)
+    solutions, points = enhancement._solve(r, args.tol)
     report = _base_report(args, "enhance")
     report["operator"] = echo
     report["families"] = [
@@ -342,7 +345,12 @@ def cmd_enhance(args) -> int:
         )
     ]
     report["count"] = len(solutions)
-    report["starts"] = outcomes
+    report["nullity"] = len(points)
+    report["points"] = [
+        {"mu": [_cnum(c) for c in p["mu"]], "lambda": _cnum(p["lambda"]),
+         "nu": _cnum(p["nu"]), "outcome": p["outcome"]}
+        for p in sorted(points, key=lambda p: tuple(np.round(np.array(p["mu"]).view(float), 6)))
+    ]
     return _emit(args, report, failed=False)
 
 
@@ -499,10 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_linkpoly)
 
-    p = sub.add_parser("enhance", help="solve for all (mu, x, y) enhancements")
+    p = sub.add_parser(
+        "enhance", help="solve for all (mu, x, y) enhancements",
+        description="Find every enhancement with mu in the Pauli span from the roots of "
+                    "the conditions, solved exactly; an operator whose roots are not "
+                    "isolated points is refused (exit 2).")
     _add_operator_flags(p)
-    p.add_argument("--starts", type=int, default=200,
-                   help=f"solver restarts, 1 to {enhancement.MAX_STARTS} (default: 200)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_enhance)
 

@@ -14,9 +14,10 @@ which makes
 invariant under the Markov moves for braid words w on n strands.
 
 The module carries the recipe catalog for all twelve operator classes (keyed
-"C<class>.<name>"), a multi-start damped Gauss-Newton solver that finds all
-(mu, x, y) with mu in the Pauli span, and witnesses for the quotient-algebra
-relations (BMW, Hecke, and the odd-one-out Jordan-type identities).
+"C<class>.<name>"), an exact solver that finds all (mu, x, y) with mu in
+the Pauli span from a Macaulay-matrix null space, and witnesses for the
+quotient-algebra relations (BMW, Hecke, and the odd-one-out Jordan-type
+identities).
 
 Recipes build square roots from shared per-parameter intermediates, so each
 printed +/- family lands on one definite member; the partner is always the
@@ -25,6 +26,7 @@ simultaneous sign flip (x, y) -> (-x, -y).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +37,13 @@ from .matrix_core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    RANK_TOL,
+    ROOT_TOL,
     SINGULAR_TOL,
     as_matrix,
     invert,
     max_norm,
+    numerical_rank,
     partial_trace,
     tensor_product,
 )
@@ -61,8 +66,7 @@ __all__ = [
     "instantiate_recipe",
     "verify_enhancement",
     "solve_enhancement",
-    "MAX_STARTS",
-    "START_OUTCOMES",
+    "POINT_OUTCOMES",
     "writhe",
     "link_polynomial",
     "markov_check",
@@ -556,8 +560,8 @@ def _gauss_newton(table, v0, max_iter=80, converge=1e-12):
     return v, cost
 
 
-# Re x at or below this fraction of |x| counts as rounding noise; the solver
-# accepts a start at a residual norm of up to 1e-9.
+# Re x at or below this fraction of |x| counts as rounding noise; a polished
+# point is accepted at a residual norm of up to 1e-9.
 _IMAGINARY_TOL = 1e-9
 
 
@@ -578,42 +582,140 @@ def _normalize_solution(mu_coeffs, x, y):
     return tuple(coeffs), x, y
 
 
-# Memory does not grow with the starts, but time does, by a few ms per start.
-MAX_STARTS = 10_000
+# Eliminating x y = lambda and y / x = nu leaves a system in c alone: (a) is
+# 16 quadrics, and since mu(c) != 0 for c != 0, (b) holds for some lambda
+# exactly when the 2x2 minors B_i mu_j - B_j mu_i of [B(c); mu(c)] vanish,
+# B = tr_2 R (mu x mu) holding 4 quadrics; likewise (c) with C = tr_2 R^-1
+# (mu x mu).  Those 16 quadrics and 12 cubics are solved in c in P^3 from the
+# null space of their Macaulay matrix (Cox, Little & O'Shea, Using Algebraic
+# Geometry, ch. 2; Telen, Mourrain & Van Barel, SIAM J. Matrix Anal. Appl. 39
+# (2018) 1421).  Monomials of one degree are sorted index tuples.
 
-# What can become of one solver start, in the order the filters apply.
-START_OUTCOMES = (
-    "new_family",  # converged onto a verified family not found before
-    "rejected_cost",  # final residual norm above 1e-9
-    "rejected_degenerate",  # mu or x (near) zero
-    "rejected_y_ratio",  # |y| / |mu| too small: a boundary curve, not a family
+def _monomials(degree: int) -> list[tuple[int, ...]]:
+    return list(itertools.combinations_with_replacement(range(4), degree))
+
+
+_MONOMIAL_INDEX = {m: i for d in range(5) for i, m in enumerate(_monomials(d))}
+
+
+def _product_index(da: int, db: int) -> np.ndarray:
+    """(n_da, n_db) column of each product of a degree-da and a degree-db monomial."""
+    return np.array([[_MONOMIAL_INDEX[tuple(sorted(a + b))] for b in _monomials(db)]
+                     for a in _monomials(da)])
+
+
+def _sum_matrix(index: np.ndarray, size: int) -> np.ndarray:
+    """0/1 matrix adding entry k of a flattened array into column index.flat[k]."""
+    out = np.zeros((index.size, size))
+    out[np.arange(index.size), index.ravel()] = 1.0
+    return out
+
+
+# quadric coefficients = _QUADRICS @ table: c_k c_l and c_l c_k are one monomial
+_QUADRICS = _sum_matrix(_product_index(1, 1), 10).T
+# cubic coefficients = (quadric x linear coefficients).ravel() @ _CUBICS
+_CUBICS = _sum_matrix(_product_index(2, 1), 20)
+_MINOR_I, _MINOR_J = np.triu_indices(4, 1)
+_QUADRIC_COUNT, _CUBIC_COUNT = 16, 2 * len(_MINOR_I)
+
+
+def _macaulay_layout(degree: int) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """Shape and the flat (target, source) indices that place every
+    monomial multiple of the 16 quadrics and 12 cubics in the degree-``degree``
+    Macaulay matrix.  Sources index the concatenated (16, 10) quadric and
+    (12, 20) cubic coefficients; no two sources share a target."""
+    cols = len(_monomials(degree))
+    target, source = [], []
+    rows = 0
+    for count, d, offset in ((_QUADRIC_COUNT, 2, 0), (_CUBIC_COUNT, 3, _QUADRIC_COUNT * 10)):
+        product = _product_index(d, degree - d)
+        terms, shifts = product.shape
+        for poly in range(count):
+            for shift in range(shifts):
+                target.append(rows * cols + product[:, shift])
+                source.append(offset + poly * terms + np.arange(terms))
+                rows += 1
+    return (rows, cols), np.concatenate(target), np.concatenate(source)
+
+
+_MACAULAY = {d: _macaulay_layout(d) for d in (3, 4)}
+# degree-4 column of each degree-3 monomial times c_k: (20, 4)
+_SHIFT = _product_index(3, 1)
+# two fixed generic linear forms h0, h1; points are eigenvectors of the pencil
+# of degree-3 rows shifted by them, with eigenvalues h1(c) / h0(c)
+_FORMS = np.array([[0.61 + 0.23j, -0.37 + 0.52j, 0.83 - 0.19j, 0.29 + 0.71j],
+                   [-0.44 + 0.67j, 0.91 + 0.13j, 0.17 - 0.58j, -0.72 - 0.31j]])
+# degree-3 columns of c_k c_p^2 and of c_p^3, which give c_k / c_p
+_RATIOS = np.array([[_MONOMIAL_INDEX[tuple(sorted((k, p, p)))] for p in range(4)]
+                    for k in range(4)])
+_CUBES = np.diagonal(_RATIOS)
+
+
+def _macaulay(polys: np.ndarray, degree: int) -> np.ndarray:
+    shape, target, source = _MACAULAY[degree]
+    out = np.zeros(shape[0] * shape[1], dtype=complex)
+    out[target] = polys[source]
+    return out.reshape(shape)
+
+
+def _system(table, norm) -> np.ndarray:
+    """Concatenated coefficients of the 16 quadrics and 12 cubics in c, each
+    scaled to unit norm.  ``table`` is of an operator R with max|R| =
+    max|R^-1| = ``norm``; a polynomial at or below RANK_TOL * norm is rounding
+    of an identically zero one and is zeroed: scaled up, it would cut the null
+    space."""
+    quad = (_QUADRICS @ table).T  # (24, 10): (a), then B, then C
+    linear = _MU_ROWS.T  # (4, 4): entry of mu by coefficient of c
+    products = np.einsum("bim,jn->bijmn", quad[16:].reshape(2, 4, 10), linear)
+    minors = products[:, _MINOR_I, _MINOR_J] - products[:, _MINOR_J, _MINOR_I]
+    cubics = minors.reshape(_CUBIC_COUNT, 40) @ _CUBICS
+    norms = np.concatenate([np.linalg.norm(quad[:16], axis=1), np.linalg.norm(cubics, axis=1)])
+    kept = norms > RANK_TOL * norm
+    scale = np.where(kept, 1.0 / np.where(kept, norms, 1.0), 0.0)
+    return np.concatenate([(quad[:16] * scale[:16, None]).ravel(),
+                           (cubics * scale[16:, None]).ravel()])
+
+
+def _roots(polys) -> np.ndarray:
+    """Unit-norm c of every root of the system :func:`_system` returns, one
+    row each, repeated by multiplicity.  Raises ``ValueError`` when the roots
+    are not isolated points."""
+    # the R factor keeps the row space of the 208 x 35 matrix; its SVD is 35 x 35
+    _, s, vh = np.linalg.svd(np.linalg.qr(_macaulay(polys, 4), mode="r"))
+    nullity = int(np.sum(s <= RANK_TOL * s[0]))
+    m3 = _macaulay(polys, 3)
+    degree3 = m3.shape[1] - numerical_rank(m3)
+    if nullity != degree3:
+        raise ValueError(
+            "the enhancement conditions of this operator have a positive-dimensional "
+            f"solution set: Macaulay nullity {degree3} at degree 3, {nullity} at degree 4")
+    if nullity == 0:
+        return np.zeros((0, 4), dtype=complex)
+    null = vh[len(s) - nullity:].conj().T  # (35, nullity)
+    shifted = np.einsum("hk,bkm->hbm", _FORMS, null[_SHIFT])  # rows h0 * m3, h1 * m3
+    pencil, *_ = np.linalg.lstsq(shifted[0], shifted[1], rcond=None)
+    _, vectors = np.linalg.eig(pencil)
+    cubic = shifted[0] @ vectors  # each column: h0(c) times the c^3 monomials
+    pivot = np.argmax(np.abs(cubic[_CUBES]), axis=0)
+    cols = np.arange(nullity)
+    c = (cubic[_RATIOS[:, pivot], cols] / cubic[_CUBES[pivot], cols]).T
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+# What can become of one root.
+POINT_OUTCOMES = (
+    "family",  # polished onto a verified family not found before
+    "duplicate",  # polished onto a family already found
+    "degenerate",  # lambda nu = 0 at the root, or mu or x (near) zero after polishing
+    "rejected_y_ratio",  # |y| / |mu| too small: a boundary point, not a family
+    "rejected_cost",  # polished residual norm above 1e-9
     "rejected_verification",  # the normalized quadruple fails verify_enhancement
-    "duplicate",  # converged onto a family already found
 )
 
 
-def _solve(r, tol, starts, seed) -> tuple[list[EnhancedOperator], dict[str, int]]:
-    """The solver behind :func:`solve_enhancement`, plus per-start outcome counts
-    (keys :data:`START_OUTCOMES`, summing to ``starts``)."""
-    if starts < 1:
-        raise ValueError(f"need at least one solver start, got {starts}")
-    if starts > MAX_STARTS:
-        raise ValueError(f"at most {MAX_STARTS} solver starts, got {starts}")
-    r = as_matrix(r)
-    table = _condition_tables(r, invert(r))
-    found: dict[tuple, EnhancedOperator] = {}
-    outcomes = dict.fromkeys(START_OUTCOMES, 0)
-    for start in range(starts):
-        rng = np.random.default_rng(seed + 1000 * start)
-        v0 = rng.normal(size=12)
-        v, cost = _gauss_newton(table, v0)
-        outcome = _start_outcome(r, tol, v, cost, found)
-        outcomes[outcome] += 1
-    return list(found.values()), outcomes
-
-
-def _start_outcome(r, tol, v, cost, found) -> str:
-    """Judge one start's end point; a new family is added to ``found``."""
+def _point_outcome(r, scale, tol, v, cost, found) -> str:
+    """Judge one point polished for R / scale; a new family of R, with x
+    scaled back, is appended to ``found``."""
     if cost > 1e-9:
         return "rejected_cost"
     alpha, beta, gamma, delta = (
@@ -623,48 +725,87 @@ def _start_outcome(r, tol, v, cost, found) -> str:
         v[6] + 1j * v[7],
     )
     x, y = v[8] + 1j * v[9], v[10] + 1j * v[11]
-    # x, y must lie in C*: the solver otherwise drifts onto degenerate
-    # boundary curves (nilpotent mu directions with y/|mu| -> 0, possibly
-    # disguised by a diverging mu scale) that satisfy the equations only
-    # in the limit.  |y|/|mu| is the gauge-invariant discriminator.
+    # x, y must lie in C*: near-degenerate points (nilpotent mu directions
+    # with y/|mu| -> 0) satisfy the equations only in the limit.  |y|/|mu|
+    # is the gauge-invariant discriminator.
     mu_scale = max(abs(c) for c in (alpha, beta, gamma, delta))
     if mu_scale < 1e-8 or abs(x) < 1e-5:
-        return "rejected_degenerate"
+        return "degenerate"
     if abs(y) / mu_scale < 1e-4 * (1 + abs(x)):
         return "rejected_y_ratio"
     normalized = _normalize_solution((alpha, beta, gamma, delta), x, y)
     if normalized is None:
-        return "rejected_degenerate"
+        return "degenerate"
     coeffs, x, y = normalized
-    candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=x, y=y)
+    candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y)
     _, ok = verify_enhancement(candidate, tol)
     if not ok:
         return "rejected_verification"
-    key = tuple(np.round([c.real for c in coeffs] + [c.imag for c in coeffs]
-                         + [x.real, x.imag, y.real, y.imag], 5))
-    if key in found:
-        return "duplicate"
-    found[key] = candidate
-    return "new_family"
+    # a double root polishes only to about ROOT_TOL, so families are told
+    # apart by distance, not by rounding
+    key = np.array(coeffs + (x, y))
+    for other, _ in found:
+        if np.max(np.abs(key - other)) <= ROOT_TOL * max(1.0, np.max(np.abs(key)),
+                                                         np.max(np.abs(other))):
+            return "duplicate"
+    found.append((key, candidate))
+    return "family"
+
+
+def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
+    """The solver behind :func:`solve_enhancement`, plus one record per root:
+    its Pauli coefficients (the first nonzero one scaled to 1), lambda and nu
+    at that scale, and its outcome (:data:`POINT_OUTCOMES`)."""
+    r = as_matrix(r)
+    r_inv = invert(r)
+    # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
+    # the roots are found and judged for R / s with max|R / s| = max|s R^-1|:
+    # the outcome of a root does not depend on the scale of R
+    scale = np.sqrt(max_norm(r) / max_norm(r_inv))
+    norm = max_norm(r) / scale
+    table = _condition_tables(r / scale, r_inv * scale)
+    roots = _roots(_system(table, norm))
+    mus = roots @ _MU_ROWS
+    traces = np.einsum("pk,pl->pkl", roots, roots).reshape(-1, 16) @ table[:, 16:]
+    norms = np.sum(np.abs(mus) ** 2, axis=1)
+    lams = np.sum(mus.conj() * traces[:, :4], axis=1) / norms
+    nus = np.sum(mus.conj() * traces[:, 4:], axis=1) / norms
+    found: list[tuple[np.ndarray, EnhancedOperator]] = []
+    points = []
+    for c, mu, lam, nu in zip(roots, mus, lams, nus):
+        if min(abs(lam), abs(nu)) <= ROOT_TOL * norm * max_norm(mu):
+            outcome = "degenerate"
+        else:
+            x = np.sqrt(lam / nu)
+            z = np.concatenate([c, [x, lam / x]])
+            v, cost = _gauss_newton(table, np.column_stack([z.real, z.imag]).ravel())
+            outcome = _point_outcome(r, scale, tol, v, cost, found)
+        pivot = c[np.argmax(np.abs(c) > ROOT_TOL)]  # c has unit norm
+        points.append({"mu": tuple(c / pivot), "lambda": scale * lam / pivot,
+                       "nu": nu / (scale * pivot), "outcome": outcome})
+    return [e for _, e in found], points
 
 
 def solve_enhancement(
-    r,
-    tol: float = DEFAULT_TOL,
-    starts: int = 200,
-    seed: int = 0,
+    r, tol: float = DEFAULT_TOL, starts=None, seed=None
 ) -> list[EnhancedOperator]:
-    """Find all enhancements with mu in the Pauli span by multi-start root finding.
+    """Find all enhancements with mu in the Pauli span.
 
-    Each start runs a damped Gauss-Newton iteration on conditions (a)-(c) and
-    the gauge |mu|^2 = 2, with the exact Jacobian of those quadratic
-    conditions (see :func:`_condition_tables`).  Solutions are reported
-    normalized: the first nonzero Pauli coefficient of mu (scan order I, X,
-    Y, Z) is scaled to one, and the simultaneous sign of (x, y) is
-    canonicalized.  An empty list is a verified-absence claim only at the
-    configured number of starts, which must lie in [1, ``MAX_STARTS``].
+    Eliminating x y and y / x leaves 16 quadrics and 12 cubics in the Pauli
+    coefficients c of mu, solved exactly in projective space: every root comes
+    from the null space of their degree-4 Macaulay matrix, whose nullity must
+    equal the degree-3 one (otherwise the solution set is positive-dimensional
+    and ``ValueError`` is raised).  Each root is polished by Gauss-Newton
+    with the exact Jacobian and judged by the filters of :data:`POINT_OUTCOMES`.
+    Solutions are reported normalized: the first nonzero Pauli coefficient of
+    mu (scan order I, X, Y, Z) is scaled to one, and the simultaneous sign of
+    (x, y) is canonicalized.  An empty list means that no root is a family.
+
+    ``starts`` and ``seed`` belonged to the former multi-start search.  They
+    are accepted and ignored only because the benchmark's enhance_solve
+    workload (``bench/workloads.py``) still passes them.
     """
-    return _solve(r, tol, starts, seed)[0]
+    return _solve(r, tol)[0]
 
 
 # ---------------------------------------------------------------------------

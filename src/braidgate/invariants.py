@@ -29,6 +29,7 @@ from .matrix_core import (
     _EPS,
     _as_two_qubit,
     _h_tuple,
+    max_norm,
     partial_trace,
     partial_transpose,
     tensor_product,
@@ -43,6 +44,7 @@ __all__ = [
     "contraction_oracle",
     "two_copy_invariants",
     "check_identities",
+    "identity_scale",
     "xtype_closed_forms",
     "reconstruct_params",
     "class_eigen_report",
@@ -169,6 +171,13 @@ def two_copy_invariants(r) -> tuple[complex, complex]:
     y2 = tensor_product(tensor_product(i2, PAULI_Y), i2)
     i210 = complex(np.trace(r12 @ y2 @ th @ y2))
     return i29, i210
+
+
+def identity_scale(r) -> float:
+    """16 max(1, max|R|)^2, the scale of the :func:`check_identities`
+    residuals: each quadratic invariant sums at most 16 products of two
+    entries of R."""
+    return 16 * max(1.0, max_norm(r)) ** 2
 
 
 def check_identities(inv: InvariantSet) -> tuple[float, ...]:

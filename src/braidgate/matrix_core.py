@@ -15,6 +15,7 @@ __all__ = [
     "SINGULAR_TOL",
     "RANK_TOL",
     "DRAW_MIN_DET",
+    "ROOT_TOL",
     "I2",
     "PAULI_X",
     "PAULI_Y",
@@ -45,6 +46,11 @@ RANK_TOL = 1e-8
 
 # Random draws with |det| <= DRAW_MIN_DET are rejected; absolute, as it picks the draws.
 DRAW_MIN_DET = 1e-6
+
+# A double root of a polynomial system is located only to about the square
+# root of the rounding unit.  Root values within ROOT_TOL times their scale
+# of zero, or of each other, are not told apart.
+ROOT_TOL = 1e-6
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

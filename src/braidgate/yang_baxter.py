@@ -63,6 +63,7 @@ __all__ = [
     "catalog_instantiate",
     "assemble",
     "check_ybe",
+    "ybe_scale",
     "braid_rep",
     "rep_of_word",
     "apply_word",
@@ -107,19 +108,27 @@ def assemble(h) -> np.ndarray:
     return r
 
 
+def ybe_scale(r) -> float:
+    """max(1, max|R|)^3, the scale of the Yang-Baxter residual: both sides
+    are products of three copies of R."""
+    return max(1.0, max_norm(r)) ** 3
+
+
 def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     """Residual and verdict of the braided Yang-Baxter equation on 8x8.
 
-    The verdict also requires invertibility, since a braiding operator is by
-    definition an invertible solution (the all-ones X pattern, for example,
-    satisfies the equation identically but is singular).
+    The residual passes below ``tol`` times :func:`ybe_scale`, so rounding
+    at large parameters does not fail a solution.  The verdict also requires
+    invertibility, since a braiding operator is by definition an invertible
+    solution (the all-ones X pattern, for example, satisfies the equation
+    identically but is singular).
     """
     r = _as_two_qubit(r)
     a = tensor_product(r, I2)
     b = tensor_product(I2, r)
     residual = max_norm(a @ b @ a - b @ a @ b)
     _, singular = _singularity(r)
-    return residual, residual < tol and not singular
+    return residual, residual < tol * ybe_scale(r) and not singular
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from braidgate import enhancement
 from braidgate.cli import main
-from braidgate.enhancement import START_OUTCOMES
+from braidgate.enhancement import POINT_OUTCOMES
 from braidgate.entangling_power import entangling_power_quadrature
 from braidgate.hietarinta import hietarinta_assemble
 
@@ -72,6 +72,22 @@ class TestVerifyCommand:
         code, report = run_json(capsys, "verify", "--xtype", "1,1,1,1,1,1,1,1")
         assert code == 1
         assert not report["checks"]["ybe"]["pass"]
+
+    def test_residuals_judged_against_their_scale(self, capsys):
+        # both residuals are rounding, about 1e-16 of max(1, max|R|)^3 and of
+        # 16 max(1, max|R|)^2; judged absolutely at 1e-9 they would fail
+        code, report = run_json(capsys, "verify", "--class", "C6.0",
+                                "--params", "h1=1234.5,h8=2345.6,h2=345.7")
+        assert code == 0
+        ybe, ids = report["checks"]["ybe"], report["checks"]["invariant_identities"]
+        assert ybe["pass"] and ids["pass"]
+        assert ybe["residual"] > 1e-9 and max(ids["residuals"]) > 1e-9
+        r_max = max(abs(v) for v in (1234.5, 2345.6, 345.7, (1234.5 + 2345.6) ** 2 / (4 * 345.7)))
+        assert ybe["scale"] == pytest.approx(r_max**3)
+        assert ids["scale"] == pytest.approx(16 * r_max**2)
+        code, report = run_json(capsys, "invariants", "--class", "C6.0",
+                                "--params", "h1=1234.5,h8=2345.6,h2=345.7")
+        assert code == 0 and report["identity_scale"] == ids["scale"]
 
     def test_enhancements_flag(self, capsys):
         code, report = run_json(
@@ -338,27 +354,13 @@ class TestClassifyCommand:
 
 
 class TestEnhanceCommand:
-    def test_no_starts_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "enhance", "--class", "C2.0",
-                             "--params", "h2=1,h3=2,h7=3", "--starts", "-3")
-        assert code == 2 and out == ""
-        assert err == "error: need at least one solver start, got -3\n"
-
-    def test_start_bound_is_usage_error(self, capsys):
-        # raised before the first start runs
-        code, out, err = run(capsys, "enhance", "--class", "C2.0",
-                             "--params", "h2=1,h3=2,h7=3", "--starts", "10001")
-        assert code == 2 and out == ""
-        assert err == "error: at most 10000 solver starts, got 10001\n"
-
-    def test_help_names_start_bound(self, capsys):
+    def test_starts_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["enhance", "--help"])
-        assert exc.value.code == 0
-        assert "1 to 10000" in capsys.readouterr().out
+            main(["enhance", "--class", "C2.0", "--params", "h2=1,h3=2,h7=3", "--starts", "20"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --starts 20" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [("--starts", "200", "--seed", "0"),
-                                      ("--starts", "30", "--seed", "7")])
+    @pytest.mark.parametrize("argv", [(), ("--seed", "7")])
     def test_imaginary_x_is_one_family(self, capsys, argv):
         # C11.0's one family has x = 2i; rounding in Re x must not split it
         # into (x, y) and (-x, -y)
@@ -367,13 +369,33 @@ class TestEnhanceCommand:
         assert code == 0 and report["count"] == 1
 
     def test_start_outcomes_reported(self, capsys):
+        # one record per root of the exact enumeration, which replaced the starts
         code, report = run_json(capsys, "enhance", "--class", "C6.0",
-                                "--params", "h1=1,h8=2,h2=1", "--starts", "40")
+                                "--params", "h1=1,h8=2,h2=1")
         assert code == 0
-        outcomes = report["starts"]
-        assert set(outcomes) == set(START_OUTCOMES)
-        assert sum(outcomes.values()) == 40
-        assert outcomes["new_family"] == report["count"] == len(report["families"])
+        points = report["points"]
+        assert len(points) == report["nullity"] == 5
+        assert all(set(p) == {"mu", "lambda", "nu", "outcome"} for p in points)
+        outcomes = [p["outcome"] for p in points]
+        assert set(outcomes) <= set(POINT_OUTCOMES)
+        assert outcomes.count("family") == report["count"] == len(report["families"]) == 5
+
+    def test_double_roots_are_not_split(self, capsys):
+        # class 10 has three recipes; two of these roots are double
+        code, report = run_json(
+            capsys, "enhance", "--class", "C10.1", "--params",
+            "h1=-0.009371273325325004+0.598379178802324j,"
+            "h2=0.4824090158347269+0.15585777321063388j")
+        assert code == 0 and report["count"] == 3
+        assert [p["outcome"] for p in report["points"]].count("duplicate") == 2
+
+    def test_positive_dimensional_is_refused(self, capsys):
+        # for R = I every mu with tr mu = x y is an enhancement
+        identity = json.dumps(np.eye(4).tolist())
+        code, out, err = run(capsys, "enhance", "--matrix", identity, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "positive-dimensional" in err
+        assert err.count("\n") == 1
 
 
 class TestOrbitCommand:
@@ -387,8 +409,7 @@ class TestOrbitCommand:
 
 class TestDeterminism:
     def test_identical_json_reruns(self, capsys):
-        argv = ["enhance", "--class", "C11.0", "--params", "h7=1,h8=2",
-                "--starts", "30", "--seed", "7", "--json"]
+        argv = ["enhance", "--class", "C11.0", "--params", "h7=1,h8=2", "--seed", "7", "--json"]
         code1 = main(argv)
         out1 = capsys.readouterr().out
         code2 = main(argv)

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from braidgate.enhancement import (
     EnhancedOperator,
     InvalidEnhancementError,
-    MAX_STARTS,
+    POINT_OUTCOMES,
     RECIPES,
-    START_OUTCOMES,
     _condition_tables,
+    _gauss_newton,
     _jacobian,
     _residual,
     _solve,
@@ -375,12 +375,6 @@ class TestWordInvariances:
 
 
 class TestSolver:
-    @pytest.mark.parametrize("starts", [0, -3])
-    def test_no_starts_rejected(self, starts):
-        # an empty result from zero starts would read as an absence claim
-        with pytest.raises(ValueError, match="at least one solver start"):
-            solve_enhancement(np.eye(4), starts=starts)
-
     def test_class2_only_identity_family(self):
         entry = CATALOG["C2.0"]
         r = assemble(entry.fill(entry.random_params(RNG)))
@@ -414,18 +408,58 @@ class TestSolver:
         for key in expected:
             assert any(np.allclose(key, g, atol=1e-6) for g in got), key
 
-    def test_start_bound(self):
-        # raised before the first start runs
-        with pytest.raises(ValueError, match=f"at most {MAX_STARTS} solver starts"):
-            solve_enhancement(np.eye(4), starts=MAX_STARTS + 1)
-
     def test_outcome_counts(self):
         entry = CATALOG["C6.0"]
         r = assemble(entry.fill(entry.random_params(np.random.default_rng(61))))
-        families, outcomes = _solve(r, DEFAULT_TOL, 50, 3)
-        assert tuple(outcomes) == START_OUTCOMES
-        assert sum(outcomes.values()) == 50
-        assert outcomes["new_family"] == len(families)
+        families, points = _solve(r, DEFAULT_TOL)
+        outcomes = [p["outcome"] for p in points]
+        assert set(outcomes) <= set(POINT_OUTCOMES)
+        assert outcomes.count("family") == len(families) == 5
+
+    def test_start_keywords_are_ignored(self):
+        entry = CATALOG["C6.0"]
+        r = assemble(entry.fill(entry.random_params(np.random.default_rng(62))))
+        plain = [_canonical(e) for e in solve_enhancement(r)]
+        keyed = [_canonical(e) for e in solve_enhancement(r, starts=1, seed=9)]
+        assert np.array_equal(plain, keyed)
+
+    @pytest.mark.parametrize("entry_id,draw,factor", [("C6.1", 10, 1e3), ("C9.3", 12, 1e-3)])
+    def test_families_do_not_depend_on_the_scale_of_r(self, entry_id, draw, factor):
+        # (mu, x, y) enhances R exactly when (mu, s x, y) enhances s R; judged
+        # at the given scale, C6.1 lost two families and C9.3 gained two
+        # near-nilpotent ones
+        entry = CATALOG[entry_id]
+        rng = np.random.default_rng([zlib.crc32(entry_id.encode()), draw])
+        r = assemble(entry.fill(entry.random_params(rng)))
+        base = solve_enhancement(r)
+        scaled = solve_enhancement(factor * r)
+        assert len(scaled) == len(base) == {"C6.1": 5, "C9.3": 1}[entry_id]
+        for e in scaled:
+            key = _canonical(EnhancedOperator(r, e.mu, e.x / factor, e.y))
+            assert any(_same_family(key, _canonical(b)) for b in base)
+
+    def test_identity_is_positive_dimensional(self):
+        # for R = I every mu with tr mu = x y is an enhancement
+        with pytest.raises(ValueError, match="positive-dimensional solution set"):
+            solve_enhancement(np.eye(4))
+
+    def test_double_roots_are_one_family_each(self):
+        # C10.1 has three recipes; two of its roots are double, and each
+        # double root's two eigenvectors land a few 1e-8 apart
+        r = assemble(CATALOG["C10.1"].fill(C10_DOUBLE_ROOTS))
+        families, points = _solve(r, DEFAULT_TOL)
+        outcomes = [p["outcome"] for p in points]
+        assert len(families) == 3
+        assert outcomes.count("family") == 3 and outcomes.count("duplicate") == 2
+
+    def test_generic_h23_root_is_degenerate(self):
+        # the one root is the nilpotent mu = X + iY, where x y = y / x = 0
+        r, _ = _kernel_operator("H2,3")
+        families, points = _solve(r, DEFAULT_TOL)
+        assert families == []
+        assert points and all(p["outcome"] == "degenerate" for p in points)
+        for p in points:
+            assert_allclose(np.array(p["mu"]) / p["mu"][1], [0, 1, 1j, 0], atol=1e-6)
 
 
 def _residual_oracle(r, r_inv, v):
@@ -497,6 +531,129 @@ def _canonical(e):
     if x.real < 0 or (abs(x.real) < 1e-12 and x.imag < 0):
         x, y = -x, -y
     return np.concatenate([coeffs, [x, y]])
+
+
+def gauss_newton_families(r, starts, seed=0):
+    """Families the former multi-start solver finds, canonicalized: damped
+    Gauss-Newton from the normal start drawn at seed + 1000 * start, each end
+    point kept under that solver's filters.  It finds only what its starts
+    reach, so it checks that the exact enumeration misses nothing."""
+    r = np.asarray(r, dtype=complex)
+    table = _condition_tables(r, np.linalg.inv(r))
+    found = []
+    for start in range(starts):
+        v0 = np.random.default_rng(seed + 1000 * start).normal(size=12)
+        v, cost = _gauss_newton(table, v0)
+        z = v[0::2] + 1j * v[1::2]
+        coeffs, x, y = z[:4], z[4], z[5]
+        mu_scale = np.max(np.abs(coeffs))
+        if (cost > 1e-9 or mu_scale < 1e-8 or abs(x) < 1e-5
+                or abs(y) / mu_scale < 1e-4 * (1 + abs(x))):
+            continue
+        mu = coeffs[0] * I2 + coeffs[1] * PAULI_X + coeffs[2] * PAULI_Y + coeffs[3] * PAULI_Z
+        e = EnhancedOperator(R=r, mu=mu, x=x, y=y)
+        if verify_enhancement(e)[1]:
+            found.append(_canonical(e))
+    return found
+
+
+def _same_family(a, b):
+    """Canonical keys equal up to the (x, y) -> (-x, -y) sign pair."""
+    flipped = np.concatenate([b[:4], -b[4:]])
+    scale = max(1.0, np.max(np.abs(a)))
+    return min(np.max(np.abs(a - b)), np.max(np.abs(a - flipped))) < 1e-6 * scale
+
+
+def _assert_includes_oracle(r, starts, seed=0):
+    exact = [_canonical(e) for e in solve_enhancement(r)]
+    oracle = gauss_newton_families(r, starts, seed)
+    missed = [o for o in oracle if not any(_same_family(o, g) for g in exact)]
+    assert missed == []
+    return oracle
+
+
+C10_DOUBLE_ROOTS = {"h1": -0.009371273325325004 + 0.598379178802324j,
+                    "h2": 0.4824090158347269 + 0.15585777321063388j}
+
+
+@pytest.mark.parametrize("name", KERNEL_OPERATORS + ("C10.1",))
+def test_every_root_solves_the_conditions(name):
+    # each record's mu, lambda and nu satisfy (a), tr_2 R (mu x mu) = lambda
+    # mu and tr_2 R^-1 (mu x mu) = nu mu, by dense products
+    if name == "C10.1":
+        r = assemble(CATALOG[name].fill(C10_DOUBLE_ROOTS))
+    else:
+        r, _ = _kernel_operator(name)
+    r_inv = np.linalg.inv(r)
+    _, points = _solve(r, DEFAULT_TOL)
+    assert points
+    for p in points:
+        c = p["mu"]
+        mu = c[0] * I2 + c[1] * PAULI_X + c[2] * PAULI_Y + c[3] * PAULI_Z
+        mm = np.kron(mu, mu)
+        scale = np.max(np.abs(mu)) ** 2
+        assert np.max(np.abs(r @ mm - mm @ r)) < 1e-12 * np.max(np.abs(r)) * scale
+        assert (np.max(np.abs(partial_trace(r @ mm, 2) - p["lambda"] * mu))
+                < 1e-12 * np.max(np.abs(r)) * scale)
+        assert (np.max(np.abs(partial_trace(r_inv @ mm, 2) - p["nu"] * mu))
+                < 1e-12 * np.max(np.abs(r_inv)) * scale)
+
+
+class TestGaussNewtonOracle:
+    """Every family the multi-start oracle finds is among the exact ones."""
+
+    @pytest.mark.parametrize("name", KERNEL_OPERATORS)
+    def test_workload_operators(self, name):
+        r, _ = _kernel_operator(name)
+        oracle = _assert_includes_oracle(r, 40)
+        if name != "H2,3":
+            assert oracle  # the comparison is not vacuous
+
+    @pytest.mark.parametrize("entry_id", sorted(CATALOG))
+    def test_one_draw_per_entry(self, entry_id):
+        entry = CATALOG[entry_id]
+        rng = np.random.default_rng(zlib.crc32(entry_id.encode()))
+        r = assemble(entry.fill(entry.random_params(rng)))
+        _assert_includes_oracle(r, 40, seed=int(rng.integers(2**31)))
+
+
+def test_groebner_oracle_c6():
+    # C6.0 at h1=1, h2=1, h8=7 has a rational R.  A lex Groebner basis of
+    # (a)-(c) in the chart c0 = 1, with lambda = x y and nu = y / x, is
+    # triangular with four points; mu = Z (c0 = 0) is the fifth family.
+    sympy = pytest.importorskip("sympy")
+    params = {"h1": 1, "h2": 1, "h8": 7}
+    r = assemble(CATALOG["C6.0"].fill(params))
+    rs = sympy.Matrix(4, 4, lambda i, j: sympy.nsimplify(r[i, j].real, rational=True))
+    c1, c2, c3, lam, nu = sympy.symbols("c1 c2 c3 lam nu")
+    i = sympy.I
+    mu = sympy.Matrix([[1 + c3, c1 - i * c2], [c1 + i * c2, 1 - c3]])
+    mm = sympy.kronecker_product(mu, mu)
+
+    def tr2(m):
+        return sympy.Matrix(2, 2, lambda a, b: m[2 * a, 2 * b] + m[2 * a + 1, 2 * b + 1])
+
+    eqs = [sympy.expand(v) for v in (
+        list(rs * mm - mm * rs) + list(tr2(rs * mm) - lam * mu)
+        + list(tr2(rs.inv() * mm) - nu * mu))]
+    basis = sympy.groebner([v for v in eqs if v != 0], c1, c2, c3, lam, nu, order="lex")
+    assert basis.is_zero_dimensional
+    want = sympy.solve(basis.exprs, [c1, c2, c3, lam, nu], dict=True)
+    want = [np.array([1] + [complex(s[v]) for v in (c1, c2, c3, lam, nu)]) for s in want]
+    assert len(want) == 4
+
+    families, points = _solve(r, DEFAULT_TOL)
+    assert len(families) == 5 and all(p["outcome"] == "family" for p in points)
+    got = []
+    for p in points:
+        c = np.array(p["mu"])
+        if abs(c[0]) > 1e-6:
+            got.append(np.concatenate([c / c[0], [p["lambda"] / c[0], p["nu"] / c[0]]]))
+        else:
+            assert_allclose(c, [0, 0, 0, 1], atol=1e-9)  # mu = Z
+    assert len(got) == 4
+    for w in want:
+        assert any(np.max(np.abs(w - g)) < 1e-9 * np.max(np.abs(w)) for g in got), w
 
 
 class TestAlgebraWitnesses:

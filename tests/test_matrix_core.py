@@ -201,7 +201,7 @@ class TestNumericalRank:
 
 # Step-control constants of the enhancement solver's search: heuristics of
 # where to look, not thresholds a verdict is judged by.
-SEARCH_HEURISTICS = {"_gauss_newton", "_start_outcome", "_normalize_solution", "_IMAGINARY_TOL"}
+SEARCH_HEURISTICS = {"_gauss_newton", "_point_outcome", "_normalize_solution", "_IMAGINARY_TOL"}
 
 
 def _unnamed_thresholds(path: Path) -> list[str]:
