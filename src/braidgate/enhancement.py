@@ -158,8 +158,6 @@ def writhe(word: BraidWord) -> int:
 
 
 def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
-    if e._passed is not None and e._passed[0] <= tol:
-        return
     residuals, ok = verify_enhancement(e, tol)
     if not ok:
         raise InvalidEnhancementError(
@@ -486,102 +484,6 @@ def _condition_tables(r, r_inv) -> np.ndarray:
     return np.concatenate([a.reshape(16, 16), b.reshape(16, 4), c.reshape(16, 4)], axis=1)
 
 
-def _residual(table, v):
-    """Real residual of conditions (a)-(c) and the gauge |mu|^2 = 2 at v.
-
-    ``v`` holds (Re, Im) of alpha, beta, gamma, delta, x, y.  The layout is
-    [Re of 24 condition entries, gauge, Im of the 24, 0].
-    """
-    z = v[0::2] + 1j * v[1::2]
-    c, x, y = z[:4], z[4], z[5]
-    mu = c @ _MU_ROWS
-    f = np.outer(c, c).ravel() @ table
-    f[16:20] -= x * y * mu
-    f[20:] -= y / x * mu
-    # conditions are homogeneous in mu, so mu = 0 solves them trivially;
-    # pinning |mu|^2 = 2 keeps the search on the nonzero gauge orbits
-    gauge = 2 * np.vdot(c, c).real - 2.0
-    return np.concatenate([f.real, [gauge], f.imag, [0.0]])
-
-
-def _jacobian(table, v):
-    """Exact (50, 12) Jacobian of :func:`_residual`.
-
-    The 24 condition entries are holomorphic in z = (c, x, y), so the real
-    Jacobian is [[Re J, -Im J], [Im J, Re J]] of the complex (24, 6) one.
-    """
-    z = v[0::2] + 1j * v[1::2]
-    c, x, y = z[:4], z[4], z[5]
-    mu = c @ _MU_ROWS
-    tab = table.reshape(4, 4, 24)
-    jac = np.zeros((24, 6), dtype=complex)
-    # d(c_k c_l)/dc_m reaches both the (m, l) and the (l, m) rows
-    jac[:, :4] = (c @ (tab + tab.transpose(1, 0, 2))).T
-    jac[16:20, :4] -= x * y * _MU_ROWS.T
-    jac[20:, :4] -= y / x * _MU_ROWS.T
-    jac[16:20, 4] = -y * mu
-    jac[16:20, 5] = -x * mu
-    jac[20:, 4] = y / x**2 * mu
-    jac[20:, 5] = -mu / x
-    out = np.zeros((50, 12))
-    out[:24, 0::2] = jac.real
-    out[:24, 1::2] = -jac.imag
-    out[25:49, 0::2] = jac.imag
-    out[25:49, 1::2] = jac.real
-    out[24, 0:8:2] = 4 * c.real
-    out[24, 1:8:2] = 4 * c.imag
-    return out
-
-
-def _gauss_newton(table, v0, max_iter=80, converge=1e-12):
-    v = np.array(v0, dtype=float)
-    f = _residual(table, v)
-    cost = np.linalg.norm(f)
-    for _ in range(max_iter):
-        if cost < converge:
-            break
-        try:
-            step, *_ = np.linalg.lstsq(_jacobian(table, v), f, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        damping = 1.0
-        while damping > 1e-6:
-            trial = v - damping * step
-            if abs(trial[8]) + abs(trial[9]) < 1e-8:
-                trial[8] += 1e-4  # keep x away from the pole
-            ft = _residual(table, trial)
-            ct = np.linalg.norm(ft)
-            if ct < cost:
-                v, f, cost = trial, ft, ct
-                break
-            damping /= 2
-        else:
-            break
-    return v, cost
-
-
-# Re x at or below this fraction of |x| counts as rounding noise; a polished
-# point is accepted at a residual norm of up to 1e-9.
-_IMAGINARY_TOL = 1e-9
-
-
-def _normalize_solution(mu_coeffs, x, y):
-    """Fix the mu scale (first nonzero Pauli coefficient -> 1) and sign pair."""
-    coeffs = list(mu_coeffs)
-    pivot = next((c for c in coeffs if abs(c) > 1e-6), None)
-    if pivot is None:
-        return None
-    coeffs = [c / pivot for c in coeffs]
-    y = y / pivot
-    # simultaneous (x, y) -> (-x, -y) freedom: canonicalize the x phase.  An
-    # x that is imaginary up to rounding is judged by its imaginary part, so
-    # the rounding sign of Re x cannot split one family into two.
-    imaginary = abs(x.real) <= _IMAGINARY_TOL * abs(x)
-    if (x.imag < 0) if imaginary else (x.real < 0):
-        x, y = -x, -y
-    return tuple(coeffs), x, y
-
-
 # Eliminating x y = lambda and y / x = nu leaves a system in c alone: (a) is
 # 16 quadrics, and since mu(c) != 0 for c != 0, (b) holds for some lambda
 # exactly when the 2x2 minors B_i mu_j - B_j mu_i of [B(c); mu(c)] vanish,
@@ -702,48 +604,45 @@ def _roots(polys) -> np.ndarray:
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
+# Re x at or below this fraction of |x| counts as rounding noise.
+_IMAGINARY_TOL = 1e-9
+
 # What can become of one root.
 POINT_OUTCOMES = (
-    "family",  # polished onto a verified family not found before
-    "duplicate",  # polished onto a family already found
-    "degenerate",  # lambda nu = 0 at the root, or mu or x (near) zero after polishing
+    "family",  # a verified family not found before
+    "duplicate",  # a family already found
+    "degenerate",  # lambda nu = 0 at the root, or x (near) zero
     "rejected_y_ratio",  # |y| / |mu| too small: a boundary point, not a family
-    "rejected_cost",  # polished residual norm above 1e-9
     "rejected_verification",  # the normalized quadruple fails verify_enhancement
 )
 
 
-def _point_outcome(r, scale, tol, v, cost, found) -> str:
-    """Judge one point polished for R / scale; a new family of R, with x
-    scaled back, is appended to ``found``."""
-    if cost > 1e-9:
-        return "rejected_cost"
-    alpha, beta, gamma, delta = (
-        v[0] + 1j * v[1],
-        v[2] + 1j * v[3],
-        v[4] + 1j * v[5],
-        v[6] + 1j * v[7],
-    )
-    x, y = v[8] + 1j * v[9], v[10] + 1j * v[11]
+def _point_outcome(r, scale, tol, coeffs, lam, nu, found) -> str:
+    """Judge one root of R / scale: its Pauli coefficients, the first nonzero
+    one scaled to 1, and lambda and nu at that scale.  A new family of R,
+    with x scaled back, is appended to ``found``."""
+    x = np.sqrt(lam / nu)
+    y = lam / x
     # x, y must lie in C*: near-degenerate points (nilpotent mu directions
     # with y/|mu| -> 0) satisfy the equations only in the limit.  |y|/|mu|
     # is the gauge-invariant discriminator.
-    mu_scale = max(abs(c) for c in (alpha, beta, gamma, delta))
-    if mu_scale < 1e-8 or abs(x) < 1e-5:
+    if abs(x) < 1e-5:
         return "degenerate"
-    if abs(y) / mu_scale < 1e-4 * (1 + abs(x)):
+    if abs(y) / np.max(np.abs(coeffs)) < 1e-4 * (1 + abs(x)):
         return "rejected_y_ratio"
-    normalized = _normalize_solution((alpha, beta, gamma, delta), x, y)
-    if normalized is None:
-        return "degenerate"
-    coeffs, x, y = normalized
+    # simultaneous (x, y) -> (-x, -y) freedom: canonicalize the x phase.  An
+    # x that is imaginary up to rounding is judged by its imaginary part, so
+    # the rounding sign of Re x cannot split one family into two.
+    imaginary = abs(x.real) <= _IMAGINARY_TOL * abs(x)
+    if (x.imag < 0) if imaginary else (x.real < 0):
+        x, y = -x, -y
     candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y)
     _, ok = verify_enhancement(candidate, tol)
     if not ok:
         return "rejected_verification"
-    # a double root polishes only to about ROOT_TOL, so families are told
+    # a double root is located only to about ROOT_TOL, so families are told
     # apart by distance, not by rounding
-    key = np.array(coeffs + (x, y))
+    key = np.concatenate([coeffs, [x, y]])
     for other, _ in found:
         if np.max(np.abs(key - other)) <= ROOT_TOL * max(1.0, np.max(np.abs(key)),
                                                          np.max(np.abs(other))):
@@ -773,14 +672,11 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     found: list[tuple[np.ndarray, EnhancedOperator]] = []
     points = []
     for c, mu, lam, nu in zip(roots, mus, lams, nus):
+        pivot = c[np.argmax(np.abs(c) > ROOT_TOL)]  # c has unit norm
         if min(abs(lam), abs(nu)) <= ROOT_TOL * norm * max_norm(mu):
             outcome = "degenerate"
         else:
-            x = np.sqrt(lam / nu)
-            z = np.concatenate([c, [x, lam / x]])
-            v, cost = _gauss_newton(table, np.column_stack([z.real, z.imag]).ravel())
-            outcome = _point_outcome(r, scale, tol, v, cost, found)
-        pivot = c[np.argmax(np.abs(c) > ROOT_TOL)]  # c has unit norm
+            outcome = _point_outcome(r, scale, tol, c / pivot, lam / pivot, nu / pivot, found)
         points.append({"mu": tuple(c / pivot), "lambda": scale * lam / pivot,
                        "nu": nu / (scale * pivot), "outcome": outcome})
     return [e for _, e in found], points
@@ -795,8 +691,9 @@ def solve_enhancement(
     coefficients c of mu, solved exactly in projective space: every root comes
     from the null space of their degree-4 Macaulay matrix, whose nullity must
     equal the degree-3 one (otherwise the solution set is positive-dimensional
-    and ``ValueError`` is raised).  Each root is polished by Gauss-Newton
-    with the exact Jacobian and judged by the filters of :data:`POINT_OUTCOMES`.
+    and ``ValueError`` is raised).  Each root, with x = sqrt(lambda / nu) and
+    y = lambda / x read off it, is judged as it comes by the filters of
+    :data:`POINT_OUTCOMES`.
     Solutions are reported normalized: the first nonzero Pauli coefficient of
     mu (scan order I, X, Y, Z) is scaled to one, and the simultaneous sign of
     (x, y) is canonicalized.  An empty list means that no root is a family.

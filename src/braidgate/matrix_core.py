@@ -37,8 +37,9 @@ __all__ = [
 # Comparison tolerance, judged against the scale each comparison states.
 DEFAULT_TOL = 1e-9
 
-# An n x n matrix is singular when |det| < SINGULAR_TOL * max(max_norm, 1)^n.
-# At n = 1 that reads |z| < SINGULAR_TOL, which the scalar checks use directly.
+# A matrix is singular when its 1-norm condition number exceeds 1 / SINGULAR_TOL,
+# which scaling the matrix does not change.  A scalar that must be nonzero
+# fails when |z| < SINGULAR_TOL.
 SINGULAR_TOL = 1e-12
 
 # Singular values at or below RANK_TOL times the largest count as zero.
@@ -129,23 +130,29 @@ def partial_transpose(r, qubit: int) -> np.ndarray:
     raise ValueError("qubit index must be 1 or 2")
 
 
-def _singularity(a: np.ndarray) -> tuple[float, bool]:
-    """|det a| and whether ``a`` counts as singular.
+def _checked_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """The inverse of ``a`` and its 1-norm condition number |a|_1 |a^-1|_1.
 
-    A matrix counts as singular when |det| < SINGULAR_TOL * max(max_norm, 1)^dim,
-    which at catalog parameters is far below any admissible draw.
+    ``a`` counts as singular, and the inverse is None, when the condition
+    number exceeds 1 / SINGULAR_TOL; it is then infinite if LU finds an exact
+    zero pivot.
     """
-    det = abs(np.linalg.det(a))
-    return det, det < SINGULAR_TOL * max(max_norm(a), 1.0) ** a.shape[0]
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    # a NaN from an overflowed inverse fails the comparison too
+    return (inv if cond <= 1 / SINGULAR_TOL else None), cond
 
 
 def invert(m) -> np.ndarray:
-    """Matrix inverse with an explicit singularity check (see _singularity)."""
-    a = as_matrix(m)
-    det, singular = _singularity(a)
-    if singular:
-        raise SingularMatrixError(f"matrix is singular (|det| = {det:.3e})")
-    return np.linalg.inv(a)
+    """Matrix inverse with an explicit singularity check (see _checked_inverse)."""
+    inv, cond = _checked_inverse(as_matrix(m))
+    if inv is None:
+        raise SingularMatrixError(
+            f"matrix is singular (1-norm condition number {cond:.3e} > {1 / SINGULAR_TOL:.0e})")
+    return inv
 
 
 def eigenvalues_xtype(h) -> tuple[complex, complex, complex, complex]:

@@ -44,8 +44,8 @@ from .matrix_core import (
     SINGULAR_TOL,
     XTYPE_SUPPORT,
     _as_two_qubit,
+    _checked_inverse,
     _h_tuple,
-    _singularity,
     as_matrix,
     invert,
     max_norm,
@@ -127,8 +127,8 @@ def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     a = tensor_product(r, I2)
     b = tensor_product(I2, r)
     residual = max_norm(a @ b @ a - b @ a @ b)
-    _, singular = _singularity(r)
-    return residual, residual < tol * ybe_scale(r) and not singular
+    invertible = _checked_inverse(r)[0] is not None
+    return residual, residual < tol * ybe_scale(r) and invertible
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:

@@ -380,6 +380,13 @@ class TestEnhanceCommand:
         assert set(outcomes) <= set(POINT_OUTCOMES)
         assert outcomes.count("family") == report["count"] == len(report["families"]) == 5
 
+    def test_small_operator_is_not_singular(self, capsys):
+        # 1e-3 times the operator above: |det| is 1e-12 smaller, the
+        # condition number the same
+        code, report = run_json(capsys, "enhance", "--class", "C6.0",
+                                "--params", "h1=1e-3,h8=2e-3,h2=1e-3")
+        assert code == 0 and report["count"] == 5
+
     def test_double_roots_are_not_split(self, capsys):
         # class 10 has three recipes; two of these roots are double
         code, report = run_json(

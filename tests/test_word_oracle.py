@@ -280,38 +280,40 @@ class TestStrandBound:
 
 
 @pytest.fixture
-def verify_calls(monkeypatch):
-    """A list that grows by one for every ``verify_enhancement`` call."""
+def verifications(monkeypatch):
+    """A list that grows by one for every verification that computes the
+    residuals: each inverts R once.  A recorded pass returned without them
+    does not count."""
     calls = []
-    verify = enhancement.verify_enhancement
+    invert = enhancement.invert
 
-    def counting(*args, **kwargs):
+    def counting(m):
         calls.append(1)
-        return verify(*args, **kwargs)
+        return invert(m)
 
-    monkeypatch.setattr(enhancement, "verify_enhancement", counting)
+    monkeypatch.setattr(enhancement, "invert", counting)
     return calls
 
 
 class TestMarkovCheckVerification:
-    def test_verifies_once(self, verify_calls):
+    def test_verifies_once(self, verifications):
         drawn, w = _draw("C1.I", 3)
         # a quadruple not yet verified: markov_check verifies it once for
         # all three of its words
         e = EnhancedOperator(drawn.R, drawn.mu, drawn.x, drawn.y)
-        verify_calls.clear()
+        verifications.clear()
         markov_check(e, w)
-        assert len(verify_calls) == 1
+        assert len(verifications) == 1
 
-    def test_instantiated_recipe_is_not_verified_again(self, verify_calls):
+    def test_instantiated_recipe_is_not_verified_again(self, verifications):
         e, w = _draw("C1.I", 3)  # instantiate_recipe verified it
-        verify_calls.clear()
+        verifications.clear()
         link_polynomial(e, w)
         markov_check(e, w)
-        assert len(verify_calls) == 0
+        assert len(verifications) == 0
         # a tighter tolerance than the one it passed at verifies again
         link_polynomial(e, w, tol=1e-13)
-        assert len(verify_calls) == 1
+        assert len(verifications) == 1
 
     def test_verified_quadruple_is_read_only(self):
         e, _ = _draw("C1.I", 3)
