@@ -56,6 +56,7 @@ from .yang_baxter import (
     evaluate_expr,
     letter_tensors,
     plan_word,
+    sqrt,
 )
 
 __all__ = [
@@ -79,9 +80,6 @@ __all__ = [
     "class_jordan_coeffs",
     "InvalidEnhancementError",
 ]
-
-_SQ = np.sqrt
-
 
 class InvalidEnhancementError(ValueError):
     """The quadruple does not satisfy the enhancement conditions."""
@@ -291,12 +289,12 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
                   lambda p: (1, 0, 0, 0, p["h3"], 1), "formula"))
 
     def c3_z(p):
-        s1, s8 = _SQ(p["h1"]), _SQ(p["h8"])
+        s1, s8 = sqrt(p["h1"]), sqrt(p["h8"])
         return (0, 0, 0, 1, 1j * s1 * s8, -1j * s1 / s8)
 
     def c3_mu(sign):
         def build(p):
-            w = _SQ((p["h8"] - p["h1"]) / p["h7"])
+            w = sqrt((p["h8"] - p["h1"]) / p["h7"])
             return (-sign * w, 1, -1j, sign * w, p["h8"], -sign * 2 * w)
         return build
 
@@ -316,7 +314,7 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
                   lambda p: (1, 0, 0, -1, p["h1"], 2), "constant"))
 
     def c4_mu5(p):
-        s1, sd = _SQ(p["h1"]), _SQ(p["h1"] - p["h6"])
+        s1, sd = sqrt(p["h1"]), sqrt(p["h1"] - p["h6"])
         return (1, 0, 0, p["h6"] / (2 * p["h1"] - p["h6"]),
                 s1**3 / sd, 2 * s1 * sd / (2 * p["h1"] - p["h6"]))
 
@@ -324,7 +322,7 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
                   "formula"))
 
     def c5_z(p):
-        s1, sd = _SQ(p["h1"]), _SQ(p["h1"] - p["h6"])
+        s1, sd = sqrt(p["h1"]), sqrt(p["h1"] - p["h6"])
         return (0, 0, 0, 1, s1 * sd, s1 / sd)
 
     rec.append(_r("C5.Z", 5, "Z", ("h1", "h4", "h6"), {}, c5_z, "vanish"))
@@ -334,7 +332,7 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
                   lambda p: (1, 0, 0, -1, p["h1"] - p["h6"], -2), "constant"))
 
     def c6_lams(p):
-        s = _SQ(2 * (p["h1"] ** 2 + p["h8"] ** 2))
+        s = sqrt(2 * (p["h1"] ** 2 + p["h8"] ** 2))
         return (p["h1"] + p["h8"] + s) / 2, (p["h1"] + p["h8"] - s) / 2
 
     rec.append(_r("C6.Z", 6, "Z", ("h1", "h2", "h8"), {},
@@ -345,12 +343,12 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
             h1, h2, h8 = p["h1"], p["h2"], p["h8"]
             lp, lm = c6_lams(p)
             if which == "low":
-                den = _SQ(-2 * h2 * lm)
+                den = sqrt(-2 * h2 * lm)
                 beta = sign * 0.5j * (h1 + 2 * h2 + h8) / den
                 gamma = sign * 0.5 * (h1 - 2 * h2 + h8) / den
                 delta = -2 * lp / (h1 - h8)
             else:
-                den = _SQ(2 * h2 * lp)
+                den = sqrt(2 * h2 * lp)
                 beta = sign * 0.5j * (h1 - 2 * h2 + h8) / den
                 gamma = sign * 0.5 * (h1 + 2 * h2 + h8) / den
                 delta = 2 * lm / (h1 - h8)
@@ -370,7 +368,7 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
                   lambda p: (1, 0, 0, 0, p["h1"] + p["h3"], 1), "formula"))
 
     rec.append(_r("C8.I", 8, "I", ("h1", "h2"), {},
-                  lambda p: (1, 0, 0, 0, _SQ(2) * p["h1"], _SQ(2)), "constant"))
+                  lambda p: (1, 0, 0, 0, sqrt(2) * p["h1"], sqrt(2)), "constant"))
 
     rec.append(_r("C9.I", 9, "I", ("h1", "h7"), {},
                   lambda p: (1, 0, 0, 0, p["h1"], 1), "constant"))
@@ -380,7 +378,7 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
 
     def c10_mu(sign):
         def build(p):
-            w = 1j * _SQ(2 * p["h1"] / p["h7"])
+            w = 1j * sqrt(2 * p["h1"] / p["h7"])
             return (-sign * w, 1, -1j, sign * w, p["h1"], sign * 2 * w)
         return build
 
@@ -400,7 +398,7 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
         # over the shared denominator sqrt(2 (1+i) h1 h2).
         def build(p):
             h1, h2 = p["h1"], p["h2"]
-            den = _SQ(2 * (1 + 1j) * h1 * h2)
+            den = sqrt(2 * (1 + 1j) * h1 * h2)
             a = (h1 + (1 + 1j) * h2) / den
             b = (h1 - (1 + 1j) * h2) / den
             if which == "ab":
@@ -428,9 +426,11 @@ def recipe_ids_for_class(class_id: int) -> tuple[str, ...]:
 def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -> EnhancedOperator:
     """Build the enhanced operator for a recipe at given class parameters.
 
-    The y sign is re-paired against condition (b) when a recipe's square
-    roots land on the opposite branch; the (-x, -y) partner is always valid
-    when the returned quadruple is.
+    The quadruple is verified at ``tol``: ``InvalidEnhancementError`` is
+    raised when the recipe's formulas divide by zero there or the quadruple
+    fails conditions (a)-(c).  Its square roots share intermediates, so the
+    recipe lands on one branch; the (-x, -y) partner is valid whenever the
+    returned quadruple is.
     """
     recipe = RECIPES[recipe_id]
     entry = catalog_entry(recipe.entry_id)
@@ -448,17 +448,13 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
         raise InvalidEnhancementError(
             f"{recipe_id} is undefined at {params}: its formulas divide by zero"
         ) from None
-    mu = _mu_matrix(alpha, beta, gamma, delta)
-    candidate = EnhancedOperator(R=r, mu=mu, x=complex(x), y=complex(y), recipe_id=recipe_id)
-    _, ok = verify_enhancement(candidate, tol)
+    candidate = EnhancedOperator(R=r, mu=_mu_matrix(alpha, beta, gamma, delta),
+                                 x=complex(x), y=complex(y), recipe_id=recipe_id)
+    residuals, ok = verify_enhancement(candidate, tol)
     if not ok:
-        flipped = EnhancedOperator(R=r, mu=mu, x=complex(x), y=-complex(y), recipe_id=recipe_id)
-        residuals, ok2 = verify_enhancement(flipped, tol)
-        if not ok2:
-            raise InvalidEnhancementError(
-                f"{recipe_id} fails conditions (a)-(c) at {params}: residuals {residuals}"
-            )
-        candidate = flipped
+        raise InvalidEnhancementError(
+            f"{recipe_id} fails conditions (a)-(c) at {params}: residuals {residuals}"
+        )
     return candidate
 
 
@@ -611,7 +607,7 @@ _IMAGINARY_TOL = 1e-9
 POINT_OUTCOMES = (
     "family",  # a verified family not found before
     "duplicate",  # a family already found
-    "degenerate",  # lambda nu = 0 at the root, or x (near) zero
+    "degenerate",  # lambda nu = 0 at the root
     "rejected_y_ratio",  # |y| / |mu| too small: a boundary point, not a family
     "rejected_verification",  # the normalized quadruple fails verify_enhancement
 )
@@ -626,15 +622,13 @@ def _point_outcome(r, scale, tol, coeffs, lam, nu, found) -> str:
     # x, y must lie in C*: near-degenerate points (nilpotent mu directions
     # with y/|mu| -> 0) satisfy the equations only in the limit.  |y|/|mu|
     # is the gauge-invariant discriminator.
-    if abs(x) < 1e-5:
-        return "degenerate"
     if abs(y) / np.max(np.abs(coeffs)) < 1e-4 * (1 + abs(x)):
         return "rejected_y_ratio"
-    # simultaneous (x, y) -> (-x, -y) freedom: canonicalize the x phase.  An
-    # x that is imaginary up to rounding is judged by its imaginary part, so
-    # the rounding sign of Re x cannot split one family into two.
-    imaginary = abs(x.real) <= _IMAGINARY_TOL * abs(x)
-    if (x.imag < 0) if imaginary else (x.real < 0):
+    # simultaneous (x, y) -> (-x, -y) freedom: the principal root has
+    # Re x >= 0, but an x that is imaginary up to rounding is judged by its
+    # imaginary part, so the rounding sign of Re x cannot split one family
+    # into two.
+    if abs(x.real) <= _IMAGINARY_TOL * abs(x) and x.imag < 0:
         x, y = -x, -y
     candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y)
     _, ok = verify_enhancement(candidate, tol)
@@ -792,18 +786,18 @@ def class_bmw_params(class_id: int, params: dict) -> tuple[complex, complex, com
     p = {k: complex(v) for k, v in params.items()}
     if class_id == 1:
         lam1 = p["h1"]
-        lam2 = _SQ(p["h4"] * p["h5"])
-        s1, s2 = _SQ(lam1), _SQ(lam2)
+        lam2 = sqrt(p["h4"] * p["h5"])
+        s1, s2 = sqrt(lam1), sqrt(lam2)
         return (-1j / (s1 * s2), 1j * s1 / s2, -1j * (lam1 - lam2) / (s1 * s2))
     if class_id == 2:
-        lam1 = _SQ(p["h2"] * p["h7"])
+        lam1 = sqrt(p["h2"] * p["h7"])
         lam2 = p["h3"]
-        s1, s2 = _SQ(lam1), _SQ(lam2)
+        s1, s2 = sqrt(lam1), sqrt(lam2)
         return (-1j / (s1 * s2), 1j * s2 / s1, -1j * (lam2 - lam1) / (s1 * s2))
     if class_id == 7:
         # m follows the (lam+ - lam-)/sqrt(lam+ lam-) pattern of classes 1
         # and 2; with lam+- = h1 +- h3 that difference is 2 h3
-        sp, sm = _SQ(p["h1"] + p["h3"]), _SQ(p["h1"] - p["h3"])
+        sp, sm = sqrt(p["h1"] + p["h3"]), sqrt(p["h1"] - p["h3"])
         return (1j / (sp * sm), -1j * sp / sm, 2j * p["h3"] / (sp * sm))
     raise ValueError(f"no BMW realization recorded for class {class_id}")
 
@@ -818,7 +812,7 @@ def class_hecke_params(class_id: int, params: dict) -> tuple[complex, complex]:
     if class_id == 5:
         return (-1 / p["h1"], (p["h1"] - p["h6"]) / p["h1"])
     if class_id == 6:
-        s = _SQ(2 * (p["h1"] ** 2 + p["h8"] ** 2))
+        s = sqrt(2 * (p["h1"] ** 2 + p["h8"] ** 2))
         lp, lm = (p["h1"] + p["h8"] + s) / 2, (p["h1"] + p["h8"] - s) / 2
         return (-1 / lp, -lm / lp)
     if class_id == 8:

@@ -86,14 +86,9 @@ def hietarinta_assemble(name: str, params: dict | None = None) -> np.ndarray:
     return builder(*(complex(params[n]) for n in names))
 
 
-def permutation_convert(r, direction: str = "to_braided") -> np.ndarray:
-    """P R converts algebraic-equation solutions to braided ones (P^2 = I).
-
-    Both directions multiply by the same permutation since P is an
-    involution; the ``direction`` argument only documents intent.
-    """
-    if direction not in ("to_braided", "to_algebraic"):
-        raise ValueError("direction must be 'to_braided' or 'to_algebraic'")
+def permutation_convert(r) -> np.ndarray:
+    """P R converts algebraic-equation solutions to braided ones and back:
+    P is an involution, so one product serves both directions."""
     return PERMUTATION @ as_matrix(r)
 
 

@@ -221,7 +221,7 @@ def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float = DEFAULT_TOL)
     l1p, l1m, l2p, l2m = (complex(v) for v in eigenvalues)
     lam_sum = l1p + l1m + l2p + l2m
     scale = max(abs(inv.I1), abs(lam_sum), 1.0)
-    if abs(inv.I1 - lam_sum) > 1e3 * tol * scale:
+    if not abs(inv.I1 - lam_sum) <= 1e3 * tol * scale:  # NaN is inconsistent too
         raise ValueError(
             "inconsistent inputs: eigenvalue sum does not reproduce the trace "
             f"({lam_sum} vs {inv.I1})"

@@ -200,11 +200,9 @@ def numerical_rank(m) -> int:
 
 
 def _h_tuple(h):
-    """Accept an XTypeParams-like object, mapping, or length-8 sequence."""
+    """Accept an XTypeParams-like object or a length-8 sequence."""
     if hasattr(h, "as_tuple"):
         return h.as_tuple()
-    if isinstance(h, dict):
-        return tuple(h[f"h{k}"] for k in range(1, 9))
     t = tuple(h)
     if len(t) != 8:
         raise ValueError("expected eight X-type parameters")

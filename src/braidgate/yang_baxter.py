@@ -516,11 +516,14 @@ def lie_orbit_rank(h) -> tuple[int, dict[str, dict]]:
 # Solution catalog
 # --------------------------------------------------------------------------
 
-_EXPR_GLOBALS = {
-    "__builtins__": {},
-    "sqrt": lambda z: complex(np.sqrt(complex(z))),
-    "I": 1j,
-}
+def sqrt(z) -> complex:
+    """Principal square root as a Python complex, for every table: a formula
+    built from it raises ZeroDivisionError where numpy scalars would warn and
+    go on with inf or nan."""
+    return complex(np.sqrt(complex(z)))
+
+
+_EXPR_GLOBALS = {"__builtins__": {}, "sqrt": sqrt, "I": 1j}
 
 
 @functools.lru_cache(maxsize=None)  # keys are the tables' string constants

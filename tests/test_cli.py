@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestCatalogCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 2  # header + one row
 
+    def test_text_lists_each_record(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--class", "2")
+        assert code == 0
+        assert out == ("command: catalog\ncount: 1\nrows:\n  id: C2.0\n  free_params:\n"
+                       "    - h2\n    - h3\n    - h7\n  constraints:\n    h1: 0\n    h4: 0\n"
+                       "    h5: 0\n    h8: 0\n    h6: h3\n"
+                       "  eigenvalues: lam1+-=+-sqrt(h2*h7), lam2=h3 (x2)\n"
+                       "  enhancements:\n    - C2.I\n\n")
+
 
 class TestVerifyCommand:
     def test_class1_passes(self, capsys):
@@ -99,6 +109,15 @@ class TestVerifyCommand:
         assert len(recipes) == 5
         assert all(v["pass"] for v in recipes.values())
 
+    def test_undefined_recipe_fails_its_check(self, capsys):
+        # C4.mu5 divides by 2 h1 - h6; the other four recipes of class 4 pass
+        code, report = run_json(capsys, "verify", "--class", "C4.0",
+                                "--params", "h1=1,h4=1,h6=2", "--enhancements")
+        assert code == 1
+        recipes = report["checks"]["enhancements"]
+        assert [rid for rid, v in recipes.items() if not v["pass"]] == ["C4.mu5"]
+        assert recipes["C4.mu5"]["error"].startswith("C4.mu5 is undefined")
+
     def test_enhancements_verified_once_each(self, capsys, monkeypatch):
         # each verification inverts R once; the residuals printed are the
         # ones instantiate_recipe recorded when it verified the instance
@@ -109,6 +128,14 @@ class TestVerifyCommand:
                            "--params", "h1=1,h8=2,h2=1", "--enhancements")
         assert code == 0
         assert len(calls) == 5
+
+    def test_csv_is_one_row_per_leaf(self, capsys):
+        code, out, _ = run(capsys, "verify", "--xtype", "1,0,0,1,1,0,0,1", "--csv")
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0] == "key,value"
+        assert 'command,"""verify"""' in rows and "checks.ybe.pass,true" in rows
+        assert "checks.invariant_identities.scale,16.0" in rows
 
     def test_malformed_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--class", "C1.0", "--params", "h1")
@@ -161,6 +188,21 @@ class TestOperatorSpecs:
         assert "xtype_closed_forms" in report
         code, report = run_json(capsys, "invariants", "--matrix", NEAR_X)
         assert code == 0 and "xtype_closed_forms" not in report
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--xtype", "1,0,0,1,1,0,0,zz"),
+        ("invariants", "--xtype", "1,0,0,1,1,0,0"),
+        ("verify", "--xtype", "1,0,0,1,1,0,0,1", "--enhancements"),
+        ("classify",),
+        ("orbit", "--matrix", "[[1,1,0,1],[0,1,1,0],[0,1,1,0],[1,0,0,1]]"),
+        ("epower", "--matrix", f"[[1{'0' * 399},0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"),
+        ("verify", "--class", "C3.2", "--params", "h1=1,h2=1,h8=2", "--enhancements"),
+    ], ids=["complex-literal", "xtype-count", "enhancements-class", "classify-class",
+            "orbit-xtype", "matrix-range", "recipe-param"])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_two_specs_rejected(self, capsys):
         code, _, _ = run(capsys, "invariants", "--class", "C1.0",
@@ -242,6 +284,18 @@ class TestLinkpolyCommand:
                              "--strands", "100000")
         assert code == 2 and out == ""
         assert err.startswith("error: the link value") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("recipe,params", [("C6.mu2", "h1=1,h2=1,h8=1"),
+                                               ("C12.mu2", "h1=0,h2=1")])
+    def test_undefined_recipe_point_warns_nothing(self, capsys, recipe, params):
+        # the recipes' square roots are Python complex values, so a division
+        # by zero raises at once instead of warning and going on with nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "linkpoly", "--recipe", recipe,
+                                 "--params", params, "--word", "s1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {recipe} is undefined") and err.count("\n") == 1
 
     def test_help_names_planned_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -360,12 +414,11 @@ class TestEnhanceCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --starts 20" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [(), ("--seed", "7")])
-    def test_imaginary_x_is_one_family(self, capsys, argv):
+    def test_imaginary_x_is_one_family(self, capsys):
         # C11.0's one family has x = 2i; rounding in Re x must not split it
         # into (x, y) and (-x, -y)
         code, report = run_json(capsys, "enhance", "--class", "C11.0",
-                                "--params", "h7=1,h8=2", *argv)
+                                "--params", "h7=1,h8=2")
         assert code == 0 and report["count"] == 1
 
     def test_start_outcomes_reported(self, capsys):
@@ -379,6 +432,25 @@ class TestEnhanceCommand:
         outcomes = [p["outcome"] for p in points]
         assert set(outcomes) <= set(POINT_OUTCOMES)
         assert outcomes.count("family") == report["count"] == len(report["families"]) == 5
+
+    def test_dense_operator_has_no_roots(self, capsys):
+        rng = np.random.default_rng(0)
+        r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        matrix = json.dumps(np.stack([r.real, r.imag], axis=-1).tolist())
+        code, report = run_json(capsys, "enhance", "--matrix", matrix)
+        assert code == 0
+        assert report["count"] == report["nullity"] == 0
+        assert report["families"] == report["points"] == []
+
+    def test_text_lists_each_record(self, capsys):
+        code, out, _ = run(capsys, "enhance", "--class", "C11.0", "--params", "h7=1,h8=2")
+        assert code == 0
+        lines = out.splitlines()
+        # one family and three root records, each followed by a blank line
+        assert lines.count("families:") == lines.count("points:") == 1
+        assert lines.count("") == 4
+        assert [ln for ln in lines if ln.startswith("  outcome: ")] == [
+            "  outcome: family", "  outcome: degenerate", "  outcome: degenerate"]
 
     def test_small_operator_is_not_singular(self, capsys):
         # 1e-3 times the operator above: |det| is 1e-12 smaller, the
@@ -405,6 +477,41 @@ class TestEnhanceCommand:
         assert err.count("\n") == 1
 
 
+C1_LARGE = ("--class", "C1.0", "--params", "h1=1e200,h4=1,h5=1,h8=1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--class", "C6.0", "--params", "h1=1e308,h8=2,h2=1"),
+    ("verify", *C1_LARGE),
+    ("invariants", *C1_LARGE),
+    ("epower", *C1_LARGE, "--json"),
+], ids=["verify-fill", "verify-checks", "invariants", "epower"])
+def test_overflow_is_one_error_line(capsys, argv):
+    # no traceback, no numpy warning, and no inf or NaN residual that a
+    # verdict compares
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: this input overflows a float64") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--xtype", "1,0,0,1,1,0,0,1", "--seed", "7"),
+    ("enhance", "--class", "C11.0", "--params", "h7=1,h8=2", "--seed", "7"),
+    ("catalog", "--tol", "1e-3"),
+    ("classify", "--class", "C12.0", "--tol", "1e-3"),
+    ("report-all", "--json"),
+    ("report-all", "--csv"),
+], ids=["verify-seed", "enhance-seed", "catalog-tol", "classify-tol", "report-json",
+        "report-csv"])
+def test_inert_flags_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestOrbitCommand:
     def test_generic_rank(self, capsys):
         code, report = run_json(capsys, "orbit", "--xtype", "1,2,3,4,5,6,7,8")
@@ -416,7 +523,7 @@ class TestOrbitCommand:
 
 class TestDeterminism:
     def test_identical_json_reruns(self, capsys):
-        argv = ["enhance", "--class", "C11.0", "--params", "h7=1,h8=2", "--seed", "7", "--json"]
+        argv = ["enhance", "--class", "C11.0", "--params", "h7=1,h8=2", "--json"]
         code1 = main(argv)
         out1 = capsys.readouterr().out
         code2 = main(argv)

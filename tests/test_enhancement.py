@@ -11,6 +11,7 @@ from braidgate.enhancement import (
     RECIPES,
     _MU_ROWS,
     _condition_tables,
+    _point_outcome,
     _solve,
     bmw_witness,
     class_bmw_params,
@@ -95,6 +96,11 @@ class TestVerifyEnhancement:
             e = instantiate_recipe(recipe_id, recipe_draw(recipe_id))
             residuals, ok = verify_enhancement(e)
             assert ok, f"{recipe_id}: {residuals}"
+
+    def test_failing_recipe_raises(self):
+        # near h1 = h8 the class-6 formulas cancel, and the instance fails
+        with pytest.raises(InvalidEnhancementError, match="C6.mu2 fails conditions"):
+            instantiate_recipe("C6.mu2", {"h1": 1, "h2": 1, "h8": 1.0001})
 
     def test_recipe_registry_matches_catalog_refs(self):
         for class_id in range(1, 13):
@@ -495,6 +501,31 @@ class TestSolver:
         outcomes = [p["outcome"] for p in points]
         assert len(families) == 3
         assert outcomes.count("family") == 3 and outcomes.count("duplicate") == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_operator_has_no_roots(self, seed):
+        # a generic dense operator has Macaulay nullity 0: no root at all
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert _solve(r, DEFAULT_TOL) == ([], [])
+
+    def test_imaginary_x_sign_is_canonical(self):
+        # C11.0 at h8 = 2 has mu = Z, x = 2i, y = i, so lambda / nu = -4;
+        # the principal root of -4 +- 1e-17 i is about +-2i, and both signs
+        # must give x = 2i and one family
+        r = assemble(CATALOG["C11.0"].fill({"h7": 1, "h8": 2}))
+        coeffs = np.array([0, 0, 0, 1], dtype=complex)
+        found = []
+        outcomes = []
+        for sign in (1, -1):
+            lam = complex(-2, sign * 5e-18)  # nu = 1/2
+            assert np.sign(np.sqrt(lam / 0.5).imag) == sign
+            alone = []
+            assert _point_outcome(r, 1.0, DEFAULT_TOL, coeffs, lam, 0.5, alone) == "family"
+            (_, e), = alone
+            assert abs(e.x - 2j) < 1e-15 and abs(e.y - 1j) < 1e-15
+            outcomes.append(_point_outcome(r, 1.0, DEFAULT_TOL, coeffs, lam, 0.5, found))
+        assert outcomes == ["family", "duplicate"]
 
     def test_generic_h23_root_is_degenerate(self):
         # the one root is the nilpotent mu = X + iY, where x y = y / x = 0

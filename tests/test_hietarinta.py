@@ -71,9 +71,7 @@ class TestPermutationConvert:
 
     def test_double_conversion(self):
         r = hietarinta_assemble("H0,2")
-        assert_allclose(
-            permutation_convert(permutation_convert(r, "to_braided"), "to_algebraic"), r
-        )
+        assert_allclose(permutation_convert(permutation_convert(r)), r)
 
     def test_algebraic_solutions_convert_to_braided(self):
         # P * (braided solution) solves the algebraic equation; converting it
@@ -84,10 +82,6 @@ class TestPermutationConvert:
             assert _algebraic_ybe_residual(algebraic) < 1e-12
             residual, ok = check_ybe(permutation_convert(algebraic))
             assert ok
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            permutation_convert(np.eye(4), "sideways")
 
 
 def _algebraic_ybe_residual(r):
