@@ -4,8 +4,7 @@ Subcommands: catalog, verify, invariants, linkpoly, enhance, epower,
 classify, orbit, report-all.  Operators are specified by catalog id plus
 parameters, raw X-type parameters, a Hietarinta family, or an explicit
 matrix.  Complex values are accepted as "a+bi" or "[re,im]" and always
-printed as [re, im] pairs.  Exit codes: 0 all checks pass, 1 a check failed,
-2 usage or specification error.
+printed as [re, im] pairs.  The exit codes are listed in EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -21,11 +20,14 @@ import time
 import numpy as np
 
 from . import enhancement, entangling_power, hietarinta, invariants, yang_baxter
-from .matrix_core import DEFAULT_TOL, XTYPE_SUPPORT, is_xtype
-from .yang_baxter import BraidWord, CATALOG, VARIANT_COUNTS, assemble
+from .enhancement import InvalidEnhancementError
+from .matrix_core import DEFAULT_TOL, XTYPE_SUPPORT, SingularMatrixError, is_xtype
+from .yang_baxter import BraidWord, CATALOG, VARIANT_COUNTS, InadmissibleParamsError, assemble
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+DOMAIN_ERROR = 3
+EXIT_CODES = "exit codes: 0 pass, 1 check failed, 2 usage error, 3 singular or inadmissible input"
 
 
 class UsageError(Exception):
@@ -96,6 +98,15 @@ def _parse_params(text: str | None) -> dict[str, complex]:
     return out
 
 
+def _check_params(owner: str, expected, params: dict) -> None:
+    """A usage error unless ``params`` names exactly the ``expected`` parameters."""
+    missing = [k for k in expected if k not in params]
+    unknown = sorted(set(params) - set(expected))
+    if missing or unknown:
+        raise UsageError(f"{owner} takes parameters {list(expected)} "
+                         f"(missing {missing}, unknown {unknown})")
+
+
 def _jsonable(obj):
     """The report with complex values as [re, im] pairs and numpy values as
     Python ones; the only converter, so handlers report values as computed."""
@@ -122,8 +133,8 @@ def resolve_operator(args) -> tuple[np.ndarray, dict]:
     params = _parse_params(getattr(args, "params", None))
     if args.cls:
         entry = yang_baxter.catalog_entry(args.cls)
-        h = entry.fill(params)
-        return assemble(h), {"class": args.cls, "params": params}
+        _check_params(args.cls, entry.free_params, params)
+        return assemble(entry.fill(params)), {"class": args.cls, "params": params}
     if args.xtype:
         values = [_parse_complex(v) for v in _split_commas(args.xtype)]
         if len(values) != 8:
@@ -300,12 +311,8 @@ def cmd_linkpoly(args) -> int:
     if recipe is None:
         raise UsageError(f"unknown recipe {args.recipe!r}; see `catalog`")
     params = _parse_params(args.params)
-    missing = [k for k in recipe.free_params if k not in params]
-    if missing:
-        raise UsageError(f"recipe {args.recipe} needs parameters {missing}")
-    e = enhancement.instantiate_recipe(
-        args.recipe, {k: params[k] for k in recipe.free_params}, args.tol
-    )
+    _check_params(f"recipe {args.recipe}", recipe.free_params, params)
+    e = enhancement.instantiate_recipe(args.recipe, params, args.tol)
     word = BraidWord.parse(args.word, strands=args.strands)
     value = enhancement.link_polynomial(e, word, args.tol)
     report = _base_report(args, "linkpoly")
@@ -331,7 +338,7 @@ def cmd_enhance(args) -> int:
         )
     ]
     report["count"] = len(solutions)
-    report["nullity"] = len(points)
+    report["nullity"] = sum(p["multiplicity"] for p in points)
     report["points"] = sorted(
         points, key=lambda p: tuple(np.round(np.array(p["mu"]).view(float), 6)))
     return _emit(args, report, failed=False)
@@ -366,13 +373,8 @@ def cmd_classify(args) -> int:
         )
         if recipe is not None:
             base = _parse_params(args.params)
-            missing = [k for k in recipe.base_params if k not in base]
-            unknown = sorted(set(base) - set(recipe.base_params))
-            if missing or unknown:
-                raise UsageError(
-                    f"the {recipe.source} -> {recipe.target} recipe takes parameters "
-                    f"{list(recipe.base_params)} (missing {missing}, unknown {unknown})"
-                )
+            _check_params(f"the {recipe.source} -> {recipe.target} recipe",
+                          recipe.base_params, base)
             report["recipe_residual"] = hietarinta.verify_recipe(recipe, base)
     return _emit(args, report, failed=False)
 
@@ -448,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidgate",
         description="Braiding two-qubit gates: catalog, invariants, links, entangling power",
+        epilog=EXIT_CODES,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -532,8 +535,12 @@ def main(argv=None) -> int:
         # an overflow is an error, never an inf or NaN that a check compares
         with np.errstate(over="raise"):
             code = args.func(args)
-    except (UsageError, KeyError, ValueError) as exc:
+    except (SingularMatrixError, InadmissibleParamsError, InvalidEnhancementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
+    except (UsageError, KeyError, ValueError) as exc:
+        # str() of a KeyError would quote its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return USAGE_ERROR
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: this input overflows a float64 ({exc})", file=sys.stderr)

@@ -26,19 +26,21 @@ simultaneous sign flip (x, y) -> (-x, -y).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matrix_core import (
+    CLUSTER_TOL,
     DEFAULT_TOL,
     I2,
+    IMAGINARY_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     RANK_TOL,
-    ROOT_TOL,
     SINGULAR_TOL,
     as_matrix,
     invert,
@@ -539,14 +541,9 @@ def _macaulay_layout(degree: int) -> tuple[tuple[int, int], np.ndarray, np.ndarr
 _MACAULAY = {d: _macaulay_layout(d) for d in (3, 4)}
 # degree-4 column of each degree-3 monomial times c_k: (20, 4)
 _SHIFT = _product_index(3, 1)
-# two fixed generic linear forms h0, h1; points are eigenvectors of the pencil
-# of degree-3 rows shifted by them, with eigenvalues h1(c) / h0(c)
+# fixed generic linear forms h0, h1: M_k multiplies by c_k / h0(c), h1(M) by h1(c) / h0(c)
 _FORMS = np.array([[0.61 + 0.23j, -0.37 + 0.52j, 0.83 - 0.19j, 0.29 + 0.71j],
                    [-0.44 + 0.67j, 0.91 + 0.13j, 0.17 - 0.58j, -0.72 - 0.31j]])
-# degree-3 columns of c_k c_p^2 and of c_p^3, which give c_k / c_p
-_RATIOS = np.array([[_MONOMIAL_INDEX[tuple(sorted((k, p, p)))] for p in range(4)]
-                    for k in range(4)])
-_CUBES = np.diagonal(_RATIOS)
 
 
 def _macaulay(polys: np.ndarray, degree: int) -> np.ndarray:
@@ -574,10 +571,10 @@ def _system(table, norm) -> np.ndarray:
                            (cubics * scale[16:, None]).ravel()])
 
 
-def _roots(polys) -> np.ndarray:
-    """Unit-norm c of every root of the system :func:`_system` returns, one
-    row each, repeated by multiplicity.  Raises ``ValueError`` when the roots
-    are not isolated points."""
+def _roots(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm c of each root of the system :func:`_system` returns, one row
+    per root, and the multiplicities, which sum to the Macaulay nullity.
+    Raises ``ValueError`` when the roots are not isolated points."""
     # the R factor keeps the row space of the 208 x 35 matrix; its SVD is 35 x 35
     _, s, vh = np.linalg.svd(np.linalg.qr(_macaulay(polys, 4), mode="r"))
     nullity = int(np.sum(s <= RANK_TOL * s[0]))
@@ -588,67 +585,57 @@ def _roots(polys) -> np.ndarray:
             "the enhancement conditions of this operator have a positive-dimensional "
             f"solution set: Macaulay nullity {degree3} at degree 3, {nullity} at degree 4")
     if nullity == 0:
-        return np.zeros((0, 4), dtype=complex)
-    null = vh[len(s) - nullity:].conj().T  # (35, nullity)
-    shifted = np.einsum("hk,bkm->hbm", _FORMS, null[_SHIFT])  # rows h0 * m3, h1 * m3
-    pencil, *_ = np.linalg.lstsq(shifted[0], shifted[1], rcond=None)
-    _, vectors = np.linalg.eig(pencil)
-    cubic = shifted[0] @ vectors  # each column: h0(c) times the c^3 monomials
-    pivot = np.argmax(np.abs(cubic[_CUBES]), axis=0)
-    cols = np.arange(nullity)
-    c = (cubic[_RATIOS[:, pivot], cols] / cubic[_CUBES[pivot], cols]).T
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+        return np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
+    shifted = vh[len(s) - nullity:].conj().T[_SHIFT]  # (20, 4, nullity): rows c_k * m3
+    # mult[:, k] is the multiplication matrix M_k of c_k / h0(c): (h0 * m3) M_k = c_k * m3
+    mult, *_ = np.linalg.lstsq(_FORMS[0] @ shifted, shifted.reshape(20, -1), rcond=None)
+    mult = mult.reshape(nullity, 4, nullity)
+    pencil = _FORMS[1] @ mult
+    w = np.linalg.eigvals(pencil)
+    # clusters by single linkage at CLUSTER_TOL * max|w|; a pass doubles the path length
+    linked = np.abs(w[:, None] - w) <= CLUSTER_TOL * np.max(np.abs(w))
+    for _ in range(nullity.bit_length()):
+        linked = linked @ linked
+    members = linked[np.argmax(linked, axis=1) == np.arange(nullity)]  # a row per cluster
+    counts = np.sum(members, axis=1)
+    # a cluster's invariant subspace is the null space of prod (pencil - w_i)
+    # over its members; the trace of M_k there is count times c_k / h0(c)
+    factors = pencil - w[:, None, None] * np.eye(nullity)
+    products = np.array([functools.reduce(np.matmul, factors[mask]) for mask in members])
+    _, _, basis = np.linalg.svd(products)  # null vectors are the last rows
+    q = basis * (np.arange(nullity) >= nullity - counts[:, None])[:, :, None]
+    c = np.einsum("pai,ikj,paj->pk", q, mult, q.conj())  # tr(Q^H M_k Q)
+    return c / np.linalg.norm(c, axis=1, keepdims=True), counts
 
-
-# Re x at or below this fraction of |x| counts as rounding noise.
-_IMAGINARY_TOL = 1e-9
 
 # What can become of one root.
 POINT_OUTCOMES = (
-    "family",  # a verified family not found before
-    "duplicate",  # a family already found
+    "family",  # a verified family
     "degenerate",  # lambda nu = 0 at the root
-    "rejected_y_ratio",  # |y| / |mu| too small: a boundary point, not a family
     "rejected_verification",  # the normalized quadruple fails verify_enhancement
 )
 
 
-def _point_outcome(r, scale, tol, coeffs, lam, nu, found) -> str:
+def _point_outcome(r, scale, tol, coeffs, lam, nu) -> tuple[str, EnhancedOperator | None]:
     """Judge one root of R / scale: its Pauli coefficients, the first nonzero
-    one scaled to 1, and lambda and nu at that scale.  A new family of R,
-    with x scaled back, is appended to ``found``."""
+    one scaled to 1, and lambda and nu at that scale.  Returns the outcome and,
+    for a family, its enhancement of R with x scaled back."""
     x = np.sqrt(lam / nu)
     y = lam / x
-    # x, y must lie in C*: near-degenerate points (nilpotent mu directions
-    # with y/|mu| -> 0) satisfy the equations only in the limit.  |y|/|mu|
-    # is the gauge-invariant discriminator.
-    if abs(y) / np.max(np.abs(coeffs)) < 1e-4 * (1 + abs(x)):
-        return "rejected_y_ratio"
-    # simultaneous (x, y) -> (-x, -y) freedom: the principal root has
-    # Re x >= 0, but an x that is imaginary up to rounding is judged by its
-    # imaginary part, so the rounding sign of Re x cannot split one family
-    # into two.
-    if abs(x.real) <= _IMAGINARY_TOL * abs(x) and x.imag < 0:
+    # the sign of (x, y) is free: the principal root has Re x >= 0, but an
+    # imaginary x is judged by Im x, so rounding in Re x cannot split a family
+    if abs(x.real) <= IMAGINARY_TOL * abs(x) and x.imag < 0:
         x, y = -x, -y
     candidate = EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y)
-    _, ok = verify_enhancement(candidate, tol)
-    if not ok:
-        return "rejected_verification"
-    # a double root is located only to about ROOT_TOL, so families are told
-    # apart by distance, not by rounding
-    key = np.concatenate([coeffs, [x, y]])
-    for other, _ in found:
-        if np.max(np.abs(key - other)) <= ROOT_TOL * max(1.0, np.max(np.abs(key)),
-                                                         np.max(np.abs(other))):
-            return "duplicate"
-    found.append((key, candidate))
-    return "family"
+    if not verify_enhancement(candidate, tol)[1]:
+        return "rejected_verification", None
+    return "family", candidate
 
 
 def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     """The solver behind :func:`solve_enhancement`, plus one record per root:
     its Pauli coefficients (the first nonzero one scaled to 1), lambda and nu
-    at that scale, and its outcome (:data:`POINT_OUTCOMES`)."""
+    at that scale, its multiplicity and its outcome (:data:`POINT_OUTCOMES`)."""
     r = as_matrix(r)
     r_inv = invert(r)
     # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
@@ -657,23 +644,25 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     scale = np.sqrt(max_norm(r) / max_norm(r_inv))
     norm = max_norm(r) / scale
     table = _condition_tables(r / scale, r_inv * scale)
-    roots = _roots(_system(table, norm))
+    roots, counts = _roots(_system(table, norm))
     mus = roots @ _MU_ROWS
     traces = np.einsum("pk,pl->pkl", roots, roots).reshape(-1, 16) @ table[:, 16:]
     norms = np.sum(np.abs(mus) ** 2, axis=1)
     lams = np.sum(mus.conj() * traces[:, :4], axis=1) / norms
     nus = np.sum(mus.conj() * traces[:, 4:], axis=1) / norms
-    found: list[tuple[np.ndarray, EnhancedOperator]] = []
-    points = []
-    for c, mu, lam, nu in zip(roots, mus, lams, nus):
-        pivot = c[np.argmax(np.abs(c) > ROOT_TOL)]  # c has unit norm
-        if min(abs(lam), abs(nu)) <= ROOT_TOL * norm * max_norm(mu):
+    families, points = [], []
+    for c, count, mu, lam, nu in zip(roots, counts, mus, lams, nus):
+        pivot = c[np.argmax(np.abs(c) > RANK_TOL)]  # c has unit norm
+        if min(abs(lam), abs(nu)) <= SINGULAR_TOL * norm * max_norm(mu):
             outcome = "degenerate"
         else:
-            outcome = _point_outcome(r, scale, tol, c / pivot, lam / pivot, nu / pivot, found)
+            outcome, family = _point_outcome(r, scale, tol, c / pivot, lam / pivot, nu / pivot)
+            if family is not None:
+                families.append(family)
         points.append({"mu": tuple(c / pivot), "lambda": scale * lam / pivot,
-                       "nu": nu / (scale * pivot), "outcome": outcome})
-    return [e for _, e in found], points
+                       "nu": nu / (scale * pivot), "multiplicity": int(count),
+                       "outcome": outcome})
+    return families, points
 
 
 def solve_enhancement(
@@ -685,9 +674,9 @@ def solve_enhancement(
     coefficients c of mu, solved exactly in projective space: every root comes
     from the null space of their degree-4 Macaulay matrix, whose nullity must
     equal the degree-3 one (otherwise the solution set is positive-dimensional
-    and ``ValueError`` is raised).  Each root, with x = sqrt(lambda / nu) and
-    y = lambda / x read off it, is judged as it comes by the filters of
-    :data:`POINT_OUTCOMES`.
+    and ``ValueError`` is raised).  A root of multiplicity k, a cluster of k
+    eigenvalues, is read off the cluster's invariant subspace, and judged with
+    x = sqrt(lambda / nu) and y = lambda / x as in :data:`POINT_OUTCOMES`.
     Solutions are reported normalized: the first nonzero Pauli coefficient of
     mu (scan order I, X, Y, Z) is scaled to one, and the simultaneous sign of
     (x, y) is canonicalized.  An empty list means that no root is a family.

@@ -15,7 +15,8 @@ __all__ = [
     "SINGULAR_TOL",
     "RANK_TOL",
     "DRAW_MIN_DET",
-    "ROOT_TOL",
+    "CLUSTER_TOL",
+    "IMAGINARY_TOL",
     "I2",
     "PAULI_X",
     "PAULI_Y",
@@ -48,10 +49,12 @@ RANK_TOL = 1e-8
 # Random draws with |det| <= DRAW_MIN_DET are rejected; absolute, as it picks the draws.
 DRAW_MIN_DET = 1e-6
 
-# A double root of a polynomial system is located only to about the square
-# root of the rounding unit.  Root values within ROOT_TOL times their scale
-# of zero, or of each other, are not told apart.
-ROOT_TOL = 1e-6
+# Eigenvalues within CLUSTER_TOL times the largest, by single linkage, are one
+# multiple root: measured, a root's lie at most 10^-4 apart, distinct roots' 10^-2.
+CLUSTER_TOL = 1e-3
+
+# z counts as imaginary when |Re z| <= IMAGINARY_TOL * |z|.
+IMAGINARY_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

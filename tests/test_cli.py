@@ -249,11 +249,11 @@ class TestLinkpolyCommand:
                          "--params", "h1=1", "--word", "s1^2")
         assert code == 2
 
-    def test_undefined_recipe_point_is_usage_error(self, capsys):
+    def test_undefined_recipe_point_is_domain_error(self, capsys):
         # C4.mu5 divides by 2 h1 - h6, which vanishes here
         code, out, err = run(capsys, "linkpoly", "--recipe", "C4.mu5",
                              "--params", "h1=1,h4=1,h6=2", "--word", "s1")
-        assert code == 2
+        assert code == 3
         assert out == ""
         assert err.startswith("error: C4.mu5") and err.count("\n") == 1
 
@@ -294,7 +294,7 @@ class TestLinkpolyCommand:
             warnings.simplefilter("error")
             code, out, err = run(capsys, "linkpoly", "--recipe", recipe,
                                  "--params", params, "--word", "s1")
-        assert code == 2 and out == ""
+        assert code == 3 and out == ""
         assert err.startswith(f"error: {recipe} is undefined") and err.count("\n") == 1
 
     def test_help_names_planned_bound(self, capsys):
@@ -428,7 +428,8 @@ class TestEnhanceCommand:
         assert code == 0
         points = report["points"]
         assert len(points) == report["nullity"] == 5
-        assert all(set(p) == {"mu", "lambda", "nu", "outcome"} for p in points)
+        assert all(set(p) == {"mu", "lambda", "nu", "multiplicity", "outcome"} for p in points)
+        assert sum(p["multiplicity"] for p in points) == report["nullity"]
         outcomes = [p["outcome"] for p in points]
         assert set(outcomes) <= set(POINT_OUTCOMES)
         assert outcomes.count("family") == report["count"] == len(report["families"]) == 5
@@ -446,11 +447,14 @@ class TestEnhanceCommand:
         code, out, _ = run(capsys, "enhance", "--class", "C11.0", "--params", "h7=1,h8=2")
         assert code == 0
         lines = out.splitlines()
-        # one family and three root records, each followed by a blank line
+        # one family and two root records, the second a double root, each
+        # followed by a blank line
         assert lines.count("families:") == lines.count("points:") == 1
-        assert lines.count("") == 4
+        assert lines.count("") == 3
         assert [ln for ln in lines if ln.startswith("  outcome: ")] == [
-            "  outcome: family", "  outcome: degenerate", "  outcome: degenerate"]
+            "  outcome: family", "  outcome: degenerate"]
+        assert [ln for ln in lines if ln.startswith("  multiplicity: ")] == [
+            "  multiplicity: 1", "  multiplicity: 2"]
 
     def test_small_operator_is_not_singular(self, capsys):
         # 1e-3 times the operator above: |det| is 1e-12 smaller, the
@@ -466,7 +470,27 @@ class TestEnhanceCommand:
             "h1=-0.009371273325325004+0.598379178802324j,"
             "h2=0.4824090158347269+0.15585777321063388j")
         assert code == 0 and report["count"] == 3
-        assert [p["outcome"] for p in report["points"]].count("duplicate") == 2
+        points = report["points"]
+        assert [p["outcome"] for p in points] == ["family"] * 3
+        assert sorted(p["multiplicity"] for p in points) == [1, 2, 2]
+        assert report["nullity"] == 5
+
+    def test_ill_conditioned_operator_has_five_families(self, capsys):
+        # condition number 5.9e6: four of the five families have |lambda|
+        # far below the other roots', and none is taken for degenerate
+        code, report = run_json(
+            capsys, "enhance", "--class", "C6.0", "--params",
+            "h1=1.7542572626457837-1.1579199401531195j,"
+            "h2=-0.16029849480925135-0.00679052399149432j,"
+            "h8=1.7415135206979793-1.1392194199075927j")
+        assert code == 0 and report["count"] == 5
+
+    def test_jordan_cluster_is_one_degenerate_point(self, capsys):
+        code, report = run_json(capsys, "enhance", "--class", "C9.2",
+                                "--params", "h1=1,h7=2")
+        assert code == 0 and report["count"] == 1 and report["nullity"] == 6
+        assert sorted((p["multiplicity"], p["outcome"]) for p in report["points"]) == [
+            (1, "family"), (5, "degenerate")]
 
     def test_positive_dimensional_is_refused(self, capsys):
         # for R = I every mu with tr mu = x y is an enhancement
@@ -475,6 +499,43 @@ class TestEnhanceCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "positive-dimensional" in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "--class", "C6.0", "--params", "h1=1,h8=2,h2=1"), 0),
+    (("verify", "--xtype", "1,1,1,1,1,1,1,1"), 1),
+    (("verify", "--class", "C6.0", "--params", "h1=1,h8=2"), 2),
+    (("verify", "--class", "C6.0", "--params", "h1=1,h8=1,h2=0"), 3),
+    (("enhance", "--matrix", json.dumps(np.diag([1, 1, 1, 0]).tolist())), 3),
+    (("linkpoly", "--recipe", "C4.mu5", "--params", "h1=1,h4=1,h6=2", "--word", "s1"), 3),
+], ids=["pass", "check-failed", "missing-param", "inadmissible", "singular",
+        "invalid-enhancement"])
+def test_exit_codes(capsys, argv, code):
+    # 0 pass, 1 a failed check, 2 a usage error, 3 a singular or inadmissible
+    # operator or an invalid enhancement; every error is one line
+    got, out, err = run(capsys, *argv, "--json")
+    assert got == code
+    if code >= 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "exit codes: 0 pass, 1 check failed, 2 usage error, 3 singular or inadmissible" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--class", "C99.0"), "error: unknown catalog id 'C99.0'; known: C1.0 .. C12.1\n"),
+    (("epower", "--hietarinta", "H9,9"), "error: unknown family 'H9,9'; known: ['H0,1', "),
+], ids=["classify", "epower"])
+def test_unknown_name_is_printed_plainly(capsys, argv, message):
+    # a KeyError's message is printed as it is, not as its repr
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1 and "\\" not in err
 
 
 C1_LARGE = ("--class", "C1.0", "--params", "h1=1e200,h4=1,h5=1,h8=1")

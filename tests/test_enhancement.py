@@ -11,8 +11,10 @@ from braidgate.enhancement import (
     RECIPES,
     _MU_ROWS,
     _condition_tables,
+    _macaulay,
     _point_outcome,
     _solve,
+    _system,
     bmw_witness,
     class_bmw_params,
     class_hecke_params,
@@ -28,7 +30,9 @@ from braidgate.enhancement import (
     writhe,
 )
 from braidgate.hietarinta import hietarinta_assemble
-from braidgate.matrix_core import DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, partial_trace
+from braidgate.matrix_core import (
+    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, numerical_rank, partial_trace,
+)
 from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry
 
 RNG = np.random.default_rng(55)
@@ -460,27 +464,30 @@ class TestSolver:
             _assert_scale_free(_catalog_draw(entry_id, draw), 1e-3)
 
     def test_ill_conditioned_operator(self):
-        # condition number 5.9e6 and |det| 1.6e-8: not singular, and its
-        # mu = Z family is found
+        # condition number 5.9e6 and |det| 1.6e-8: not singular, and all five
+        # families are found, though four have |lambda| down to 5e-6 at R's
+        # scale; |mu| reaches 700, so recipe and root agree to about 1e-6
         r = assemble(CATALOG["C6.0"].fill(C6_ILL_CONDITIONED))
         families = solve_enhancement(r)
+        assert len(families) == 5
         assert all(verify_enhancement(e)[1] for e in families)
-        mu_z = _canonical(instantiate_recipe("C6.Z", C6_ILL_CONDITIONED))
-        assert any(_same_family(_canonical(e), mu_z) for e in families)
+        for rid in recipe_ids_for_class(6):
+            key = _canonical(instantiate_recipe(rid, C6_ILL_CONDITIONED))
+            assert any(_same_family(key, _canonical(e), 1e-5) for e in families), rid
 
     @pytest.mark.parametrize("entry_id", ["C9.2", "C9.3"])
     def test_jordan_cluster_is_not_a_family(self, entry_id):
-        # the degree-4 nullity is 6: one family plus five records at or near
-        # the nilpotent mu = X + iY, where the pencil has a Jordan block; taken
-        # as they come, none of those records becomes a family
+        # the degree-4 nullity is 6: one family plus a root of multiplicity 5
+        # at the nilpotent mu = X + iY, where the pencil has a Jordan block;
+        # its eigenvalues form one cluster, which is one degenerate point
         assert "rejected_cost" not in POINT_OUTCOMES
         for draw in range(3):
             r = _catalog_draw(entry_id, draw)
             for factor in (1.0, 1e3, 1e-3):
                 families, points = _solve(factor * r, DEFAULT_TOL)
-                outcomes = [p["outcome"] for p in points]
-                assert set(outcomes) <= set(POINT_OUTCOMES)
-                assert len(families) == outcomes.count("family") == 1
+                records = sorted((p["multiplicity"], p["outcome"]) for p in points)
+                assert records == [(1, "family"), (5, "degenerate")]
+                assert len(families) == 1
                 for p in points:
                     if p["outcome"] == "family":
                         x = np.sqrt(p["lambda"] / p["nu"])
@@ -495,12 +502,12 @@ class TestSolver:
 
     def test_double_roots_are_one_family_each(self):
         # C10.1 has three recipes; two of its roots are double, and each
-        # double root's two eigenvectors land a few 1e-8 apart
+        # double root's pair of eigenvalues is one cluster, so one point
         r = assemble(CATALOG["C10.1"].fill(C10_DOUBLE_ROOTS))
         families, points = _solve(r, DEFAULT_TOL)
-        outcomes = [p["outcome"] for p in points]
         assert len(families) == 3
-        assert outcomes.count("family") == 3 and outcomes.count("duplicate") == 2
+        assert sorted((p["multiplicity"], p["outcome"]) for p in points) == [
+            (1, "family"), (2, "family"), (2, "family")]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_operator_has_no_roots(self, seed):
@@ -515,17 +522,12 @@ class TestSolver:
         # must give x = 2i and one family
         r = assemble(CATALOG["C11.0"].fill({"h7": 1, "h8": 2}))
         coeffs = np.array([0, 0, 0, 1], dtype=complex)
-        found = []
-        outcomes = []
         for sign in (1, -1):
             lam = complex(-2, sign * 5e-18)  # nu = 1/2
             assert np.sign(np.sqrt(lam / 0.5).imag) == sign
-            alone = []
-            assert _point_outcome(r, 1.0, DEFAULT_TOL, coeffs, lam, 0.5, alone) == "family"
-            (_, e), = alone
+            outcome, e = _point_outcome(r, 1.0, DEFAULT_TOL, coeffs, lam, 0.5)
+            assert outcome == "family"
             assert abs(e.x - 2j) < 1e-15 and abs(e.y - 1j) < 1e-15
-            outcomes.append(_point_outcome(r, 1.0, DEFAULT_TOL, coeffs, lam, 0.5, found))
-        assert outcomes == ["family", "duplicate"]
 
     def test_generic_h23_root_is_degenerate(self):
         # the one root is the nilpotent mu = X + iY, where x y = y / x = 0
@@ -709,11 +711,11 @@ def gauss_newton_families(r, starts, seed=0):
     return found
 
 
-def _same_family(a, b):
+def _same_family(a, b, tol=1e-6):
     """Canonical keys equal up to the (x, y) -> (-x, -y) sign pair."""
     flipped = np.concatenate([b[:4], -b[4:]])
     scale = max(1.0, np.max(np.abs(a)))
-    return min(np.max(np.abs(a - b)), np.max(np.abs(a - flipped))) < 1e-6 * scale
+    return min(np.max(np.abs(a - b)), np.max(np.abs(a - flipped))) < tol * scale
 
 
 def _assert_includes_oracle(r, starts, seed=0):
@@ -731,6 +733,22 @@ C10_DOUBLE_ROOTS = {"h1": -0.009371273325325004 + 0.598379178802324j,
                     "h2": 0.4824090158347269 + 0.15585777321063388j}
 
 
+def _point_residual(r, p):
+    """Largest residual of (a), tr_2 R (mu x mu) = lambda mu and tr_2 R^-1
+    (mu x mu) = nu mu at one record, by dense products, each over its scale
+    max|R| max|mu|^2 (max|R^-1| max|mu|^2 for the last)."""
+    r_inv = np.linalg.inv(r)
+    c = p["mu"]
+    mu = c[0] * I2 + c[1] * PAULI_X + c[2] * PAULI_Y + c[3] * PAULI_Z
+    mm = np.kron(mu, mu)
+    scale = np.max(np.abs(mu)) ** 2
+    return max(np.max(np.abs(r @ mm - mm @ r)) / (np.max(np.abs(r)) * scale),
+               np.max(np.abs(partial_trace(r @ mm, 2) - p["lambda"] * mu))
+               / (np.max(np.abs(r)) * scale),
+               np.max(np.abs(partial_trace(r_inv @ mm, 2) - p["nu"] * mu))
+               / (np.max(np.abs(r_inv)) * scale))
+
+
 @pytest.mark.parametrize("name", KERNEL_OPERATORS + ("C10.1",))
 def test_every_root_solves_the_conditions(name):
     # each record's mu, lambda and nu satisfy (a), tr_2 R (mu x mu) = lambda
@@ -739,19 +757,32 @@ def test_every_root_solves_the_conditions(name):
         r = assemble(CATALOG[name].fill(C10_DOUBLE_ROOTS))
     else:
         r, _ = _kernel_operator(name)
-    r_inv = np.linalg.inv(r)
     _, points = _solve(r, DEFAULT_TOL)
     assert points
     for p in points:
-        c = p["mu"]
-        mu = c[0] * I2 + c[1] * PAULI_X + c[2] * PAULI_Y + c[3] * PAULI_Z
-        mm = np.kron(mu, mu)
-        scale = np.max(np.abs(mu)) ** 2
-        assert np.max(np.abs(r @ mm - mm @ r)) < 1e-12 * np.max(np.abs(r)) * scale
-        assert (np.max(np.abs(partial_trace(r @ mm, 2) - p["lambda"] * mu))
-                < 1e-12 * np.max(np.abs(r)) * scale)
-        assert (np.max(np.abs(partial_trace(r_inv @ mm, 2) - p["nu"] * mu))
-                < 1e-12 * np.max(np.abs(r_inv)) * scale)
+        assert _point_residual(r, p) < 1e-12
+
+
+def _macaulay_nullity(r):
+    """Nullity of the degree-4 Macaulay matrix the solver builds for R."""
+    r_inv = np.linalg.inv(r)
+    s = np.sqrt(np.max(np.abs(r)) / np.max(np.abs(r_inv)))
+    m4 = _macaulay(_system(_condition_tables(r / s, r_inv * s), np.max(np.abs(r)) / s), 4)
+    return m4.shape[1] - numerical_rank(m4)
+
+
+@pytest.mark.parametrize("entry_id", sorted(CATALOG))
+def test_catalog_points_count_every_root(entry_id):
+    # the multiplicities of the points sum to the Macaulay nullity, and each
+    # point that is not degenerate solves (a)-(c) by dense products
+    for draw in range(2):
+        for factor in (1.0, 1e3, 1e-3):
+            r = factor * _catalog_draw(entry_id, draw)
+            _, points = _solve(r, DEFAULT_TOL)
+            assert sum(p["multiplicity"] for p in points) == _macaulay_nullity(r)
+            for p in points:
+                if p["outcome"] != "degenerate":
+                    assert _point_residual(r, p) < 1e-10, p
 
 
 class TestGaussNewtonOracle:

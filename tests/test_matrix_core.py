@@ -209,29 +209,12 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((0, 3))) == 0
 
 
-# The enhancement solver's root-level filters and its sign rule for x:
-# heuristics of what counts as one family, not thresholds a verdict is judged by.
-SEARCH_HEURISTICS = {"_point_outcome", "_IMAGINARY_TOL"}
-
-
 def _unnamed_thresholds(path: Path) -> list[str]:
-    """Float literals below 1e-3 in one module, outside SEARCH_HEURISTICS."""
-    found = []
-
-    def visit(node, exempt):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            exempt = exempt or node.name in SEARCH_HEURISTICS
-        elif isinstance(node, ast.Assign):
-            exempt = exempt or any(isinstance(t, ast.Name) and t.id in SEARCH_HEURISTICS
-                                   for t in node.targets)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, float)
-              and 0 < abs(node.value) < 1e-3 and not exempt):
-            found.append(f"{path.name}:{node.lineno}: {node.value!r}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, exempt)
-
-    visit(ast.parse(path.read_text()), False)
-    return found
+    """Float literals below 1e-3 in one module."""
+    return [f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3]
 
 
 def test_thresholds_are_named_in_matrix_core():
