@@ -53,6 +53,7 @@ from .yang_baxter import (
     BraidWord,
     WordPlan,
     assemble,
+    bind,
     braid_rep,
     catalog_entry,
     evaluate_expr,
@@ -436,10 +437,7 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
     """
     recipe = RECIPES[recipe_id]
     entry = catalog_entry(recipe.entry_id)
-    missing = [k for k in recipe.free_params if k not in params]
-    if missing:
-        raise ValueError(f"{recipe_id}: missing parameters {missing}")
-    env = {k: complex(params[k]) for k in recipe.free_params}
+    env = bind(f"recipe {recipe_id}", recipe.free_params, params)
     class_params = dict(env)
     for slot, expr in recipe.constraints.items():
         class_params[slot] = evaluate_expr(expr, env)

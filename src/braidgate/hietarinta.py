@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrix_core import (DEFAULT_TOL, SINGULAR_TOL, _as_two_qubit, as_matrix, invert, max_norm,
                           tensor_product)
-from .yang_baxter import assemble, catalog_entry, evaluate_expr
+from .yang_baxter import assemble, bind, catalog_entry, evaluate_expr
 
 __all__ = [
     "HIETARINTA_FORMS",
@@ -79,11 +79,7 @@ def hietarinta_assemble(name: str, params: dict | None = None) -> np.ndarray:
     if name not in HIETARINTA_FORMS:
         raise KeyError(f"unknown family {name!r}; known: {sorted(HIETARINTA_FORMS)}")
     names, builder = HIETARINTA_FORMS[name]
-    params = params or {}
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ValueError(f"{name}: missing parameters {missing}")
-    return builder(*(complex(params[n]) for n in names))
+    return builder(*bind(name, names, params or {}).values())
 
 
 def permutation_convert(r) -> np.ndarray:
@@ -133,7 +129,10 @@ def conjugate_split(r, q1, q2) -> np.ndarray:
 class EquivalenceRecipe:
     """One verified equivalence: steps(source(params)) == target(params).
 
-    ``base_params`` names the independent parameters.  Steps are tuples:
+    ``base_params`` names the independent parameters, exactly the ones
+    :meth:`run` takes.  ``source_params`` and ``target_params`` give each
+    side's parameters as expressions over them; ``None`` passes the base
+    parameters through unchanged.  Steps are tuples:
     ("3a",), ("3b",), ("3c",), ("conj", kappa_expr, ((q11, q12), (q21, q22))),
     or ("conj2", q1_rows, q2_rows), with all entries expressions over the
     base parameters.
@@ -159,7 +158,7 @@ class EquivalenceRecipe:
 
     def run(self, base: dict) -> tuple[np.ndarray, np.ndarray]:
         """Return (transformed source, target) matrices at the base values."""
-        base = {k: complex(v) for k, v in base.items()}
+        base = bind(f"the {self.source} -> {self.target} recipe", self.base_params, base)
         m = self._materialize("source", self.source_params, base)
         for step in self.steps:
             kind = step[0]
@@ -265,6 +264,7 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
 
     t.append(_recipe("H0,2", "C8.0", ("h1", "h2"),
                      steps=[("conj", "h1", (("0", "I*sqrt(h2)"), ("sqrt(h1)", "0")))],
+                     source_params={},
                      target_params=_ID("h1", "h2")))
     t.append(_recipe("C8.1", "C8.0", ("h1", "h2"), steps=[("3c",)],
                      target_params=_ID("h1", "h2")))
@@ -272,6 +272,7 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
     t.append(_recipe("H0,1", "C9.0", ("h1", "h7"),
                      steps=[("conj", "h1", (("sqrt(h7)", "0"), ("0", "sqrt(h1)"))),
                             ("3a",)],
+                     source_params={},
                      target_params=_ID("h1", "h7")))
     t.append(_recipe("C9.1", "C9.0", ("h1", "h2"), steps=[("3a",)],
                      target_params={"h1": "h1", "h7": "h2"}))

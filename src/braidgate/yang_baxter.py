@@ -81,7 +81,7 @@ __all__ = [
 
 
 class InadmissibleParamsError(ValueError):
-    """Parameters violate a catalog entry's admissibility constraints."""
+    """Parameters make one of a catalog entry's ``nonzero`` expressions vanish."""
 
 
 @dataclass(frozen=True)
@@ -537,6 +537,21 @@ def evaluate_expr(expr: str, params: dict[str, complex]) -> complex:
     return complex(eval(compile_expr(expr), _EXPR_GLOBALS, params))
 
 
+def bind(owner: str, names, params: dict) -> dict[str, complex]:
+    """``params`` as complex values, in the order of ``names``.
+
+    The one check of parameter names in the package: every table record and
+    the CLI take exactly the parameters they name, so a missing or unknown
+    name is a ``ValueError`` before any expression is evaluated.
+    """
+    missing = [k for k in names if k not in params]
+    if missing or len(params) != len(names):
+        unknown = sorted(set(params) - set(names))
+        raise ValueError(f"{owner} takes parameters {list(names)} "
+                         f"(missing {missing}, unknown {unknown})")
+    return {k: complex(params[k]) for k in names}
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One parameter family of X-type Yang-Baxter solutions.
@@ -563,13 +578,7 @@ class CatalogEntry:
         return f"C{self.class_id}.{self.variant_id}"
 
     def fill(self, params: dict[str, complex]) -> XTypeParams:
-        missing = [k for k in self.free_params if k not in params]
-        if missing:
-            raise InadmissibleParamsError(f"{self.entry_id}: missing parameters {missing}")
-        extra = [k for k in params if k not in self.free_params]
-        if extra:
-            raise InadmissibleParamsError(f"{self.entry_id}: unexpected parameters {extra}")
-        env = {k: complex(params[k]) for k in self.free_params}
+        env = bind(self.entry_id, self.free_params, params)
         for expr in self.nonzero:
             if abs(evaluate_expr(expr, env)) < SINGULAR_TOL:
                 raise InadmissibleParamsError(
@@ -581,7 +590,7 @@ class CatalogEntry:
         return XTypeParams(**{f"h{k}": full.get(f"h{k}", 0j) for k in range(1, 9)})
 
     def eigen_values(self, params: dict[str, complex]) -> dict[str, complex]:
-        env = {k: complex(params[k]) for k in self.free_params}
+        env = bind(self.entry_id, self.free_params, params)
         return {name: evaluate_expr(expr, env) for name, expr in self.eigen_named.items()}
 
     def random_params(self, rng: np.random.Generator) -> dict[str, complex]:

@@ -115,8 +115,19 @@ class TestVerifyCommand:
                                 "--params", "h1=1,h4=1,h6=2", "--enhancements")
         assert code == 1
         recipes = report["checks"]["enhancements"]
-        assert [rid for rid, v in recipes.items() if not v["pass"]] == ["C4.mu5"]
+        assert [rid for rid, v in recipes.items() if v.get("pass") is False] == ["C4.mu5"]
         assert recipes["C4.mu5"]["error"].startswith("C4.mu5 is undefined")
+        # C4.I pins h6 = 0, so it does not enhance this operator
+        assert recipes["C4.I"] == {"applies": False}
+
+    def test_enhancements_of_another_operator_do_not_apply(self, capsys):
+        # C1.I and C1.Z pin h8 = h1 and h8 = -h1; neither enhances h8 = 4
+        code, report = run_json(capsys, "verify", "--class", "C1.0",
+                                "--params", "h1=1,h4=2,h5=3,h8=4", "--enhancements")
+        assert code == 0
+        recipes = report["checks"]["enhancements"]
+        assert recipes["C1.I"] == recipes["C1.Z"] == {"applies": False}
+        assert recipes["C1.I+Z"]["pass"] and recipes["C1.I-Z"]["pass"]
 
     def test_enhancements_verified_once_each(self, capsys, monkeypatch):
         # each verification inverts R once; the residuals printed are the
@@ -197,8 +208,12 @@ class TestOperatorSpecs:
         ("orbit", "--matrix", "[[1,1,0,1],[0,1,1,0],[0,1,1,0],[1,0,0,1]]"),
         ("epower", "--matrix", f"[[1{'0' * 399},0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"),
         ("verify", "--class", "C3.2", "--params", "h1=1,h2=1,h8=2", "--enhancements"),
+        # the recipes enhance the representative; C6.mu2..C6.mu5 fail on C6.1
+        ("verify", "--class", "C6.1", "--params", "h1=1,h2=1,h8=2", "--enhancements"),
+        ("verify", "--hietarinta", "H1,3", "--params", "k=1,p=2,q=3,typo=5"),
     ], ids=["complex-literal", "xtype-count", "enhancements-class", "classify-class",
-            "orbit-xtype", "matrix-range", "recipe-param"])
+            "orbit-xtype", "matrix-range", "recipe-param", "enhancements-variant",
+            "family-param"])
     def test_usage_error_is_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

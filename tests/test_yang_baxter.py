@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from braidgate.enhancement import RECIPES
-from braidgate.hietarinta import RECIPE_TABLE
+from braidgate.enhancement import RECIPES, instantiate_recipe
+from braidgate.hietarinta import RECIPE_TABLE, hietarinta_assemble, verify_recipe
 from braidgate.matrix_core import XTYPE_SUPPORT, max_norm
 from braidgate.yang_baxter import (
     BraidWord,
@@ -13,6 +13,7 @@ from braidgate.yang_baxter import (
     InadmissibleParamsError,
     XTypeParams,
     assemble,
+    bind,
     braid_rep,
     catalog_entry,
     catalog_instantiate,
@@ -177,10 +178,11 @@ class TestCatalog:
             catalog_instantiate("C4.0", {"h1": 1, "h4": 0, "h6": 1})
         with pytest.raises(InadmissibleParamsError):
             catalog_instantiate("C6.0", {"h1": 1, "h2": 0, "h8": 1})
-        with pytest.raises(InadmissibleParamsError):
-            catalog_instantiate("C1.0", {"h1": 1})  # missing params
-        with pytest.raises(InadmissibleParamsError):
-            catalog_instantiate("C1.0", {"h1": 1, "h4": 1, "h5": 1, "h8": 1, "h2": 1})
+        # a missing or an extra name is the binder's ValueError, not a domain error
+        for params in ({"h1": 1}, {"h1": 1, "h4": 1, "h5": 1, "h8": 1, "h2": 1}):
+            with pytest.raises(ValueError) as exc:
+                catalog_instantiate("C1.0", params)
+            assert exc.type is ValueError
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -245,6 +247,48 @@ class TestTableExpressions:
         residual = a * b * a - b * a * b
         assert all(sympy.cancel(v) == 0 for v in residual), entry_id
         assert sympy.cancel(r.det()) != 0, entry_id
+
+
+_H11_TO_C6 = next(r for r in RECIPE_TABLE if (r.source, r.target) == ("H1,1", "C6.0"))
+
+# site -> (call, its exact parameters, one name it does not take)
+_BINDERS = {
+    "fill": (CATALOG["C1.0"].fill, {"h1": 1, "h4": 2, "h5": 3, "h8": 4}, "h2"),
+    # C1.I pins h8 = h1, so an h8 of the caller's was once dropped unread
+    "instantiate_recipe": (lambda p: instantiate_recipe("C1.I", p),
+                           {"h1": 1, "h4": 2, "h5": 3}, "h8"),
+    "hietarinta_assemble": (lambda p: hietarinta_assemble("H1,3", p),
+                            {"k": 1, "p": 2, "q": 3}, "s"),
+    # a parameter named sqrt would shadow the tables' square root
+    "verify_recipe": (lambda p: verify_recipe(_H11_TO_C6, p),
+                      {"h1": 1, "h2": 1, "h8": 2}, "sqrt"),
+}
+
+
+class TestBind:
+    @pytest.mark.parametrize("change", ["missing", "unknown"])
+    @pytest.mark.parametrize("site", sorted(_BINDERS))
+    def test_refuses_a_missing_or_unknown_name(self, site, change):
+        call, params, unknown = _BINDERS[site]
+        call(params)
+        bad = dict(params)
+        if change == "missing":
+            name, _ = bad.popitem()
+        else:
+            name = unknown
+            bad[name] = 1
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        # neither the domain error of a nonzero constraint nor a NameError
+        # from evaluating a table expression without the name
+        assert exc.type is ValueError
+        assert f"takes parameters {list(params)}" in str(exc.value)
+        assert f"{change} [{name!r}]" in str(exc.value)
+
+    def test_values_are_complex_in_the_named_order(self):
+        got = bind("C1.0", ("h1", "h4"), {"h4": 2, "h1": np.float64(1.5)})
+        assert list(got) == ["h1", "h4"] and got == {"h1": 1.5 + 0j, "h4": 2 + 0j}
+        assert all(type(v) is complex for v in got.values())
 
 
 class TestPauliExpansion:
