@@ -110,14 +110,17 @@ class TestVerifyCommand:
         assert all(v["pass"] for v in recipes.values())
 
     def test_undefined_recipe_fails_its_check(self, capsys):
-        # C4.mu5 divides by 2 h1 - h6; the other four recipes of class 4 pass
+        # C4.mu5 divides by 2 h1 - h6; C4.I pins h6 = 0, so it does not
+        # apply at h6 = 2; C4.Z (h6 = 2 h1) and C4.I+-Z pass
         code, report = run_json(capsys, "verify", "--class", "C4.0",
                                 "--params", "h1=1,h4=1,h6=2", "--enhancements")
         assert code == 1
         recipes = report["checks"]["enhancements"]
-        assert [rid for rid, v in recipes.items() if v.get("pass") is False] == ["C4.mu5"]
+        assert len(recipes) == 5
+        assert {rid for rid, v in recipes.items() if v.get("pass")} == {
+            "C4.Z", "C4.I+Z", "C4.I-Z"}
+        assert recipes["C4.mu5"]["pass"] is False
         assert recipes["C4.mu5"]["error"].startswith("C4.mu5 is undefined")
-        # C4.I pins h6 = 0, so it does not enhance this operator
         assert recipes["C4.I"] == {"applies": False}
 
     def test_enhancements_of_another_operator_do_not_apply(self, capsys):
