@@ -4,7 +4,6 @@ Turaev-enhanced link polynomials, and entangling power."""
 from .matrix_core import (
     DEFAULT_TOL,
     SingularMatrixError,
-    eigenvalues_general,
     eigenvalues_xtype,
     invert,
     partial_trace,
@@ -18,7 +17,6 @@ from .yang_baxter import (
     XTypeParams,
     assemble,
     braid_rep,
-    catalog_instantiate,
     check_ybe,
     lie_orbit_rank,
     pauli_expand,
@@ -45,14 +43,11 @@ from .enhancement import (
     markov_check,
     solve_enhancement,
     verify_enhancement,
-    writhe,
 )
 from .entangling_power import (
     ProductState,
-    StateCoeffs,
     apply_to_product,
     entangling_power_closed,
-    entangling_power_monte_carlo,
     entangling_power_quadrature,
     j2_invariant,
     unitary_xtype,

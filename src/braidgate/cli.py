@@ -22,7 +22,7 @@ import numpy as np
 from . import enhancement, entangling_power, hietarinta, invariants, yang_baxter
 from .enhancement import InvalidEnhancementError
 from .matrix_core import DEFAULT_TOL, XTYPE_SUPPORT, SingularMatrixError, is_xtype, max_norm
-from .yang_baxter import BraidWord, CATALOG, VARIANT_COUNTS, InadmissibleParamsError, assemble
+from .yang_baxter import BraidWord, CATALOG, InadmissibleParamsError, assemble
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -237,7 +237,7 @@ def cmd_catalog(args) -> int:
     report = _base_report(args, "catalog")
     report["count"] = len(rows)
     if not args.hietarinta_list and not args.cls:
-        report["classes"] = len(VARIANT_COUNTS)
+        report["classes"] = len({entry.class_id for entry in CATALOG.values()})
     report["rows"] = rows
     return _emit(args, report, failed=False)
 
@@ -311,7 +311,7 @@ def cmd_linkpoly(args) -> int:
         "recipe": args.recipe,
         "word": str(word),
         "strands": word.strands,
-        "writhe": enhancement.writhe(word),
+        "writhe": word.writhe(),
         "value": value,
     })
     return _emit(args, report, failed=False)
@@ -383,7 +383,6 @@ def cmd_orbit(args) -> int:
 def cmd_report_all(args) -> int:
     """Regenerate the battery of per-class golden reports into a directory."""
     rng = np.random.default_rng(args.seed)
-    os.makedirs(args.outdir, exist_ok=True)
     battery = {}
     for eid, entry in CATALOG.items():
         params = entry.random_params(rng)
@@ -404,9 +403,13 @@ def cmd_report_all(args) -> int:
                               "difference": ep["difference"]}
         battery[eid] = item
     path = os.path.join(args.outdir, "catalog_report.json")
-    with open(path, "w") as fh:
-        json.dump(_jsonable({"seed": args.seed, "tolerance": args.tol,
-                             "entries": battery}), fh, indent=2, sort_keys=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(_jsonable({"seed": args.seed, "tolerance": args.tol,
+                                 "entries": battery}), fh, indent=2, sort_keys=True)
+    except OSError as exc:  # a file in the way of the directory, or a directory of the file
+        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
     print(f"wrote {path}")
     failed = not all(v["ybe_pass"] and v["eigen_report_pass"] for v in battery.values())
     return CHECK_FAILED if failed else 0

@@ -66,12 +66,10 @@ __all__ = [
     "EnhancedOperator",
     "EnhancementRecipe",
     "RECIPES",
-    "recipe_ids_for_class",
     "instantiate_recipe",
     "verify_enhancement",
     "solve_enhancement",
     "POINT_OUTCOMES",
-    "writhe",
     "link_polynomial",
     "markov_check",
     "AlgebraWitness",
@@ -153,11 +151,6 @@ def verify_enhancement(e: EnhancedOperator, tol: float = DEFAULT_TOL):
     return (res_a, res_b, res_c), ok
 
 
-def writhe(word: BraidWord) -> int:
-    """Signed crossing count: the sum of all letter exponents."""
-    return word.writhe()
-
-
 def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
     residuals, ok = verify_enhancement(e, tol)
     if not ok:
@@ -174,7 +167,7 @@ def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
         word = plan.word
         try:
             value = plan.trace(tensors, e.mu)
-            values.append(complex(e.x ** (-writhe(word)) * e.y ** (-word.strands) * value))
+            values.append(complex(e.x ** (-word.writhe()) * e.y ** (-word.strands) * value))
         except OverflowError:
             raise ValueError(
                 f"the link value of this {word.strands}-strand word overflows a float64"
@@ -420,10 +413,6 @@ def _build_recipes() -> dict[str, EnhancementRecipe]:
 
 
 RECIPES: dict[str, EnhancementRecipe] = _build_recipes()
-
-
-def recipe_ids_for_class(class_id: int) -> tuple[str, ...]:
-    return tuple(rid for rid, r_ in RECIPES.items() if r_.class_id == class_id)
 
 
 def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -> EnhancedOperator:
@@ -764,13 +753,25 @@ def jordan_witness(r, coeffs: dict[int, complex], tol: float = DEFAULT_TOL) -> A
     return AlgebraWitness("Jordan", 1.0, {"coeffs": dict(coeffs)}, res, realized)
 
 
+def _class_params(kind: str, class_id: int, classes, params: dict, names=None):
+    """``params`` bound to ``names``, by default the free parameters of the
+    class representative; ``ValueError`` for a class with no ``kind``."""
+    if class_id not in classes:
+        raise ValueError(f"no {kind} recorded for class {class_id}")
+    names = names or catalog_entry(f"C{class_id}.0").free_params
+    return bind(f"the class-{class_id} {kind}", names, params)
+
+
 def class_bmw_params(class_id: int, params: dict) -> tuple[complex, complex, complex]:
     """(scale, l, m) realizing the BMW algebra for classes 1, 2, and 7.
 
-    Square roots share intermediates, so the returned triple is one member of
-    the valid simultaneous sign orbit (scale, l, m) -> (-scale, -l, -m).
+    Class 1 realizes it at h8 = h1 only, so it takes (h1, h4, h5), as recipe
+    C1.I does.  Square roots share intermediates, so the returned triple is
+    one member of the valid simultaneous sign orbit (scale, l, m) ->
+    (-scale, -l, -m).
     """
-    p = {k: complex(v) for k, v in params.items()}
+    p = _class_params("BMW realization", class_id, (1, 2, 7), params,
+                      ("h1", "h4", "h5") if class_id == 1 else None)
     if class_id == 1:
         lam1 = p["h1"]
         lam2 = sqrt(p["h4"] * p["h5"])
@@ -781,17 +782,15 @@ def class_bmw_params(class_id: int, params: dict) -> tuple[complex, complex, com
         lam2 = p["h3"]
         s1, s2 = sqrt(lam1), sqrt(lam2)
         return (-1j / (s1 * s2), 1j * s2 / s1, -1j * (lam2 - lam1) / (s1 * s2))
-    if class_id == 7:
-        # m follows the (lam+ - lam-)/sqrt(lam+ lam-) pattern of classes 1
-        # and 2; with lam+- = h1 +- h3 that difference is 2 h3
-        sp, sm = sqrt(p["h1"] + p["h3"]), sqrt(p["h1"] - p["h3"])
-        return (1j / (sp * sm), -1j * sp / sm, 2j * p["h3"] / (sp * sm))
-    raise ValueError(f"no BMW realization recorded for class {class_id}")
+    # class 7: m follows the (lam+ - lam-)/sqrt(lam+ lam-) pattern of classes
+    # 1 and 2; with lam+- = h1 +- h3 that difference is 2 h3
+    sp, sm = sqrt(p["h1"] + p["h3"]), sqrt(p["h1"] - p["h3"])
+    return (1j / (sp * sm), -1j * sp / sm, 2j * p["h3"] / (sp * sm))
 
 
 def class_hecke_params(class_id: int, params: dict) -> tuple[complex, complex]:
     """(scale, q) realizing the Hecke algebra for classes 3, 4, 5, 6, 8, 10, 11, 12."""
-    p = {k: complex(v) for k, v in params.items()}
+    p = _class_params("Hecke realization", class_id, (3, 4, 5, 6, 8, 10, 11, 12), params)
     if class_id == 3:
         return (-1 / p["h1"], -p["h8"] / p["h1"])
     if class_id == 4:
@@ -808,26 +807,25 @@ def class_hecke_params(class_id: int, params: dict) -> tuple[complex, complex]:
         return (1 / p["h1"], 1)
     if class_id == 11:
         return (-1 / p["h8"], -1)
-    if class_id == 12:
-        return (-(1 + 1j) / p["h1"], -1)
-    raise ValueError(f"no Hecke realization recorded for class {class_id}")
+    return (-(1 + 1j) / p["h1"], -1)  # class 12
 
 
 def class_jordan_coeffs(class_id: int, params: dict, variant: str = "") -> dict[int, complex]:
     """Coefficients of the operator identities replacing the algebra relations.
 
     Class 9 satisfies R^2 - h1 R - h1^2 + h1^3 R^-1 = 0.  Class 1 satisfies a
-    cubic identity at h8 = -h1 ("muZ") and a quartic one in general.
+    cubic identity at h8 = -h1 ("muZ"), which takes (h1, h4, h5) as recipe
+    C1.Z does, and a quartic one in general.
     """
-    p = {k: complex(v) for k, v in params.items()}
+    muz = class_id == 1 and variant == "muZ"
+    p = _class_params("operator identity", class_id, (1, 9), params,
+                      ("h1", "h4", "h5") if muz else None)
     if class_id == 9:
         h1 = p["h1"]
         return {2: 1, 1: -h1, 0: -(h1**2), -1: h1**3}
-    if class_id == 1 and variant == "muZ":
+    if muz:
         h1, prod = p["h1"], p["h4"] * p["h5"]
         return {3: 1, 1: -(h1**2 + prod), -1: h1**2 * prod}
-    if class_id == 1:
-        h1, h8, prod = p["h1"], p["h8"], p["h4"] * p["h5"]
-        return {3: 1, 2: -(h1 + h8), 1: h1 * h8 - prod, 0: (h1 + h8) * prod,
-                -1: -h1 * h8 * prod}
-    raise ValueError(f"no operator identity recorded for class {class_id}")
+    h1, h8, prod = p["h1"], p["h8"], p["h4"] * p["h5"]
+    return {3: 1, 2: -(h1 + h8), 1: h1 * h8 - prod, 0: (h1 + h8) * prod,
+            -1: -h1 * h8 * prod}

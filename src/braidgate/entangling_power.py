@@ -23,10 +23,11 @@ normalized output state |det t|^2 <= 1/4 pointwise, which bounds e_P of any
 unitary by 1/4; the Bell matrix attains the unitary X-type maximum 1/9.
 
 For any 4x4 operator the average is a Haar fourth moment with an exact
-operator form, :func:`entangling_power`, the production route.  The test
-oracles evaluate the average itself: Monte Carlo, and a quadrature that is
-exact because the integrand is a trigonometric polynomial of low degree per
-angle (a uniform grid in the phases, Gauss-Legendre in u = cos(2 theta)).
+operator form, :func:`entangling_power`, the production route.
+:func:`entangling_power_quadrature` evaluates the average itself on a fixed
+grid that is exact because the integrand is a trigonometric polynomial of low
+degree per angle (a uniform grid in the phases, Gauss-Legendre in
+u = cos(2 theta)); the tests also keep a Monte Carlo oracle.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ import numpy as np
 
 from .matrix_core import (DEFAULT_TOL, XTYPE_SUPPORT, _EPS, _as_two_qubit, _h_tuple, is_xtype,
                           max_norm, numerical_rank, partial_transpose)
-from .yang_baxter import CatalogEntry, XTypeParams, catalog_entry
+from .yang_baxter import CatalogEntry, XTypeParams
 
 __all__ = [
     "ProductState",
-    "StateCoeffs",
     "apply_to_product",
     "j2_invariant",
     "epsilon_reduction_check",
@@ -49,12 +49,10 @@ __all__ = [
     "entangling_power",
     "entangling_power_closed",
     "entangling_power_quadrature",
-    "entangling_power_monte_carlo",
     "unitary_xtype",
     "class_epower",
     "state_action_rank",
     "EIGEN_EXPRESSIBLE_CLASSES",
-    "MAX_NODES",
 ]
 
 _EPS_EPS = np.kron(_EPS, _EPS)
@@ -87,44 +85,31 @@ class ProductState:
         )
 
 
-@dataclass(frozen=True)
-class StateCoeffs:
-    """Amplitude matrix t[i1, i2] of a two-qubit state."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=complex)
-        if t.shape != (2, 2):
-            raise ValueError("state coefficients form a 2x2 matrix")
-        object.__setattr__(self, "t", t)
+def apply_to_product(r, p: ProductState) -> np.ndarray:
+    """Amplitude matrix t[i1, i2] of R acting on a product state."""
+    return (_as_two_qubit(r) @ p.vector()).reshape(2, 2)
 
 
-def apply_to_product(r, p: ProductState) -> StateCoeffs:
-    """Amplitudes of R acting on a product state."""
-    return StateCoeffs((_as_two_qubit(r) @ p.vector()).reshape(2, 2))
+def j2_invariant(t) -> complex:
+    """The quadratic state invariant 2 det t of a 2x2 amplitude matrix; zero
+    exactly on product states."""
+    return 2 * complex(np.linalg.det(np.asarray(t, dtype=complex)))
 
 
-def j2_invariant(t: StateCoeffs | np.ndarray) -> complex:
-    """The quadratic state invariant 2 det t; zero exactly on product states."""
-    m = t.t if isinstance(t, StateCoeffs) else np.asarray(t, dtype=complex)
-    return 2 * complex(np.linalg.det(m))
-
-
-def epsilon_reduction_check(t: StateCoeffs | np.ndarray) -> float:
+def epsilon_reduction_check(t) -> float:
     """Residual of t_{i1 i2} t_{j1 j2} eps_{i1 j1} = (det t) eps_{i2 j2}.
 
     This identity is what collapses every higher-order state invariant to a
     power of det t.
     """
-    m = t.t if isinstance(t, StateCoeffs) else np.asarray(t, dtype=complex)
+    m = np.asarray(t, dtype=complex)
     lhs = np.einsum("ia,jb,ij->ab", m, m, _EPS)
     return max_norm(lhs - np.linalg.det(m) * _EPS)
 
 
-def linear_entropy(t: StateCoeffs | np.ndarray) -> float:
+def linear_entropy(t) -> float:
     """Linear entropy 2 |det t|^2 / Tr(t t+)^2 of the (unnormalized) state."""
-    m = t.t if isinstance(t, StateCoeffs) else np.asarray(t, dtype=complex)
+    m = np.asarray(t, dtype=complex)
     det = np.linalg.det(m)
     norm2 = np.trace(m @ m.conj().T).real
     return float(2 * abs(det) ** 2 / norm2**2)
@@ -146,11 +131,6 @@ def entangling_power_closed(h) -> float:
     return float(first / 9 + second / 36)
 
 
-# A quadrature holds (4, nodes^2, nodes^2) amplitudes at its peak: 96 MiB at
-# 32 nodes (tracemalloc).  The average is already exact at 8.
-MAX_NODES = 32
-
-
 def _qubit_states(phi, theta) -> np.ndarray:
     """One-qubit states [e^(i phi) cos(theta), e^(-i phi) sin(theta)] on a last axis."""
     phase = np.exp(1j * np.asarray(phi))
@@ -162,8 +142,8 @@ def _det_sq(amps) -> np.ndarray:
     return np.abs(amps[0] * amps[3] - amps[1] * amps[2]) ** 2
 
 
-def _qubit_grid(nodes: int):
-    """One-qubit quadrature grid, exact for the average: states (nodes^2, 2), weights.
+def _qubit_grid():
+    """One-qubit quadrature grid, exact for the average: states (16^2, 2), weights.
 
     The phi dependence enters only through e^(+-2 i k phi) with k <= 2, for
     which a uniform grid over one period [-pi, 0) is exact; the theta part is
@@ -171,14 +151,14 @@ def _qubit_grid(nodes: int):
     exact.  The measure splits as d(phi)/pi x du/2 per qubit, so the
     two-qubit grid is the product of two copies of this one.
     """
-    if nodes < 8:
-        raise ValueError("need at least 8 nodes per dimension")
-    if nodes > MAX_NODES:
-        raise ValueError(f"{nodes} nodes exceed the limit of {MAX_NODES}")
+    nodes = 16
     phis = -np.pi + np.pi * np.arange(nodes) / nodes
     u, w = np.polynomial.legendre.leggauss(nodes)
     phi, theta = np.meshgrid(phis, np.arccos(u) / 2, indexing="ij")
     return _qubit_states(phi, theta).reshape(-1, 2), np.tile(w / (2 * nodes), nodes)
+
+
+_GRID_STATES, _GRID_WEIGHTS = _qubit_grid()
 
 
 def entangling_power(r) -> float:
@@ -197,33 +177,18 @@ def entangling_power(r) -> float:
     return float((2 * np.vdot(m, m).real + 2 * np.vdot(m, m_g).real) / 144)
 
 
-def entangling_power_quadrature(r, nodes: int = 16) -> float:
-    """Average |det t|^2 over a product grid of states (test oracle).
+def entangling_power_quadrature(r) -> float:
+    """Average |det t|^2 over a product grid of states.
 
     Works for any 4x4 operator and is exact for the integrand's trigonometric
     degree, so it agrees with :func:`entangling_power` to rounding.  The
     amplitudes on the grid are a separable contraction of R with the
-    one-qubit states.  ``nodes`` must lie in [8, ``MAX_NODES``]; outside it
-    ``ValueError`` is raised before the grid is built.
+    one-qubit states; the grid is built once, at import.
     """
     r = _as_two_qubit(r)
-    states, weights = _qubit_grid(nodes)
+    states = _GRID_STATES
     amps = np.einsum("kij,ai->kaj", r.reshape(4, 2, 2), states) @ states.T
-    return float(weights @ _det_sq(amps) @ weights)
-
-
-def entangling_power_monte_carlo(r, samples: int = 1_000_000, seed: int = 0) -> float:
-    """Monte Carlo cross-check of the Bloch-sphere average (about 1% at 1e6)."""
-    r = _as_two_qubit(r)
-    rng = np.random.default_rng(seed)
-    phi1 = rng.uniform(-np.pi, 0, samples)
-    phi2 = rng.uniform(-np.pi, 0, samples)
-    # u = cos(2 theta) uniform on [-1, 1] realizes the sin cos measure
-    th1 = np.arccos(rng.uniform(-1, 1, samples)) / 2
-    th2 = np.arccos(rng.uniform(-1, 1, samples)) / 2
-    q1, q2 = _qubit_states(phi1, th1), _qubit_states(phi2, th2)
-    states = (q1[:, :, None] * q2[:, None, :]).reshape(-1, 4)
-    return float(np.mean(_det_sq(r @ states.T)))
+    return float(_GRID_WEIGHTS @ _det_sq(amps) @ _GRID_WEIGHTS)
 
 
 def unitary_xtype(
@@ -312,15 +277,13 @@ def _class_epower_formula(class_id: int, p: dict[str, complex]) -> float:
     raise ValueError(f"unknown class {class_id}")
 
 
-def class_epower(entry: CatalogEntry | str, params: dict, tol: float = DEFAULT_TOL) -> dict:
+def class_epower(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) -> dict:
     """Per-class closed form for the entangling power, cross-checked.
 
     Returns the formula value, the general X-type closed form, their
     difference, and whether this class's value is expressible through the
     operator's eigenvalues alone (only classes 1 and 2 are).
     """
-    if isinstance(entry, str):
-        entry = catalog_entry(entry)
     if entry.variant_id != 0:
         raise ValueError("per-class entangling power formulas address representatives (.0)")
     h = entry.fill(params)

@@ -195,9 +195,6 @@ def _recipe(source, target, base, steps=(), source_params=None, target_params=No
     )
 
 
-_ID = lambda *names: {n: n for n in names}  # noqa: E731
-
-
 def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
     t: list[EquivalenceRecipe] = []
 
@@ -216,14 +213,11 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
     t.append(_recipe("C3.3", "C3.0", ("h1", "h2", "h8"), steps=[("3a",)],
                      target_params={"h1": "h1", "h8": "h8", "h7": "h2"}))
     # the printed step for C3.4 is (3b); only (3c) lands on C3.3
-    t.append(_recipe("C3.4", "C3.3", ("h1", "h2", "h8"), steps=[("3c",)],
-                     target_params=_ID("h1", "h2", "h8")))
+    t.append(_recipe("C3.4", "C3.3", ("h1", "h2", "h8"), steps=[("3c",)]))
     t.append(_recipe("C3.5", "C3.1", ("h1", "h2", "h8"), steps=[("3a",), ("3c",)],
                      target_params={"h1": "h1", "h8": "h8", "h7": "h2"}))
-    t.append(_recipe("C3.6", "C3.1", ("h1", "h7", "h8"), steps=[("3c",)],
-                     target_params=_ID("h1", "h7", "h8")))
-    t.append(_recipe("C3.7", "C3.0", ("h1", "h7", "h8"), steps=[("3c",)],
-                     target_params=_ID("h1", "h7", "h8")))
+    t.append(_recipe("C3.6", "C3.1", ("h1", "h7", "h8"), steps=[("3c",)]))
+    t.append(_recipe("C3.7", "C3.0", ("h1", "h7", "h8"), steps=[("3c",)]))
 
     for cls, fam in ((4, "H2,1"), (5, "H2,2")):
         t.append(_recipe(f"C{cls}.0", fam, ("h1", "h4", "h6"), steps=[("3c",)],
@@ -240,8 +234,7 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
     t.append(_recipe("H1,1", "C6.0", ("h1", "h2", "h8"),
                      steps=[("conj", f"-1/(2*({lam_p}))",
                              (("sqrt(2*h2)", "0"), ("0", "sqrt(h1+h8)")))],
-                     source_params={"p": "(h1-h8)/2", "q": f"-({lam_p})"},
-                     target_params=_ID("h1", "h2", "h8")))
+                     source_params={"p": "(h1-h8)/2", "q": f"-({lam_p})"}))
     t.append(_recipe("C6.1", "C6.0", ("h1", "h2", "h8"),
                      steps=[("conj", "-1", (("1", "0"), ("0", "1")))],
                      target_params={"h1": "-h1", "h2": "-h2", "h8": "-h8"}))
@@ -249,31 +242,25 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
     t.append(_recipe("H1,4", "C7.0", ("h1", "h2", "h3"),
                      steps=[("conj", "1",
                              (("I*sqrt(h2)", "-I*sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)")))],
-                     source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3"},
-                     target_params=_ID("h1", "h2", "h3")))
+                     source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3"}))
     t.append(_recipe("H3,1", "C7.1", ("h1", "h2", "h3"),
                      steps=[("conj", "1",
                              (("sqrt(h2)", "-sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)")))],
                      source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3",
-                                    "s": "h1+h3"},
-                     target_params=_ID("h1", "h2", "h3")))
+                                    "s": "h1+h3"}))
     t.append(_recipe("C7.0", "C7.1", ("h1", "h2", "h3"),
                      steps=[("conj2", (("1", "0"), ("0", "-I")),
-                             (("1", "0"), ("0", "I")))],
-                     target_params=_ID("h1", "h2", "h3")))
+                             (("1", "0"), ("0", "I")))]))
 
     t.append(_recipe("H0,2", "C8.0", ("h1", "h2"),
                      steps=[("conj", "h1", (("0", "I*sqrt(h2)"), ("sqrt(h1)", "0")))],
-                     source_params={},
-                     target_params=_ID("h1", "h2")))
-    t.append(_recipe("C8.1", "C8.0", ("h1", "h2"), steps=[("3c",)],
-                     target_params=_ID("h1", "h2")))
+                     source_params={}))
+    t.append(_recipe("C8.1", "C8.0", ("h1", "h2"), steps=[("3c",)]))
 
     t.append(_recipe("H0,1", "C9.0", ("h1", "h7"),
                      steps=[("conj", "h1", (("sqrt(h7)", "0"), ("0", "sqrt(h1)"))),
                             ("3a",)],
-                     source_params={},
-                     target_params=_ID("h1", "h7")))
+                     source_params={}))
     t.append(_recipe("C9.1", "C9.0", ("h1", "h2"), steps=[("3a",)],
                      target_params={"h1": "h1", "h7": "h2"}))
     t.append(_recipe("C9.2", "H2,3'", ("h1", "h7"), steps=[("3a",)],
@@ -282,8 +269,7 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
                      target_params={"h1": "h1", "h7": "h2"}))
     t.append(_recipe("C9.0", "C9.2", ("h1", "h7"),
                      steps=[("conj2", (("1", "0"), ("0", "-I")),
-                             (("1", "0"), ("0", "I")))],
-                     target_params=_ID("h1", "h7")))
+                             (("1", "0"), ("0", "I")))]))
 
     t.append(_recipe("C10.0", "H1,2", ("h1", "h7"), steps=[("3b",)],
                      target_params={"k": "h7", "p": "-h1", "q": "-h1"}))
@@ -314,8 +300,7 @@ def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
     t.append(_recipe("H1,1", "C12.0", ("h1", "h2"),
                      steps=[("conj", "h1/(2*(1+I))",
                              (("sqrt((1+I)*h2)", "0"), ("0", "-sqrt(h1)")))],
-                     source_params={"p": "1", "q": "I"},
-                     target_params=_ID("h1", "h2")))
+                     source_params={"p": "1", "q": "I"}))
     # direction-consistent relabel: transforming the variant gives the
     # representative at h1 -> i h1
     t.append(_recipe("C12.1", "C12.0", ("h1", "h2"), steps=[("3a",), ("3b",)],
@@ -378,12 +363,14 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     """
     from .enhancement import EnhancedOperator  # local import avoids a cycle
 
-    p = {k: complex(v) for k, v in params.items()}
+    if which not in ("H1,3", "H2,3"):
+        raise ValueError("which must be 'H1,3' or 'H2,3'")
+    p = bind(which, HIETARINTA_FORMS[which][0], params)
+    if abs(p["k"]) < SINGULAR_TOL:
+        raise ValueError(f"{which} requires k != 0")
+    r = hietarinta_assemble(which, p)
     if which == "H1,3":
-        k, pp, q = p["k"], p["p"], p["q"]
-        if abs(k) < SINGULAR_TOL:
-            raise ValueError("H1,3 requires k != 0")
-        r = hietarinta_assemble("H1,3", {"k": k, "p": pp, "q": q})
+        k, pp, q = p.values()
         mu = np.eye(2, dtype=complex) - (pp + q) / (2 * k) * np.array(
             [[0, 2], [0, 0]], dtype=complex
         )  # X + iY = [[0, 2], [0, 0]]
@@ -406,31 +393,26 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
             * (abs(k) ** 2 + abs(q) ** 2) / 9,
             "hecke": {"scale": 1 / k**2, "q": 1.0},
         }
-    if which == "H2,3":
-        k, pp, q, s = p["k"], p["p"], p["q"], p["s"]
-        if abs(k) < SINGULAR_TOL:
-            raise ValueError("H2,3 requires k != 0")
-        r = hietarinta_assemble("H2,3", {"k": k, "p": pp, "q": q, "s": s})
-        out = {
-            "family": "H2,3",
-            "matrix": r,
-            "invariants": {
-                "I1": 2 * k,
-                "I2_4": -2 * k**2,
-                "I2_5": -2 * k**2,
-                "I2_8": 4 * k**2,
-                "I2_9": 2 * k**2,
-                "I2_10": 2 * k**2,
-            },
-            "eigenvalues": {"value": k, "multiplicities": (3, 1)},
-            "entangling_power": abs(k * s - pp * q) ** 2 / 9,
-            "jordan": {2: 1, 1: -k, 0: -(k**2), -1: k**3},
-            "enhanceable": abs(q + pp) < tol,
-        }
-        if out["enhanceable"]:
-            out["enhanced"] = EnhancedOperator(
-                R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0
-            )
-            out["link_values"] = {"even": 4.0, "odd": 2.0}
-        return out
-    raise ValueError("which must be 'H1,3' or 'H2,3'")
+    k, pp, q, s = p.values()
+    out = {
+        "family": "H2,3",
+        "matrix": r,
+        "invariants": {
+            "I1": 2 * k,
+            "I2_4": -2 * k**2,
+            "I2_5": -2 * k**2,
+            "I2_8": 4 * k**2,
+            "I2_9": 2 * k**2,
+            "I2_10": 2 * k**2,
+        },
+        "eigenvalues": {"value": k, "multiplicities": (3, 1)},
+        "entangling_power": abs(k * s - pp * q) ** 2 / 9,
+        "jordan": {2: 1, 1: -k, 0: -(k**2), -1: k**3},
+        "enhanceable": abs(q + pp) < tol,
+    }
+    if out["enhanceable"]:
+        out["enhanced"] = EnhancedOperator(
+            R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0
+        )
+        out["link_values"] = {"even": 4.0, "odd": 2.0}
+    return out

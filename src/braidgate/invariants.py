@@ -3,9 +3,9 @@
 A 4x4 operator R has one linear invariant (its trace) and ten quadratic
 invariants built by contracting two copies of R with the epsilon and delta
 tensors.  Six linear identities reduce those ten to five independent ones.
-Each quadratic invariant is implemented twice: as a closed matrix expression
-(fast path) and as the literal index contraction (oracle), and the two are
-kept as mutual checks.
+:func:`quadratic_invariants` evaluates all ten through closed matrix
+expressions, the one production route; :func:`contraction_oracle` is the
+literal index sum that the tests and the benchmark check it against.
 
 Invariance caveat: I1 and I2_1..I2_8 contract both copies of R on the same
 two qubits and are invariant under independent (Q1, Q2).  The two-copy pair
@@ -34,7 +34,7 @@ from .matrix_core import (
     partial_transpose,
     tensor_product,
 )
-from .yang_baxter import CatalogEntry, assemble, catalog_entry
+from .yang_baxter import CatalogEntry, assemble
 
 __all__ = [
     "InvariantSet",
@@ -42,7 +42,6 @@ __all__ = [
     "linear_invariant",
     "quadratic_invariants",
     "contraction_oracle",
-    "two_copy_invariants",
     "check_identities",
     "identity_scale",
     "xtype_closed_forms",
@@ -156,21 +155,6 @@ def contraction_oracle(r, which: str) -> complex:
         return complex(total)
 
     raise ValueError(f"unknown invariant id {which!r}")
-
-
-def two_copy_invariants(r) -> tuple[complex, complex]:
-    """I2_9 and I2_10 via the explicit 8x8 two-copy operators R12 and R23."""
-    r = _as_two_qubit(r)
-    i2 = np.eye(2, dtype=complex)
-    r12 = tensor_product(r, i2)
-    r23 = tensor_product(i2, r)
-    i29 = complex(np.trace(r12 @ r23))
-    # middle-qubit partial transpose of R23, sandwiched by Y on qubit 2
-    t = r23.reshape(2, 2, 2, 2, 2, 2)
-    th = np.einsum("abcdef->aecdbf", t).reshape(8, 8)
-    y2 = tensor_product(tensor_product(i2, PAULI_Y), i2)
-    i210 = complex(np.trace(r12 @ y2 @ th @ y2))
-    return i29, i210
 
 
 def identity_scale(r) -> float:
@@ -396,10 +380,8 @@ class EigenReport:
     passed: bool
 
 
-def class_eigen_report(entry: CatalogEntry | str, params: dict, tol: float = DEFAULT_TOL) -> EigenReport:
+def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) -> EigenReport:
     """Evaluate the class's invariant-vs-eigenvalue formulas at given params."""
-    if isinstance(entry, str):
-        entry = catalog_entry(entry)
     h = entry.fill(params)
     inv = quadratic_invariants(assemble(h))
     direct = {f"I2_{r}": inv.q(r) for r in (4, 5, 8, 9, 10)}

@@ -28,7 +28,6 @@ __all__ = [
     "partial_transpose",
     "invert",
     "eigenvalues_xtype",
-    "eigenvalues_general",
     "max_norm",
     "is_xtype",
     "numerical_rank",
@@ -175,15 +174,6 @@ def eigenvalues_xtype(h) -> tuple[complex, complex, complex, complex]:
         (h3 + h6 + d2) / 2,
         (h3 + h6 - d2) / 2,
     )
-
-
-def eigenvalues_general(m) -> np.ndarray:
-    """Eigenvalue multiset from the general-purpose dense solver.
-
-    Kept separate from :func:`eigenvalues_xtype` so the closed form can be
-    cross-checked against an independent route.
-    """
-    return np.linalg.eigvals(as_matrix(m))
 
 
 def is_xtype(r, tol: float = DEFAULT_TOL) -> bool:

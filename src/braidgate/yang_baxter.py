@@ -60,17 +60,14 @@ __all__ = [
     "CatalogEntry",
     "CATALOG",
     "catalog_entry",
-    "catalog_instantiate",
     "assemble",
     "check_ybe",
     "ybe_scale",
     "braid_rep",
     "rep_of_word",
-    "apply_word",
     "letter_tensors",
     "plan_word",
     "WordPlan",
-    "check_strands",
     "MAX_STRANDS",
     "MAX_ENTRIES",
     "MAX_TERMS",
@@ -197,9 +194,9 @@ class BraidWord:
 
 # A dense braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
 # bytes, 256 MiB at 12 strands.  Evaluating a word densely holds two such
-# states.  Only ``apply_word`` and ``rep_of_word`` build that state; a link
-# trace contracts the closed braid (``plan_word``), bounded by ``MAX_ENTRIES``
-# and ``MAX_TERMS`` instead.
+# states.  Only ``rep_of_word`` builds that state; a link trace contracts the
+# closed braid (``plan_word``), bounded by ``MAX_ENTRIES`` and ``MAX_TERMS``
+# instead.
 MAX_STRANDS = 12
 
 # The most complex entries a planned closed-braid contraction may hold at
@@ -211,12 +208,6 @@ MAX_ENTRIES = 2**25
 # over every value of the labels of both operands, about 5 ns a term, so a
 # step takes at most a second or two.
 MAX_TERMS = 2**28
-
-
-def check_strands(n: int) -> None:
-    """Raise ``ValueError`` for more than ``MAX_STRANDS`` strands."""
-    if n > MAX_STRANDS:
-        raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
 
 
 def _letter_powers(r, exponents) -> dict[int, np.ndarray]:
@@ -232,24 +223,24 @@ def _letter_powers(r, exponents) -> dict[int, np.ndarray]:
     return powers
 
 
-def apply_word(r, word: BraidWord, site) -> np.ndarray:
-    """rho(word) (site x ... x site), the n-fold tensor power of a 2x2 ``site``.
+def rep_of_word(r, word: BraidWord) -> np.ndarray:
+    """Image rho(word) of a braid word as a dense 2^n x 2^n matrix.
 
-    This is the dense route: ``rep_of_word`` needs the whole matrix, and the
-    tests use its trace as the oracle for :meth:`WordPlan.trace`.  Each
-    distinct exponent's power of R or R^-1 is taken once at 4x4.  The letters
-    act right to left on the state's row index: a letter on strands i, i+1 is
-    one 4x4 product over the middle axis of the state viewed as
-    (2^(i-1), 4, 2^(n-i-1) * 2^n), so it costs O(4^n) rather than the O(8^n)
-    of a dense 2^n x 2^n product.  Words on more than ``MAX_STRANDS`` strands
-    raise ``ValueError`` before anything is allocated.
+    Each distinct exponent's power of R or R^-1 is taken once at 4x4.  The
+    letters act right to left on the rows of a state that starts at the
+    identity: a letter on strands i, i+1 is one 4x4 product over the middle
+    axis of the state viewed as (2^(i-1), 4, 2^(n-i-1) * 2^n), so it costs
+    O(4^n) rather than the O(8^n) of a dense 2^n x 2^n product.  Words on more
+    than ``MAX_STRANDS`` strands raise ``ValueError`` before anything is
+    allocated.
     """
     n = word.strands
-    check_strands(n)
+    if n > MAX_STRANDS:
+        raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
     powers = _letter_powers(r, (exp for _, exp in word.letters))
-    state = functools.reduce(np.kron, [as_matrix(site)] * n)
-    spare = np.empty_like(state)
     dim = 2**n
+    state = np.eye(dim, dtype=complex)
+    spare = np.empty_like(state)
     for gen, exp in reversed(word.letters):
         shape = (2 ** (gen - 1), 4, dim * 2 ** (n - gen - 1))
         np.matmul(powers[exp], state.reshape(shape), out=spare.reshape(shape))
@@ -430,11 +421,6 @@ def plan_word(word: BraidWord) -> WordPlan:
             local = {l: i for i, l in enumerate(dict.fromkeys(leg))}
             roots.append((k, [local[l] for l in leg]))
     return WordPlan(word, tuple(folds), tuple(steps), tuple(roots), word.strands - len(cur))
-
-
-def rep_of_word(r, word: BraidWord) -> np.ndarray:
-    """Image rho(word) of a braid word as a dense 2^n x 2^n matrix."""
-    return apply_word(r, word, I2)
 
 
 @dataclass(frozen=True)
@@ -837,18 +823,9 @@ def _build_catalog() -> dict[str, CatalogEntry]:
 
 CATALOG: dict[str, CatalogEntry] = _build_catalog()
 
-VARIANT_COUNTS = {1: 1, 2: 1, 3: 8, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 4, 10: 4, 11: 8, 12: 2}
-
 
 def catalog_entry(entry_id: str) -> CatalogEntry:
     try:
         return CATALOG[entry_id]
     except KeyError:
         raise KeyError(f"unknown catalog id {entry_id!r}; known: C1.0 .. C12.1") from None
-
-
-def catalog_instantiate(entry: CatalogEntry | str, params: dict[str, complex]) -> XTypeParams:
-    """Fill an entry's constrained parameters from its free ones."""
-    if isinstance(entry, str):
-        entry = catalog_entry(entry)
-    return entry.fill(params)

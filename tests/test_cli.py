@@ -653,3 +653,15 @@ class TestReportAll(object):
             assert code == 0
             written.append((outdir / "catalog_report.json").read_bytes())
         assert written[0] == written[1]
+
+    def test_blocked_output_path_is_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        (tmp_path / "dir" / "catalog_report.json").mkdir(parents=True)
+        for outdir, blocked, reason in (
+                (blocker, blocker, "File exists"),
+                (blocker / "sub", blocker / "sub", "Not a directory"),
+                (tmp_path / "dir", tmp_path / "dir" / "catalog_report.json", "Is a directory")):
+            code, out, err = run(capsys, "report-all", "--outdir", str(outdir))
+            assert code == 2 and out == ""
+            assert err == f"error: cannot write {blocked}: {reason}\n"

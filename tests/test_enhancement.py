@@ -24,10 +24,8 @@ from braidgate.enhancement import (
     jordan_witness,
     link_polynomial,
     markov_check,
-    recipe_ids_for_class,
     solve_enhancement,
     verify_enhancement,
-    writhe,
 )
 from braidgate.hietarinta import hietarinta_assemble
 from braidgate.matrix_core import (
@@ -109,14 +107,7 @@ class TestVerifyEnhancement:
     def test_recipe_registry_matches_catalog_refs(self):
         for class_id in range(1, 13):
             refs = CATALOG[f"C{class_id}.0"].enhancement_refs
-            assert set(refs) == set(recipe_ids_for_class(class_id))
-
-
-class TestWrithe:
-    def test_examples(self):
-        assert writhe(word()) == 0
-        assert writhe(BraidWord.parse("s1^3 s2^-1")) == 2
-        assert writhe(word((1, -2))) == -2
+            assert set(refs) == {rid for rid, r in RECIPES.items() if r.class_id == class_id}
 
 
 class TestLinkValuesClass1:
@@ -427,7 +418,7 @@ class TestSolver:
         assert len(sols) == 5
         # they match the cataloged recipes up to normalization and sign
         expected = []
-        for rid in recipe_ids_for_class(6):
+        for rid in CATALOG["C6.0"].enhancement_refs:
             e = instantiate_recipe(rid, params)
             expected.append(_canonical(e))
         got = [_canonical(s) for s in sols]
@@ -471,7 +462,7 @@ class TestSolver:
         families = solve_enhancement(r)
         assert len(families) == 5
         assert all(verify_enhancement(e)[1] for e in families)
-        for rid in recipe_ids_for_class(6):
+        for rid in CATALOG["C6.0"].enhancement_refs:
             key = _canonical(instantiate_recipe(rid, C6_ILL_CONDITIONED))
             assert any(_same_family(key, _canonical(e), 1e-5) for e in families), rid
 

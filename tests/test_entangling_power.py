@@ -5,12 +5,10 @@ from numpy.testing import assert_allclose
 from braidgate.entangling_power import (
     EIGEN_EXPRESSIBLE_CLASSES,
     ProductState,
-    StateCoeffs,
     apply_to_product,
     class_epower,
     entangling_power,
     entangling_power_closed,
-    entangling_power_monte_carlo,
     entangling_power_quadrature,
     epsilon_reduction_check,
     j2_invariant,
@@ -19,7 +17,8 @@ from braidgate.entangling_power import (
     unitary_xtype,
 )
 from braidgate.invariants import random_sl2
-from braidgate.yang_baxter import CATALOG, XTypeParams, assemble, catalog_instantiate
+from braidgate.yang_baxter import CATALOG, XTypeParams, assemble
+from oracles import entangling_power_monte_carlo
 
 RNG = np.random.default_rng(77)
 
@@ -48,12 +47,12 @@ def rand_product_state(rng=RNG):
 class TestProductStates:
     def test_identity_on_00(self):
         t = apply_to_product(np.eye(4), ProductState(1, 0, 1, 0))
-        assert_allclose(t.t, [[1, 0], [0, 0]])
+        assert_allclose(t, [[1, 0], [0, 0]])
 
     def test_bell_on_00(self):
         t = apply_to_product(assemble(BELL), ProductState(1, 0, 1, 0))
-        assert_allclose(t.t, [[1 / np.sqrt(2), 0], [0, -1 / np.sqrt(2)]])
-        assert_allclose(np.linalg.det(t.t), -0.5)
+        assert_allclose(t, [[1 / np.sqrt(2), 0], [0, -1 / np.sqrt(2)]])
+        assert_allclose(np.linalg.det(t), -0.5)
 
     def test_det_formula(self):
         h = rand_xtype()
@@ -67,7 +66,7 @@ class TestProductStates:
             - h.h4 * h.h6 * b1**2 * a2**2
             + (h.h1 * h.h8 + h.h2 * h.h7 - h.h3 * h.h6 - h.h4 * h.h5) * a1 * a2 * b1 * b2
         )
-        assert abs(np.linalg.det(t.t) - expected) < 1e-12
+        assert abs(np.linalg.det(t) - expected) < 1e-12
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
@@ -151,22 +150,6 @@ class TestQuadrature:
             quad = entangling_power_quadrature(assemble(h))
             assert abs(closed - quad) < 1e-9 * max(1, closed)
 
-    def test_node_count_insensitive(self):
-        h = rand_xtype()
-        a = entangling_power_quadrature(assemble(h), nodes=8)
-        b = entangling_power_quadrature(assemble(h), nodes=20)
-        assert abs(a - b) < 1e-10 * max(1, a)
-
-    def test_minimum_nodes_enforced(self):
-        with pytest.raises(ValueError):
-            entangling_power_quadrature(np.eye(4), nodes=4)
-
-    def test_maximum_nodes_enforced(self):
-        from braidgate.entangling_power import MAX_NODES
-
-        with pytest.raises(ValueError):
-            entangling_power_quadrature(np.eye(4), nodes=MAX_NODES + 1)
-
     def test_monte_carlo_oracle(self):
         h = rand_xtype()
         quad = entangling_power_quadrature(assemble(h))
@@ -182,7 +165,7 @@ class TestQuadrature:
         th1 = np.arccos(rng.uniform(-1, 1, samples)) / 2
         th2 = np.arccos(rng.uniform(-1, 1, samples)) / 2
         dets = [
-            np.linalg.det(apply_to_product(r, ProductState.from_angles(*angles)).t)
+            np.linalg.det(apply_to_product(r, ProductState.from_angles(*angles)))
             for angles in zip(th1, phi1, th2, phi2)
         ]
         expected = np.mean(np.abs(dets) ** 2)
@@ -313,28 +296,28 @@ class TestClassFormulas:
 
     def test_class9_value(self):
         h1, h7 = rand_complex(), rand_complex()
-        rep = class_epower("C9.0", {"h1": h1, "h7": h7})
+        rep = class_epower(CATALOG["C9.0"], {"h1": h1, "h7": h7})
         assert abs(rep["formula"] - abs(h1 * h7) ** 2 / 9) < 1e-12
 
     def test_unitary_class4_not_an_entangler(self):
-        h = catalog_instantiate("C4.0", {"h1": np.exp(0.3j), "h4": np.exp(1.1j), "h6": 0})
+        h = CATALOG["C4.0"].fill({"h1": np.exp(0.3j), "h4": np.exp(1.1j), "h6": 0})
         u = assemble(h)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         assert entangling_power_closed(h) < 1e-12
 
     def test_unitary_class9_not_an_entangler(self):
-        h = catalog_instantiate("C9.0", {"h1": np.exp(0.7j), "h7": 0})
+        h = CATALOG["C9.0"].fill({"h1": np.exp(0.7j), "h7": 0})
         assert entangling_power_closed(h) < 1e-15
 
     def test_unitary_class3_constant(self):
         # h1 = -h8 on the unit circle, h7 = 0: a Class 1 special point
         phi = 0.9
-        h = catalog_instantiate("C3.0", {"h1": np.exp(1j * phi), "h8": -np.exp(1j * phi), "h7": 0})
+        h = CATALOG["C3.0"].fill({"h1": np.exp(1j * phi), "h8": -np.exp(1j * phi), "h7": 0})
         assert abs(entangling_power_closed(h) - 1 / 9) < 1e-12
 
     def test_variant_rejected(self):
         with pytest.raises(ValueError):
-            class_epower("C3.1", {"h1": 1, "h7": 1, "h8": 1})
+            class_epower(CATALOG["C3.1"], {"h1": 1, "h7": 1, "h8": 1})
 
 
 class TestLinearEntropy:
@@ -342,7 +325,7 @@ class TestLinearEntropy:
         p = rand_product_state()
         h = unitary_xtype(0.3, 0.8, 0.1, 0.4, 0.2, 0.9, 0.5, 0.7)
         t = apply_to_product(assemble(h), p)
-        det = np.linalg.det(t.t)
+        det = np.linalg.det(t)
         assert abs(linear_entropy(t) - 2 * abs(det) ** 2) < 1e-12
 
 

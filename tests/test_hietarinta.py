@@ -18,7 +18,6 @@ from braidgate.hietarinta import (
     verify_recipe,
 )
 from braidgate.invariants import quadratic_invariants
-from braidgate.matrix_core import eigenvalues_general
 from braidgate.yang_baxter import BraidWord, CATALOG, XTypeParams, assemble, check_ybe
 
 RNG = np.random.default_rng(91)
@@ -221,8 +220,8 @@ class TestClassify:
         assert abs(a.I1 - b.I1) < 1e-9 * scale
         for k in range(1, 11):
             assert abs(a.q(k) - b.q(k)) < 1e-9 * scale
-        lam_a = np.sort_complex(eigenvalues_general(r7))
-        lam_b = np.sort_complex(eigenvalues_general(r71))
+        lam_a = np.sort_complex(np.linalg.eigvals(r7))
+        lam_b = np.sort_complex(np.linalg.eigvals(r71))
         assert np.max(np.abs(lam_a - lam_b)) < 1e-9 * scale
         assert classify("C7.0")["family"] != classify("C7.1")["family"]
 
@@ -235,7 +234,7 @@ class TestAppendixB:
         for key, value in rep["invariants"].items():
             direct = inv.I1 if key == "I1" else inv.q(int(key.split("_")[1]))
             assert abs(value - direct) < 1e-9 * max(1, abs(value)), key
-        lam = eigenvalues_general(rep["matrix"])
+        lam = np.linalg.eigvals(rep["matrix"])
         k2 = params["k"] ** 2
         assert sum(abs(v - k2) < 1e-8 * max(1, abs(k2)) for v in lam) == 3
         assert sum(abs(v + k2) < 1e-8 * max(1, abs(k2)) for v in lam) == 1
@@ -271,7 +270,7 @@ class TestAppendixB:
         k, p, s = rand_complex(), rand_complex(), rand_complex()
         rep = rh_extras_report("H2,3", {"k": k, "p": p, "q": -p, "s": s})
         assert rep["enhanceable"]
-        lam = eigenvalues_general(rep["matrix"])
+        lam = np.linalg.eigvals(rep["matrix"])
         assert sum(abs(v - k) < 1e-8 * max(1, abs(k)) for v in lam) == 3
         assert sum(abs(v + k) < 1e-8 * max(1, abs(k)) for v in lam) == 1
         _, ok = verify_enhancement(rep["enhanced"])

@@ -13,12 +13,10 @@ from braidgate.invariants import (
     quadratic_invariants,
     random_sl2,
     reconstruct_params,
-    two_copy_invariants,
     xtype_closed_forms,
 )
 from braidgate.matrix_core import eigenvalues_xtype, max_norm, tensor_product
-from braidgate.yang_baxter import (CATALOG, XTypeParams, assemble, catalog_instantiate,
-                                   compile_expr)
+from braidgate.yang_baxter import CATALOG, XTypeParams, assemble, compile_expr
 
 RNG = np.random.default_rng(31)
 
@@ -75,13 +73,6 @@ class TestQuadraticInvariants:
             for k in range(1, 11):
                 assert abs(contraction_oracle(r, f"I2_{k}") - inv.q(k)) < 1e-10
 
-    def test_two_copy_route(self):
-        r = rand_matrix()
-        inv = quadratic_invariants(r)
-        i29, i210 = two_copy_invariants(r)
-        assert abs(i29 - inv.q(9)) < 1e-10
-        assert abs(i210 - inv.q(10)) < 1e-10
-
     def test_oracle_rejects_unknown_id(self):
         with pytest.raises(ValueError):
             contraction_oracle(np.eye(4), "I2_11")
@@ -102,7 +93,7 @@ class TestIdentities:
             assert max(res) < 1e-9
 
     def test_class7_instance(self):
-        h = catalog_instantiate("C7.0", {"h1": 1, "h2": 1, "h3": 2})
+        h = CATALOG["C7.0"].fill({"h1": 1, "h2": 1, "h3": 2})
         res = check_identities(quadratic_invariants(assemble(h)))
         assert max(res) < 1e-12
 
@@ -195,7 +186,7 @@ class TestReconstruction:
 
     def test_class2_h2h7_formula(self):
         h2, h3, h7 = (rand_complex() for _ in range(3))
-        h = catalog_instantiate("C2.0", {"h2": h2, "h3": h3, "h7": h7})
+        h = CATALOG["C2.0"].fill({"h2": h2, "h3": h3, "h7": h7})
         inv = quadratic_invariants(assemble(h))
         lam = eigenvalues_xtype(h)
         val = ((lam[0] - lam[1]) ** 2 - inv.q(9) + inv.q(8)
@@ -205,33 +196,33 @@ class TestReconstruction:
 
 class TestClassEigenReports:
     def test_class3_values(self):
-        rep = class_eigen_report("C3.0", {"h1": 1, "h8": 2, "h7": rand_complex()})
+        rep = class_eigen_report(CATALOG["C3.0"], {"h1": 1, "h8": 2, "h7": rand_complex()})
         assert abs(rep.closed["I2_8"]) < 1e-12
         assert_allclose(rep.closed["I2_9"], 14)
         assert rep.passed and rep.independent_count == 2
 
     def test_class8_values(self):
-        rep = class_eigen_report("C8.0", {"h1": 1, "h2": rand_complex()})
+        rep = class_eigen_report(CATALOG["C8.0"], {"h1": 1, "h2": rand_complex()})
         assert_allclose(rep.closed["I2_4"], 8)
         assert_allclose(rep.closed["I2_9"], 8)
         assert rep.passed and rep.independent_count == 1
 
     def test_class11_values(self):
-        rep = class_eigen_report("C11.0", {"h8": 1, "h7": rand_complex()})
+        rep = class_eigen_report(CATALOG["C11.0"], {"h8": 1, "h7": rand_complex()})
         assert_allclose(rep.closed["I2_10"], 10)
         assert rep.passed
 
     def test_class1_dependence(self):
         params = {"h1": rand_complex(), "h4": rand_complex(),
                   "h5": rand_complex(), "h8": rand_complex()}
-        rep = class_eigen_report("C1.0", params)
+        rep = class_eigen_report(CATALOG["C1.0"], params)
         i = rep.direct
         assert abs(i["I2_8"] - (i["I2_10"] - i["I2_4"])) < 1e-9
         assert rep.independent_count == 3
 
     def test_class7_dependence(self):
         rep = class_eigen_report(
-            "C7.0",
+            CATALOG["C7.0"],
             {"h1": rand_complex(), "h2": rand_complex(), "h3": rand_complex()},
         )
         i = rep.direct

@@ -1,11 +1,11 @@
 """Word evaluation against dense oracles.
 
-``apply_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state,
+``rep_of_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state,
 and ``link_polynomial`` contracts the closed braid as a tensor network.  The
 oracles here are dense: ``rep_of_word`` is compared with rho(w) built the
 explicit way, one ``braid_rep`` factor per letter, raised with
 ``matrix_power`` and multiplied left to right; ``link_polynomial`` is
-compared with the trace of ``apply_word(R, w, mu)``.  The routes round
+compared with Tr[rep_of_word(R, w) mu^(x n)].  The routes round
 differently, so every comparison is made against a stated scale:
 
     |rho| = the same product taken over the factors' entrywise moduli,
@@ -14,7 +14,7 @@ and for a trace, Tr[|rho| |mu|^(x n)], the sum of the moduli of all the
 terms it adds up.  |rho|_ij bounds the moduli of the product terms that add
 up to rho_ij, so float64 rounding in either route is a small multiple of eps
 times it.  On these draws the largest difference is 1.0e-15 |rho| entrywise
-and 5.3e-16 of the link scale, so RTOL = 1e-12 has three orders of headroom.
+and 8.2e-16 of the link scale, so RTOL = 1e-12 has three orders of headroom.
 Apart from six C1.Z words whose value vanishes (tr Z = 0), every link value
 is at least 2.8e-10 of its scale, so a wrong value still shows.
 """
@@ -39,7 +39,6 @@ from braidgate.yang_baxter import (
     MAX_ENTRIES,
     MAX_STRANDS,
     BraidWord,
-    apply_word,
     braid_rep,
     letter_tensors,
     plan_word,
@@ -81,6 +80,11 @@ def _kron_power(m, n):
     return out
 
 
+def _dense_trace(r, word, site):
+    """Tr[rho(word) site^(x n)] on the dense route."""
+    return np.einsum("ij,ji->", rep_of_word(r, word), _kron_power(site, word.strands))
+
+
 def _modulus_trace(r, word, mu):
     """Tr[|rho| |mu|^(x n)], |rho| taken letter by letter on a dense state."""
     n = word.strands
@@ -95,7 +99,7 @@ def _modulus_trace(r, word, mu):
 
 def _assert_matches_dense_trace(e, w):
     pref = e.x ** (-w.writhe()) * e.y ** (-w.strands)
-    want = pref * np.trace(apply_word(e.R, w, e.mu))
+    want = pref * _dense_trace(e.R, w, e.mu)
     scale = abs(pref) * _modulus_trace(e.R, w, e.mu)
     assert abs(link_polynomial(e, w) - want) <= RTOL * scale
 
@@ -123,7 +127,7 @@ def test_plan_trace_matches_dense_trace_on_generic_operators(strands):
     r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     site = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     _, w = _draw("C1.I", strands)
-    want = np.trace(apply_word(r, w, site))
+    want = _dense_trace(r, w, site)
     plan = plan_word(w)
     got = plan.trace(letter_tensors(r, site, [plan]), site)
     assert abs(got - want) <= RTOL * _modulus_trace(r, w, site)

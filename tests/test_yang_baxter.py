@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from braidgate.enhancement import RECIPES, instantiate_recipe
-from braidgate.hietarinta import RECIPE_TABLE, hietarinta_assemble, verify_recipe
+from braidgate.enhancement import (RECIPES, class_bmw_params, class_hecke_params,
+                                   class_jordan_coeffs, instantiate_recipe)
+from braidgate.hietarinta import RECIPE_TABLE, hietarinta_assemble, rh_extras_report, verify_recipe
 from braidgate.matrix_core import XTYPE_SUPPORT, max_norm
 from braidgate.yang_baxter import (
     BraidWord,
     CATALOG,
-    VARIANT_COUNTS,
     InadmissibleParamsError,
     XTypeParams,
     assemble,
     bind,
     braid_rep,
     catalog_entry,
-    catalog_instantiate,
     check_ybe,
     compile_expr,
     lie_orbit_rank,
@@ -56,7 +55,7 @@ class TestCheckYBE:
         assert residual == 0 and ok
 
     def test_class1_instance(self):
-        h = catalog_instantiate("C1.0", {"h1": 1, "h4": 2, "h5": 3, "h8": 4})
+        h = CATALOG["C1.0"].fill({"h1": 1, "h4": 2, "h5": 3, "h8": 4})
         residual, ok = check_ybe(assemble(h))
         assert ok and residual < 1e-12
 
@@ -158,30 +157,31 @@ class TestCatalog:
         counts = {}
         for entry in CATALOG.values():
             counts[entry.class_id] = counts.get(entry.class_id, 0) + 1
-        assert counts == VARIANT_COUNTS
+        assert counts == {1: 1, 2: 1, 3: 8, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 4, 10: 4, 11: 8,
+                          12: 2}
 
     def test_instantiate_class3(self):
-        h = catalog_instantiate("C3.0", {"h1": 1, "h8": 2, "h7": 5})
+        h = CATALOG["C3.0"].fill({"h1": 1, "h8": 2, "h7": 5})
         assert h.as_tuple() == (1, 0, 0, -1, 2, 3, 5, 2)
 
     def test_instantiate_class8(self):
-        h = catalog_instantiate("C8.0", {"h1": 1, "h2": 1})
+        h = CATALOG["C8.0"].fill({"h1": 1, "h2": 1})
         assert h.as_tuple() == (1, 1, 1, -1, 1, 1, -1, 1)
 
     def test_instantiate_class12(self):
-        h = catalog_instantiate("C12.0", {"h1": 2, "h2": 1})
+        h = CATALOG["C12.0"].fill({"h1": 2, "h2": 1})
         assert h.h3 == 1 - 1j and h.h6 == 1 - 1j
         assert h.h8 == -2j and h.h7 == -2j
 
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleParamsError):
-            catalog_instantiate("C4.0", {"h1": 1, "h4": 0, "h6": 1})
+            CATALOG["C4.0"].fill({"h1": 1, "h4": 0, "h6": 1})
         with pytest.raises(InadmissibleParamsError):
-            catalog_instantiate("C6.0", {"h1": 1, "h2": 0, "h8": 1})
+            CATALOG["C6.0"].fill({"h1": 1, "h2": 0, "h8": 1})
         # a missing or an extra name is the binder's ValueError, not a domain error
         for params in ({"h1": 1}, {"h1": 1, "h4": 1, "h5": 1, "h8": 1, "h2": 1}):
             with pytest.raises(ValueError) as exc:
-                catalog_instantiate("C1.0", params)
+                CATALOG["C1.0"].fill(params)
             assert exc.type is ValueError
 
     def test_unknown_id(self):
@@ -262,6 +262,14 @@ _BINDERS = {
     # a parameter named sqrt would shadow the tables' square root
     "verify_recipe": (lambda p: verify_recipe(_H11_TO_C6, p),
                       {"h1": 1, "h2": 1, "h8": 2}, "sqrt"),
+    "rh_extras_report": (lambda p: rh_extras_report("H1,3", p), {"k": 1, "p": 1, "q": 1}, "typo"),
+    # BMW holds for class 1 at h8 = h1 only, as recipe C1.I pins it
+    "class_bmw_params": (lambda p: class_bmw_params(1, p), {"h1": 1, "h4": 4, "h5": 4}, "h8"),
+    "class_hecke_params": (lambda p: class_hecke_params(3, p),
+                           {"h1": 1, "h7": 1, "h8": 2}, "bogus"),
+    # the muZ identity holds at h8 = -h1 only, as recipe C1.Z pins it
+    "class_jordan_coeffs": (lambda p: class_jordan_coeffs(1, p, "muZ"),
+                            {"h1": 1, "h4": 2, "h5": 3}, "h8"),
 }
 
 
