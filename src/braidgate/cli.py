@@ -343,7 +343,7 @@ def cmd_epower(args) -> int:
     report["entangling_power"] = value
     failed = False
     if is_xtype(r, args.tol):
-        closed = entangling_power.entangling_power_closed(r[XTYPE_SUPPORT])
+        closed = entangling_power.entangling_power_closed(r, args.tol)
         report["closed"] = closed
         report["difference"] = abs(closed - value)
         report["scale"] = np.linalg.norm(r) ** 4 / 36

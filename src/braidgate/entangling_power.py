@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import (DEFAULT_TOL, XTYPE_SUPPORT, _EPS, _as_two_qubit, _h_tuple, is_xtype,
-                          max_norm, numerical_rank, partial_transpose)
-from .yang_baxter import CatalogEntry, XTypeParams
+from .matrix_core import (DEFAULT_TOL, XTYPE_SUPPORT, _EPS, _as_two_qubit, is_xtype, max_norm,
+                          numerical_rank, partial_transpose)
+from .yang_baxter import CatalogEntry, XTypeParams, assemble
 
 __all__ = [
     "ProductState",
@@ -115,15 +115,14 @@ def linear_entropy(t) -> float:
     return float(2 * abs(det) ** 2 / norm2**2)
 
 
-def entangling_power_closed(h) -> float:
-    """Closed-form entangling power of an X-patterned 4x4 matrix or of h1..h8."""
-    if np.ndim(h) == 2:
-        r = _as_two_qubit(h)
-        if not is_xtype(r):
-            raise ValueError("closed form applies to X-patterned operators only")
-        h1, h2, h3, h4, h5, h6, h7, h8 = r[XTYPE_SUPPORT]
-    else:
-        h1, h2, h3, h4, h5, h6, h7, h8 = _h_tuple(h)
+def entangling_power_closed(r, tol: float = DEFAULT_TOL) -> float:
+    """Closed-form entangling power of a 4x4 operator that is X-patterned
+    within ``tol`` (see :func:`~braidgate.matrix_core.is_xtype`); it reads
+    the eight X slots only."""
+    r = _as_two_qubit(r)
+    if not is_xtype(r, tol):
+        raise ValueError("closed form applies to X-patterned operators only")
+    h1, h2, h3, h4, h5, h6, h7, h8 = r[XTYPE_SUPPORT]
     first = (
         abs(h1 * h7) ** 2 + abs(h2 * h8) ** 2 + abs(h3 * h5) ** 2 + abs(h4 * h6) ** 2
     )
@@ -149,11 +148,17 @@ def _qubit_grid():
     which a uniform grid over one period [-pi, 0) is exact; the theta part is
     polynomial of degree <= 2 in u = cos(2 theta), where Gauss-Legendre is
     exact.  The measure splits as d(phi)/pi x du/2 per qubit, so the
-    two-qubit grid is the product of two copies of this one.
+    two-qubit grid is the product of two copies of this one.  The
+    Gauss-Legendre nodes and weights come from the eigenvectors of the
+    Jacobi matrix (Golub-Welsch), which keeps ``numpy.polynomial`` out of
+    the import.
     """
     nodes = 16
     phis = -np.pi + np.pi * np.arange(nodes) / nodes
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    k = np.arange(1, nodes)
+    off = k / np.sqrt(4 * k**2 - 1)
+    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2 * vecs[0] ** 2
     phi, theta = np.meshgrid(phis, np.arccos(u) / 2, indexing="ij")
     return _qubit_states(phi, theta).reshape(-1, 2), np.tile(w / (2 * nodes), nodes)
 
@@ -286,10 +291,9 @@ def class_epower(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) ->
     """
     if entry.variant_id != 0:
         raise ValueError("per-class entangling power formulas address representatives (.0)")
-    h = entry.fill(params)
     p = {k: complex(v) for k, v in params.items()}
     formula = _class_epower_formula(entry.class_id, p)
-    general = entangling_power_closed(h)
+    general = entangling_power_closed(assemble(entry.fill(params)))
     return {
         "entry": entry.entry_id,
         "formula": formula,

@@ -3,9 +3,9 @@
 A 4x4 operator R has one linear invariant (its trace) and ten quadratic
 invariants built by contracting two copies of R with the epsilon and delta
 tensors.  Six linear identities reduce those ten to five independent ones.
-:func:`quadratic_invariants` evaluates all ten through closed matrix
-expressions, the one production route; :func:`contraction_oracle` is the
-literal index sum that the tests and the benchmark check it against.
+:func:`quadratic_invariants` evaluates all ten through one constant
+contraction table, the one production route; :func:`contraction_oracle` is
+the literal index sum that the tests and the benchmark check it against.
 
 Invariance caveat: I1 and I2_1..I2_8 contract both copies of R on the same
 two qubits and are invariant under independent (Q1, Q2).  The two-copy pair
@@ -25,14 +25,10 @@ import numpy as np
 from .matrix_core import (
     DEFAULT_TOL,
     DRAW_MIN_DET,
-    PAULI_Y,
     _EPS,
     _as_two_qubit,
     _h_tuple,
     max_norm,
-    partial_trace,
-    partial_transpose,
-    tensor_product,
 )
 from .yang_baxter import CatalogEntry, assemble
 
@@ -73,34 +69,39 @@ class InvariantSet:
         return out
 
 
+# Each I2_k is a bilinear form in the 16 entries of R: one copy is
+# r4[p, q, r, s] = R[(p q), (r s)], the other r4[t, u, v, w], and W_k[(pqrs),
+# (tuvw)] is a product of four delta or epsilon factors over pairs of these
+# indices, so every entry is -1, 0 or 1.  The patterns are those of
+# :func:`contraction_oracle`; W_9 and W_10 are not symmetric, since the two
+# copies of R sit on different qubit pairs.
+_D, _E = np.eye(2), _EPS.real
+_W = np.stack([np.einsum(spec + "->pqrstuvw", *ops).reshape(16, 16) for spec, ops in (
+    ("pv,rt,qw,su", (_D, _D, _D, _D)),  # I2_1
+    ("pv,rt,qs,uw", (_D, _D, _D, _D)),  # I2_2
+    ("pr,tv,qw,su", (_D, _D, _D, _D)),  # I2_3
+    ("pt,rv,qw,su", (_E, _E, _D, _D)),  # I2_4
+    ("pv,rt,qu,sw", (_D, _D, _E, _E)),  # I2_5
+    ("pt,rv,qs,uw", (_E, _E, _D, _D)),  # I2_6
+    ("pr,tv,qu,sw", (_D, _D, _E, _E)),  # I2_7
+    ("pt,rv,qu,sw", (_E, _E, _E, _E)),  # I2_8
+    ("pr,uw,qv,st", (_D, _D, _D, _D)),  # I2_9
+    ("pr,uw,qt,sv", (_D, _D, _E, _E)),  # I2_10
+)])
+
+
 def linear_invariant(r) -> complex:
     """I1 = Tr R."""
     return complex(np.trace(_as_two_qubit(r)))
 
 
 def quadratic_invariants(r) -> InvariantSet:
-    """All ten quadratic invariants via their closed matrix expressions."""
+    """All ten quadratic invariants through one constant contraction table:
+    I2_k = v^T W_k v with v = R.reshape(16) (see :data:`_W`)."""
     r = _as_two_qubit(r)
-    y1 = tensor_product(PAULI_Y, np.eye(2))
-    y2 = tensor_product(np.eye(2), PAULI_Y)
-    yy = tensor_product(PAULI_Y, PAULI_Y)
-    t1r = partial_trace(r, 1)
-    t2r = partial_trace(r, 2)
-    th1 = partial_transpose(r, 1)
-    th2 = partial_transpose(r, 2)
-    vals = (
-        np.trace(r @ r),
-        np.trace(t2r @ t2r),
-        np.trace(t1r @ t1r),
-        np.trace(y1 @ th1 @ y1 @ r),
-        np.trace(r @ y2 @ th2 @ y2),
-        np.trace(PAULI_Y @ partial_trace(th1, 2) @ PAULI_Y @ t2r),
-        np.trace(t1r @ PAULI_Y @ partial_trace(th2, 1) @ PAULI_Y),
-        np.trace(r.T @ yy @ r @ yy),
-        np.trace(t1r @ t2r),
-        np.trace(PAULI_Y @ partial_trace(th2, 1) @ PAULI_Y @ t2r),
-    )
-    return InvariantSet(I1=linear_invariant(r), I2=tuple(complex(v) for v in vals))
+    v = r.reshape(16)
+    vals = (_W.reshape(160, 16) @ v).reshape(10, 16) @ v
+    return InvariantSet(I1=linear_invariant(r), I2=tuple(vals.tolist()))
 
 
 # Literal contraction patterns.  Index order of one R copy is

@@ -82,7 +82,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -93,8 +93,14 @@ def max_norm(m) -> float:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the (i*dim_b + k) row convention."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with the (i*dim_b + k) row convention.
+
+    One broadcast product of the entries, each formed once as a[i, j] * b[k, l],
+    so the result is bit-identical to ``np.kron``.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def _as_two_qubit(r) -> np.ndarray:

@@ -377,33 +377,33 @@ def test_criterion_09_entangling_power():
     rng = np.random.default_rng(9)
     for _ in range(1000):
         h = XTypeParams(*(complex(rng.normal(), rng.normal()) for _ in range(8)))
-        closed = entangling_power_closed(h)
+        closed = entangling_power_closed(assemble(h))
         quad = entangling_power_quadrature(assemble(h))
         assert abs(closed - quad) < TOL * max(1.0, closed)
     bell = XTypeParams(
         h1=2**-0.5, h2=2**-0.5, h3=2**-0.5, h4=2**-0.5,
         h5=-(2**-0.5), h6=2**-0.5, h7=-(2**-0.5), h8=2**-0.5,
     )
-    assert abs(entangling_power_closed(bell) - 1 / 9) < 1e-10
+    assert abs(entangling_power_closed(assemble(bell)) - 1 / 9) < 1e-10
     assert abs(entangling_power_quadrature(assemble(bell)) - 1 / 9) < 1e-10
     swap = XTypeParams(h1=1, h4=1, h5=1, h8=1)
-    assert entangling_power_closed(swap) < 1e-14
+    assert entangling_power_closed(assemble(swap)) < 1e-14
     assert entangling_power_quadrature(assemble(swap)) < 1e-12
     special = XTypeParams(h1=1, h4=1j, h5=1j, h8=1)  # h4 h5 = -h1 h8
-    assert abs(entangling_power_closed(special) - 1 / 9) < 1e-10
+    assert abs(entangling_power_closed(assemble(special)) - 1 / 9) < 1e-10
     assert abs(entangling_power_quadrature(assemble(special)) - 1 / 9) < 1e-10
     for _ in range(300):
         h = unitary_xtype(rng.uniform(), rng.uniform(), *rng.uniform(0, 2 * np.pi, 6))
-        assert entangling_power_closed(h) <= 1 / 9 + 1e-12
+        assert entangling_power_closed(assemble(h)) <= 1 / 9 + 1e-12
     for class_id in range(1, 13):
         entry = CATALOG[f"C{class_id}.0"]
         for _ in range(20):
             rep = class_epower(entry, entry.random_params(rng), TOL)
             assert rep["passed"], rep
     hc4 = CATALOG["C4.0"].fill({"h1": np.exp(0.2j), "h4": np.exp(0.9j), "h6": 0})
-    assert entangling_power_closed(hc4) < 1e-12
+    assert entangling_power_closed(assemble(hc4)) < 1e-12
     hc9 = CATALOG["C9.0"].fill({"h1": np.exp(0.5j), "h7": 0})
-    assert entangling_power_closed(hc9) < 1e-15
+    assert entangling_power_closed(assemble(hc9)) < 1e-15
     report(9, "quadrature == closed form (1000 draws); Bell 1/9; swap 0; special"
               " Class 1 point = 1/9 (unitary maximum; printed 2/3 in xfail);"
               " per-class formulas match; unitary Classes 4/9 not entanglers")

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import braidgate
 from braidgate.entangling_power import (
+    _GRID_STATES,
+    _GRID_WEIGHTS,
     EIGEN_EXPRESSIBLE_CLASSES,
     ProductState,
     apply_to_product,
@@ -17,6 +25,7 @@ from braidgate.entangling_power import (
     unitary_xtype,
 )
 from braidgate.invariants import random_sl2
+from braidgate.matrix_core import XTYPE_SUPPORT
 from braidgate.yang_baxter import CATALOG, XTypeParams, assemble
 from oracles import entangling_power_monte_carlo
 
@@ -104,15 +113,15 @@ class TestEpsilonReduction:
 
 class TestClosedForm:
     def test_bell_is_one_ninth(self):
-        assert abs(entangling_power_closed(BELL) - 1 / 9) < 1e-10
+        assert abs(entangling_power_closed(assemble(BELL)) - 1 / 9) < 1e-10
 
     def test_swap_is_zero(self):
-        assert entangling_power_closed(SWAP) < 1e-15
+        assert entangling_power_closed(assemble(SWAP)) < 1e-15
 
     def test_class1_special_point(self):
         # h4 h5 = -h1 h8: the unitary X-type maximum, tying the Bell matrix
         h = XTypeParams(h1=1, h4=1j, h5=1j, h8=1)
-        assert abs(entangling_power_closed(h) - 1 / 9) < 1e-10
+        assert abs(entangling_power_closed(assemble(h)) - 1 / 9) < 1e-10
         assert abs(entangling_power_quadrature(assemble(h)) - 1 / 9) < 1e-10
 
     def test_rejects_non_xtype(self):
@@ -120,9 +129,24 @@ class TestClosedForm:
             entangling_power_closed(np.ones((4, 4)))
 
     def test_matrix_input_accepted(self):
+        # the 4x4 operator is the one input; its eight X slots enter the formula
         h = rand_xtype()
-        assert_allclose(entangling_power_closed(assemble(h)),
-                        entangling_power_closed(h))
+        h1, h2, h3, h4, h5, h6, h7, h8 = h.as_tuple()
+        r = assemble(h)
+        first = abs(h1 * h7) ** 2 + abs(h2 * h8) ** 2 + abs(h3 * h5) ** 2 + abs(h4 * h6) ** 2
+        second = abs(h1 * h8 + h2 * h7 - h3 * h6 - h4 * h5) ** 2
+        assert_allclose(entangling_power_closed(r), first / 9 + second / 36, rtol=1e-14)
+
+    def test_tol_judges_the_pattern(self):
+        r = assemble(BELL)
+        near = r + 1e-5 * ~XTYPE_SUPPORT
+        with pytest.raises(ValueError):
+            entangling_power_closed(near)
+        assert entangling_power_closed(near, tol=1e-3) == entangling_power_closed(r)
+
+    def test_rejects_parameter_tuple(self):
+        with pytest.raises(ValueError):
+            entangling_power_closed(rand_xtype().as_tuple())
 
 
 @pytest.mark.xfail(
@@ -137,6 +161,19 @@ def test_printed_cross_term_coefficient():
 
 
 class TestQuadrature:
+    def test_gauss_legendre_rule_exact_to_degree_31(self):
+        # node u = cos(2 theta) = 2 |a|^2 - 1; the first 16 grid points share phi
+        u = 2 * np.abs(_GRID_STATES[:16, 0]) ** 2 - 1
+        w = _GRID_WEIGHTS[:16] * 32
+        for k in range(32):
+            exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ u**k - exact) < 1e-14, k
+
+    def test_import_does_not_load_numpy_polynomial(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(braidgate.__file__).parents[1]))
+        code = "import braidgate, sys; assert 'numpy.polynomial' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_bell(self):
         assert abs(entangling_power_quadrature(assemble(BELL)) - 1 / 9) < 1e-10
 
@@ -146,7 +183,7 @@ class TestQuadrature:
     def test_matches_closed_form(self):
         for _ in range(100):
             h = rand_xtype()
-            closed = entangling_power_closed(h)
+            closed = entangling_power_closed(assemble(h))
             quad = entangling_power_quadrature(assemble(h))
             assert abs(closed - quad) < 1e-9 * max(1, closed)
 
@@ -220,7 +257,7 @@ class TestExactForm:
         for _ in range(300):
             h = rand_xtype(rng)
             r = assemble(h)
-            assert abs(entangling_power(r) - entangling_power_closed(h)) < (
+            assert abs(entangling_power(r) - entangling_power_closed(r)) < (
                 1e-12 * epower_scale(r)
             )
 
@@ -268,7 +305,7 @@ class TestUnitaryXType:
             phi2, phi4 = rng.uniform(0, 2 * np.pi, 2)
             h = unitary_xtype(r1, r3, inv_phases[0], phi2, inv_phases[1], phi4,
                               inv_phases[2], inv_phases[3])
-            values.append(entangling_power_closed(h))
+            values.append(entangling_power_closed(assemble(h)))
         assert max(values) - min(values) < 1e-10
 
     def test_range_validation(self):
@@ -279,7 +316,7 @@ class TestUnitaryXType:
         rng = np.random.default_rng(10)
         for _ in range(200):
             h = unitary_xtype(rng.uniform(), rng.uniform(), *rng.uniform(0, 2 * np.pi, 6))
-            assert entangling_power_closed(h) <= 1 / 9 + 1e-12
+            assert entangling_power_closed(assemble(h)) <= 1 / 9 + 1e-12
 
 
 class TestClassFormulas:
@@ -303,17 +340,17 @@ class TestClassFormulas:
         h = CATALOG["C4.0"].fill({"h1": np.exp(0.3j), "h4": np.exp(1.1j), "h6": 0})
         u = assemble(h)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-        assert entangling_power_closed(h) < 1e-12
+        assert entangling_power_closed(assemble(h)) < 1e-12
 
     def test_unitary_class9_not_an_entangler(self):
         h = CATALOG["C9.0"].fill({"h1": np.exp(0.7j), "h7": 0})
-        assert entangling_power_closed(h) < 1e-15
+        assert entangling_power_closed(assemble(h)) < 1e-15
 
     def test_unitary_class3_constant(self):
         # h1 = -h8 on the unit circle, h7 = 0: a Class 1 special point
         phi = 0.9
         h = CATALOG["C3.0"].fill({"h1": np.exp(1j * phi), "h8": -np.exp(1j * phi), "h7": 0})
-        assert abs(entangling_power_closed(h) - 1 / 9) < 1e-12
+        assert abs(entangling_power_closed(assemble(h)) - 1 / 9) < 1e-12
 
     def test_variant_rejected(self):
         with pytest.raises(ValueError):

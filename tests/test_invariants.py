@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from braidgate.invariants import (
     INDEPENDENT_COUNTS,
     _CLASS_FORMULAS,
+    _W,
     check_identities,
     class_eigen_report,
     contraction_oracle,
@@ -72,6 +73,23 @@ class TestQuadraticInvariants:
             assert abs(contraction_oracle(r, "I1") - inv.I1) < 1e-10
             for k in range(1, 11):
                 assert abs(contraction_oracle(r, f"I2_{k}") - inv.q(k)) < 1e-10
+
+    def test_table_is_the_polarised_oracle(self):
+        # B(E_a, E_b) = (Q(E_a + E_b) - Q(E_a) - Q(E_b)) / 2 on the 16 basis
+        # matrices gives the symmetric part of each bilinear form exactly
+        basis = np.eye(16).reshape(16, 4, 4)
+        for k in range(1, 11):
+            diag = [contraction_oracle(basis[a], f"I2_{k}") for a in range(16)]
+            polar = np.diag(diag)
+            for a in range(16):
+                for b in range(a + 1, 16):
+                    q = contraction_oracle(basis[a] + basis[b], f"I2_{k}")
+                    polar[a, b] = polar[b, a] = (q - diag[a] - diag[b]) / 2
+            assert np.array_equal(polar, (_W[k - 1] + _W[k - 1].T) / 2), k
+
+    def test_table_entries_are_signs(self):
+        assert _W.shape == (10, 16, 16)
+        assert set(np.unique(_W)) <= {-1.0, 0.0, 1.0}
 
     def test_oracle_rejects_unknown_id(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from braidgate.matrix_core import (
     partial_transpose,
     tensor_product,
 )
-from braidgate.yang_baxter import BraidWord, XTypeParams, assemble, check_ybe
+from braidgate.yang_baxter import BraidWord, XTypeParams, assemble, braid_rep, check_ybe
 
 RNG = np.random.default_rng(101)
 
@@ -69,6 +69,30 @@ class TestTensorProduct:
             tensor_product(tensor_product(a, b), c),
             tensor_product(a, tensor_product(b, c)),
         )
+
+    @pytest.mark.parametrize("n_a", range(1, 9))
+    @pytest.mark.parametrize("n_b", range(1, 9))
+    def test_bit_identical_to_kron(self, n_a, n_b):
+        rng = np.random.default_rng(100 * n_a + n_b)
+        a, b = rand_matrix(n_a, rng), rand_matrix(n_b, rng)
+        assert np.array_equal(tensor_product(a, b), np.kron(a, b))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_braid_rep_identities_bit_identical_to_kron(self, n):
+        r = rand_matrix(4)
+        for i in range(1, n):
+            dense = np.kron(np.kron(np.eye(2 ** (i - 1)), r), np.eye(2 ** (n - i - 1)))
+            assert np.array_equal(braid_rep(r, i, n), dense)
+
+    def test_rejects_nan_and_non_square(self):
+        with pytest.raises(ValueError, match="finite"):
+            tensor_product(I2, np.array([[np.nan, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="finite"):
+            tensor_product(np.array([[1, np.inf], [0, 1]]), I2)
+        with pytest.raises(ValueError, match="square"):
+            tensor_product(np.ones((2, 3)), I2)
+        with pytest.raises(ValueError, match="square"):
+            tensor_product(I2, np.ones(4))
 
 
 class TestPartialOps:
