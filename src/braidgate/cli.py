@@ -372,7 +372,7 @@ def cmd_orbit(args) -> int:
     r, echo = resolve_operator(args)
     if not is_xtype(r, args.tol):
         raise UsageError("orbit analysis addresses X-type operators")
-    rank, gen_report = yang_baxter.lie_orbit_rank(r[XTYPE_SUPPORT])
+    rank, gen_report = yang_baxter.lie_orbit_rank(r)
     report = _base_report(args, "orbit")
     report["operator"] = echo
     report["rank"] = rank
@@ -522,10 +522,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        if "tol" in vars(args) and args.tol is None:
-            args.tol = default_tol()
-        # an overflow is an error, never an inf or NaN that a check compares
-        with np.errstate(over="raise"):
+        if "tol" in vars(args):
+            if args.tol is None:
+                args.tol = default_tol()
+            if not 0 < args.tol < 1:  # NaN fails the comparison too
+                raise UsageError(f"the tolerance must lie strictly between 0 and 1, "
+                                 f"got {args.tol!r}")
+        # an overflow or an invalid value (inf - inf) is an error, never an
+        # inf or NaN that a check compares
+        with np.errstate(over="raise", invalid="raise"):
             code = args.func(args)
     except (SingularMatrixError, InadmissibleParamsError, InvalidEnhancementError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import (DEFAULT_TOL, XTYPE_SUPPORT, _EPS, _as_two_qubit, is_xtype, max_norm,
-                          numerical_rank, partial_transpose)
+from .matrix_core import (DEFAULT_TOL, LOCAL_PAULIS, XTYPE_SUPPORT, _EPS, _as_two_qubit,
+                          is_xtype, max_norm, numerical_rank, partial_transpose)
 from .yang_baxter import CatalogEntry, XTypeParams, assemble
 
 __all__ = [
@@ -311,11 +311,4 @@ def state_action_rank(psi) -> int:
     which only three are linearly independent; the single normal direction is
     the state invariant.  The rank is :func:`~braidgate.matrix_core.numerical_rank`.
     """
-    v = np.asarray(psi, dtype=complex).reshape(4)
-    x1 = v[[2, 3, 0, 1]]
-    y1 = np.array([-1j * v[2], -1j * v[3], 1j * v[0], 1j * v[1]])
-    z1 = np.array([v[0], v[1], -v[2], -v[3]])
-    x2 = v[[1, 0, 3, 2]]
-    y2 = np.array([-1j * v[1], 1j * v[0], -1j * v[3], 1j * v[2]])
-    z2 = np.array([v[0], -v[1], v[2], -v[3]])
-    return numerical_rank(np.array([x1, y1, z1, x2, y2, z2]))
+    return numerical_rank(LOCAL_PAULIS @ np.asarray(psi, dtype=complex).reshape(4))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enhancement import EnhancedOperator
 from .matrix_core import (DEFAULT_TOL, SINGULAR_TOL, _as_two_qubit, as_matrix, invert, max_norm,
                           tensor_product)
 from .yang_baxter import assemble, bind, catalog_entry, evaluate_expr
@@ -361,8 +362,6 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     for the families H1,3 and H2,3, ready to compare against direct module
     computation.
     """
-    from .enhancement import EnhancedOperator  # local import avoids a cycle
-
     if which not in ("H1,3", "H2,3"):
         raise ValueError("which must be 'H1,3' or 'H2,3'")
     p = bind(which, HIETARINTA_FORMS[which][0], params)

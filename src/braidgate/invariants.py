@@ -27,7 +27,6 @@ from .matrix_core import (
     DRAW_MIN_DET,
     _EPS,
     _as_two_qubit,
-    _h_tuple,
     max_norm,
 )
 from .yang_baxter import CatalogEntry, assemble
@@ -181,7 +180,7 @@ def check_identities(inv: InvariantSet) -> tuple[float, ...]:
 
 def xtype_closed_forms(h) -> dict[str, complex]:
     """The six X-type closed forms: I1 and I2_{4,5,8,9,10} in terms of h."""
-    h1, h2, h3, h4, h5, h6, h7, h8 = _h_tuple(h)
+    h1, h2, h3, h4, h5, h6, h7, h8 = h
     return {
         "I1": h1 + h3 + h6 + h8,
         "I2_4": 2 * (h1 * h6 - h4 * h5 - h2 * h7 + h3 * h8),
@@ -206,7 +205,7 @@ def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float = DEFAULT_TOL)
     l1p, l1m, l2p, l2m = (complex(v) for v in eigenvalues)
     lam_sum = l1p + l1m + l2p + l2m
     scale = max(abs(inv.I1), abs(lam_sum), 1.0)
-    if not abs(inv.I1 - lam_sum) <= 1e3 * tol * scale:  # NaN is inconsistent too
+    if not abs(inv.I1 - lam_sum) <= tol * scale:  # NaN is inconsistent too
         raise ValueError(
             "inconsistent inputs: eigenvalue sum does not reproduce the trace "
             f"({lam_sum} vs {inv.I1})"

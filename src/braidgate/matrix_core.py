@@ -32,6 +32,7 @@ __all__ = [
     "is_xtype",
     "numerical_rank",
     "XTYPE_SUPPORT",
+    "LOCAL_PAULIS",
 ]
 
 # Comparison tolerance, judged against the scale each comparison states.
@@ -103,6 +104,14 @@ def tensor_product(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
+# The six one-qubit generators of the local algebra: X, Y, Z on qubit 1, then
+# on qubit 2, each a 4x4 operator.
+LOCAL_PAULIS = np.array(
+    [tensor_product(p, I2) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+    + [tensor_product(I2, p) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+)
+
+
 def _as_two_qubit(r) -> np.ndarray:
     r = as_matrix(r)
     if r.shape != (4, 4):
@@ -171,7 +180,7 @@ def eigenvalues_xtype(h) -> tuple[complex, complex, complex, complex]:
     inner (h3, h4, h5, h6) block.  Square roots take the numpy principal
     branch, which fixes the +/- labels.
     """
-    h1, h2, h3, h4, h5, h6, h7, h8 = (complex(v) for v in _h_tuple(h))
+    h1, h2, h3, h4, h5, h6, h7, h8 = (complex(v) for v in h)
     d1 = np.sqrt(complex((h1 - h8) ** 2 + 4 * h2 * h7))
     d2 = np.sqrt(complex((h3 - h6) ** 2 + 4 * h4 * h5))
     return (
@@ -196,13 +205,3 @@ def numerical_rank(m) -> int:
     """Number of singular values of ``m`` above RANK_TOL times the largest."""
     svals = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(svals > RANK_TOL * (svals[0] if svals.size else 0.0)))
-
-
-def _h_tuple(h):
-    """Accept an XTypeParams-like object or a length-8 sequence."""
-    if hasattr(h, "as_tuple"):
-        return h.as_tuple()
-    t = tuple(h)
-    if len(t) != 8:
-        raise ValueError("expected eight X-type parameters")
-    return t

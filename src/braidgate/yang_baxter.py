@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     DRAW_MIN_DET,
     I2,
+    LOCAL_PAULIS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -45,7 +48,6 @@ from .matrix_core import (
     XTYPE_SUPPORT,
     _as_two_qubit,
     _checked_inverse,
-    _h_tuple,
     as_matrix,
     invert,
     max_norm,
@@ -81,9 +83,8 @@ class InadmissibleParamsError(ValueError):
     """Parameters make one of a catalog entry's ``nonzero`` expressions vanish."""
 
 
-@dataclass(frozen=True)
-class XTypeParams:
-    """The eight complex parameters of an X-type operator."""
+class XTypeParams(NamedTuple):
+    """The eight complex parameters of an X-type operator, as an 8-tuple."""
 
     h1: complex = 0
     h2: complex = 0
@@ -94,14 +95,13 @@ class XTypeParams:
     h7: complex = 0
     h8: complex = 0
 
-    def as_tuple(self):
-        return (self.h1, self.h2, self.h3, self.h4, self.h5, self.h6, self.h7, self.h8)
-
 
 def assemble(h) -> np.ndarray:
     """Build the 4x4 X-patterned matrix from h1..h8."""
+    if len(h) != 8:  # len() also refuses a bare scalar, which the mask would broadcast
+        raise ValueError("expected eight X-type parameters")
     r = np.zeros((4, 4), dtype=complex)
-    r[XTYPE_SUPPORT] = _h_tuple(h)
+    r[XTYPE_SUPPORT] = h
     return r
 
 
@@ -141,6 +141,10 @@ def braid_rep(r, i: int, n: int) -> np.ndarray:
     return out
 
 
+# s<generator> or s<generator>^<exponent>, the exponent signed
+_BRAID_TOKEN = re.compile(r"s(\d+)(?:\^([+-]?\d+))?")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group B_n as (generator, exponent) letters.
@@ -173,14 +177,10 @@ class BraidWord:
         """Parse whitespace-separated tokens like "s1^3 s2^-1" (or "s2" for ^1)."""
         letters = []
         for token in text.split():
-            if not token.startswith("s"):
+            m = _BRAID_TOKEN.fullmatch(token)
+            if m is None:
                 raise ValueError(f"bad braid token {token!r}")
-            body = token[1:]
-            if "^" in body:
-                gen_s, exp_s = body.split("^", 1)
-            else:
-                gen_s, exp_s = body, "1"
-            letters.append((int(gen_s), int(exp_s)))
+            letters.append((int(m[1]), int(m[2] or 1)))
         if strands is None:
             strands = max((g for g, _ in letters), default=1) + 1
         return cls(strands=strands, letters=tuple(letters))
@@ -451,7 +451,7 @@ class PauliExpansion:
 
 def pauli_expand(h) -> PauliExpansion:
     """Expand an X-type operator over {II, ZI, IZ, ZZ, XX, XY, YX, YY}."""
-    h1, h2, h3, h4, h5, h6, h7, h8 = _h_tuple(h)
+    h1, h2, h3, h4, h5, h6, h7, h8 = h
     return PauliExpansion(
         l=(h1 + h3 + h6 + h8) / 4,
         a3=(h1 + h3 - h6 - h8) / 4,
@@ -464,38 +464,26 @@ def pauli_expand(h) -> PauliExpansion:
     )
 
 
-_GENERATORS = (
-    ("X1", PAULI_X, 1),
-    ("Y1", PAULI_Y, 1),
-    ("Z1", PAULI_Z, 1),
-    ("X2", PAULI_X, 2),
-    ("Y2", PAULI_Y, 2),
-    ("Z2", PAULI_Z, 2),
-)
-
-
-def lie_orbit_rank(h) -> tuple[int, dict[str, dict]]:
-    """Rank of the local-algebra orbit directions at an X-type operator.
+def lie_orbit_rank(r) -> tuple[int, dict[str, dict]]:
+    """Rank of the local-algebra orbit directions at a 4x4 operator, X-type in use.
 
     Commutes the operator with the six one-qubit generators {X, Y, Z} x I and
-    I x {X, Y, Z}, stacks the flattened commutators, and counts singular
-    values above RANK_TOL times the largest.  The report notes which
-    generators keep the commutator inside the X pattern, to RANK_TOL of its
-    scale (only Z1 and Z2 do, for generic parameters).
+    I x {X, Y, Z} (``LOCAL_PAULIS``), stacks the flattened commutators,
+    and counts singular values above RANK_TOL times the largest.  The report
+    notes which generators keep the commutator inside the X pattern, to
+    RANK_TOL of its scale (only Z1 and Z2 do, for generic parameters).
     """
-    r = assemble(h)
-    rows = []
+    r = _as_two_qubit(r)
+    comms = LOCAL_PAULIS @ r - r @ LOCAL_PAULIS
     report: dict[str, dict] = {}
-    for name, g, pos in _GENERATORS:
-        full = tensor_product(g, I2) if pos == 1 else tensor_product(I2, g)
-        comm = full @ r - r @ full
-        rows.append(comm.ravel())
+    names = [f"{p}{q}" for q in "12" for p in "XYZ"]  # the order of LOCAL_PAULIS
+    for name, comm in zip(names, comms):
         off_pattern = max_norm(comm[~XTYPE_SUPPORT])
         report[name] = {
             "nonzero": max_norm(comm) > RANK_TOL,
             "preserves_xtype": off_pattern <= RANK_TOL * max(max_norm(comm), 1.0),
         }
-    return numerical_rank(np.array(rows)), report
+    return numerical_rank(comms.reshape(6, 16)), report
 
 
 # --------------------------------------------------------------------------
@@ -573,7 +561,7 @@ class CatalogEntry:
         full = dict(env)
         for slot, expr in self.constraints.items():
             full[slot] = evaluate_expr(expr, env)
-        return XTypeParams(**{f"h{k}": full.get(f"h{k}", 0j) for k in range(1, 9)})
+        return XTypeParams(*(full.get(slot, 0j) for slot in XTypeParams._fields))
 
     def eigen_values(self, params: dict[str, complex]) -> dict[str, complex]:
         env = bind(self.entry_id, self.free_params, params)

@@ -425,7 +425,7 @@ def test_criterion_10_orbit_ranks():
     rng = np.random.default_rng(10)
     for _ in range(20):
         h = XTypeParams(*(complex(rng.normal(), rng.normal()) for _ in range(8)))
-        rank, _ = lie_orbit_rank(h)
+        rank, _ = lie_orbit_rank(assemble(h))
         assert rank == 6
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert state_action_rank(psi) == 3

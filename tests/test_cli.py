@@ -315,6 +315,13 @@ class TestLinkpolyCommand:
         assert code == 3 and out == ""
         assert err.startswith(f"error: {recipe} is undefined") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("word", ["s1^", "s^2", "sx"])
+    def test_bad_token_is_named(self, capsys, word):
+        code, out, err = run(capsys, "linkpoly", "--recipe", "C1.I", "--params",
+                             "h1=1,h4=2,h5=2", "--word", word)
+        assert code == 2 and out == ""
+        assert err == f"error: bad braid token {word!r}\n"
+
     def test_help_names_planned_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["linkpoly", "--help"])
@@ -564,7 +571,9 @@ C1_LARGE = ("--class", "C1.0", "--params", "h1=1e200,h4=1,h5=1,h8=1")
     ("verify", *C1_LARGE),
     ("invariants", *C1_LARGE),
     ("epower", *C1_LARGE, "--json"),
-], ids=["verify-fill", "verify-checks", "invariants", "epower"])
+    # inf - inf inside the exact entangling power, not an overflow of one product
+    ("epower", "--matrix", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1e308]]"),
+], ids=["verify-fill", "verify-checks", "invariants", "epower", "epower-invalid"])
 def test_overflow_is_one_error_line(capsys, argv):
     # no traceback, no numpy warning, and no inf or NaN residual that a
     # verdict compares
@@ -631,6 +640,20 @@ class TestDeterminism:
         # an explicit --tol does not need the variable
         code, _, _ = run(capsys, "verify", "--xtype", "1,0,0,1,1,0,0,1", "--tol", "1e-9")
         assert code == 0
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1"])
+    def test_meaningless_tolerance_is_usage_error(self, capsys, monkeypatch, tol, source):
+        # at tol <= 0 every check fails and at tol >= 1 the X-type closed form
+        # of a dense operator passes; a NaN fails every comparison
+        argv = ["epower", "--matrix", "[[1,2,3,4],[5,6,7,8],[9,1,2,3],[4,5,6,7]]", "--json"]
+        if source == "flag":
+            argv += ["--tol", tol]
+        else:
+            monkeypatch.setenv("BRAIDGATE_TOL", tol)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: the tolerance must lie strictly between 0 and 1, got {float(tol)!r}\n"
 
     def test_empty_env_tolerance_means_default(self, capsys, monkeypatch):
         monkeypatch.setenv("BRAIDGATE_TOL", "")

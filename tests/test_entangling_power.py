@@ -25,7 +25,7 @@ from braidgate.entangling_power import (
     unitary_xtype,
 )
 from braidgate.invariants import random_sl2
-from braidgate.matrix_core import XTYPE_SUPPORT
+from braidgate.matrix_core import LOCAL_PAULIS, XTYPE_SUPPORT, numerical_rank
 from braidgate.yang_baxter import CATALOG, XTypeParams, assemble
 from oracles import entangling_power_monte_carlo
 
@@ -131,7 +131,7 @@ class TestClosedForm:
     def test_matrix_input_accepted(self):
         # the 4x4 operator is the one input; its eight X slots enter the formula
         h = rand_xtype()
-        h1, h2, h3, h4, h5, h6, h7, h8 = h.as_tuple()
+        h1, h2, h3, h4, h5, h6, h7, h8 = h
         r = assemble(h)
         first = abs(h1 * h7) ** 2 + abs(h2 * h8) ** 2 + abs(h3 * h5) ** 2 + abs(h4 * h6) ** 2
         second = abs(h1 * h8 + h2 * h7 - h3 * h6 - h4 * h5) ** 2
@@ -146,7 +146,7 @@ class TestClosedForm:
 
     def test_rejects_parameter_tuple(self):
         with pytest.raises(ValueError):
-            entangling_power_closed(rand_xtype().as_tuple())
+            entangling_power_closed(rand_xtype())
 
 
 @pytest.mark.xfail(
@@ -366,8 +366,29 @@ class TestLinearEntropy:
         assert abs(linear_entropy(t) - 2 * abs(det) ** 2) < 1e-12
 
 
+def hand_expanded_actions(psi):
+    """X, Y, Z on qubit 1, then on qubit 2, applied to psi component by component."""
+    v = np.asarray(psi, dtype=complex).reshape(4)
+    x1 = v[[2, 3, 0, 1]]
+    y1 = np.array([-1j * v[2], -1j * v[3], 1j * v[0], 1j * v[1]])
+    z1 = np.array([v[0], v[1], -v[2], -v[3]])
+    x2 = v[[1, 0, 3, 2]]
+    y2 = np.array([-1j * v[1], 1j * v[0], -1j * v[3], 1j * v[2]])
+    z2 = np.array([v[0], -v[1], v[2], -v[3]])
+    return np.array([x1, y1, z1, x2, y2, z2])
+
+
 class TestStateActionRank:
     def test_generic_rank_three(self):
         for _ in range(10):
             psi = [rand_complex() for _ in range(4)]
             assert state_action_rank(psi) == 3
+
+    def test_matches_hand_expanded_actions(self):
+        rng = np.random.default_rng(15)
+        states = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(20)]
+        states += [rand_product_state(rng).vector(), np.array([1, 0, 0, 0]),
+                   np.array([1, 0, 0, 1]) / np.sqrt(2)]
+        for psi in states:
+            assert_allclose(LOCAL_PAULIS @ psi, hand_expanded_actions(psi), rtol=0, atol=0)
+            assert state_action_rank(psi) == numerical_rank(hand_expanded_actions(psi))

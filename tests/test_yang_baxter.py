@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,8 @@ from numpy.testing import assert_allclose
 from braidgate.enhancement import (RECIPES, class_bmw_params, class_hecke_params,
                                    class_jordan_coeffs, instantiate_recipe)
 from braidgate.hietarinta import RECIPE_TABLE, hietarinta_assemble, rh_extras_report, verify_recipe
-from braidgate.matrix_core import XTYPE_SUPPORT, max_norm
+from braidgate.matrix_core import (I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL, XTYPE_SUPPORT, max_norm,
+                                   numerical_rank, tensor_product)
 from braidgate.yang_baxter import (
     BraidWord,
     CATALOG,
@@ -47,6 +50,25 @@ class TestAssemble:
 
     def test_support_reads_slots_in_order(self):
         assert_allclose(assemble(range(1, 9))[XTYPE_SUPPORT], np.arange(1, 9))
+
+    def test_params_are_their_own_tuple(self):
+        h = XTypeParams(1, 2, 3, h8=8)
+        assert isinstance(h, tuple)
+        assert h == (1, 2, 3, 0, 0, 0, 0, 8)
+        assert h.h3 == 3 and h.h4 == 0
+        with pytest.raises(AttributeError):
+            h.h1 = 5
+
+    @pytest.mark.parametrize("h", [range(7), range(9)], ids=["seven", "nine"])
+    def test_refuses_a_wrong_count(self, h):
+        with pytest.raises(ValueError, match="expected eight X-type parameters"):
+            assemble(h)
+
+    @pytest.mark.parametrize("h", [1.0, np.complex128(2)], ids=["float", "numpy"])
+    def test_refuses_a_bare_scalar(self, h):
+        # the mask would broadcast one value into all eight slots
+        with pytest.raises(TypeError):
+            assemble(h)
 
 
 class TestCheckYBE:
@@ -101,6 +123,11 @@ class TestBraidWord:
 
     def test_parse_default_exponent(self):
         assert BraidWord.parse("s2", strands=4).letters == ((2, 1),)
+
+    @pytest.mark.parametrize("token", ["s1^", "s^2", "sx", "x1", "s1^2^3"])
+    def test_parse_names_a_bad_token(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"bad braid token {token!r}")):
+            BraidWord.parse(f"s1^2 {token}")
 
     def test_canonicalization_merges(self):
         w = BraidWord(2, ((1, 2), (1, -2), (1, 1)))
@@ -162,11 +189,11 @@ class TestCatalog:
 
     def test_instantiate_class3(self):
         h = CATALOG["C3.0"].fill({"h1": 1, "h8": 2, "h7": 5})
-        assert h.as_tuple() == (1, 0, 0, -1, 2, 3, 5, 2)
+        assert h == (1, 0, 0, -1, 2, 3, 5, 2)
 
     def test_instantiate_class8(self):
         h = CATALOG["C8.0"].fill({"h1": 1, "h2": 1})
-        assert h.as_tuple() == (1, 1, 1, -1, 1, 1, -1, 1)
+        assert h == (1, 1, 1, -1, 1, 1, -1, 1)
 
     def test_instantiate_class12(self):
         h = CATALOG["C12.0"].fill({"h1": 2, "h2": 1})
@@ -323,10 +350,40 @@ class TestPauliExpansion:
         assert np.array_equal(pauli_expand(h).reassemble(), assemble(h))
 
 
+def orbit_oracle(r):
+    """lie_orbit_rank with one kron per generator, as it was first written."""
+    rows, report = [], {}
+    for name, g, pos in (("X1", PAULI_X, 1), ("Y1", PAULI_Y, 1), ("Z1", PAULI_Z, 1),
+                         ("X2", PAULI_X, 2), ("Y2", PAULI_Y, 2), ("Z2", PAULI_Z, 2)):
+        full = tensor_product(g, I2) if pos == 1 else tensor_product(I2, g)
+        comm = full @ r - r @ full
+        rows.append(comm.ravel())
+        off_pattern = max_norm(comm[~XTYPE_SUPPORT])
+        report[name] = {
+            "nonzero": max_norm(comm) > RANK_TOL,
+            "preserves_xtype": off_pattern <= RANK_TOL * max(max_norm(comm), 1.0),
+        }
+    return numerical_rank(np.array(rows)), report
+
+
 class TestLieOrbit:
+    def test_matches_oracle_on_xtype_operators(self):
+        rng = np.random.default_rng(15)
+        ops = [assemble(XTypeParams(*(rand_complex(rng) for _ in range(8)))) for _ in range(10)]
+        ops += [np.eye(4), assemble(SWAP), assemble(XTypeParams(h1=1, h3=2, h6=3, h8=4))]
+        ops += [assemble(entry.fill(entry.random_params(rng))) for entry in CATALOG.values()]
+        for r in ops:
+            assert lie_orbit_rank(r) == orbit_oracle(r)
+
+    @pytest.mark.parametrize("slots", [XTypeParams(*range(1, 9)), np.arange(1, 9)],
+                             ids=["record", "array"])
+    def test_refuses_the_eight_slots(self, slots):
+        with pytest.raises(ValueError, match="square matrix"):
+            lie_orbit_rank(slots)
+
     def test_generic_rank_six(self):
         h = XTypeParams(*(rand_complex() for _ in range(8)))
-        rank, report = lie_orbit_rank(h)
+        rank, report = lie_orbit_rank(assemble(h))
         assert rank == 6
         for name in ("Z1", "Z2"):
             assert report[name]["preserves_xtype"]
@@ -336,8 +393,6 @@ class TestLieOrbit:
     def test_z1_commutator_coefficients(self):
         # [Z x I, R] expands on XX/XY/YX/YY with the b' coefficients;
         # at h2=1, h4=h5=h7=0 these are (1/2, i/2, i/2, -1/2)
-        from braidgate.matrix_core import PAULI_Z, tensor_product
-
         h = XTypeParams(h1=rand_complex(), h2=1, h3=rand_complex())
         r = assemble(h)
         z1 = tensor_product(PAULI_Z, np.eye(2))
@@ -351,10 +406,8 @@ class TestLieOrbit:
         # [Z x I, R] multiplies the anti-diagonal by (2, 2, -2, -2) and
         # [I x Z, R] by (2, -2, 2, -2); the resulting coefficient sets
         # coincide at the h2-only point above but differ generically
-        from braidgate.matrix_core import PAULI_Z, tensor_product
-
         h = XTypeParams(*(rand_complex() for _ in range(8)))
-        h1, h2, h3, h4, h5, h6, h7, h8 = h.as_tuple()
+        h1, h2, h3, h4, h5, h6, h7, h8 = h
         r = assemble(h)
 
         def anti_diag(m):
@@ -379,17 +432,13 @@ class TestLieOrbit:
     def test_diagonal_rank_drops(self):
         h = XTypeParams(h1=rand_complex(), h3=rand_complex(),
                         h6=rand_complex(), h8=rand_complex())
-        rank, report = lie_orbit_rank(h)
+        rank, report = lie_orbit_rank(assemble(h))
         assert not report["Z1"]["nonzero"] and not report["Z2"]["nonzero"]
         assert rank < 6
 
     def test_x1_commutator_leaves_x_form(self):
         # [X x I, R] is supported on YI, YZ, ZX, ZY, all outside the X-type
         # span; direct index computation pins the four coefficients
-        from braidgate.matrix_core import (
-            I2, PAULI_X, PAULI_Y, PAULI_Z, tensor_product,
-        )
-
         h = XTypeParams(*(rand_complex() for _ in range(8)))
         r = assemble(h)
         x1 = tensor_product(PAULI_X, I2)
@@ -401,7 +450,7 @@ class TestLieOrbit:
             "ZY": tensor_product(PAULI_Z, PAULI_Y),
         }
         coeff = {name: np.trace(w.conj().T @ comm) / 4 for name, w in words.items()}
-        h1, h2, h3, h4, h5, h6, h7, h8 = h.as_tuple()
+        h1, h2, h3, h4, h5, h6, h7, h8 = h
         assert_allclose(coeff["YI"], -0.5j * (h1 + h3 - h6 - h8))
         assert_allclose(coeff["YZ"], -0.5j * (h1 - h3 - h6 + h8))
         assert_allclose(coeff["ZX"], -0.5 * (h2 + h4 - h5 - h7))
