@@ -222,6 +222,10 @@ def cmd_catalog(args) -> int:
         for name, (pars, _) in hietarinta.HIETARINTA_FORMS.items():
             rows.append({"id": name, "params": list(pars)})
     else:
+        classes = sorted({entry.class_id for entry in CATALOG.values()})
+        if args.cls and not (args.cls.strip().isdigit() and int(args.cls) in classes):
+            raise UsageError(f"unknown class {args.cls!r}; known: "
+                             f"{classes[0]}..{classes[-1]}")
         for eid, entry in CATALOG.items():
             if args.cls and entry.class_id != int(args.cls):
                 continue
@@ -237,7 +241,7 @@ def cmd_catalog(args) -> int:
     report = _base_report(args, "catalog")
     report["count"] = len(rows)
     if not args.hietarinta_list and not args.cls:
-        report["classes"] = len({entry.class_id for entry in CATALOG.values()})
+        report["classes"] = len(classes)
     report["rows"] = rows
     return _emit(args, report, failed=False)
 

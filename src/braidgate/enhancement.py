@@ -19,9 +19,12 @@ the Pauli span from a Macaulay-matrix null space, and witnesses for the
 quotient-algebra relations (BMW, Hecke, and the odd-one-out Jordan-type
 identities).
 
-Recipes build square roots from shared per-parameter intermediates, so each
-printed +/- family lands on one definite member; the partner is always the
-simultaneous sign flip (x, y) -> (-x, -y).
+A recipe is plain data in the package's one table format: its mu, x and y
+are expression strings, evaluated by :func:`~braidgate.yang_baxter.evaluate_expr`
+like the catalog's.  Square roots are named once, as the record's ``let``
+intermediates shared by a class's recipes, so each printed +/- family lands
+on one definite member; the partner is always the simultaneous sign flip
+(x, y) -> (-x, -y).
 """
 
 from __future__ import annotations
@@ -235,194 +238,131 @@ class EnhancementRecipe:
     """A closed-form (mu, x, y) family for one operator class.
 
     ``constraints`` pins class parameters the recipe requires (e.g. h8 = h1);
-    ``free_params`` is what remains.  ``build`` maps those free parameters to
-    (alpha, beta, gamma, delta, x, y).  ``link_behavior`` records what the
-    two-strand closures evaluate to: "formula" (nontrivial), "constant", or
-    "vanish".
+    ``free_params`` is what remains.  ``let`` names intermediates, each an
+    expression over the free parameters and the names before it; ``mu``
+    holds the Pauli coefficients (alpha, beta, gamma, delta) and ``x`` and
+    ``y`` the scalars, all expressions over the free parameters and the
+    ``let`` names.  ``link_behavior`` records what the two-strand closures
+    evaluate to: "formula" (nontrivial), "constant", or "vanish".
     """
 
     recipe_id: str
     class_id: int
     mu_label: str
     free_params: tuple[str, ...]
-    constraints: dict[str, str]
-    build: callable
+    mu: tuple[str, str, str, str]
+    x: str
+    y: str
     link_behavior: str
-    notes: str = ""
+    constraints: dict[str, str] = field(default_factory=dict)
+    let: dict[str, str] = field(default_factory=dict)
 
     @property
     def entry_id(self) -> str:
         return f"C{self.class_id}.0"
 
 
-def _r(recipe_id, class_id, mu_label, free, constraints, build, link_behavior, notes=""):
-    return EnhancementRecipe(
-        recipe_id=recipe_id,
-        class_id=class_id,
-        mu_label=mu_label,
-        free_params=tuple(free),
-        constraints=constraints,
-        build=build,
-        link_behavior=link_behavior,
-        notes=notes,
-    )
+# Roots shared by the recipes of one class, so each lands on one definite
+# branch.  A sign s = +-1 of a +- pair is written "1*" or "-1*" in front of
+# the term it multiplies, as the product it is: "-w" and "-1*w" differ in
+# the sign of a zero.
+_C3_W = {"w": "sqrt((h8-h1)/h7)"}
+_C45_ROOTS = {"s1": "sqrt(h1)", "sd": "sqrt(h1-h6)"}
+_C6_ROOTS = {"s": "sqrt(2*(h1**2+h8**2))", "lp": "(h1+h8+s)/2", "lm": "(h1+h8-s)/2"}
+_C6_LOW = {**_C6_ROOTS, "den": "sqrt(-2*h2*lm)"}
+_C6_HIGH = {**_C6_ROOTS, "den": "sqrt(2*h2*lp)"}
+_C10_W = {"w": "1j*sqrt(2*h1/h7)"}
+# the four I-type families come in X/Y coefficient pairs (a, b) over the
+# shared denominator sqrt(2 (1+i) h1 h2)
+_C12_AB = {"den": "sqrt(2*(1+1j)*h1*h2)", "a": "(h1+(1+1j)*h2)/den",
+           "b": "(h1-(1+1j)*h2)/den"}
 
+# the Pauli coefficients of the four constant mu
+_I = ("1", "0", "0", "0")
+_Z = ("0", "0", "0", "1")
+_I_PLUS_Z = ("1", "0", "0", "1")
+_I_MINUS_Z = ("1", "0", "0", "-1")
 
-def _build_recipes() -> dict[str, EnhancementRecipe]:
-    rec: list[EnhancementRecipe] = []
-
+RECIPES: dict[str, EnhancementRecipe] = {r.recipe_id: r for r in (
     # Class 1: diagonal corners h1, h8 with anti-diagonal middle block
-    rec.append(_r("C1.I", 1, "I", ("h1", "h4", "h5"), {"h8": "h1"},
-                  lambda p: (1, 0, 0, 0, p["h1"], 1), "formula"))
-    rec.append(_r("C1.Z", 1, "Z", ("h1", "h4", "h5"), {"h8": "-h1"},
-                  lambda p: (0, 0, 0, 1, p["h1"], 1), "formula"))
-    rec.append(_r("C1.I+Z", 1, "I+Z", ("h1", "h4", "h5", "h8"), {},
-                  lambda p: (1, 0, 0, 1, p["h1"], 2), "constant"))
-    rec.append(_r("C1.I-Z", 1, "I-Z", ("h1", "h4", "h5", "h8"), {},
-                  lambda p: (1, 0, 0, -1, p["h8"], 2), "constant"))
-
-    rec.append(_r("C2.I", 2, "I", ("h2", "h3", "h7"), {},
-                  lambda p: (1, 0, 0, 0, p["h3"], 1), "formula"))
-
-    def c3_z(p):
-        s1, s8 = sqrt(p["h1"]), sqrt(p["h8"])
-        return (0, 0, 0, 1, 1j * s1 * s8, -1j * s1 / s8)
-
-    def c3_mu(sign):
-        def build(p):
-            w = sqrt((p["h8"] - p["h1"]) / p["h7"])
-            return (-sign * w, 1, -1j, sign * w, p["h8"], -sign * 2 * w)
-        return build
-
-    rec.append(_r("C3.Z", 3, "Z", ("h1", "h7", "h8"), {}, c3_z, "vanish"))
-    rec.append(_r("C3.mu2", 3, "-wI+X-iY+wZ", ("h1", "h7", "h8"), {}, c3_mu(+1),
-                  "constant", notes="w = sqrt((h8-h1)/h7)"))
-    rec.append(_r("C3.mu3", 3, "+wI+X-iY-wZ", ("h1", "h7", "h8"), {}, c3_mu(-1),
-                  "constant", notes="w = sqrt((h8-h1)/h7)"))
-
-    rec.append(_r("C4.I", 4, "I", ("h1", "h4"), {"h6": "0"},
-                  lambda p: (1, 0, 0, 0, p["h1"], 1), "constant"))
-    rec.append(_r("C4.Z", 4, "Z", ("h1", "h4"), {"h6": "2*h1"},
-                  lambda p: (0, 0, 0, 1, 1j * p["h1"], -1j), "vanish"))
-    rec.append(_r("C4.I+Z", 4, "I+Z", ("h1", "h4", "h6"), {},
-                  lambda p: (1, 0, 0, 1, p["h1"], 2), "constant"))
-    rec.append(_r("C4.I-Z", 4, "I-Z", ("h1", "h4", "h6"), {},
-                  lambda p: (1, 0, 0, -1, p["h1"], 2), "constant"))
-
-    def c4_mu5(p):
-        s1, sd = sqrt(p["h1"]), sqrt(p["h1"] - p["h6"])
-        return (1, 0, 0, p["h6"] / (2 * p["h1"] - p["h6"]),
-                s1**3 / sd, 2 * s1 * sd / (2 * p["h1"] - p["h6"]))
-
-    rec.append(_r("C4.mu5", 4, "I+h6/(2h1-h6) Z", ("h1", "h4", "h6"), {}, c4_mu5,
-                  "formula"))
-
-    def c5_z(p):
-        s1, sd = sqrt(p["h1"]), sqrt(p["h1"] - p["h6"])
-        return (0, 0, 0, 1, s1 * sd, s1 / sd)
-
-    rec.append(_r("C5.Z", 5, "Z", ("h1", "h4", "h6"), {}, c5_z, "vanish"))
-    rec.append(_r("C5.I+Z", 5, "I+Z", ("h1", "h4", "h6"), {},
-                  lambda p: (1, 0, 0, 1, p["h1"], 2), "constant"))
-    rec.append(_r("C5.I-Z", 5, "I-Z", ("h1", "h4", "h6"), {},
-                  lambda p: (1, 0, 0, -1, p["h1"] - p["h6"], -2), "constant"))
-
-    def c6_lams(p):
-        s = sqrt(2 * (p["h1"] ** 2 + p["h8"] ** 2))
-        return (p["h1"] + p["h8"] + s) / 2, (p["h1"] + p["h8"] - s) / 2
-
-    rec.append(_r("C6.Z", 6, "Z", ("h1", "h2", "h8"), {},
-                  lambda p: (0, 0, 0, 1, (p["h1"] - p["h8"]) / 2, 1), "vanish"))
-
-    def c6_mu(which, sign):
-        def build(p):
-            h1, h2, h8 = p["h1"], p["h2"], p["h8"]
-            lp, lm = c6_lams(p)
-            if which == "low":
-                den = sqrt(-2 * h2 * lm)
-                beta = sign * 0.5j * (h1 + 2 * h2 + h8) / den
-                gamma = sign * 0.5 * (h1 - 2 * h2 + h8) / den
-                delta = -2 * lp / (h1 - h8)
-            else:
-                den = sqrt(2 * h2 * lp)
-                beta = sign * 0.5j * (h1 - 2 * h2 + h8) / den
-                gamma = sign * 0.5 * (h1 + 2 * h2 + h8) / den
-                delta = 2 * lm / (h1 - h8)
-            return (1, beta, gamma, delta, lm, 2)
-        return build
-
-    rec.append(_r("C6.mu2", 6, "I+..X+..Y-(2lam+/(h1-h8))Z", ("h1", "h2", "h8"), {},
-                  c6_mu("low", +1), "constant"))
-    rec.append(_r("C6.mu3", 6, "I-..X-..Y-(2lam+/(h1-h8))Z", ("h1", "h2", "h8"), {},
-                  c6_mu("low", -1), "constant"))
-    rec.append(_r("C6.mu4", 6, "I+..X+..Y+(2lam-/(h1-h8))Z", ("h1", "h2", "h8"), {},
-                  c6_mu("high", +1), "constant"))
-    rec.append(_r("C6.mu5", 6, "I-..X-..Y+(2lam-/(h1-h8))Z", ("h1", "h2", "h8"), {},
-                  c6_mu("high", -1), "constant"))
-
-    rec.append(_r("C7.I", 7, "I", ("h1", "h2", "h3"), {},
-                  lambda p: (1, 0, 0, 0, p["h1"] + p["h3"], 1), "formula"))
-
-    rec.append(_r("C8.I", 8, "I", ("h1", "h2"), {},
-                  lambda p: (1, 0, 0, 0, sqrt(2) * p["h1"], sqrt(2)), "constant"))
-
-    rec.append(_r("C9.I", 9, "I", ("h1", "h7"), {},
-                  lambda p: (1, 0, 0, 0, p["h1"], 1), "constant"))
-
-    rec.append(_r("C10.Z", 10, "Z", ("h1", "h7"), {},
-                  lambda p: (0, 0, 0, 1, p["h1"], 1), "vanish"))
-
-    def c10_mu(sign):
-        def build(p):
-            w = 1j * sqrt(2 * p["h1"] / p["h7"])
-            return (-sign * w, 1, -1j, sign * w, p["h1"], sign * 2 * w)
-        return build
-
-    rec.append(_r("C10.mu2", 10, "-wI+X-iY+wZ", ("h1", "h7"), {}, c10_mu(+1),
-                  "constant", notes="w = i sqrt(2 h1/h7)"))
-    rec.append(_r("C10.mu3", 10, "+wI+X-iY-wZ", ("h1", "h7"), {}, c10_mu(-1),
-                  "constant", notes="w = i sqrt(2 h1/h7)"))
-
-    rec.append(_r("C11.Z", 11, "Z", ("h7", "h8"), {},
-                  lambda p: (0, 0, 0, 1, 1j * p["h8"], 1j), "vanish"))
-
-    rec.append(_r("C12.Z", 12, "Z", ("h1", "h2"), {},
-                  lambda p: (0, 0, 0, 1, (1 + 1j) / 2 * p["h1"], 1), "vanish"))
-
-    def c12_mu(which, sign):
-        # The four I-type families come in X/Y coefficient pairs (A, B)
-        # over the shared denominator sqrt(2 (1+i) h1 h2).
-        def build(p):
-            h1, h2 = p["h1"], p["h2"]
-            den = sqrt(2 * (1 + 1j) * h1 * h2)
-            a = (h1 + (1 + 1j) * h2) / den
-            b = (h1 - (1 + 1j) * h2) / den
-            if which == "ab":
-                beta, gamma, delta = -sign * a, sign * 1j * b, 1j
-            else:
-                beta, gamma, delta = sign * 1j * b, sign * a, -1j
-            return (1, beta, gamma, delta, (1 - 1j) / 2 * h1, 2)
-        return build
-
-    rec.append(_r("C12.mu2", 12, "I-AX+iBY+iZ", ("h1", "h2"), {}, c12_mu("ab", +1), "constant"))
-    rec.append(_r("C12.mu3", 12, "I+AX-iBY+iZ", ("h1", "h2"), {}, c12_mu("ab", -1), "constant"))
-    rec.append(_r("C12.mu4", 12, "I+iBX+AY-iZ", ("h1", "h2"), {}, c12_mu("ba", +1), "constant"))
-    rec.append(_r("C12.mu5", 12, "I-iBX-AY-iZ", ("h1", "h2"), {}, c12_mu("ba", -1), "constant"))
-
-    return {r_.recipe_id: r_ for r_ in rec}
-
-
-RECIPES: dict[str, EnhancementRecipe] = _build_recipes()
+    EnhancementRecipe("C1.I", 1, "I", ("h1", "h4", "h5"), _I, "h1", "1", "formula",
+                      constraints={"h8": "h1"}),
+    EnhancementRecipe("C1.Z", 1, "Z", ("h1", "h4", "h5"), _Z, "h1", "1", "formula",
+                      constraints={"h8": "-h1"}),
+    EnhancementRecipe("C1.I+Z", 1, "I+Z", ("h1", "h4", "h5", "h8"), _I_PLUS_Z, "h1", "2",
+                      "constant"),
+    EnhancementRecipe("C1.I-Z", 1, "I-Z", ("h1", "h4", "h5", "h8"), _I_MINUS_Z, "h8", "2",
+                      "constant"),
+    EnhancementRecipe("C2.I", 2, "I", ("h2", "h3", "h7"), _I, "h3", "1", "formula"),
+    EnhancementRecipe("C3.Z", 3, "Z", ("h1", "h7", "h8"), _Z, "1j*s1*s8", "-1j*s1/s8",
+                      "vanish", let={"s1": "sqrt(h1)", "s8": "sqrt(h8)"}),
+    EnhancementRecipe("C3.mu2", 3, "-wI+X-iY+wZ", ("h1", "h7", "h8"),
+                      ("-1*w", "1", "-1j", "1*w"), "h8", "-1*2*w", "constant", let=_C3_W),
+    EnhancementRecipe("C3.mu3", 3, "+wI+X-iY-wZ", ("h1", "h7", "h8"),
+                      ("1*w", "1", "-1j", "-1*w"), "h8", "1*2*w", "constant", let=_C3_W),
+    EnhancementRecipe("C4.I", 4, "I", ("h1", "h4"), _I, "h1", "1", "constant",
+                      constraints={"h6": "0"}),
+    EnhancementRecipe("C4.Z", 4, "Z", ("h1", "h4"), _Z, "1j*h1", "-1j", "vanish",
+                      constraints={"h6": "2*h1"}),
+    EnhancementRecipe("C4.I+Z", 4, "I+Z", ("h1", "h4", "h6"), _I_PLUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C4.I-Z", 4, "I-Z", ("h1", "h4", "h6"), _I_MINUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C4.mu5", 4, "I+h6/(2h1-h6) Z", ("h1", "h4", "h6"),
+                      ("1", "0", "0", "h6/(2*h1-h6)"), "s1**3/sd", "2*s1*sd/(2*h1-h6)",
+                      "formula", let=_C45_ROOTS),
+    EnhancementRecipe("C5.Z", 5, "Z", ("h1", "h4", "h6"), _Z, "s1*sd", "s1/sd", "vanish",
+                      let=_C45_ROOTS),
+    EnhancementRecipe("C5.I+Z", 5, "I+Z", ("h1", "h4", "h6"), _I_PLUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C5.I-Z", 5, "I-Z", ("h1", "h4", "h6"), _I_MINUS_Z, "h1-h6", "-2",
+                      "constant"),
+    EnhancementRecipe("C6.Z", 6, "Z", ("h1", "h2", "h8"), _Z, "(h1-h8)/2", "1", "vanish"),
+    EnhancementRecipe("C6.mu2", 6, "I+..X+..Y-(2lam+/(h1-h8))Z", ("h1", "h2", "h8"),
+                      ("1", "1*0.5j*(h1+2*h2+h8)/den", "1*0.5*(h1-2*h2+h8)/den",
+                       "-2*lp/(h1-h8)"), "lm", "2", "constant", let=_C6_LOW),
+    EnhancementRecipe("C6.mu3", 6, "I-..X-..Y-(2lam+/(h1-h8))Z", ("h1", "h2", "h8"),
+                      ("1", "-1*0.5j*(h1+2*h2+h8)/den", "-1*0.5*(h1-2*h2+h8)/den",
+                       "-2*lp/(h1-h8)"), "lm", "2", "constant", let=_C6_LOW),
+    EnhancementRecipe("C6.mu4", 6, "I+..X+..Y+(2lam-/(h1-h8))Z", ("h1", "h2", "h8"),
+                      ("1", "1*0.5j*(h1-2*h2+h8)/den", "1*0.5*(h1+2*h2+h8)/den",
+                       "2*lm/(h1-h8)"), "lm", "2", "constant", let=_C6_HIGH),
+    EnhancementRecipe("C6.mu5", 6, "I-..X-..Y+(2lam-/(h1-h8))Z", ("h1", "h2", "h8"),
+                      ("1", "-1*0.5j*(h1-2*h2+h8)/den", "-1*0.5*(h1+2*h2+h8)/den",
+                       "2*lm/(h1-h8)"), "lm", "2", "constant", let=_C6_HIGH),
+    EnhancementRecipe("C7.I", 7, "I", ("h1", "h2", "h3"), _I, "h1+h3", "1", "formula"),
+    EnhancementRecipe("C8.I", 8, "I", ("h1", "h2"), _I, "sqrt(2)*h1", "sqrt(2)", "constant"),
+    EnhancementRecipe("C9.I", 9, "I", ("h1", "h7"), _I, "h1", "1", "constant"),
+    EnhancementRecipe("C10.Z", 10, "Z", ("h1", "h7"), _Z, "h1", "1", "vanish"),
+    EnhancementRecipe("C10.mu2", 10, "-wI+X-iY+wZ", ("h1", "h7"),
+                      ("-1*w", "1", "-1j", "1*w"), "h1", "1*2*w", "constant", let=_C10_W),
+    EnhancementRecipe("C10.mu3", 10, "+wI+X-iY-wZ", ("h1", "h7"),
+                      ("1*w", "1", "-1j", "-1*w"), "h1", "-1*2*w", "constant", let=_C10_W),
+    EnhancementRecipe("C11.Z", 11, "Z", ("h7", "h8"), _Z, "1j*h8", "1j", "vanish"),
+    EnhancementRecipe("C12.Z", 12, "Z", ("h1", "h2"), _Z, "(1+1j)/2*h1", "1", "vanish"),
+    EnhancementRecipe("C12.mu2", 12, "I-AX+iBY+iZ", ("h1", "h2"),
+                      ("1", "-1*a", "1*1j*b", "1j"), "(1-1j)/2*h1", "2", "constant",
+                      let=_C12_AB),
+    EnhancementRecipe("C12.mu3", 12, "I+AX-iBY+iZ", ("h1", "h2"),
+                      ("1", "1*a", "-1*1j*b", "1j"), "(1-1j)/2*h1", "2", "constant",
+                      let=_C12_AB),
+    EnhancementRecipe("C12.mu4", 12, "I+iBX+AY-iZ", ("h1", "h2"),
+                      ("1", "1*1j*b", "1*a", "-1j"), "(1-1j)/2*h1", "2", "constant",
+                      let=_C12_AB),
+    EnhancementRecipe("C12.mu5", 12, "I-iBX-AY-iZ", ("h1", "h2"),
+                      ("1", "-1*1j*b", "-1*a", "-1j"), "(1-1j)/2*h1", "2", "constant",
+                      let=_C12_AB),
+)}
 
 
 def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -> EnhancedOperator:
     """Build the enhanced operator for a recipe at given class parameters.
 
-    The quadruple is verified at ``tol``: ``InvalidEnhancementError`` is
-    raised when the recipe's formulas divide by zero there or the quadruple
-    fails conditions (a)-(c).  Its square roots share intermediates, so the
-    recipe lands on one branch; the (-x, -y) partner is valid whenever the
-    returned quadruple is.
+    R is the class representative filled at the free parameters and the
+    recipe's ``constraints``.  The ``let`` intermediates are evaluated in
+    order, then the four Pauli coefficients of mu, x and y, each through
+    :func:`~braidgate.yang_baxter.evaluate_expr`.  The quadruple is verified
+    at ``tol``: ``InvalidEnhancementError`` is raised when the recipe's
+    formulas divide by zero there or the quadruple fails conditions (a)-(c).
+    Its square roots are the shared ``let`` names, so the recipe lands on one
+    branch; the (-x, -y) partner is valid whenever the returned quadruple is.
     """
     recipe = RECIPES[recipe_id]
     entry = catalog_entry(recipe.entry_id)
@@ -432,13 +372,16 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
         class_params[slot] = evaluate_expr(expr, env)
     r = assemble(entry.fill(class_params))
     try:
-        alpha, beta, gamma, delta, x, y = recipe.build(env)
+        for name, expr in recipe.let.items():
+            env[name] = evaluate_expr(expr, env)
+        alpha, beta, gamma, delta, x, y = (evaluate_expr(expr, env)
+                                           for expr in (*recipe.mu, recipe.x, recipe.y))
     except ZeroDivisionError:
         raise InvalidEnhancementError(
             f"{recipe_id} is undefined at {params}: its formulas divide by zero"
         ) from None
     candidate = EnhancedOperator(R=r, mu=_mu_matrix(alpha, beta, gamma, delta),
-                                 x=complex(x), y=complex(y), recipe_id=recipe_id)
+                                 x=x, y=y, recipe_id=recipe_id)
     residuals, ok = verify_enhancement(candidate, tol)
     if not ok:
         raise InvalidEnhancementError(

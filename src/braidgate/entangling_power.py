@@ -38,7 +38,7 @@ import numpy as np
 
 from .matrix_core import (DEFAULT_TOL, LOCAL_PAULIS, XTYPE_SUPPORT, _EPS, _as_two_qubit,
                           is_xtype, max_norm, numerical_rank, partial_transpose)
-from .yang_baxter import CatalogEntry, XTypeParams, assemble
+from .yang_baxter import CatalogEntry, XTypeParams, assemble, bind
 
 __all__ = [
     "ProductState",
@@ -291,9 +291,9 @@ def class_epower(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) ->
     """
     if entry.variant_id != 0:
         raise ValueError("per-class entangling power formulas address representatives (.0)")
-    p = {k: complex(v) for k, v in params.items()}
+    p = bind(entry.entry_id, entry.free_params, params)
     formula = _class_epower_formula(entry.class_id, p)
-    general = entangling_power_closed(assemble(entry.fill(params)))
+    general = entangling_power_closed(assemble(entry.fill(p)))
     return {
         "entry": entry.entry_id,
         "formula": formula,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enhancement import EnhancedOperator
+from .enhancement import EnhancedOperator, verify_enhancement
 from .matrix_core import (DEFAULT_TOL, SINGULAR_TOL, _as_two_qubit, as_matrix, invert, max_norm,
                           tensor_product)
 from .yang_baxter import assemble, bind, catalog_entry, evaluate_expr
@@ -185,132 +185,119 @@ def verify_recipe(recipe: EquivalenceRecipe, base: dict) -> float:
     return max_norm(got - want)
 
 
-def _recipe(source, target, base, steps=(), source_params=None, target_params=None):
-    return EquivalenceRecipe(
-        source=source,
-        target=target,
-        base_params=tuple(base),
-        steps=tuple(steps),
-        source_params=source_params,
-        target_params=target_params,
-    )
+# lam+ of class 6, in both the conjugation and the H1,1 parameters below
+_C6_LAM_P = "(h1+h8+sqrt(2*(h1**2+h8**2)))/2"
 
+RECIPE_TABLE: tuple[EquivalenceRecipe, ...] = (
+    EquivalenceRecipe("C1.0", "H3,1", ("h1", "h4", "h5", "h8"),
+                      target_params={"k": "h1", "p": "h4", "q": "h5", "s": "h8"}),
+    EquivalenceRecipe("C2.0", "H1,4", ("h2", "h3", "h7"),
+                      target_params={"k": "h3", "p": "h2", "q": "h7"}),
 
-def _build_recipe_table() -> tuple[EquivalenceRecipe, ...]:
-    t: list[EquivalenceRecipe] = []
-
-    t.append(_recipe("C1.0", "H3,1", ("h1", "h4", "h5", "h8"),
-                     target_params={"k": "h1", "p": "h4", "q": "h5", "s": "h8"}))
-    t.append(_recipe("C2.0", "H1,4", ("h2", "h3", "h7"),
-                     target_params={"k": "h3", "p": "h2", "q": "h7"}))
-
-    t.append(_recipe("C3.0", "H1,2", ("h1", "h7", "h8"), steps=[("3b",)],
-                     target_params={"k": "h7", "p": "h8", "q": "-h1"}))
-    t.append(_recipe("C3.1", "C3.0", ("h1", "h7", "h8"),
-                     steps=[("3b",), ("3c",), ("3a",)],
-                     target_params={"h1": "h8", "h8": "h1", "h7": "h7"}))
-    t.append(_recipe("C3.2", "C3.0", ("h1", "h2", "h8"), steps=[("3b",), ("3c",)],
-                     target_params={"h1": "h8", "h8": "h1", "h7": "h2"}))
-    t.append(_recipe("C3.3", "C3.0", ("h1", "h2", "h8"), steps=[("3a",)],
-                     target_params={"h1": "h1", "h8": "h8", "h7": "h2"}))
+    EquivalenceRecipe("C3.0", "H1,2", ("h1", "h7", "h8"), steps=(("3b",),),
+                      target_params={"k": "h7", "p": "h8", "q": "-h1"}),
+    EquivalenceRecipe("C3.1", "C3.0", ("h1", "h7", "h8"),
+                      steps=(("3b",), ("3c",), ("3a",)),
+                      target_params={"h1": "h8", "h8": "h1", "h7": "h7"}),
+    EquivalenceRecipe("C3.2", "C3.0", ("h1", "h2", "h8"), steps=(("3b",), ("3c",)),
+                      target_params={"h1": "h8", "h8": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C3.3", "C3.0", ("h1", "h2", "h8"), steps=(("3a",),),
+                      target_params={"h1": "h1", "h8": "h8", "h7": "h2"}),
     # the printed step for C3.4 is (3b); only (3c) lands on C3.3
-    t.append(_recipe("C3.4", "C3.3", ("h1", "h2", "h8"), steps=[("3c",)]))
-    t.append(_recipe("C3.5", "C3.1", ("h1", "h2", "h8"), steps=[("3a",), ("3c",)],
-                     target_params={"h1": "h1", "h8": "h8", "h7": "h2"}))
-    t.append(_recipe("C3.6", "C3.1", ("h1", "h7", "h8"), steps=[("3c",)]))
-    t.append(_recipe("C3.7", "C3.0", ("h1", "h7", "h8"), steps=[("3c",)]))
+    EquivalenceRecipe("C3.4", "C3.3", ("h1", "h2", "h8"), steps=(("3c",),)),
+    EquivalenceRecipe("C3.5", "C3.1", ("h1", "h2", "h8"), steps=(("3a",), ("3c",)),
+                      target_params={"h1": "h1", "h8": "h8", "h7": "h2"}),
+    EquivalenceRecipe("C3.6", "C3.1", ("h1", "h7", "h8"), steps=(("3c",),)),
+    EquivalenceRecipe("C3.7", "C3.0", ("h1", "h7", "h8"), steps=(("3c",),)),
 
-    for cls, fam in ((4, "H2,1"), (5, "H2,2")):
-        t.append(_recipe(f"C{cls}.0", fam, ("h1", "h4", "h6"), steps=[("3c",)],
-                         target_params={"k": "sqrt(h1)",
-                                        "p": "sqrt(h1)/h4*(h1-h6)",
-                                        "q": "h4/sqrt(h1)"}))
-        t.append(_recipe(f"C{cls}.1", f"C{cls}.0", ("h1", "h3", "h4"),
-                         steps=[("3a",), ("3c",)],
-                         target_params={"h1": "h1", "h4": "h4", "h6": "h3"}))
+    EquivalenceRecipe("C4.0", "H2,1", ("h1", "h4", "h6"), steps=(("3c",),),
+                      target_params={"k": "sqrt(h1)", "p": "sqrt(h1)/h4*(h1-h6)",
+                                     "q": "h4/sqrt(h1)"}),
+    EquivalenceRecipe("C4.1", "C4.0", ("h1", "h3", "h4"), steps=(("3a",), ("3c",)),
+                      target_params={"h1": "h1", "h4": "h4", "h6": "h3"}),
+    EquivalenceRecipe("C5.0", "H2,2", ("h1", "h4", "h6"), steps=(("3c",),),
+                      target_params={"k": "sqrt(h1)", "p": "sqrt(h1)/h4*(h1-h6)",
+                                     "q": "h4/sqrt(h1)"}),
+    EquivalenceRecipe("C5.1", "C5.0", ("h1", "h3", "h4"), steps=(("3a",), ("3c",)),
+                      target_params={"h1": "h1", "h4": "h4", "h6": "h3"}),
 
     # Class 6 <- H1,1 at p = (h1-h8)/2, q = -lam+ (the printed p = (h1+h8)/2
     # fails the diagonal equations; see the project notes)
-    lam_p = "(h1+h8+sqrt(2*(h1**2+h8**2)))/2"
-    t.append(_recipe("H1,1", "C6.0", ("h1", "h2", "h8"),
-                     steps=[("conj", f"-1/(2*({lam_p}))",
-                             (("sqrt(2*h2)", "0"), ("0", "sqrt(h1+h8)")))],
-                     source_params={"p": "(h1-h8)/2", "q": f"-({lam_p})"}))
-    t.append(_recipe("C6.1", "C6.0", ("h1", "h2", "h8"),
-                     steps=[("conj", "-1", (("1", "0"), ("0", "1")))],
-                     target_params={"h1": "-h1", "h2": "-h2", "h8": "-h8"}))
+    EquivalenceRecipe("H1,1", "C6.0", ("h1", "h2", "h8"),
+                      steps=(("conj", f"-1/(2*({_C6_LAM_P}))",
+                              (("sqrt(2*h2)", "0"), ("0", "sqrt(h1+h8)"))),),
+                      source_params={"p": "(h1-h8)/2", "q": f"-({_C6_LAM_P})"}),
+    EquivalenceRecipe("C6.1", "C6.0", ("h1", "h2", "h8"),
+                      steps=(("conj", "-1", (("1", "0"), ("0", "1"))),),
+                      target_params={"h1": "-h1", "h2": "-h2", "h8": "-h8"}),
 
-    t.append(_recipe("H1,4", "C7.0", ("h1", "h2", "h3"),
-                     steps=[("conj", "1",
-                             (("I*sqrt(h2)", "-I*sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)")))],
-                     source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3"}))
-    t.append(_recipe("H3,1", "C7.1", ("h1", "h2", "h3"),
-                     steps=[("conj", "1",
-                             (("sqrt(h2)", "-sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)")))],
-                     source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3",
-                                    "s": "h1+h3"}))
-    t.append(_recipe("C7.0", "C7.1", ("h1", "h2", "h3"),
-                     steps=[("conj2", (("1", "0"), ("0", "-I")),
-                             (("1", "0"), ("0", "I")))]))
+    EquivalenceRecipe("H1,4", "C7.0", ("h1", "h2", "h3"),
+                      steps=(("conj", "1",
+                              (("I*sqrt(h2)", "-I*sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)"))),),
+                      source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3"}),
+    EquivalenceRecipe("H3,1", "C7.1", ("h1", "h2", "h3"),
+                      steps=(("conj", "1",
+                              (("sqrt(h2)", "-sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)"))),),
+                      source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3",
+                                     "s": "h1+h3"}),
+    EquivalenceRecipe("C7.0", "C7.1", ("h1", "h2", "h3"),
+                      steps=(("conj2", (("1", "0"), ("0", "-I")),
+                              (("1", "0"), ("0", "I"))),)),
 
-    t.append(_recipe("H0,2", "C8.0", ("h1", "h2"),
-                     steps=[("conj", "h1", (("0", "I*sqrt(h2)"), ("sqrt(h1)", "0")))],
-                     source_params={}))
-    t.append(_recipe("C8.1", "C8.0", ("h1", "h2"), steps=[("3c",)]))
+    EquivalenceRecipe("H0,2", "C8.0", ("h1", "h2"),
+                      steps=(("conj", "h1", (("0", "I*sqrt(h2)"), ("sqrt(h1)", "0"))),),
+                      source_params={}),
+    EquivalenceRecipe("C8.1", "C8.0", ("h1", "h2"), steps=(("3c",),)),
 
-    t.append(_recipe("H0,1", "C9.0", ("h1", "h7"),
-                     steps=[("conj", "h1", (("sqrt(h7)", "0"), ("0", "sqrt(h1)"))),
-                            ("3a",)],
-                     source_params={}))
-    t.append(_recipe("C9.1", "C9.0", ("h1", "h2"), steps=[("3a",)],
-                     target_params={"h1": "h1", "h7": "h2"}))
-    t.append(_recipe("C9.2", "H2,3'", ("h1", "h7"), steps=[("3a",)],
-                     target_params={"k": "h1", "s": "h7"}))
-    t.append(_recipe("C9.3", "C9.2", ("h1", "h2"), steps=[("3a",)],
-                     target_params={"h1": "h1", "h7": "h2"}))
-    t.append(_recipe("C9.0", "C9.2", ("h1", "h7"),
-                     steps=[("conj2", (("1", "0"), ("0", "-I")),
-                             (("1", "0"), ("0", "I")))]))
+    EquivalenceRecipe("H0,1", "C9.0", ("h1", "h7"),
+                      steps=(("conj", "h1", (("sqrt(h7)", "0"), ("0", "sqrt(h1)"))),
+                             ("3a",)),
+                      source_params={}),
+    EquivalenceRecipe("C9.1", "C9.0", ("h1", "h2"), steps=(("3a",),),
+                      target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C9.2", "H2,3'", ("h1", "h7"), steps=(("3a",),),
+                      target_params={"k": "h1", "s": "h7"}),
+    EquivalenceRecipe("C9.3", "C9.2", ("h1", "h2"), steps=(("3a",),),
+                      target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C9.0", "C9.2", ("h1", "h7"),
+                      steps=(("conj2", (("1", "0"), ("0", "-I")),
+                              (("1", "0"), ("0", "I"))),)),
 
-    t.append(_recipe("C10.0", "H1,2", ("h1", "h7"), steps=[("3b",)],
-                     target_params={"k": "h7", "p": "-h1", "q": "-h1"}))
-    t.append(_recipe("C10.1", "C10.0", ("h1", "h2"), steps=[("3a",)],
-                     target_params={"h1": "h1", "h7": "h2"}))
-    t.append(_recipe("C10.2", "C10.0", ("h1", "h7"), steps=[("3b",), ("3a",)],
-                     target_params={"h1": "-h1", "h7": "h7"}))
-    t.append(_recipe("C10.3", "C10.2", ("h1", "h2"), steps=[("3a",)],
-                     target_params={"h1": "h1", "h7": "h2"}))
+    EquivalenceRecipe("C10.0", "H1,2", ("h1", "h7"), steps=(("3b",),),
+                      target_params={"k": "h7", "p": "-h1", "q": "-h1"}),
+    EquivalenceRecipe("C10.1", "C10.0", ("h1", "h2"), steps=(("3a",),),
+                      target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C10.2", "C10.0", ("h1", "h7"), steps=(("3b",), ("3a",)),
+                      target_params={"h1": "-h1", "h7": "h7"}),
+    EquivalenceRecipe("C10.3", "C10.2", ("h1", "h2"), steps=(("3a",),),
+                      target_params={"h1": "h1", "h7": "h2"}),
 
-    t.append(_recipe("C11.0", "H1,2", ("h7", "h8"), steps=[("3a",)],
-                     target_params={"k": "h7", "p": "h8", "q": "-h8"}))
-    t.append(_recipe("C11.1", "C11.0", ("h2", "h8"), steps=[("3b",), ("3c",)],
-                     target_params={"h8": "h8", "h7": "h2"}))
-    t.append(_recipe("C11.2", "C11.1", ("h7", "h8"), steps=[("3a",)],
-                     target_params={"h8": "h8", "h2": "h7"}))
-    t.append(_recipe("C11.3", "C11.0", ("h2", "h8"), steps=[("3a",)],
-                     target_params={"h8": "h8", "h7": "h2"}))
-    t.append(_recipe("C11.4", "C11.2", ("h1", "h7"), steps=[("3c",)],
-                     target_params={"h8": "h1", "h7": "h7"}))
-    t.append(_recipe("C11.5", "C11.3", ("h1", "h2"), steps=[("3c",)],
-                     target_params={"h8": "h1", "h2": "h2"}))
-    t.append(_recipe("C11.6", "C11.0", ("h1", "h7"), steps=[("3c",)],
-                     target_params={"h8": "h1", "h7": "h7"}))
-    t.append(_recipe("C11.7", "C11.1", ("h1", "h2"), steps=[("3c",)],
-                     target_params={"h8": "h1", "h2": "h2"}))
+    EquivalenceRecipe("C11.0", "H1,2", ("h7", "h8"), steps=(("3a",),),
+                      target_params={"k": "h7", "p": "h8", "q": "-h8"}),
+    EquivalenceRecipe("C11.1", "C11.0", ("h2", "h8"), steps=(("3b",), ("3c",)),
+                      target_params={"h8": "h8", "h7": "h2"}),
+    EquivalenceRecipe("C11.2", "C11.1", ("h7", "h8"), steps=(("3a",),),
+                      target_params={"h8": "h8", "h2": "h7"}),
+    EquivalenceRecipe("C11.3", "C11.0", ("h2", "h8"), steps=(("3a",),),
+                      target_params={"h8": "h8", "h7": "h2"}),
+    EquivalenceRecipe("C11.4", "C11.2", ("h1", "h7"), steps=(("3c",),),
+                      target_params={"h8": "h1", "h7": "h7"}),
+    EquivalenceRecipe("C11.5", "C11.3", ("h1", "h2"), steps=(("3c",),),
+                      target_params={"h8": "h1", "h2": "h2"}),
+    EquivalenceRecipe("C11.6", "C11.0", ("h1", "h7"), steps=(("3c",),),
+                      target_params={"h8": "h1", "h7": "h7"}),
+    EquivalenceRecipe("C11.7", "C11.1", ("h1", "h2"), steps=(("3c",),),
+                      target_params={"h8": "h1", "h2": "h2"}),
 
-    t.append(_recipe("H1,1", "C12.0", ("h1", "h2"),
-                     steps=[("conj", "h1/(2*(1+I))",
-                             (("sqrt((1+I)*h2)", "0"), ("0", "-sqrt(h1)")))],
-                     source_params={"p": "1", "q": "I"}))
+    EquivalenceRecipe("H1,1", "C12.0", ("h1", "h2"),
+                      steps=(("conj", "h1/(2*(1+I))",
+                              (("sqrt((1+I)*h2)", "0"), ("0", "-sqrt(h1)"))),),
+                      source_params={"p": "1", "q": "I"}),
     # direction-consistent relabel: transforming the variant gives the
     # representative at h1 -> i h1
-    t.append(_recipe("C12.1", "C12.0", ("h1", "h2"), steps=[("3a",), ("3b",)],
-                     target_params={"h1": "I*h1", "h2": "h2"}))
-
-    return tuple(t)
-
-
-RECIPE_TABLE: tuple[EquivalenceRecipe, ...] = _build_recipe_table()
+    EquivalenceRecipe("C12.1", "C12.0", ("h1", "h2"), steps=(("3a",), ("3b",)),
+                      target_params={"h1": "I*h1", "h2": "h2"}),
+)
 
 # Split (Q1 x Q2) conjugations relate operators across different H families
 # and are not part of the family-preserving move set, so the classification
@@ -393,6 +380,9 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
             "hecke": {"scale": 1 / k**2, "q": 1.0},
         }
     k, pp, q, s = p.values()
+    # enhanceable exactly when (mu = I, x = k, y = 1) passes verify_enhancement
+    # at tol, which judges each condition against its own scale
+    candidate = EnhancedOperator(R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0)
     out = {
         "family": "H2,3",
         "matrix": r,
@@ -407,11 +397,9 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         "eigenvalues": {"value": k, "multiplicities": (3, 1)},
         "entangling_power": abs(k * s - pp * q) ** 2 / 9,
         "jordan": {2: 1, 1: -k, 0: -(k**2), -1: k**3},
-        "enhanceable": abs(q + pp) < tol,
+        "enhanceable": verify_enhancement(candidate, tol)[1],
     }
     if out["enhanceable"]:
-        out["enhanced"] = EnhancedOperator(
-            R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0
-        )
+        out["enhanced"] = candidate
         out["link_values"] = {"even": 4.0, "odd": 2.0}
     return out

@@ -16,13 +16,15 @@ invertible X-type solutions of the constant Yang-Baxter equation
 as declarative constraint records, keyed "C<class>.<variant>" with variant 0
 the representative.
 
-Every expression string in the package's tables (this catalog, the
-enhancement recipes and the equivalence recipes) is evaluated by
+The package's three tables (this catalog, the enhancement recipes and the
+equivalence recipes) are records built by calling their dataclasses, and
+every formula in them is an expression string evaluated by
 :func:`evaluate_expr`: each string is compiled once, on first use, and run
-with only ``sqrt`` and ``I`` besides its parameters.  The strings are
-package constants; user input never reaches the evaluator.  The test suite
-also evaluates them over sympy symbols and proves that all 38 entries solve
-the equation identically.
+with only ``sqrt`` and ``I`` besides its parameters (and, in a recipe, its
+``let`` intermediates).  The strings are package constants; user input never
+reaches the evaluator.  The test suite also evaluates them over sympy
+symbols and proves that all 38 entries solve the equation identically and
+that all 33 recipes satisfy the enhancement conditions identically.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ class BraidWord:
             if m is None:
                 raise ValueError(f"bad braid token {token!r}")
             letters.append((int(m[1]), int(m[2] or 1)))
-        if strands is None:
-            strands = max((g for g, _ in letters), default=1) + 1
+        if strands is None:  # at least 2, so a generator s0 is named as out of range
+            strands = max([1, *(g for g, _ in letters)]) + 1
         return cls(strands=strands, letters=tuple(letters))
 
     def writhe(self) -> int:
@@ -581,38 +583,25 @@ class CatalogEntry:
         raise RuntimeError(f"could not draw admissible parameters for {self.entry_id}")
 
 
-def _entry(class_id, variant_id, free, constraints, pattern, eigen, nonzero=(), refs=()):
-    return CatalogEntry(
-        class_id=class_id,
-        variant_id=variant_id,
-        free_params=tuple(free),
-        constraints=constraints,
-        eigen_pattern=pattern,
-        eigen_named=eigen,
-        nonzero=tuple(nonzero),
-        enhancement_refs=tuple(refs),
-    )
-
-
 def _build_catalog() -> dict[str, CatalogEntry]:
     entries: list[CatalogEntry] = []
 
     entries.append(
-        _entry(
+        CatalogEntry(
             1, 0, ("h1", "h4", "h5", "h8"),
             {"h2": "0", "h3": "0", "h6": "0", "h7": "0"},
             "lam1+=h1, lam1-=h8, lam2+-=+-sqrt(h4*h5)",
             {"lam1p": "h1", "lam1m": "h8", "lam2sq": "h4*h5"},
-            refs=("C1.I", "C1.Z", "C1.I+Z", "C1.I-Z"),
+            enhancement_refs=("C1.I", "C1.Z", "C1.I+Z", "C1.I-Z"),
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             2, 0, ("h2", "h3", "h7"),
             {"h1": "0", "h4": "0", "h5": "0", "h8": "0", "h6": "h3"},
             "lam1+-=+-sqrt(h2*h7), lam2=h3 (x2)",
             {"lam1sq": "h2*h7", "lam2": "h3"},
-            refs=("C2.I",),
+            enhancement_refs=("C2.I",),
         )
     )
 
@@ -631,23 +620,23 @@ def _build_catalog() -> dict[str, CatalogEntry]:
     ]
     for k, (free, cons, lp, lm) in enumerate(c3):
         entries.append(
-            _entry(3, k, free, cons, f"lam+={lp} (x2), lam-={lm} (x2)",
-                   {"lamp": lp, "lamm": lm},
-                   refs=("C3.Z", "C3.mu2", "C3.mu3") if k == 0 else ())
+            CatalogEntry(3, k, free, cons, f"lam+={lp} (x2), lam-={lm} (x2)",
+                         {"lamp": lp, "lamm": lm},
+                         enhancement_refs=("C3.Z", "C3.mu2", "C3.mu3") if k == 0 else ())
         )
 
     entries.append(
-        _entry(
+        CatalogEntry(
             4, 0, ("h1", "h4", "h6"),
             {"h2": "0", "h3": "0", "h7": "0", "h5": "h1/h4*(h1-h6)", "h8": "h1"},
             "lam1=h1 (x3), lam2=-h1+h6",
             {"lam1": "h1", "lam2": "-h1+h6"},
             nonzero=("h4",),
-            refs=("C4.I", "C4.Z", "C4.I+Z", "C4.I-Z", "C4.mu5"),
+            enhancement_refs=("C4.I", "C4.Z", "C4.I+Z", "C4.I-Z", "C4.mu5"),
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             4, 1, ("h1", "h3", "h4"),
             {"h2": "0", "h6": "0", "h7": "0", "h5": "h1/h4*(h1-h3)", "h8": "h1"},
             "lam1=h1 (x3), lam2=-h1+h3",
@@ -656,17 +645,17 @@ def _build_catalog() -> dict[str, CatalogEntry]:
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             5, 0, ("h1", "h4", "h6"),
             {"h2": "0", "h3": "0", "h7": "0", "h5": "h1/h4*(h1-h6)", "h8": "-h1+h6"},
             "lam+=h1 (x2), lam-=-h1+h6 (x2)",
             {"lamp": "h1", "lamm": "-h1+h6"},
             nonzero=("h4",),
-            refs=("C5.Z", "C5.I+Z", "C5.I-Z"),
+            enhancement_refs=("C5.Z", "C5.I+Z", "C5.I-Z"),
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             5, 1, ("h1", "h3", "h4"),
             # h3 takes over h6's role, swapping the lam+/lam- labels
             {"h2": "0", "h6": "0", "h7": "0", "h5": "h1/h4*(h1-h3)", "h8": "-h1+h3"},
@@ -678,7 +667,7 @@ def _build_catalog() -> dict[str, CatalogEntry]:
 
     c6_eigen = {"e1": "h1+h8", "e2": "-(h1-h8)**2/4"}  # lam+ + lam-, lam+ * lam-
     entries.append(
-        _entry(
+        CatalogEntry(
             6, 0, ("h1", "h2", "h8"),
             {
                 "h3": "(h1+h8)/2",
@@ -690,11 +679,11 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             "lam+- = [h1+h8 +- sqrt(2(h1^2+h8^2))]/2 (x2 each)",
             c6_eigen,
             nonzero=("h2",),
-            refs=("C6.Z", "C6.mu2", "C6.mu3", "C6.mu4", "C6.mu5"),
+            enhancement_refs=("C6.Z", "C6.mu2", "C6.mu3", "C6.mu4", "C6.mu5"),
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             6, 1, ("h1", "h2", "h8"),
             {
                 "h3": "(h1+h8)/2",
@@ -711,17 +700,17 @@ def _build_catalog() -> dict[str, CatalogEntry]:
 
     c7_eigen = {"lamp": "h1+h3", "lamm": "h1-h3"}
     entries.append(
-        _entry(
+        CatalogEntry(
             7, 0, ("h1", "h2", "h3"),
             {"h4": "-h1", "h5": "-h1", "h6": "h3", "h8": "h1", "h7": "h3**2/h2"},
             "lam+=h1+h3 (x2), +-lam-=+-(h1-h3)",
             c7_eigen,
             nonzero=("h2",),
-            refs=("C7.I",),
+            enhancement_refs=("C7.I",),
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             7, 1, ("h1", "h2", "h3"),
             {"h4": "h1", "h5": "h1", "h6": "h3", "h8": "h1", "h7": "h3**2/h2"},
             "lam+=h1+h3 (x2), +-lam-=+-(h1-h3)",
@@ -733,14 +722,14 @@ def _build_catalog() -> dict[str, CatalogEntry]:
     c8_eigen = {"lamsum": "2*h1"}  # lam+ + lam- = (1+i)h1 + (1-i)h1
     for k, (h4e, h5e) in enumerate([("-h1", "h1"), ("h1", "-h1")]):
         entries.append(
-            _entry(
+            CatalogEntry(
                 8, k, ("h1", "h2"),
                 {"h3": "h1", "h6": "h1", "h8": "h1", "h4": h4e, "h5": h5e,
                  "h7": "-h1**2/h2"},
                 "lam+- = (1 +- I) h1 (x2 each)",
                 c8_eigen,
                 nonzero=("h2",),
-                refs=("C8.I",) if k == 0 else (),
+                enhancement_refs=("C8.I",) if k == 0 else (),
             )
         )
 
@@ -752,8 +741,8 @@ def _build_catalog() -> dict[str, CatalogEntry]:
     ]
     for k, (free, cons) in enumerate(c9):
         entries.append(
-            _entry(9, k, free, cons, "lam=h1 (x3), -lam=-h1", {"lam": "h1"},
-                   refs=("C9.I",) if k == 0 else ())
+            CatalogEntry(9, k, free, cons, "lam=h1 (x3), -lam=-h1", {"lam": "h1"},
+                         enhancement_refs=("C9.I",) if k == 0 else ())
         )
 
     c10 = [
@@ -764,8 +753,8 @@ def _build_catalog() -> dict[str, CatalogEntry]:
     ]
     for k, (free, cons) in enumerate(c10):
         entries.append(
-            _entry(10, k, free, cons, "+-lam = +-h1 (x2 each)", {"lam": "h1"},
-                   refs=("C10.Z", "C10.mu2", "C10.mu3") if k == 0 else ())
+            CatalogEntry(10, k, free, cons, "+-lam = +-h1 (x2 each)", {"lam": "h1"},
+                         enhancement_refs=("C10.Z", "C10.mu2", "C10.mu3") if k == 0 else ())
         )
 
     c11 = [
@@ -780,23 +769,23 @@ def _build_catalog() -> dict[str, CatalogEntry]:
     ]
     for k, (free, cons, lam) in enumerate(c11):
         entries.append(
-            _entry(11, k, free, cons, f"lam={lam} (x4)", {"lam": lam},
-                   refs=("C11.Z",) if k == 0 else ())
+            CatalogEntry(11, k, free, cons, f"lam={lam} (x4)", {"lam": lam},
+                         enhancement_refs=("C11.Z",) if k == 0 else ())
         )
 
     entries.append(
-        _entry(
+        CatalogEntry(
             12, 0, ("h1", "h2"),
             {"h4": "0", "h5": "0", "h3": "(1-1j)/2*h1", "h6": "(1-1j)/2*h1",
              "h8": "-1j*h1", "h7": "-1j/2*h1**2/h2"},
             "lam=(1-I)/2 h1 (x4)",
             {"lam": "(1-1j)/2*h1"},
             nonzero=("h2",),
-            refs=("C12.Z", "C12.mu2", "C12.mu3", "C12.mu4", "C12.mu5"),
+            enhancement_refs=("C12.Z", "C12.mu2", "C12.mu3", "C12.mu4", "C12.mu5"),
         )
     )
     entries.append(
-        _entry(
+        CatalogEntry(
             12, 1, ("h1", "h2"),
             {"h4": "0", "h5": "0", "h3": "(1+1j)/2*h1", "h6": "(1+1j)/2*h1",
              "h8": "1j*h1", "h7": "1j/2*h1**2/h2"},

@@ -49,6 +49,13 @@ class TestCatalogCommand:
         assert report["count"] == 8
         assert all(row["id"].startswith("C3.") for row in report["rows"])
 
+    @pytest.mark.parametrize("cls", ["x", "13", "0", "C3.0"])
+    def test_unknown_class_is_usage_error(self, capsys, cls):
+        # not a bare int() message, and not an empty listing with exit 0
+        code, out, err = run(capsys, "catalog", "--class", cls)
+        assert code == 2 and out == ""
+        assert err == f"error: unknown class {cls!r}; known: 1..12\n"
+
     def test_hietarinta_listing(self, capsys):
         code, report = run_json(capsys, "catalog", "--hietarinta")
         assert code == 0
@@ -322,6 +329,15 @@ class TestLinkpolyCommand:
         assert code == 2 and out == ""
         assert err == f"error: bad braid token {word!r}\n"
 
+    @pytest.mark.parametrize("word", ["s0", "s0^2"])
+    def test_generator_zero_is_named(self, capsys, word):
+        # an inferred strand count is at least 2, so s0 is named as out of
+        # range, as it is with --strands, not taken for a one-strand word
+        code, out, err = run(capsys, "linkpoly", "--recipe", "C1.I", "--params",
+                             "h1=1,h4=2,h5=2", "--word", word)
+        assert code == 2 and out == ""
+        assert err == "error: generator s0 out of range for 2 strands\n"
+
     def test_help_names_planned_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["linkpoly", "--help"])
@@ -458,6 +474,16 @@ class TestEnhanceCommand:
         outcomes = [p["outcome"] for p in points]
         assert set(outcomes) <= set(POINT_OUTCOMES)
         assert outcomes.count("family") == report["count"] == len(report["families"]) == 5
+
+    def test_tolerance_below_rounding_rejects_every_root(self, capsys):
+        # at 1e-17 only exact-zero residuals pass, so each of C6.0's five
+        # roots is found and then fails verify_enhancement
+        code, report = run_json(capsys, "enhance", "--class", "C6.0",
+                                "--params", "h1=1,h8=2,h2=1", "--tol", "1e-17")
+        assert code == 0
+        assert report["count"] == 0 and report["families"] == []
+        assert report["nullity"] == 5
+        assert [p["outcome"] for p in report["points"]] == ["rejected_verification"] * 5
 
     def test_dense_operator_has_no_roots(self, capsys):
         rng = np.random.default_rng(0)

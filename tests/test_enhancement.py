@@ -29,9 +29,9 @@ from braidgate.enhancement import (
 )
 from braidgate.hietarinta import hietarinta_assemble
 from braidgate.matrix_core import (
-    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, numerical_rank, partial_trace,
+    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, XTYPE_SUPPORT, numerical_rank, partial_trace,
 )
-from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry
+from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry, compile_expr
 
 RNG = np.random.default_rng(55)
 
@@ -108,6 +108,81 @@ class TestVerifyEnhancement:
         for class_id in range(1, 13):
             refs = CATALOG[f"C{class_id}.0"].enhancement_refs
             assert set(refs) == {rid for rid, r in RECIPES.items() if r.class_id == class_id}
+
+
+class _Radicals:
+    """Table strings evaluated over sympy symbols, each square root a symbol.
+
+    A new radicand z gets a symbol t with t**2 = z.  A radicand q * z with q
+    a positive number is sqrt(q) * t, as the principal root satisfies: so the
+    catalog's sqrt((h1**2+h8**2)/2) is half the C6 recipes' sqrt(2*(h1**2+h8**2)),
+    and the proof keeps the branches the tables share.
+    """
+
+    def __init__(self, sympy):
+        self.sympy = sympy
+        self.roots = []  # (symbol, radicand), in the order made
+
+    def sqrt(self, z):
+        sp = self.sympy
+        z = sp.nsimplify(z, rational=True)
+        if z.is_number:
+            return sp.sqrt(z)
+        for t, radicand in self.roots:
+            q = sp.cancel(z / radicand)
+            if q.is_number and q.is_positive:
+                return sp.sqrt(q) * t
+        t = sp.Symbol(f"t{len(self.roots)}")
+        self.roots.append((t, z))
+        return t
+
+    def value(self, expr, names):
+        env = {"__builtins__": {}, "sqrt": self.sqrt, "I": self.sympy.I}
+        # rational=True turns complex literals such as 0.5j exact
+        return self.sympy.nsimplify(eval(compile_expr(expr), env, dict(names)), rational=True)
+
+    def vanishes(self, expr):
+        """Whether expr is zero given every t**2 = z: the pseudo-remainder of
+        its numerator by each relation, the last root first, is zero."""
+        sp = self.sympy
+        num = sp.numer(sp.together(expr))
+        for t, z in reversed(self.roots):
+            zn, zd = sp.fraction(sp.together(z))
+            num = sp.prem(sp.expand(num), sp.expand(zd * t**2 - zn), t)
+        return sp.expand(num) == 0
+
+
+class TestRecipeProofs:
+    @pytest.mark.parametrize("recipe_id", sorted(RECIPES))
+    def test_recipe_enhances_symbolically(self, recipe_id):
+        # conditions (a)-(c) hold identically in the free parameters, for
+        # the R of the class representative at the recipe's constraints
+        sympy = pytest.importorskip("sympy")
+        recipe = RECIPES[recipe_id]
+        rad = _Radicals(sympy)
+        env = {k: sympy.Symbol(k) for k in recipe.free_params}
+        params = dict(env)
+        params.update((slot, rad.value(e, env)) for slot, e in recipe.constraints.items())
+        h = dict(params)
+        h.update((slot, rad.value(e, params))
+                 for slot, e in CATALOG[recipe.entry_id].constraints.items())
+        r = sympy.zeros(4, 4)
+        for (i, j), k in zip(np.argwhere(XTYPE_SUPPORT), range(1, 9)):
+            r[i, j] = h[f"h{k}"]
+        for name, e in recipe.let.items():
+            env[name] = rad.value(e, env)
+        a, b, c, d, x, y = (rad.value(e, env) for e in (*recipe.mu, recipe.x, recipe.y))
+        i = sympy.I
+        mu = sympy.Matrix([[a + d, b - i * c], [b + i * c, a - d]])  # aI + bX + cY + dZ
+        mm = sympy.kronecker_product(mu, mu)
+
+        def tr2(m):
+            return sympy.Matrix(2, 2, lambda p, q: m[2 * p, 2 * q] + m[2 * p + 1, 2 * q + 1])
+
+        conditions = {"a": r * mm - mm * r, "b": tr2(r * mm) - x * y * mu,
+                      "c": tr2(r.inv() * mm) - y / x * mu}
+        for name, residual in conditions.items():
+            assert all(rad.vanishes(v) for v in residual), (recipe_id, name)
 
 
 class TestLinkValuesClass1:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from braidgate.enhancement import jordan_witness, link_polynomial, solve_enhancement, verify_enhancement
+from braidgate.enhancement import (EnhancedOperator, jordan_witness, link_polynomial,
+                                   solve_enhancement, verify_enhancement)
 from braidgate.entangling_power import entangling_power_quadrature
 from braidgate.hietarinta import (
     HIETARINTA_FORMS,
@@ -298,6 +299,25 @@ class TestAppendixB:
         assert not rep["enhanceable"]
         sols = solve_enhancement(rep["matrix"], starts=40)
         assert sols == []
+
+    @pytest.mark.parametrize("k,p,q,verdict", [
+        # |q + p| = 1e-4 is far above tol, yet the candidate verifies: its
+        # residuals are judged against the operator's scale, 1e6
+        (1e6, 1e6, -1e6 - 1e-4, True),
+        # |q + p| = 1e-10 is below tol, yet condition (c) misses by 1e2
+        (1e-6, 1e-6, -1e-6 + 1e-10, False),
+    ])
+    def test_h23_enhanceable_is_the_verdict(self, k, p, q, verdict):
+        rep = rh_extras_report("H2,3", {"k": k, "p": p, "q": q, "s": 0})
+        candidate = EnhancedOperator(R=rep["matrix"], mu=np.eye(2), x=k, y=1)
+        assert rep["enhanceable"] is verify_enhancement(candidate)[1] is verdict
+        assert ("enhanced" in rep) is verdict
+
+    @pytest.mark.parametrize("which,params", [("H1,3", {"k": 0, "p": 1, "q": 2}),
+                                              ("H2,3", {"k": 0, "p": 1, "q": -1, "s": 1})])
+    def test_k_zero_is_refused(self, which, params):
+        with pytest.raises(ValueError, match=f"{which} requires k != 0"):
+            rh_extras_report(which, params)
 
     def test_bad_family_name(self):
         with pytest.raises(ValueError):

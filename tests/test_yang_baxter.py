@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from braidgate.enhancement import (RECIPES, class_bmw_params, class_hecke_params,
                                    class_jordan_coeffs, instantiate_recipe)
+from braidgate.entangling_power import class_epower
 from braidgate.hietarinta import RECIPE_TABLE, hietarinta_assemble, rh_extras_report, verify_recipe
 from braidgate.matrix_core import (I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL, XTYPE_SUPPORT, max_norm,
                                    numerical_rank, tensor_product)
@@ -138,6 +139,13 @@ class TestBraidWord:
         assert BraidWord(2, ((1, -2),)).writhe() == -2
         assert BraidWord(2).writhe() == 0
 
+    @pytest.mark.parametrize("text", ["s0", "s0^2"])
+    def test_parse_names_generator_zero(self, text):
+        # the inferred strand count is at least 2, so s0 is out of range
+        with pytest.raises(ValueError, match="generator s0 out of range for 2 strands"):
+            BraidWord.parse(text)
+        assert BraidWord.parse("").strands == 2
+
     def test_range_checks(self):
         with pytest.raises(ValueError):
             BraidWord(2, ((2, 1),))
@@ -238,7 +246,12 @@ def _table_expressions():
         exprs = [*entry.constraints.values(), *entry.nonzero, *entry.eigen_named.values()]
         yield eid, set(entry.free_params), exprs
     for rid, recipe in RECIPES.items():
-        yield rid, set(recipe.free_params), list(recipe.constraints.values())
+        names = set(recipe.free_params)
+        yield rid, names, list(recipe.constraints.values())
+        for name, expr in recipe.let.items():  # a let entry sees only the ones before it
+            yield f"{rid}.let.{name}", set(names), [expr]
+            names.add(name)
+        yield rid, names, [*recipe.mu, recipe.x, recipe.y]
     for recipe in RECIPE_TABLE:
         exprs = [*(recipe.source_params or {}).values(),
                  *(recipe.target_params or {}).values(),
@@ -254,7 +267,7 @@ class TestTableExpressions:
                 names = set(compile_expr(expr).co_names)
                 assert names <= params | {"sqrt", "I"}, (record, expr, names)
                 count += 1
-        assert count > 300
+        assert count > 600
 
     @pytest.mark.parametrize("entry_id", sorted(CATALOG))
     def test_entry_solves_ybe_symbolically(self, entry_id):
@@ -297,6 +310,9 @@ _BINDERS = {
     # the muZ identity holds at h8 = -h1 only, as recipe C1.Z pins it
     "class_jordan_coeffs": (lambda p: class_jordan_coeffs(1, p, "muZ"),
                             {"h1": 1, "h4": 2, "h5": 3}, "h8"),
+    # the class formula reads the parameters too, so it must not see them first
+    "class_epower": (lambda p: class_epower(CATALOG["C1.0"], p),
+                     {"h1": 1, "h4": 2, "h5": 3, "h8": 4}, "h2"),
 }
 
 
