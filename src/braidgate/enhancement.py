@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +63,6 @@ from .yang_baxter import (
     evaluate_expr,
     letter_tensors,
     plan_word,
-    sqrt,
 )
 
 __all__ = [
@@ -372,10 +372,8 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
         class_params[slot] = evaluate_expr(expr, env)
     r = assemble(entry.fill(class_params))
     try:
-        for name, expr in recipe.let.items():
-            env[name] = evaluate_expr(expr, env)
-        alpha, beta, gamma, delta, x, y = (evaluate_expr(expr, env)
-                                           for expr in (*recipe.mu, recipe.x, recipe.y))
+        alpha, beta, gamma, delta, x, y = _evaluate_row(env, recipe.let,
+                                                        (*recipe.mu, recipe.x, recipe.y))
     except ZeroDivisionError:
         raise InvalidEnhancementError(
             f"{recipe_id} is undefined at {params}: its formulas divide by zero"
@@ -696,13 +694,67 @@ def jordan_witness(r, coeffs: dict[int, complex], tol: float = DEFAULT_TOL) -> A
     return AlgebraWitness("Jordan", 1.0, {"coeffs": dict(coeffs)}, res, realized)
 
 
-def _class_params(kind: str, class_id: int, classes, params: dict, names=None):
-    """``params`` bound to ``names``, by default the free parameters of the
-    class representative; ``ValueError`` for a class with no ``kind``."""
-    if class_id not in classes:
-        raise ValueError(f"no {kind} recorded for class {class_id}")
-    names = names or catalog_entry(f"C{class_id}.0").free_params
-    return bind(f"the class-{class_id} {kind}", names, params)
+class _Row(NamedTuple):
+    """One class's algebra parameters: the names it takes, its ``let``
+    intermediates and its expressions, keyed by what they are."""
+
+    names: tuple[str, ...]
+    exprs: dict
+    let: dict[str, str] = {}
+
+
+def _evaluate_row(env: dict[str, complex], let: dict[str, str], exprs) -> list[complex]:
+    """Evaluate the ``let`` intermediates in order into the bound parameters
+    ``env``, then the expressions ``exprs``."""
+    for name, expr in let.items():
+        env[name] = evaluate_expr(expr, env)
+    return [evaluate_expr(expr, env) for expr in exprs]
+
+
+def _class_row(kind: str, rows: dict, key, params: dict) -> dict:
+    """The expressions of ``rows[key]`` at ``params``, keyed as in the row;
+    ``ValueError`` for a class with no ``kind``."""
+    if key not in rows:
+        raise ValueError(f"no {kind} recorded for class {key}")
+    row = rows[key]
+    env = bind(f"the class-{key} {kind}", row.names, params)
+    return dict(zip(row.exprs, _evaluate_row(env, row.let, row.exprs.values())))
+
+
+# Class 7's m follows the (lam+ - lam-)/sqrt(lam+ lam-) pattern of classes 1
+# and 2; with lam+- = h1 +- h3 that difference is 2 h3.
+_BMW_ROWS = {
+    1: _Row(("h1", "h4", "h5"), {"scale": "-1j/(s1*s2)", "l": "1j*s1/s2",
+                                 "m": "-1j*(h1-lam2)/(s1*s2)"},
+            {"lam2": "sqrt(h4*h5)", "s1": "sqrt(h1)", "s2": "sqrt(lam2)"}),
+    2: _Row(("h2", "h3", "h7"), {"scale": "-1j/(s1*s2)", "l": "1j*s2/s1",
+                                 "m": "-1j*(h3-lam1)/(s1*s2)"},
+            {"lam1": "sqrt(h2*h7)", "s1": "sqrt(lam1)", "s2": "sqrt(h3)"}),
+    7: _Row(("h1", "h2", "h3"), {"scale": "1j/(sp*sm)", "l": "-1j*sp/sm", "m": "2j*h3/(sp*sm)"},
+            {"sp": "sqrt(h1+h3)", "sm": "sqrt(h1-h3)"}),
+}
+
+_HECKE_ROWS = {
+    3: _Row(("h1", "h7", "h8"), {"scale": "-1/h1", "q": "-h8/h1"}),
+    4: _Row(("h1", "h4", "h6"), {"scale": "1/(h1-h6)", "q": "h1/(h1-h6)"}),
+    5: _Row(("h1", "h4", "h6"), {"scale": "-1/h1", "q": "(h1-h6)/h1"}),
+    6: _Row(("h1", "h2", "h8"), {"scale": "-1/lp", "q": "-lm/lp"}, _C6_ROOTS),
+    8: _Row(("h1", "h2"), {"scale": "-(1-1j)/(2*h1)", "q": "1j"}),
+    10: _Row(("h1", "h7"), {"scale": "1/h1", "q": "1"}),
+    11: _Row(("h7", "h8"), {"scale": "-1/h8", "q": "-1"}),
+    12: _Row(("h1", "h2"), {"scale": "-(1+1j)/h1", "q": "-1"}),
+}
+
+# Coefficients c_k of the identities sum_k c_k R^k = 0, keyed by class or
+# "<class>.<variant>"
+_JORDAN_ROWS = {
+    9: _Row(("h1", "h7"), {2: "1", 1: "-h1", 0: "-(h1**2)", -1: "h1**3"}),
+    "1.muZ": _Row(("h1", "h4", "h5"), {3: "1", 1: "-(h1**2+prod)", -1: "h1**2*prod"},
+                  {"prod": "h4*h5"}),
+    1: _Row(("h1", "h4", "h5", "h8"), {3: "1", 2: "-(h1+h8)", 1: "h1*h8-prod",
+                                       0: "(h1+h8)*prod", -1: "-h1*h8*prod"},
+            {"prod": "h4*h5"}),
+}
 
 
 def class_bmw_params(class_id: int, params: dict) -> tuple[complex, complex, complex]:
@@ -713,44 +765,12 @@ def class_bmw_params(class_id: int, params: dict) -> tuple[complex, complex, com
     one member of the valid simultaneous sign orbit (scale, l, m) ->
     (-scale, -l, -m).
     """
-    p = _class_params("BMW realization", class_id, (1, 2, 7), params,
-                      ("h1", "h4", "h5") if class_id == 1 else None)
-    if class_id == 1:
-        lam1 = p["h1"]
-        lam2 = sqrt(p["h4"] * p["h5"])
-        s1, s2 = sqrt(lam1), sqrt(lam2)
-        return (-1j / (s1 * s2), 1j * s1 / s2, -1j * (lam1 - lam2) / (s1 * s2))
-    if class_id == 2:
-        lam1 = sqrt(p["h2"] * p["h7"])
-        lam2 = p["h3"]
-        s1, s2 = sqrt(lam1), sqrt(lam2)
-        return (-1j / (s1 * s2), 1j * s2 / s1, -1j * (lam2 - lam1) / (s1 * s2))
-    # class 7: m follows the (lam+ - lam-)/sqrt(lam+ lam-) pattern of classes
-    # 1 and 2; with lam+- = h1 +- h3 that difference is 2 h3
-    sp, sm = sqrt(p["h1"] + p["h3"]), sqrt(p["h1"] - p["h3"])
-    return (1j / (sp * sm), -1j * sp / sm, 2j * p["h3"] / (sp * sm))
+    return tuple(_class_row("BMW realization", _BMW_ROWS, class_id, params).values())
 
 
 def class_hecke_params(class_id: int, params: dict) -> tuple[complex, complex]:
     """(scale, q) realizing the Hecke algebra for classes 3, 4, 5, 6, 8, 10, 11, 12."""
-    p = _class_params("Hecke realization", class_id, (3, 4, 5, 6, 8, 10, 11, 12), params)
-    if class_id == 3:
-        return (-1 / p["h1"], -p["h8"] / p["h1"])
-    if class_id == 4:
-        return (1 / (p["h1"] - p["h6"]), p["h1"] / (p["h1"] - p["h6"]))
-    if class_id == 5:
-        return (-1 / p["h1"], (p["h1"] - p["h6"]) / p["h1"])
-    if class_id == 6:
-        s = sqrt(2 * (p["h1"] ** 2 + p["h8"] ** 2))
-        lp, lm = (p["h1"] + p["h8"] + s) / 2, (p["h1"] + p["h8"] - s) / 2
-        return (-1 / lp, -lm / lp)
-    if class_id == 8:
-        return (-(1 - 1j) / (2 * p["h1"]), 1j)
-    if class_id == 10:
-        return (1 / p["h1"], 1)
-    if class_id == 11:
-        return (-1 / p["h8"], -1)
-    return (-(1 + 1j) / p["h1"], -1)  # class 12
+    return tuple(_class_row("Hecke realization", _HECKE_ROWS, class_id, params).values())
 
 
 def class_jordan_coeffs(class_id: int, params: dict, variant: str = "") -> dict[int, complex]:
@@ -760,15 +780,5 @@ def class_jordan_coeffs(class_id: int, params: dict, variant: str = "") -> dict[
     cubic identity at h8 = -h1 ("muZ"), which takes (h1, h4, h5) as recipe
     C1.Z does, and a quartic one in general.
     """
-    muz = class_id == 1 and variant == "muZ"
-    p = _class_params("operator identity", class_id, (1, 9), params,
-                      ("h1", "h4", "h5") if muz else None)
-    if class_id == 9:
-        h1 = p["h1"]
-        return {2: 1, 1: -h1, 0: -(h1**2), -1: h1**3}
-    if muz:
-        h1, prod = p["h1"], p["h4"] * p["h5"]
-        return {3: 1, 1: -(h1**2 + prod), -1: h1**2 * prod}
-    h1, h8, prod = p["h1"], p["h8"], p["h4"] * p["h5"]
-    return {3: 1, 2: -(h1 + h8), 1: h1 * h8 - prod, 0: (h1 + h8) * prod,
-            -1: -h1 * h8 * prod}
+    key = f"{class_id}.{variant}" if variant else class_id
+    return _class_row("operator identity", _JORDAN_ROWS, key, params)

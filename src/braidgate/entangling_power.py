@@ -38,7 +38,7 @@ import numpy as np
 
 from .matrix_core import (DEFAULT_TOL, LOCAL_PAULIS, XTYPE_SUPPORT, _EPS, _as_two_qubit,
                           is_xtype, max_norm, numerical_rank, partial_transpose)
-from .yang_baxter import CatalogEntry, XTypeParams, assemble, bind
+from .yang_baxter import CatalogEntry, XTypeParams, assemble, bind, evaluate_expr
 
 __all__ = [
     "ProductState",
@@ -231,55 +231,26 @@ def unitary_xtype(
 EIGEN_EXPRESSIBLE_CLASSES = frozenset({1, 2})
 
 
-def _class_epower_formula(class_id: int, p: dict[str, complex]) -> float:
-    """Per-class specializations of the closed form.
-
-    The invariant cross term carries the coefficient 1/36 (its per-qubit
-    moment squared); class constraints often simplify it to 1/9 of a squared
-    modulus because the invariant combination there is twice a product.
-    """
-    if class_id == 1:
-        return abs(p["h1"] * p["h8"] - p["h4"] * p["h5"]) ** 2 / 36
-    if class_id == 2:
-        return abs(p["h2"] * p["h7"] - p["h3"] ** 2) ** 2 / 36
-    if class_id == 3:
-        return (
-            abs(p["h1"] * p["h7"]) ** 2 + abs(p["h1"] * (p["h1"] + p["h8"])) ** 2
-        ) / 9 + abs(p["h1"] * p["h8"]) ** 2 / 9
-    if class_id == 4:
-        return abs(p["h4"] * p["h6"]) ** 2 / 9 + abs(p["h1"] * p["h6"]) ** 2 / 36
-    if class_id == 5:
-        return (
-            abs(p["h4"] * p["h6"]) ** 2 / 9
-            + abs(p["h1"] * (p["h1"] - p["h6"])) ** 2 / 9
-        )
-    if class_id == 6:
-        h1, h2, h8 = p["h1"], p["h2"], p["h8"]
-        bracket = (
-            abs(h2 * h8) ** 2
-            + abs(h1 * (h1 + h8) ** 2 / h2) ** 2 / 16
-            + abs((h1 + h8) * np.sqrt(h1**2 + h8**2)) ** 2 / 4
-        )
-        return bracket / 9 + abs(h1 - h8) ** 4 / 144
-    if class_id == 7:
-        h1, h2, h3 = p["h1"], p["h2"], p["h3"]
-        return (
-            abs(h1 * h2) ** 2 + abs(h1 * h3**2) ** 2 / abs(h2) ** 2
-            + 2 * abs(h1 * h3) ** 2
-        ) / 9
-    if class_id == 8:
-        h1, h2 = p["h1"], p["h2"]
-        return (abs(h1 * h2) ** 2 + abs(h1**3) ** 2 / abs(h2) ** 2 + 2 * abs(h1**2) ** 2) / 9
-    if class_id == 9:
-        return abs(p["h1"] * p["h7"]) ** 2 / 9
-    if class_id == 10:
-        return abs(p["h1"] * p["h7"]) ** 2 / 9 + abs(p["h1"]) ** 4 / 9
-    if class_id == 11:
-        return abs(p["h7"] * p["h8"]) ** 2 / 9 + 5 * abs(p["h8"]) ** 4 / 9
-    if class_id == 12:
-        h1, h2 = p["h1"], p["h2"]
-        return (abs(h1 * h2) ** 2 + abs(h1) ** 6 / (4 * abs(h2) ** 2)) / 9 + abs(h1) ** 4 / 36
-    raise ValueError(f"unknown class {class_id}")
+# Per-class specializations of the closed form, over the free parameters of
+# the class representative.  The invariant cross term carries the coefficient
+# 1/36 (its per-qubit moment squared); class constraints often simplify it to
+# 1/9 of a squared modulus because the invariant combination there is twice a
+# product.
+_CLASS_EPOWER: dict[int, str] = {
+    1: "abs(h1*h8-h4*h5)**2/36",
+    2: "abs(h2*h7-h3**2)**2/36",
+    3: "(abs(h1*h7)**2+abs(h1*(h1+h8))**2)/9+abs(h1*h8)**2/9",
+    4: "abs(h4*h6)**2/9+abs(h1*h6)**2/36",
+    5: "abs(h4*h6)**2/9+abs(h1*(h1-h6))**2/9",
+    6: "(abs(h2*h8)**2+abs(h1*(h1+h8)**2/h2)**2/16+abs((h1+h8)*sqrt(h1**2+h8**2))**2/4)/9"
+       "+abs(h1-h8)**4/144",
+    7: "(abs(h1*h2)**2+abs(h1*h3**2)**2/abs(h2)**2+2*abs(h1*h3)**2)/9",
+    8: "(abs(h1*h2)**2+abs(h1**3)**2/abs(h2)**2+2*abs(h1**2)**2)/9",
+    9: "abs(h1*h7)**2/9",
+    10: "abs(h1*h7)**2/9+abs(h1)**4/9",
+    11: "abs(h7*h8)**2/9+5*abs(h8)**4/9",
+    12: "(abs(h1*h2)**2+abs(h1)**6/(4*abs(h2)**2))/9+abs(h1)**4/36",
+}
 
 
 def class_epower(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) -> dict:
@@ -292,7 +263,7 @@ def class_epower(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) ->
     if entry.variant_id != 0:
         raise ValueError("per-class entangling power formulas address representatives (.0)")
     p = bind(entry.entry_id, entry.free_params, params)
-    formula = _class_epower_formula(entry.class_id, p)
+    formula = evaluate_expr(_CLASS_EPOWER[entry.class_id], p).real
     general = entangling_power_closed(assemble(entry.fill(p)))
     return {
         "entry": entry.entry_id,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enhancement import EnhancedOperator, verify_enhancement
-from .matrix_core import (DEFAULT_TOL, SINGULAR_TOL, _as_two_qubit, as_matrix, invert, max_norm,
-                          tensor_product)
+from .matrix_core import (DEFAULT_TOL, SingularMatrixError, _as_two_qubit, as_matrix, invert,
+                          max_norm, tensor_product)
 from .yang_baxter import assemble, bind, catalog_entry, evaluate_expr
 
 __all__ = [
@@ -348,13 +348,20 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     """Closed-form invariants, enhancement, link values, and entangling power
     for the families H1,3 and H2,3, ready to compare against direct module
     computation.
+
+    ``SingularMatrixError`` is raised when R is singular by the condition
+    number rule of :func:`~braidgate.matrix_core.invert`; det R is -k^8
+    (H1,3) or -k^4 (H2,3), so that is k = 0 relative to the other entries,
+    and a scaled-down operator is accepted as it is at scale 1.
     """
     if which not in ("H1,3", "H2,3"):
         raise ValueError("which must be 'H1,3' or 'H2,3'")
     p = bind(which, HIETARINTA_FORMS[which][0], params)
-    if abs(p["k"]) < SINGULAR_TOL:
-        raise ValueError(f"{which} requires k != 0")
     r = hietarinta_assemble(which, p)
+    try:
+        invert(r)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{which} requires k != 0: {exc}") from None
     if which == "H1,3":
         k, pp, q = p.values()
         mu = np.eye(2, dtype=complex) - (pp + q) / (2 * k) * np.array(

@@ -29,7 +29,7 @@ from .matrix_core import (
     _as_two_qubit,
     max_norm,
 )
-from .yang_baxter import CatalogEntry, assemble
+from .yang_baxter import CatalogEntry, assemble, evaluate_expr
 
 __all__ = [
     "InvariantSet",
@@ -240,130 +240,63 @@ def random_sl2(rng: np.random.Generator) -> np.ndarray:
 
 INDEPENDENT_COUNTS = {1: 3, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1, 9: 1, 10: 1, 11: 1, 12: 1}
 
-# Each entry maps the catalog's named eigenvalue combinations to the five
-# quadratic invariants.  Classes 3 and 5 share one shape.
-def _formulas_c3_like(e):
-    lp, lm = e["lamp"], e["lamm"]
-    return {
-        "I2_4": 2 * lp * (lp + 2 * lm),
-        "I2_5": 2 * lm * (2 * lp + lm),
-        "I2_8": 0j,
-        "I2_9": 2 * (lp**2 + lm**2 + lp * lm),
-        "I2_10": 2 * (lp**2 + lm**2 + 3 * lp * lm),
-    }
+# Per class, the five quadratic invariants as expressions over the named
+# eigenvalue combinations of the class's catalog entries (``eigen_named``).
+# Classes 3 and 5 share one shape.
+_C3_LIKE = {"I2_4": "2*lamp*(lamp+2*lamm)", "I2_5": "2*lamm*(2*lamp+lamm)", "I2_8": "0j",
+            "I2_9": "2*(lamp**2+lamm**2+lamp*lamm)", "I2_10": "2*(lamp**2+lamm**2+3*lamp*lamm)"}
 
-
-_CLASS_FORMULAS = {
-    1: lambda e: {
-        "I2_4": -2 * e["lam2sq"],
-        "I2_5": -2 * e["lam2sq"],
-        "I2_8": 2 * (e["lam1p"] * e["lam1m"] + e["lam2sq"]),
-        "I2_9": e["lam1p"] ** 2 + e["lam1m"] ** 2,
-        "I2_10": 2 * e["lam1p"] * e["lam1m"],
-    },
-    2: lambda e: {
-        "I2_4": -2 * e["lam1sq"],
-        "I2_5": -2 * e["lam1sq"],
-        "I2_8": 2 * (e["lam1sq"] + e["lam2"] ** 2),
-        "I2_9": 2 * e["lam2"] ** 2,
-        "I2_10": 2 * e["lam2"] ** 2,
-    },
-    3: _formulas_c3_like,
-    4: lambda e: {
-        "I2_4": 2 * e["lam1"] * (e["lam1"] + 2 * e["lam2"]),
-        "I2_5": 2 * e["lam1"] * (e["lam1"] + 2 * e["lam2"]),
-        "I2_8": 2 * e["lam1"] * (e["lam1"] - e["lam2"]),
-        "I2_9": 2 * e["lam1"] * (2 * e["lam1"] + e["lam2"]),
-        "I2_10": 5 * e["lam1"] ** 2 + 4 * e["lam1"] * e["lam2"] + e["lam2"] ** 2,
-    },
-    5: _formulas_c3_like,
-    6: lambda e: {
-        # symmetric in lam+-, written via e1 = lam+ + lam-, e2 = lam+ lam-
-        "I2_4": 2 * e["e2"],
-        "I2_5": 2 * e["e2"],
-        "I2_8": 2 * e["e1"] ** 2,
-        "I2_9": 2 * (e["e1"] ** 2 - e["e2"]),
-        "I2_10": 2 * (e["e1"] ** 2 + e["e2"]),
-    },
-    7: lambda e: {
-        "I2_4": -2 * e["lamm"] ** 2,
-        "I2_5": -2 * e["lamm"] ** 2,
-        "I2_8": 2 * (e["lamp"] ** 2 + e["lamm"] ** 2),
-        "I2_9": 2 * e["lamp"] ** 2,
-        "I2_10": 2 * e["lamp"] ** 2,
-    },
-    8: lambda e: {
-        "I2_4": 2 * e["lamsum"] ** 2,
-        "I2_5": 2 * e["lamsum"] ** 2,
-        "I2_8": 0j,
-        "I2_9": 2 * e["lamsum"] ** 2,
-        "I2_10": 2 * e["lamsum"] ** 2,
-    },
-    9: lambda e: {
-        "I2_4": -2 * e["lam"] ** 2,
-        "I2_5": -2 * e["lam"] ** 2,
-        "I2_8": 4 * e["lam"] ** 2,
-        "I2_9": 2 * e["lam"] ** 2,
-        "I2_10": 2 * e["lam"] ** 2,
-    },
-    10: lambda e: {
-        "I2_4": -2 * e["lam"] ** 2,
-        "I2_5": -2 * e["lam"] ** 2,
-        "I2_8": 0j,
-        "I2_9": 2 * e["lam"] ** 2,
-        "I2_10": -2 * e["lam"] ** 2,
-    },
-    11: lambda e: {
-        "I2_4": 6 * e["lam"] ** 2,
-        "I2_5": 6 * e["lam"] ** 2,
-        "I2_8": 0j,
-        "I2_9": 6 * e["lam"] ** 2,
-        "I2_10": 10 * e["lam"] ** 2,
-    },
-    12: lambda e: {
-        "I2_4": 2 * e["lam"] ** 2,
-        "I2_5": 2 * e["lam"] ** 2,
-        "I2_8": 8 * e["lam"] ** 2,
-        "I2_9": 6 * e["lam"] ** 2,
-        "I2_10": 10 * e["lam"] ** 2,
-    },
+_CLASS_FORMULAS: dict[int, dict[str, str]] = {
+    1: {"I2_4": "-2*lam2sq", "I2_5": "-2*lam2sq", "I2_8": "2*(lam1p*lam1m+lam2sq)",
+        "I2_9": "lam1p**2+lam1m**2", "I2_10": "2*lam1p*lam1m"},
+    2: {"I2_4": "-2*lam1sq", "I2_5": "-2*lam1sq", "I2_8": "2*(lam1sq+lam2**2)",
+        "I2_9": "2*lam2**2", "I2_10": "2*lam2**2"},
+    3: _C3_LIKE,
+    4: {"I2_4": "2*lam1*(lam1+2*lam2)", "I2_5": "2*lam1*(lam1+2*lam2)",
+        "I2_8": "2*lam1*(lam1-lam2)", "I2_9": "2*lam1*(2*lam1+lam2)",
+        "I2_10": "5*lam1**2+4*lam1*lam2+lam2**2"},
+    5: _C3_LIKE,
+    # symmetric in lam+-, written via e1 = lam+ + lam-, e2 = lam+ lam-
+    6: {"I2_4": "2*e2", "I2_5": "2*e2", "I2_8": "2*e1**2", "I2_9": "2*(e1**2-e2)",
+        "I2_10": "2*(e1**2+e2)"},
+    7: {"I2_4": "-2*lamm**2", "I2_5": "-2*lamm**2", "I2_8": "2*(lamp**2+lamm**2)",
+        "I2_9": "2*lamp**2", "I2_10": "2*lamp**2"},
+    8: {"I2_4": "2*lamsum**2", "I2_5": "2*lamsum**2", "I2_8": "0j", "I2_9": "2*lamsum**2",
+        "I2_10": "2*lamsum**2"},
+    9: {"I2_4": "-2*lam**2", "I2_5": "-2*lam**2", "I2_8": "4*lam**2", "I2_9": "2*lam**2",
+        "I2_10": "2*lam**2"},
+    10: {"I2_4": "-2*lam**2", "I2_5": "-2*lam**2", "I2_8": "0j", "I2_9": "2*lam**2",
+         "I2_10": "-2*lam**2"},
+    11: {"I2_4": "6*lam**2", "I2_5": "6*lam**2", "I2_8": "0j", "I2_9": "6*lam**2",
+         "I2_10": "10*lam**2"},
+    12: {"I2_4": "2*lam**2", "I2_5": "2*lam**2", "I2_8": "8*lam**2", "I2_9": "6*lam**2",
+         "I2_10": "10*lam**2"},
 }
 
-
-def _dependence_residuals(class_id: int, v: dict[str, complex]) -> tuple[float, ...]:
-    """Residuals of the class's dependence relations among direct invariants."""
-    i24, i25, i28, i29, i210 = v["I2_4"], v["I2_5"], v["I2_8"], v["I2_9"], v["I2_10"]
-    if class_id in (1, 2):
-        return (abs(i28 - (i210 - i24)),)
-    if class_id in (3, 5):
-        # (2 lam+^2)(2 lam-^2) = 4 (lam+ lam-)^2 with the stated substitutions
-        lhs = (i24 - i210 + i29) * (i25 - i210 + i29)
-        return (abs(i28), abs(lhs - (i210 - i29) ** 2 / 4))
-    if class_id == 4:
-        # lam1^2 = (I28+I29)/6 and lam2^2 = (I29-2 I28)^2 / (6 (I28+I29));
-        # I24 and I210 then follow, written squared to stay branch-free.
-        lam1sq = (i28 + i29) / 6
-        lam2sq = (i29 - 2 * i28) ** 2 / (6 * (i28 + i29))
-        return (
-            abs(i24 - i25),
-            abs((i24 - 2 * lam1sq) ** 2 - 16 * lam1sq * lam2sq),
-            abs(i210 - i24 - 3 * lam1sq - lam2sq),
-        )
-    if class_id == 6:
-        return (abs(i24 - i25),)
-    if class_id == 7:
-        return (abs(i28 - (i29 - i24)),)
-    if class_id == 8:
-        return (abs(i28), abs(i24 - i29), abs(i29 - i210))
-    if class_id == 9:
-        return (abs(i28 + 2 * i24), abs(i29 - i210))
-    if class_id == 10:
-        return (abs(i28), abs(i24 - i210), abs(i29 + i24))
-    if class_id == 11:
-        return (abs(i28), abs(i24 - i29), abs(5 * i24 - 3 * i210))
-    if class_id == 12:
-        return (abs(4 * i24 - i28), abs(3 * i24 - i29), abs(5 * i24 - i210))
-    return ()
+# Per class, the dependence relations among the directly evaluated
+# invariants: expressions over I2_4 .. I2_10 that vanish on the class.
+# Classes 1 and 2 share one set, and so do classes 3 and 5; in the latter,
+# (2 lam+^2)(2 lam-^2) = 4 (lam+ lam-)^2 with the stated substitutions.
+_C1_LIKE_DEPS = ("I2_8-(I2_10-I2_4)",)
+_C3_LIKE_DEPS = ("I2_8", "(I2_4-I2_10+I2_9)*(I2_5-I2_10+I2_9)-(I2_10-I2_9)**2/4")
+_DEPENDENCE_RELATIONS: dict[int, tuple[str, ...]] = {
+    1: _C1_LIKE_DEPS,
+    2: _C1_LIKE_DEPS,
+    3: _C3_LIKE_DEPS,
+    # lam1^2 = (I28+I29)/6 and lam2^2 = (I29-2 I28)^2 / (6 (I28+I29));
+    # I24 and I210 then follow, written squared to stay branch-free.
+    4: ("I2_4-I2_5",
+        "(I2_4-2*((I2_8+I2_9)/6))**2-16*((I2_8+I2_9)/6)*((I2_9-2*I2_8)**2/(6*(I2_8+I2_9)))",
+        "I2_10-I2_4-3*((I2_8+I2_9)/6)-(I2_9-2*I2_8)**2/(6*(I2_8+I2_9))"),
+    5: _C3_LIKE_DEPS,
+    6: ("I2_4-I2_5",),
+    7: ("I2_8-(I2_9-I2_4)",),
+    8: ("I2_8", "I2_4-I2_9", "I2_9-I2_10"),
+    9: ("I2_8+2*I2_4", "I2_9-I2_10"),
+    10: ("I2_8", "I2_4-I2_10", "I2_9+I2_4"),
+    11: ("I2_8", "I2_4-I2_9", "5*I2_4-3*I2_10"),
+    12: ("4*I2_4-I2_8", "3*I2_4-I2_9", "5*I2_4-I2_10"),
+}
 
 
 @dataclass(frozen=True)
@@ -386,9 +319,10 @@ def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_T
     inv = quadratic_invariants(assemble(h))
     direct = {f"I2_{r}": inv.q(r) for r in (4, 5, 8, 9, 10)}
     eig = entry.eigen_values(params)
-    closed = _CLASS_FORMULAS[entry.class_id](eig)
+    closed = {k: evaluate_expr(expr, eig) for k, expr in _CLASS_FORMULAS[entry.class_id].items()}
     max_diff = max(abs(closed[k] - direct[k]) for k in closed)
-    deps = _dependence_residuals(entry.class_id, direct)
+    deps = tuple(abs(evaluate_expr(expr, direct))
+                 for expr in _DEPENDENCE_RELATIONS[entry.class_id])
     scale = max(max(abs(v) for v in direct.values()), 1.0)
     passed = max_diff < tol * scale and all(d < tol * scale for d in deps)
     return EigenReport(

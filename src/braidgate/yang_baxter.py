@@ -16,15 +16,21 @@ invertible X-type solutions of the constant Yang-Baxter equation
 as declarative constraint records, keyed "C<class>.<variant>" with variant 0
 the representative.
 
-The package's three tables (this catalog, the enhancement recipes and the
-equivalence recipes) are records built by calling their dataclasses, and
-every formula in them is an expression string evaluated by
-:func:`evaluate_expr`: each string is compiled once, on first use, and run
-with only ``sqrt`` and ``I`` besides its parameters (and, in a recipe, its
-``let`` intermediates).  The strings are package constants; user input never
+Every table of the package holds its formulas as expression strings
+evaluated by :func:`evaluate_expr`: this catalog, the enhancement recipes
+and the equivalence recipes, which are records built by calling their
+dataclasses, and the per-class tables keyed by class id, each in the module
+that uses it (the invariant formulas and dependence relations of
+``invariants``, the entangling-power forms of ``entangling_power`` and the
+BMW, Hecke and Jordan rows of ``enhancement``).  Each string is compiled
+once, on first use, and run with only ``sqrt``, ``abs`` and ``I`` besides
+its parameters (and, in a recipe or an algebra row, its ``let``
+intermediates).  The strings are package constants; user input never
 reaches the evaluator.  The test suite also evaluates them over sympy
-symbols and proves that all 38 entries solve the equation identically and
-that all 33 recipes satisfy the enhancement conditions identically.
+symbols and proves that all 38 entries solve the equation identically, that
+all 33 recipes satisfy the enhancement conditions identically, and that each
+class's invariant formulas and dependence relations hold identically on
+every entry of the class.
 """
 
 from __future__ import annotations
@@ -499,7 +505,7 @@ def sqrt(z) -> complex:
     return complex(np.sqrt(complex(z)))
 
 
-_EXPR_GLOBALS = {"__builtins__": {}, "sqrt": sqrt, "I": 1j}
+_EXPR_GLOBALS = {"__builtins__": {}, "sqrt": sqrt, "abs": abs, "I": 1j}
 
 
 @functools.lru_cache(maxsize=None)  # keys are the tables' string constants

@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import numpy as np
@@ -1028,6 +1029,17 @@ class TestAlgebraWitnesses:
             r, class_jordan_coeffs(1, {"h1": h1, "h4": h4, "h5": h5, "h8": h8})
         )
         assert w.realized
+
+    @pytest.mark.parametrize("call,key", [
+        (lambda: class_bmw_params(3, {"h1": 1, "h7": 1, "h8": 2}), "3"),
+        (lambda: class_hecke_params(9, {"h1": 1, "h7": 1}), "9"),
+        (lambda: class_jordan_coeffs(2, {"h2": 1, "h3": 1, "h7": 1}), "2"),
+        # a variant names its own row; an unknown one is not the general identity
+        (lambda: class_jordan_coeffs(1, {"h1": 1, "h4": 1, "h5": 1, "h8": 1}, "muX"), "1.muX"),
+    ], ids=["bmw", "hecke", "jordan", "jordan-variant"])
+    def test_unrecorded_class_is_refused(self, call, key):
+        with pytest.raises(ValueError, match=rf"recorded for class {re.escape(key)}$"):
+            call()
 
     def test_bmw_requires_nonzero_m(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from braidgate.hietarinta import (
     verify_recipe,
 )
 from braidgate.invariants import quadratic_invariants
+from braidgate.matrix_core import SingularMatrixError
 from braidgate.yang_baxter import BraidWord, CATALOG, XTypeParams, assemble, check_ybe
 
 RNG = np.random.default_rng(91)
@@ -316,8 +317,24 @@ class TestAppendixB:
     @pytest.mark.parametrize("which,params", [("H1,3", {"k": 0, "p": 1, "q": 2}),
                                               ("H2,3", {"k": 0, "p": 1, "q": -1, "s": 1})])
     def test_k_zero_is_refused(self, which, params):
-        with pytest.raises(ValueError, match=f"{which} requires k != 0"):
+        with pytest.raises(SingularMatrixError, match=f"{which} requires k != 0"):
             rh_extras_report(which, params)
+
+    @pytest.mark.parametrize("which,params,power", [
+        # R is linear in the parameters of H2,3 and quadratic in those of H1,3
+        ("H2,3", {"k": 1, "p": 1, "q": -1, "s": 1}, 1),
+        ("H1,3", {"k": 1, "p": 1, "q": -1}, 2),
+    ])
+    def test_a_scaled_down_operator_is_accepted(self, which, params, power):
+        # singularity is judged by the condition number, which scaling R by
+        # s leaves alone; I1 then scales by s and each I2 by s^2
+        t = 1e-13
+        s = t**power
+        base = rh_extras_report(which, params)
+        small = rh_extras_report(which, {k: t * v for k, v in params.items()})
+        for key, value in base["invariants"].items():
+            assert_allclose(small["invariants"][key], value * (s if key == "I1" else s**2),
+                            rtol=1e-12)
 
     def test_bad_family_name(self):
         with pytest.raises(ValueError):

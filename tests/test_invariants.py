@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from braidgate.invariants import (
     INDEPENDENT_COUNTS,
     _CLASS_FORMULAS,
+    _DEPENDENCE_RELATIONS,
     _W,
     check_identities,
     class_eigen_report,
@@ -32,6 +33,23 @@ def rand_matrix(rng=RNG):
 
 def rand_xtype_params(rng=RNG):
     return XTypeParams(*(rand_complex(rng) for _ in range(8)))
+
+
+def _symbolic_invariants(entry):
+    """The entry's free parameters as sympy symbols, an evaluator of table
+    expressions over sympy values, and the X-type closed forms of the entry's
+    h slots as functions of the free parameters."""
+    sympy = pytest.importorskip("sympy")
+    env = {"__builtins__": {}, "sqrt": sympy.sqrt, "abs": sympy.Abs, "I": sympy.I}
+
+    def value(expr, names):
+        # rational=True turns complex literals such as (1-1j)/2 exact
+        return sympy.nsimplify(eval(compile_expr(expr), env, dict(names)), rational=True)
+
+    free = {k: sympy.Symbol(k) for k in entry.free_params}
+    h = dict(free)
+    h.update((slot, value(expr, free)) for slot, expr in entry.constraints.items())
+    return free, value, xtype_closed_forms(tuple(h[f"h{k}"] for k in range(1, 9)))
 
 
 class TestLinearInvariant:
@@ -260,21 +278,25 @@ class TestClassEigenReports:
         # free parameters, for the five quadratic invariants
         sympy = pytest.importorskip("sympy")
         entry = CATALOG[entry_id]
-        free = {k: sympy.Symbol(k) for k in entry.free_params}
-        env = {"__builtins__": {}, "sqrt": sympy.sqrt, "I": sympy.I}
+        free, value, direct = _symbolic_invariants(entry)
+        eigen = {name: value(expr, free) for name, expr in entry.eigen_named.items()}
+        formulas = _CLASS_FORMULAS[entry.class_id]
+        assert sorted(formulas) == ["I2_10", "I2_4", "I2_5", "I2_8", "I2_9"]
+        for key, formula in formulas.items():
+            assert sympy.cancel(value(formula, eigen) - direct[key]) == 0, key
 
-        def value(expr):
-            # rational=True turns complex literals such as (1-1j)/2 exact
-            return sympy.nsimplify(eval(compile_expr(expr), env, dict(free)), rational=True)
-
-        h = dict(free)
-        h.update((slot, value(expr)) for slot, expr in entry.constraints.items())
-        direct = xtype_closed_forms(tuple(h[f"h{k}"] for k in range(1, 9)))
-        eigen = {name: value(expr) for name, expr in entry.eigen_named.items()}
-        closed = _CLASS_FORMULAS[entry.class_id](eigen)
-        assert sorted(closed) == ["I2_10", "I2_4", "I2_5", "I2_8", "I2_9"]
-        for key, formula in closed.items():
-            assert sympy.cancel(sympy.sympify(formula) - direct[key]) == 0, key
+    @pytest.mark.parametrize("entry_id", sorted(CATALOG))
+    def test_dependence_relations_hold_symbolically(self, entry_id):
+        # each of the class's relations vanishes identically on the X-type
+        # closed forms of the entry's h slots; the relation plus I2_9/7 does not
+        sympy = pytest.importorskip("sympy")
+        entry = CATALOG[entry_id]
+        _, value, direct = _symbolic_invariants(entry)
+        relations = _DEPENDENCE_RELATIONS[entry.class_id]
+        assert relations
+        for relation in relations:
+            assert sympy.cancel(value(relation, direct)) == 0, relation
+            assert sympy.cancel(value(relation + "+I2_9/7", direct)) != 0, relation
 
     def test_counts_table(self):
         assert INDEPENDENT_COUNTS == {1: 3, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2,

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from braidgate.enhancement import (RECIPES, class_bmw_params, class_hecke_params,
-                                   class_jordan_coeffs, instantiate_recipe)
-from braidgate.entangling_power import class_epower
+from braidgate.enhancement import (_BMW_ROWS, _HECKE_ROWS, _JORDAN_ROWS, RECIPES,
+                                   class_bmw_params, class_hecke_params, class_jordan_coeffs,
+                                   instantiate_recipe)
+from braidgate.entangling_power import _CLASS_EPOWER, class_epower
 from braidgate.hietarinta import RECIPE_TABLE, hietarinta_assemble, rh_extras_report, verify_recipe
+from braidgate.invariants import _CLASS_FORMULAS, _DEPENDENCE_RELATIONS
 from braidgate.matrix_core import (I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL, XTYPE_SUPPORT, max_norm,
                                    numerical_rank, tensor_product)
 from braidgate.yang_baxter import (
@@ -240,18 +242,36 @@ def _strings(obj):
             yield from _strings(item)
 
 
+def _let_expressions(record, names, let):
+    """(record, names, [expr]) for each ``let`` entry, which sees only the
+    names before it; ``names`` gains each one."""
+    for name, expr in let.items():
+        yield f"{record}.let.{name}", set(names), [expr]
+        names.add(name)
+
+
 def _table_expressions():
     """(record, names it may use, its expression strings) for every table."""
     for eid, entry in CATALOG.items():
         exprs = [*entry.constraints.values(), *entry.nonzero, *entry.eigen_named.values()]
         yield eid, set(entry.free_params), exprs
+        # every entry of a class names the eigenvalue combinations its formulas use
+        yield f"{eid}.formulas", set(entry.eigen_named), _CLASS_FORMULAS[entry.class_id].values()
+    invariants = {f"I2_{k}" for k in (4, 5, 8, 9, 10)}
+    for cls, relations in _DEPENDENCE_RELATIONS.items():
+        yield f"C{cls}.relations", invariants, relations
+    for cls, expr in _CLASS_EPOWER.items():
+        yield f"C{cls}.epower", set(CATALOG[f"C{cls}.0"].free_params), [expr]
     for rid, recipe in RECIPES.items():
         names = set(recipe.free_params)
         yield rid, names, list(recipe.constraints.values())
-        for name, expr in recipe.let.items():  # a let entry sees only the ones before it
-            yield f"{rid}.let.{name}", set(names), [expr]
-            names.add(name)
+        yield from _let_expressions(rid, names, recipe.let)
         yield rid, names, [*recipe.mu, recipe.x, recipe.y]
+    for kind, rows in (("bmw", _BMW_ROWS), ("hecke", _HECKE_ROWS), ("jordan", _JORDAN_ROWS)):
+        for cls, row in rows.items():
+            names = set(row.names)
+            yield from _let_expressions(f"C{cls}.{kind}", names, row.let)
+            yield f"C{cls}.{kind}", names, row.exprs.values()
     for recipe in RECIPE_TABLE:
         exprs = [*(recipe.source_params or {}).values(),
                  *(recipe.target_params or {}).values(),
@@ -265,9 +285,9 @@ class TestTableExpressions:
         for record, params, exprs in _table_expressions():
             for expr in exprs:
                 names = set(compile_expr(expr).co_names)
-                assert names <= params | {"sqrt", "I"}, (record, expr, names)
+                assert names <= params | {"sqrt", "abs", "I"}, (record, expr, names)
                 count += 1
-        assert count > 600
+        assert count > 900
 
     @pytest.mark.parametrize("entry_id", sorted(CATALOG))
     def test_entry_solves_ybe_symbolically(self, entry_id):
