@@ -158,7 +158,8 @@ def _checked_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None, np.inf
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    # each 1-norm is the largest column abs-sum, as np.linalg.norm(., 1) takes it
+    cond = float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     # a NaN from an overflowed inverse fails the comparison too
     return (inv if cond <= 1 / SINGULAR_TOL else None), cond
 

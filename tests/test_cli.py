@@ -115,6 +115,10 @@ class TestVerifyCommand:
         recipes = report["checks"]["enhancements"]
         assert len(recipes) == 5
         assert all(v["pass"] for v in recipes.values())
+        # each pass can be checked from the output
+        for v in recipes.values():
+            assert len(v["scales"]) == 3
+            assert all(r < report["tolerance"] * s for r, s in zip(v["residuals"], v["scales"]))
 
     def test_undefined_recipe_fails_its_check(self, capsys):
         # C4.mu5 divides by 2 h1 - h6; C4.I pins h6 = 0, so it does not
@@ -469,11 +473,23 @@ class TestEnhanceCommand:
         assert code == 0
         points = report["points"]
         assert len(points) == report["nullity"] == 5
-        assert all(set(p) == {"mu", "lambda", "nu", "multiplicity", "outcome"} for p in points)
+        assert all(set(p) == {"mu", "lambda", "nu", "multiplicity", "outcome", "residuals",
+                              "scales"} for p in points)
         assert sum(p["multiplicity"] for p in points) == report["nullity"]
         outcomes = [p["outcome"] for p in points]
         assert set(outcomes) <= set(POINT_OUTCOMES)
         assert outcomes.count("family") == report["count"] == len(report["families"]) == 5
+        # every checked point's verdict can be read off its residuals and scales
+        for p in points:
+            passed = all(r < report["tolerance"] * s for r, s in zip(p["residuals"], p["scales"]))
+            assert passed == (p["outcome"] == "family")
+
+    def test_degenerate_points_are_not_checked(self, capsys):
+        code, report = run_json(capsys, "enhance", "--class", "C9.2", "--params", "h1=1,h7=2")
+        assert code == 0
+        assert [p["outcome"] for p in report["points"]].count("degenerate") == 1
+        for p in report["points"]:
+            assert (p["residuals"] is None) == (p["scales"] is None) == (p["outcome"] == "degenerate")
 
     def test_tolerance_below_rounding_rejects_every_root(self, capsys):
         # at 1e-17 only exact-zero residuals pass, so each of C6.0's five

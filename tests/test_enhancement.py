@@ -12,8 +12,9 @@ from braidgate.enhancement import (
     RECIPES,
     _MU_ROWS,
     _condition_tables,
+    _conditions,
     _macaulay,
-    _point_outcome,
+    _root_xy,
     _solve,
     _system,
     bmw_witness,
@@ -30,7 +31,8 @@ from braidgate.enhancement import (
 )
 from braidgate.hietarinta import hietarinta_assemble
 from braidgate.matrix_core import (
-    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, XTYPE_SUPPORT, numerical_rank, partial_trace,
+    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, XTYPE_SUPPORT, max_norm, numerical_rank,
+    partial_trace, tensor_product,
 )
 from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry, compile_expr
 
@@ -109,6 +111,80 @@ class TestVerifyEnhancement:
         for class_id in range(1, 13):
             refs = CATALOG[f"C{class_id}.0"].enhancement_refs
             assert set(refs) == {rid for rid, r in RECIPES.items() if r.class_id == class_id}
+
+
+def _reference_conditions(r, mu, x, y):
+    """Residuals and scales of (a)-(c) for one quadruple, formed one 4x4
+    product at a time with tensor_product, partial_trace and max_norm."""
+    r_inv = np.linalg.inv(r)
+    mm = tensor_product(mu, mu)
+    mu_n = max_norm(mu)
+    residuals = (max_norm(r @ mm - mm @ r),
+                 max_norm(partial_trace(r @ mm, 2) - x * y * mu),
+                 max_norm(partial_trace(r_inv @ mm, 2) - y / x * mu))
+    scales = (max(1.0, max_norm(r) * mu_n**2),
+              max(1.0, max_norm(r) * mu_n**2, abs(x * y) * mu_n),
+              max(1.0, max_norm(r_inv) * mu_n**2, abs(y / x) * mu_n))
+    return residuals, scales
+
+
+class TestConditionKernel:
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_stack_matches_single_calls(self, k):
+        rng = np.random.default_rng(70 + k)
+        r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        r_inv = np.linalg.inv(r)
+        mu = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        lam, nu = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+        residuals, scales = _conditions(r, r_inv, mu, lam, nu)
+        assert residuals.shape == scales.shape == (k, 3)
+        for i in range(k):
+            one = _conditions(r, r_inv, mu[i:i + 1], lam[i:i + 1], nu[i:i + 1])
+            assert np.array_equal(one[0][0], residuals[i])
+            assert np.array_equal(one[1][0], scales[i])
+
+    @pytest.mark.parametrize("recipe_id", sorted(RECIPES))
+    def test_verify_matches_reference(self, recipe_id):
+        # the residuals are those of the one-product-at-a-time reference bit
+        # for bit; the scales may differ in the last place, since np.abs and
+        # abs() round a complex modulus differently
+        rng = np.random.default_rng(zlib.crc32(recipe_id.encode()))
+        params = recipe_draw(recipe_id, rng)
+        for factor in (1e-3, 1.0, 1e3):
+            e = instantiate_recipe(recipe_id, {k: factor * v for k, v in params.items()})
+            want, want_scales = _reference_conditions(e.R, e.mu, e.x, e.y)
+            assert e._passed.residuals == want
+            assert_allclose(e._passed.scales, want_scales, rtol=1e-15)
+            fresh = EnhancedOperator(e.R, e.mu, e.x, e.y)
+            for tol in (DEFAULT_TOL, 1e-15):
+                residuals, ok = verify_enhancement(fresh, tol)
+                assert residuals == want
+                assert ok == all(v < tol * s for v, s in zip(want, want_scales))
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """A list that grows by one for every np.linalg.inv call."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    return calls
+
+
+class TestInvertsOnce:
+    def test_solve(self, inversions):
+        r = assemble(CATALOG["C6.0"].fill({"h1": 1, "h2": 1, "h8": 2}))
+        families, _ = _solve(r, DEFAULT_TOL)
+        assert len(families) == 5 and len(inversions) == 1
+        # the families are recorded as passed: verifying them again is free
+        assert all(verify_enhancement(e)[1] for e in families) and len(inversions) == 1
+
+    def test_recipe_then_link_values(self, inversions):
+        e = instantiate_recipe("C4.mu5", {"h1": 2, "h4": 1, "h6": 1})
+        w = word((1, 2), (2, -1), (1, -3), (3, 1))
+        link_polynomial(e, w)
+        markov_check(e, w)
+        assert len(inversions) == 1
 
 
 class _Radicals:
@@ -588,13 +664,12 @@ class TestSolver:
         # the principal root of -4 +- 1e-17 i is about +-2i, and both signs
         # must give x = 2i and one family
         r = assemble(CATALOG["C11.0"].fill({"h7": 1, "h8": 2}))
-        coeffs = np.array([0, 0, 0, 1], dtype=complex)
         for sign in (1, -1):
             lam = complex(-2, sign * 5e-18)  # nu = 1/2
             assert np.sign(np.sqrt(lam / 0.5).imag) == sign
-            outcome, e = _point_outcome(r, 1.0, DEFAULT_TOL, coeffs, lam, 0.5)
-            assert outcome == "family"
-            assert abs(e.x - 2j) < 1e-15 and abs(e.y - 1j) < 1e-15
+            x, y = _root_xy(lam, 0.5)
+            assert abs(x - 2j) < 1e-15 and abs(y - 1j) < 1e-15
+            assert verify_enhancement(EnhancedOperator(r, PAULI_Z, x, y))[1]
 
     def test_generic_h23_root_is_degenerate(self):
         # the one root is the nilpotent mu = X + iY, where x y = y / x = 0
@@ -838,18 +913,39 @@ def _macaulay_nullity(r):
     return m4.shape[1] - numerical_rank(m4)
 
 
+# Sorted (multiplicity, outcome) of the roots of each class, the same at
+# every draw and scale of the catalog sweep below; C7.1 is not C7.0.
+_F, _D = "family", "degenerate"
+_SWEEP_RECORDS = {
+    1: [(1, _F)] * 2, 2: [(1, _F)], 3: [(1, _F)] * 3, 4: [(1, _D)] * 2 + [(1, _F)] * 3,
+    5: [(1, _F)] * 3, 6: [(1, _F)] * 5, 7: [(1, _F)], "C7.1": [(1, _D)] * 2 + [(1, _F)] * 3,
+    8: [(1, _D), (1, _F)], 9: [(1, _D), (1, _F)], "C9.2": [(1, _F), (5, _D)],
+    "C9.3": [(1, _F), (5, _D)], 10: [(1, _F), (2, _F), (2, _F)], 11: [(1, _F), (2, _D)],
+    12: [(1, _F)] * 5,
+}
+
+
 @pytest.mark.parametrize("entry_id", sorted(CATALOG))
 def test_catalog_points_count_every_root(entry_id):
     # the multiplicities of the points sum to the Macaulay nullity, and each
-    # point that is not degenerate solves (a)-(c) by dense products
+    # point that is not degenerate solves (a)-(c) by dense products; the
+    # outcomes are those of _SWEEP_RECORDS, and each family's stacked check
+    # gives the residuals and scales of its own verification
+    want = _SWEEP_RECORDS.get(entry_id, _SWEEP_RECORDS[CATALOG[entry_id].class_id])
     for draw in range(2):
         for factor in (1.0, 1e3, 1e-3):
             r = factor * _catalog_draw(entry_id, draw)
-            _, points = _solve(r, DEFAULT_TOL)
+            families, points = _solve(r, DEFAULT_TOL)
             assert sum(p["multiplicity"] for p in points) == _macaulay_nullity(r)
+            assert sorted((p["multiplicity"], p["outcome"]) for p in points) == want
             for p in points:
                 if p["outcome"] != "degenerate":
                     assert _point_residual(r, p) < 1e-10, p
+            checked = [p for p in points if p["outcome"] == "family"]
+            for e, p in zip(families, checked):
+                fresh = EnhancedOperator(e.R, e.mu, e.x, e.y)
+                assert verify_enhancement(fresh) == (tuple(p["residuals"]), True)
+                assert fresh._passed.scales == tuple(p["scales"])
 
 
 class TestGaussNewtonOracle:

@@ -13,7 +13,9 @@ from braidgate.matrix_core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SINGULAR_TOL,
     SingularMatrixError,
+    _checked_inverse,
     eigenvalues_xtype,
     invert,
     is_xtype,
@@ -179,6 +181,19 @@ class TestInvert:
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
             invert(m)
+
+    def test_condition_number_is_the_one_norm_product(self):
+        # the 1-norms are column abs-sums, so cond matches np.linalg.norm bit for bit
+        m = np.linalg.qr(rand_matrix())[0]
+        inputs = [rand_matrix() for _ in range(10)]
+        inputs += [factor * rand_matrix() for factor in (1e-300, 1e-6, 1e6, 1e300)]
+        inputs.append(m @ np.diag([1, 1, 1, 1e-14]) @ m.conj().T)  # singular by cond
+        for a in inputs:
+            inv, cond = _checked_inverse(a)
+            ref = np.linalg.inv(a)
+            assert cond == np.linalg.norm(a, 1) * np.linalg.norm(ref, 1)
+            assert (inv is None) == (cond > 1 / SINGULAR_TOL)
+        assert _checked_inverse(np.zeros((4, 4), dtype=complex)) == (None, np.inf)
 
 
 class TestEigenvaluesXType:
