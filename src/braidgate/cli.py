@@ -280,9 +280,8 @@ def cmd_verify(args) -> int:
                 recipes[rid] = {"applies": False}
                 continue
             residuals, ok = enhancement.verify_enhancement(e, args.tol)
-            # instantiate_recipe recorded the pass at args.tol with its scales
-            recipes[rid] = {"residuals": list(residuals), "scales": list(e._passed.scales),
-                            "pass": ok}
+            recipes[rid] = {"residuals": list(residuals),
+                            "scales": list(enhancement.condition_scales(e)), "pass": ok}
         checks["enhancements"] = recipes
     report["checks"] = checks
     failed = not (checks["ybe"]["pass"] and checks["invariant_identities"]["pass"]

@@ -50,6 +50,7 @@ from .matrix_core import (
     invert,
     max_norm,
     numerical_rank,
+    tensor_product,
 )
 from .yang_baxter import (
     BraidWord,
@@ -69,6 +70,7 @@ __all__ = [
     "RECIPES",
     "instantiate_recipe",
     "verify_enhancement",
+    "condition_scales",
     "solve_enhancement",
     "POINT_OUTCOMES",
     "link_polynomial",
@@ -87,9 +89,17 @@ class InvalidEnhancementError(ValueError):
     """The quadruple does not satisfy the enhancement conditions."""
 
 
+class _Check(NamedTuple):
+    """The (a)-(c) residuals of a quadruple and the scales each is judged
+    against, as float triples."""
+
+    residuals: tuple[float, float, float]
+    scales: tuple[float, float, float]
+
+
 class _Pass(NamedTuple):
-    """A passed verification: the tolerance, the (a)-(c) residuals and
-    their scales as float triples, and the read-only R^-1 it used."""
+    """A passed verification: its tolerance, residuals and scales, and the
+    read-only R^-1 it used."""
 
     tol: float
     residuals: tuple[float, float, float]
@@ -113,6 +123,9 @@ class EnhancedOperator:
     x: complex
     y: complex
     recipe_id: str | None = None
+    # R^-1 when the maker already holds it (it must be invert(R) of this R);
+    # otherwise each verification that computes the residuals inverts R
+    _r_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _passed: _Pass | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,71 +145,69 @@ class EnhancedOperator:
         )
 
 
-_PAULIS = np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z])
+def _mu_matrix(alpha, beta, gamma, delta) -> np.ndarray:
+    return alpha * I2 + beta * PAULI_X + gamma * PAULI_Y + delta * PAULI_Z
 
 
-def _mu_matrix(coeffs) -> np.ndarray:
-    """mu = alpha I + beta X + gamma Y + delta Z for Pauli coefficients
-    (..., 4), summed in that order."""
-    return np.add.reduce(np.asarray(coeffs)[..., None, None] * _PAULIS, axis=-3)
+def _conditions(r, r_inv, mu, x, y) -> _Check:
+    """Max-norm residuals of conditions (a)-(c) for (mu, x, y), and their
+    scales: max(1, max|R| max|mu|^2) for (a), that or |x y| max|mu| for (b),
+    and max(1, max|R^-1| max|mu|^2, |y / x| max|mu|) for (c).
 
-
-def _conditions(r, r_inv, mu, lam, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Max-norm residuals of conditions (a)-(c) for a stack of k candidates
-    (mu, x, y), and the scale each is judged against, both (k, 3).
-
-    ``mu`` is (k, 2, 2); ``lam`` and ``nu`` hold the k values of x y and
-    y / x.  The scales are max(1, max|R| max|mu|^2) for (a), that or
-    |x y| max|mu| for (b), and max(1, max|R^-1| max|mu|^2, |y / x| max|mu|)
-    for (c).  Each candidate's residuals come from the products a single 4x4
-    evaluation forms (R (mu x mu), (mu x mu) R and R^-1 (mu x mu), then tr_2),
-    so they do not depend on k or on the other candidates.
+    R (mu x mu) and R^-1 (mu x mu) are one stacked product and tr_2 of both
+    one sum of reshaped slices; each entry is formed as by the separate
+    products and :func:`~braidgate.matrix_core.partial_trace`.
     """
-    k = len(mu)
-    mm = (mu[:, :, None, :, None] * mu[:, None, :, None, :]).reshape(k, 1, 4, 4)
+    mm = tensor_product(mu, mu)
     rs = np.array([r, r_inv])
-    products = (rs @ mm).reshape(k, 2, 2, 2, 2, 2)  # R (mu x mu), R^-1 (mu x mu)
-    scalars = np.array([lam, nu]).reshape(2, k).T
-    # one row per candidate: the entries of [R, mu x mu], of tr_2 R (mu x mu)
-    # - x y mu and of tr_2 R^-1 (mu x mu) - y / x mu, then those of mu
-    entries = np.concatenate([
-        (products[:, 0].reshape(k, 4, 4) - mm[:, 0] @ r).reshape(k, 16),
-        (products[:, :, :, 0, :, 0] + products[:, :, :, 1, :, 1]
-         - scalars[:, :, None, None] * mu[:, None]).reshape(k, 8),
-        mu.reshape(k, 4)], axis=1)
-    maxima = np.maximum.reduceat(np.abs(entries), [0, 16, 20, 24], axis=1)
-    mu_n = maxima[:, 3:]
-    quad = np.maximum.reduce(np.abs(rs).reshape(2, 16), axis=1) * mu_n**2  # (k, 2)
-    scales = np.concatenate([quad[:, :1], np.maximum(quad, np.abs(scalars) * mu_n)], axis=1)
-    return maxima[:, :3], np.maximum(scales, 1.0)
+    products = rs @ mm  # R (mu x mu), R^-1 (mu x mu)
+    blocks = products.reshape(2, 2, 2, 2, 2)
+    traces = blocks[:, :, 0, :, 0] + blocks[:, :, 1, :, 1]
+    lam, nu = x * y, y / x
+    rest = traces - np.array([lam, nu])[:, None, None] * mu  # (b), (c)
+    res_b, res_c = np.abs(rest).max(axis=(1, 2)).tolist()
+    r_n, r_inv_n = np.abs(rs).max(axis=(1, 2)).tolist()
+    mu_n = max_norm(mu)
+    return _Check(
+        (max_norm(products[0] - mm @ r), res_b, res_c),
+        (max(1.0, r_n * mu_n**2), max(1.0, r_n * mu_n**2, abs(lam) * mu_n),
+         max(1.0, r_inv_n * mu_n**2, abs(nu) * mu_n)),
+    )
 
 
-def _record_pass(e: EnhancedOperator, tol, residuals, scales, r_inv) -> None:
-    r_inv.flags.writeable = False
-    object.__setattr__(e, "_passed", _Pass(tol, tuple(residuals), tuple(scales), r_inv))
+def _fresh_check(e: EnhancedOperator) -> tuple[_Check, np.ndarray]:
+    """The residuals and scales of ``e``, with the R^-1 they used."""
+    r_inv = invert(e.R) if e._r_inv is None else e._r_inv
+    return _conditions(e.R, r_inv, e.mu, e.x, e.y), r_inv
 
 
 def verify_enhancement(e: EnhancedOperator, tol: float = DEFAULT_TOL):
     """Residuals of conditions (a), (b), (c) in max-norm, plus the verdict.
 
     Residuals are reported raw; the verdict compares each against the
-    condition's own magnitude scale, so near-degenerate parameters (tiny
-    eigenvalues blowing up mu) are judged relatively.  A pass is recorded on
-    the operator with its residuals, their scales and R^-1, so a later
-    verification or link evaluation at ``tol`` or looser reuses them
-    without computing or inverting R again.
+    condition's own magnitude scale (see :func:`condition_scales`), so
+    near-degenerate parameters (tiny eigenvalues blowing up mu) are judged
+    relatively.  A pass is recorded on the operator with its residuals,
+    their scales and R^-1, so a later verification or link evaluation at
+    ``tol`` or looser reuses them without computing or inverting R again.
     """
     if e._passed is not None and e._passed.tol <= tol:
         return e._passed.residuals, True
-    r_inv = invert(e.R)
-    residuals, scales = _conditions(e.R, r_inv, e.mu[None], [e.x * e.y], [e.y / e.x])
-    ok = bool((residuals < tol * scales).all())
-    residuals = tuple(residuals[0].tolist())
+    (residuals, scales), r_inv = _fresh_check(e)
+    ok = all(v < tol * s for v, s in zip(residuals, scales))
     if ok:
-        _record_pass(e, tol, residuals, scales[0].tolist(), r_inv)
-    else:
-        as_matrix(e.mu)  # a non-finite mu fails every check; it is refused instead
+        r_inv.flags.writeable = False
+        object.__setattr__(e, "_passed", _Pass(tol, residuals, scales, r_inv))
     return residuals, ok
+
+
+def condition_scales(e: EnhancedOperator) -> tuple[float, float, float]:
+    """The scales :func:`verify_enhancement` judges the (a)-(c) residuals of
+    ``e`` against: it passes at ``tol`` when each residual is below ``tol``
+    times its scale.  A passed operator returns those it recorded."""
+    if e._passed is not None:
+        return e._passed.scales
+    return _fresh_check(e)[0].scales
 
 
 def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
@@ -210,7 +221,7 @@ def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
 def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
     """L(w) for each planned word of a verified ``e``; the letter tensors
     are made once for all, with the R^-1 its verification recorded."""
-    tensors = letter_tensors(e.R, e._passed.r_inv, e.mu, plans)
+    tensors = letter_tensors(e.R, e.mu, plans, r_inv=e._passed.r_inv)
     values = []
     for plan in plans:
         word = plan.word
@@ -424,7 +435,7 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
         raise InvalidEnhancementError(
             f"{recipe_id} is undefined at {params}: its formulas divide by zero"
         ) from None
-    candidate = EnhancedOperator(R=r, mu=_mu_matrix([alpha, beta, gamma, delta]),
+    candidate = EnhancedOperator(R=r, mu=_mu_matrix(alpha, beta, gamma, delta),
                                  x=x, y=y, recipe_id=recipe_id)
     residuals, ok = verify_enhancement(candidate, tol)
     if not ok:
@@ -440,6 +451,7 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
 
 # mu x mu = sum_kl c_k c_l P_k x P_l, so conditions (a)-(c) are quadratic in
 # the Pauli coefficients c of mu: each is outer(c, c).ravel() @ (its table).
+_PAULIS = np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z])
 _PAULI_PAIRS = np.array([[np.kron(p, q) for q in _PAULIS] for p in _PAULIS])
 _MU_ROWS = _PAULIS.reshape(4, 4)  # mu.ravel() = c @ _MU_ROWS
 
@@ -585,28 +597,30 @@ def _roots(polys) -> tuple[np.ndarray, np.ndarray]:
 POINT_OUTCOMES = (
     "family",  # a verified family
     "degenerate",  # lambda nu = 0 at the root
-    "rejected_verification",  # the normalized quadruple fails the (a)-(c) check
+    "rejected_verification",  # the normalized quadruple fails verify_enhancement
 )
 
 
-def _root_xy(lam, nu) -> tuple[complex, complex]:
-    """x = sqrt(lambda / nu) and y = lambda / x.  The sign of (x, y) is free:
-    the principal root has Re x >= 0, but an imaginary x is judged by Im x,
-    so rounding in Re x cannot split a family."""
+def _root_operator(r, r_inv, scale, coeffs, lam, nu) -> EnhancedOperator:
+    """The quadruple of one root of R / scale, from its Pauli coefficients,
+    the first nonzero one scaled to 1, and lambda and nu at that scale, with
+    x scaled back to R.  It carries ``r_inv`` for its verification."""
     x = np.sqrt(lam / nu)
     y = lam / x
+    # the sign of (x, y) is free: the principal root has Re x >= 0, but an
+    # imaginary x is judged by Im x, so rounding in Re x cannot split a family
     if abs(x.real) <= IMAGINARY_TOL * abs(x) and x.imag < 0:
         x, y = -x, -y
-    return x, y
+    return EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y, _r_inv=r_inv)
 
 
 def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     """The solver behind :func:`solve_enhancement`, plus one record per root:
     its Pauli coefficients (the first nonzero one scaled to 1), lambda and nu
     at that scale, its multiplicity, its outcome (:data:`POINT_OUTCOMES`) and
-    the residuals and scales of its (a)-(c) check, None for a degenerate
-    root.  Every other root is checked in one stacked :func:`_conditions`
-    call with the R^-1 the tables were built from."""
+    the residuals and scales of its verification, None for a degenerate
+    root.  Every other root is verified with the R^-1 the tables were built
+    from, so R is inverted once."""
     r = as_matrix(r)
     r_inv = invert(r)
     # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
@@ -621,31 +635,20 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     norms = np.sum(np.abs(mus) ** 2, axis=1)
     lams = np.sum(mus.conj() * traces[:, :4], axis=1) / norms
     nus = np.sum(mus.conj() * traces[:, 4:], axis=1) / norms
-    points, checked, coeffs, xys = [], [], [], []
+    families, points = [], []
     for c, count, mu, lam, nu in zip(roots, counts, mus, lams, nus):
         pivot = c[np.argmax(np.abs(c) > RANK_TOL)]  # c has unit norm
         point = {"mu": tuple(c / pivot), "lambda": scale * lam / pivot,
                  "nu": nu / (scale * pivot), "multiplicity": int(count),
                  "outcome": "degenerate", "residuals": None, "scales": None}
-        points.append(point)
         if min(abs(lam), abs(nu)) > SINGULAR_TOL * norm * max_norm(mu):
-            x, y = _root_xy(lam / pivot, nu / pivot)
-            checked.append(point)
-            coeffs.append(c / pivot)
-            xys.append((scale * x, y))  # x of R, from x of R / s
-    mu_stack = _mu_matrix(np.reshape(coeffs, (-1, 4)))
-    residuals, scales = _conditions(r, r_inv, mu_stack, [x * y for x, y in xys],
-                                    [y / x for x, y in xys])
-    passed = (residuals < tol * scales).all(axis=1)
-    families = []
-    for point, mu, (x, y), res, sc, ok in zip(checked, mu_stack, xys, residuals.tolist(),
-                                              scales.tolist(), passed):
-        point["residuals"], point["scales"] = res, sc
-        point["outcome"] = "family" if ok else "rejected_verification"
-        if ok:
-            family = EnhancedOperator(R=r, mu=mu, x=x, y=y)
-            _record_pass(family, tol, res, sc, r_inv)
-            families.append(family)
+            e = _root_operator(r, r_inv, scale, c / pivot, lam / pivot, nu / pivot)
+            residuals, ok = verify_enhancement(e, tol)
+            point.update(outcome="family" if ok else "rejected_verification",
+                         residuals=list(residuals), scales=list(condition_scales(e)))
+            if ok:
+                families.append(e)
+        points.append(point)
     return families, points
 
 

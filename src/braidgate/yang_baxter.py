@@ -129,9 +129,8 @@ def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     identically but is singular).
     """
     r = _as_two_qubit(r)
-    # R x I and I x R, each entry formed once as tensor_product forms it
-    a = (r[:, None, :, None] * I2[None, :, None, :]).reshape(8, 8)
-    b = (I2[:, None, :, None] * r[None, :, None, :]).reshape(8, 8)
+    a = tensor_product(r, I2)
+    b = tensor_product(I2, r)
     residual = max_norm(a @ b @ a - b @ a @ b)
     invertible = _checked_inverse(r)[0] is not None
     return residual, residual < tol * ybe_scale(r) and invertible
@@ -219,11 +218,17 @@ MAX_ENTRIES = 2**25
 MAX_TERMS = 2**28
 
 
-def _letter_powers(r, r_inv, exponents) -> dict[int, np.ndarray]:
-    """Each distinct exponent's 4x4 power of R or of its inverse ``r_inv``,
-    taken once."""
-    return {exp: np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
-            for exp in set(exponents)}
+def _letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
+    """Each distinct exponent's 4x4 power of R or R^-1, taken once; R^-1 is
+    ``r_inv`` when given, else computed at the first negative exponent."""
+    r = _as_two_qubit(r)
+    powers: dict[int, np.ndarray] = {}
+    for exp in exponents:
+        if exp not in powers:
+            if exp < 0 and r_inv is None:
+                r_inv = invert(r)
+            powers[exp] = np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
+    return powers
 
 
 def rep_of_word(r, word: BraidWord) -> np.ndarray:
@@ -240,9 +245,7 @@ def rep_of_word(r, word: BraidWord) -> np.ndarray:
     n = word.strands
     if n > MAX_STRANDS:
         raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
-    r = _as_two_qubit(r)
-    r_inv = invert(r) if any(exp < 0 for _, exp in word.letters) else None
-    powers = _letter_powers(r, r_inv, (exp for _, exp in word.letters))
+    powers = _letter_powers(r, (exp for _, exp in word.letters))
     dim = 2**n
     state = np.eye(dim, dtype=complex)
     spare = np.empty_like(state)
@@ -299,16 +302,22 @@ class WordPlan:
         return value
 
 
-def letter_tensors(r, r_inv, site, plans) -> dict[tuple[int, int], np.ndarray]:
+def letter_tensors(r, site, plans, *, r_inv=None) -> dict[tuple[int, int], np.ndarray]:
     """The 2x2x2x2 tensor of every letter of the planned words, by
-    (exponent, fold): the exponent's 4x4 power of R or of its inverse
-    ``r_inv``, each taken once, with the 2x2 ``site`` folded into the input
-    side of the strands the letter touches first (see :class:`WordPlan`)."""
+    (exponent, fold): the exponent's 4x4 power of R or R^-1, each taken once,
+    with the 2x2 ``site`` folded into the input side of the strands the
+    letter touches first (see :class:`WordPlan`).
+
+    ``r_inv`` is for a caller that already holds R^-1: it must be
+    ``invert(r)`` of the same R, and is used as given.  Left None, R^-1 is
+    computed, with the singularity check of ``invert``, when a letter has a
+    negative exponent.
+    """
     site = as_matrix(site)
     if site.shape != (2, 2):
         raise ValueError("the site of a closed braid is a 2x2 matrix")
     keys = {key for plan in plans for key in plan.keys()}
-    powers = _letter_powers(_as_two_qubit(r), r_inv, (exp for exp, _ in keys))
+    powers = _letter_powers(r, (exp for exp, _ in keys), r_inv)
     # fold 1 = I x site, 2 = site x I, 3 = site x site, each np.kron(a, b)
     # written as one broadcast product: 9 us for the three, np.kron 63 us
     folded = [None] + [(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)

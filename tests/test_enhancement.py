@@ -14,13 +14,14 @@ from braidgate.enhancement import (
     _condition_tables,
     _conditions,
     _macaulay,
-    _root_xy,
+    _root_operator,
     _solve,
     _system,
     bmw_witness,
     class_bmw_params,
     class_hecke_params,
     class_jordan_coeffs,
+    condition_scales,
     hecke_witness,
     instantiate_recipe,
     jordan_witness,
@@ -129,35 +130,31 @@ def _reference_conditions(r, mu, x, y):
 
 
 class TestConditionKernel:
-    @pytest.mark.parametrize("k", [0, 1, 7])
-    def test_stack_matches_single_calls(self, k):
-        rng = np.random.default_rng(70 + k)
+    @pytest.mark.parametrize("draw", range(7))
+    def test_random_quadruples_match_reference(self, draw):
+        # far from any enhancement the residuals are large, and still equal
+        # the reference bit for bit
+        rng = np.random.default_rng(70 + draw)
         r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        r_inv = np.linalg.inv(r)
-        mu = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-        lam, nu = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
-        residuals, scales = _conditions(r, r_inv, mu, lam, nu)
-        assert residuals.shape == scales.shape == (k, 3)
-        for i in range(k):
-            one = _conditions(r, r_inv, mu[i:i + 1], lam[i:i + 1], nu[i:i + 1])
-            assert np.array_equal(one[0][0], residuals[i])
-            assert np.array_equal(one[1][0], scales[i])
+        mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+        check = _conditions(r, np.linalg.inv(r), mu, x, y)
+        assert check == _reference_conditions(r, mu, x, y)
 
     @pytest.mark.parametrize("recipe_id", sorted(RECIPES))
     def test_verify_matches_reference(self, recipe_id):
-        # the residuals are those of the one-product-at-a-time reference bit
-        # for bit; the scales may differ in the last place, since np.abs and
-        # abs() round a complex modulus differently
+        # residuals and scales are those of the one-product-at-a-time
+        # reference bit for bit
         rng = np.random.default_rng(zlib.crc32(recipe_id.encode()))
         params = recipe_draw(recipe_id, rng)
         for factor in (1e-3, 1.0, 1e3):
             e = instantiate_recipe(recipe_id, {k: factor * v for k, v in params.items()})
             want, want_scales = _reference_conditions(e.R, e.mu, e.x, e.y)
-            assert e._passed.residuals == want
-            assert_allclose(e._passed.scales, want_scales, rtol=1e-15)
-            fresh = EnhancedOperator(e.R, e.mu, e.x, e.y)
+            assert verify_enhancement(e)[0] == want
+            assert condition_scales(e) == want_scales
             for tol in (DEFAULT_TOL, 1e-15):
-                residuals, ok = verify_enhancement(fresh, tol)
+                # a fresh quadruple, verified first at each tolerance
+                residuals, ok = verify_enhancement(EnhancedOperator(e.R, e.mu, e.x, e.y), tol)
                 assert residuals == want
                 assert ok == all(v < tol * s for v, s in zip(want, want_scales))
 
@@ -664,12 +661,13 @@ class TestSolver:
         # the principal root of -4 +- 1e-17 i is about +-2i, and both signs
         # must give x = 2i and one family
         r = assemble(CATALOG["C11.0"].fill({"h7": 1, "h8": 2}))
+        coeffs = np.array([0, 0, 0, 1], dtype=complex)
         for sign in (1, -1):
             lam = complex(-2, sign * 5e-18)  # nu = 1/2
             assert np.sign(np.sqrt(lam / 0.5).imag) == sign
-            x, y = _root_xy(lam, 0.5)
-            assert abs(x - 2j) < 1e-15 and abs(y - 1j) < 1e-15
-            assert verify_enhancement(EnhancedOperator(r, PAULI_Z, x, y))[1]
+            e = _root_operator(r, np.linalg.inv(r), 1.0, coeffs, lam, 0.5)
+            assert verify_enhancement(e)[1]
+            assert abs(e.x - 2j) < 1e-15 and abs(e.y - 1j) < 1e-15
 
     def test_generic_h23_root_is_degenerate(self):
         # the one root is the nilpotent mu = X + iY, where x y = y / x = 0
@@ -929,8 +927,8 @@ _SWEEP_RECORDS = {
 def test_catalog_points_count_every_root(entry_id):
     # the multiplicities of the points sum to the Macaulay nullity, and each
     # point that is not degenerate solves (a)-(c) by dense products; the
-    # outcomes are those of _SWEEP_RECORDS, and each family's stacked check
-    # gives the residuals and scales of its own verification
+    # outcomes are those of _SWEEP_RECORDS, and each family's record holds
+    # the residuals and scales of a fresh verification
     want = _SWEEP_RECORDS.get(entry_id, _SWEEP_RECORDS[CATALOG[entry_id].class_id])
     for draw in range(2):
         for factor in (1.0, 1e3, 1e-3):
@@ -945,7 +943,7 @@ def test_catalog_points_count_every_root(entry_id):
             for e, p in zip(families, checked):
                 fresh = EnhancedOperator(e.R, e.mu, e.x, e.y)
                 assert verify_enhancement(fresh) == (tuple(p["residuals"]), True)
-                assert fresh._passed.scales == tuple(p["scales"])
+                assert condition_scales(fresh) == tuple(p["scales"])
 
 
 class TestGaussNewtonOracle:
