@@ -57,11 +57,20 @@ def _json_complex(v) -> complex:
         raise UsageError(f"{json.dumps(v)} is out of range") from None
 
 
+def _json_literal(text: str, what: str):
+    """``text`` parsed as JSON; a UsageError naming ``what`` and the text
+    when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} {text!r} is not valid JSON: {exc}") from None
+
+
 def _parse_complex(text: str) -> complex:
     """Accept 'a+bi', plain reals, or '[re,im]'."""
     text = text.strip()
     if text.startswith("["):
-        return _json_complex(json.loads(text))
+        return _json_complex(_json_literal(text, "complex literal"))
     try:
         return complex(text.replace("i", "j"))
     except ValueError:
@@ -133,7 +142,7 @@ def resolve_operator(args) -> tuple[np.ndarray, dict]:
     if args.hietarinta:
         m = hietarinta.hietarinta_assemble(args.hietarinta, params)
         return m, {"hietarinta": args.hietarinta, "params": params}
-    rows = json.loads(args.matrix)
+    rows = _json_literal(args.matrix, "--matrix")
     if not (isinstance(rows, list) and len(rows) == 4
             and all(isinstance(row, list) and len(row) == 4 for row in rows)):
         raise UsageError("--matrix must be a 4x4 array")
@@ -280,8 +289,7 @@ def cmd_verify(args) -> int:
                 recipes[rid] = {"applies": False}
                 continue
             residuals, ok = enhancement.verify_enhancement(e, args.tol)
-            recipes[rid] = {"residuals": list(residuals),
-                            "scales": list(enhancement.condition_scales(e)), "pass": ok}
+            recipes[rid] = {"residuals": list(residuals), "scales": list(e.scales), "pass": ok}
         checks["enhancements"] = recipes
     report["checks"] = checks
     failed = not (checks["ybe"]["pass"] and checks["invariant_identities"]["pass"]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +70,6 @@ __all__ = [
     "RECIPES",
     "instantiate_recipe",
     "verify_enhancement",
-    "condition_scales",
     "solve_enhancement",
     "POINT_OUTCOMES",
     "link_polynomial",
@@ -89,33 +88,18 @@ class InvalidEnhancementError(ValueError):
     """The quadruple does not satisfy the enhancement conditions."""
 
 
-class _Check(NamedTuple):
-    """The (a)-(c) residuals of a quadruple and the scales each is judged
-    against, as float triples."""
-
-    residuals: tuple[float, float, float]
-    scales: tuple[float, float, float]
-
-
-class _Pass(NamedTuple):
-    """A passed verification: its tolerance, residuals and scales, and the
-    read-only R^-1 it used."""
-
-    tol: float
-    residuals: tuple[float, float, float]
-    scales: tuple[float, float, float]
-    r_inv: np.ndarray
-
-
 @dataclass(frozen=True)
 class EnhancedOperator:
-    """Quadruple (R, mu, x, y) subject to the conditions (a)-(c).
+    """Quadruple (R, mu, x, y) with the residuals of conditions (a)-(c).
 
-    R and mu are held as read-only complex copies, so a verdict of
-    :func:`verify_enhancement` stays true of the quadruple: the operator
-    records the smallest tolerance it passed at with its residuals, their
-    scales and R^-1, and verifications and link evaluations at that tolerance
-    or looser reuse them.
+    R and mu are held as read-only complex copies.  Making the quadruple
+    inverts R, or takes ``r_inv``, which must be invert(R) of this R, and
+    computes once the max-norm ``residuals`` of (a)-(c) and the ``scales``
+    each is judged against (see :func:`verify_enhancement`).  A singular R
+    raises ``SingularMatrixError`` here, and a Python zero x
+    ``ZeroDivisionError``.
+    :func:`dataclasses.replace` makes a new quadruple, so it inverts its R
+    again.
     """
 
     R: np.ndarray
@@ -123,16 +107,23 @@ class EnhancedOperator:
     x: complex
     y: complex
     recipe_id: str | None = None
-    # R^-1 when the maker already holds it (it must be invert(R) of this R);
-    # otherwise each verification that computes the residuals inverts R
-    _r_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _passed: _Pass | None = field(default=None, init=False, repr=False, compare=False)
+    # the maker's R^-1, an argument only: the operator holds it as _r_inv
+    r_inv: InitVar[np.ndarray | None] = None
+    _r_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    residuals: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    scales: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, r_inv):
         for name in ("R", "mu"):
             a = np.array(getattr(self, name), dtype=complex)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        r_inv = invert(self.R) if r_inv is None else r_inv
+        r_inv.flags.writeable = False
+        residuals, scales = _conditions(self.R, r_inv, self.mu, self.x, self.y)
+        object.__setattr__(self, "_r_inv", r_inv)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "scales", scales)
 
     def mu_coeffs(self) -> tuple[complex, complex, complex, complex]:
         """Pauli coefficients (alpha, beta, gamma, delta) of mu."""
@@ -149,10 +140,11 @@ def _mu_matrix(alpha, beta, gamma, delta) -> np.ndarray:
     return alpha * I2 + beta * PAULI_X + gamma * PAULI_Y + delta * PAULI_Z
 
 
-def _conditions(r, r_inv, mu, x, y) -> _Check:
+def _conditions(r, r_inv, mu, x, y):
     """Max-norm residuals of conditions (a)-(c) for (mu, x, y), and their
     scales: max(1, max|R| max|mu|^2) for (a), that or |x y| max|mu| for (b),
-    and max(1, max|R^-1| max|mu|^2, |y / x| max|mu|) for (c).
+    and max(1, max|R^-1| max|mu|^2, |y / x| max|mu|) for (c), as two float
+    triples.
 
     R (mu x mu) and R^-1 (mu x mu) are one stacked product and tr_2 of both
     one sum of reshaped slices; each entry is formed as by the separate
@@ -168,46 +160,23 @@ def _conditions(r, r_inv, mu, x, y) -> _Check:
     res_b, res_c = np.abs(rest).max(axis=(1, 2)).tolist()
     r_n, r_inv_n = np.abs(rs).max(axis=(1, 2)).tolist()
     mu_n = max_norm(mu)
-    return _Check(
+    return (
         (max_norm(products[0] - mm @ r), res_b, res_c),
         (max(1.0, r_n * mu_n**2), max(1.0, r_n * mu_n**2, abs(lam) * mu_n),
          max(1.0, r_inv_n * mu_n**2, abs(nu) * mu_n)),
     )
 
 
-def _fresh_check(e: EnhancedOperator) -> tuple[_Check, np.ndarray]:
-    """The residuals and scales of ``e``, with the R^-1 they used."""
-    r_inv = invert(e.R) if e._r_inv is None else e._r_inv
-    return _conditions(e.R, r_inv, e.mu, e.x, e.y), r_inv
-
-
 def verify_enhancement(e: EnhancedOperator, tol: float = DEFAULT_TOL):
     """Residuals of conditions (a), (b), (c) in max-norm, plus the verdict.
 
     Residuals are reported raw; the verdict compares each against the
-    condition's own magnitude scale (see :func:`condition_scales`), so
-    near-degenerate parameters (tiny eigenvalues blowing up mu) are judged
-    relatively.  A pass is recorded on the operator with its residuals,
-    their scales and R^-1, so a later verification or link evaluation at
-    ``tol`` or looser reuses them without computing or inverting R again.
+    condition's own magnitude scale (``e.scales``), so near-degenerate
+    parameters (tiny eigenvalues blowing up mu) are judged relatively.  Both
+    were computed when ``e`` was made, so verifying again, at any ``tol``,
+    computes nothing.
     """
-    if e._passed is not None and e._passed.tol <= tol:
-        return e._passed.residuals, True
-    (residuals, scales), r_inv = _fresh_check(e)
-    ok = all(v < tol * s for v, s in zip(residuals, scales))
-    if ok:
-        r_inv.flags.writeable = False
-        object.__setattr__(e, "_passed", _Pass(tol, residuals, scales, r_inv))
-    return residuals, ok
-
-
-def condition_scales(e: EnhancedOperator) -> tuple[float, float, float]:
-    """The scales :func:`verify_enhancement` judges the (a)-(c) residuals of
-    ``e`` against: it passes at ``tol`` when each residual is below ``tol``
-    times its scale.  A passed operator returns those it recorded."""
-    if e._passed is not None:
-        return e._passed.scales
-    return _fresh_check(e)[0].scales
+    return e.residuals, all(v < tol * s for v, s in zip(e.residuals, e.scales))
 
 
 def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
@@ -220,8 +189,8 @@ def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
 
 def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
     """L(w) for each planned word of a verified ``e``; the letter tensors
-    are made once for all, with the R^-1 its verification recorded."""
-    tensors = letter_tensors(e.R, e.mu, plans, r_inv=e._passed.r_inv)
+    are made once for all, with the R^-1 ``e`` holds."""
+    tensors = letter_tensors(e.R, e.mu, plans, r_inv=e._r_inv)
     values = []
     for plan in plans:
         word = plan.word
@@ -244,8 +213,8 @@ def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float = DEFAULT_T
     diagram's treewidth rather than 2^n.  The contraction is planned first:
     a word whose plan would hold more than ``MAX_ENTRIES`` (2^25) entries at
     once, or sum more than ``MAX_TERMS`` (2^28) terms in one step, raises
-    ``ValueError`` before anything is allocated.  The quadruple is verified
-    unless it already passed at ``tol`` or tighter.
+    ``ValueError`` before anything is allocated.  The quadruple must pass
+    :func:`verify_enhancement` at ``tol``.
     """
     _require_enhancement(e, tol)
     return _link_values(e, [plan_word(word)])[0]
@@ -604,14 +573,14 @@ POINT_OUTCOMES = (
 def _root_operator(r, r_inv, scale, coeffs, lam, nu) -> EnhancedOperator:
     """The quadruple of one root of R / scale, from its Pauli coefficients,
     the first nonzero one scaled to 1, and lambda and nu at that scale, with
-    x scaled back to R.  It carries ``r_inv`` for its verification."""
+    x scaled back to R, made with the R^-1 ``r_inv`` already held."""
     x = np.sqrt(lam / nu)
     y = lam / x
     # the sign of (x, y) is free: the principal root has Re x >= 0, but an
     # imaginary x is judged by Im x, so rounding in Re x cannot split a family
     if abs(x.real) <= IMAGINARY_TOL * abs(x) and x.imag < 0:
         x, y = -x, -y
-    return EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y, _r_inv=r_inv)
+    return EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y, r_inv=r_inv)
 
 
 def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
@@ -619,8 +588,8 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     its Pauli coefficients (the first nonzero one scaled to 1), lambda and nu
     at that scale, its multiplicity, its outcome (:data:`POINT_OUTCOMES`) and
     the residuals and scales of its verification, None for a degenerate
-    root.  Every other root is verified with the R^-1 the tables were built
-    from, so R is inverted once."""
+    root.  Every other root's quadruple is made with the R^-1 the tables
+    were built from, so R is inverted once."""
     r = as_matrix(r)
     r_inv = invert(r)
     # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
@@ -645,7 +614,7 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
             e = _root_operator(r, r_inv, scale, c / pivot, lam / pivot, nu / pivot)
             residuals, ok = verify_enhancement(e, tol)
             point.update(outcome="family" if ok else "rejected_verification",
-                         residuals=list(residuals), scales=list(condition_scales(e)))
+                         residuals=list(residuals), scales=list(e.scales))
             if ok:
                 families.append(e)
         points.append(point)

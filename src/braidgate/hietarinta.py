@@ -359,7 +359,7 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     p = bind(which, HIETARINTA_FORMS[which][0], params)
     r = hietarinta_assemble(which, p)
     try:
-        invert(r)
+        r_inv = invert(r)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"{which} requires k != 0: {exc}") from None
     if which == "H1,3":
@@ -367,7 +367,7 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         mu = np.eye(2, dtype=complex) - (pp + q) / (2 * k) * np.array(
             [[0, 2], [0, 0]], dtype=complex
         )  # X + iY = [[0, 2], [0, 0]]
-        enhanced = EnhancedOperator(R=r, mu=mu, x=k**2, y=1.0)
+        enhanced = EnhancedOperator(R=r, mu=mu, x=k**2, y=1.0, r_inv=r_inv)
         return {
             "family": "H1,3",
             "matrix": r,
@@ -389,7 +389,8 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     k, pp, q, s = p.values()
     # enhanceable exactly when (mu = I, x = k, y = 1) passes verify_enhancement
     # at tol, which judges each condition against its own scale
-    candidate = EnhancedOperator(R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0)
+    candidate = EnhancedOperator(R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0,
+                                 r_inv=r_inv)
     out = {
         "family": "H2,3",
         "matrix": r,

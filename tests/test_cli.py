@@ -201,6 +201,16 @@ class TestOperatorSpecs:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,named", [
+        (("epower", "--matrix", "nope"), "--matrix 'nope'"),
+        (("invariants", "--class", "C12.0", "--params", "h1=[1,"), "complex literal '[1,'"),
+        (("invariants", "--xtype", "1,0,0,1,1,0,0,[1,"), "complex literal '[1,'"),
+    ], ids=["matrix", "params", "xtype"])
+    def test_malformed_json_names_its_input(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named} is not valid JSON: ") and err.count("\n") == 1
+
     def test_malformed_complex_pair_is_usage_error(self, capsys):
         code, out, err = run(capsys, "invariants", "--class", "C12.0",
                              "--params", "h1=[null,0],h2=1")

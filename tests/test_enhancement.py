@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import zlib
 
@@ -21,7 +22,6 @@ from braidgate.enhancement import (
     class_bmw_params,
     class_hecke_params,
     class_jordan_coeffs,
-    condition_scales,
     hecke_witness,
     instantiate_recipe,
     jordan_witness,
@@ -138,8 +138,11 @@ class TestConditionKernel:
         r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         mu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
-        check = _conditions(r, np.linalg.inv(r), mu, x, y)
-        assert check == _reference_conditions(r, mu, x, y)
+        want = _reference_conditions(r, mu, x, y)
+        assert _conditions(r, np.linalg.inv(r), mu, x, y) == want
+        # the fields an operator fills when it is made, failing or not
+        e = EnhancedOperator(r, mu, x, y)
+        assert (e.residuals, e.scales) == want
 
     @pytest.mark.parametrize("recipe_id", sorted(RECIPES))
     def test_verify_matches_reference(self, recipe_id):
@@ -150,11 +153,9 @@ class TestConditionKernel:
         for factor in (1e-3, 1.0, 1e3):
             e = instantiate_recipe(recipe_id, {k: factor * v for k, v in params.items()})
             want, want_scales = _reference_conditions(e.R, e.mu, e.x, e.y)
-            assert verify_enhancement(e)[0] == want
-            assert condition_scales(e) == want_scales
+            assert e.residuals == want and e.scales == want_scales
             for tol in (DEFAULT_TOL, 1e-15):
-                # a fresh quadruple, verified first at each tolerance
-                residuals, ok = verify_enhancement(EnhancedOperator(e.R, e.mu, e.x, e.y), tol)
+                residuals, ok = verify_enhancement(e, tol)
                 assert residuals == want
                 assert ok == all(v < tol * s for v, s in zip(want, want_scales))
 
@@ -173,8 +174,18 @@ class TestInvertsOnce:
         r = assemble(CATALOG["C6.0"].fill({"h1": 1, "h2": 1, "h8": 2}))
         families, _ = _solve(r, DEFAULT_TOL)
         assert len(families) == 5 and len(inversions) == 1
-        # the families are recorded as passed: verifying them again is free
+        # the families hold their residuals: verifying them again is free
         assert all(verify_enhancement(e)[1] for e in families) and len(inversions) == 1
+
+    def test_replace_inverts_the_new_r(self):
+        # (mu, 2x, y) enhances 2R; replace makes a new quadruple, so its
+        # condition (c) is judged with (2R)^-1, not the R^-1 of the old one
+        r = assemble(CATALOG["C6.0"].fill({"h1": 1, "h2": 1, "h8": 2}))
+        for fam in solve_enhancement(r):
+            doubled = dataclasses.replace(fam, R=2 * fam.R, x=2 * fam.x)
+            fresh = EnhancedOperator(2 * fam.R, fam.mu, 2 * fam.x, fam.y)
+            assert verify_enhancement(doubled) == (fresh.residuals, True)
+            assert doubled.scales == fresh.scales
 
     def test_recipe_then_link_values(self, inversions):
         e = instantiate_recipe("C4.mu5", {"h1": 2, "h4": 1, "h6": 1})
@@ -943,7 +954,7 @@ def test_catalog_points_count_every_root(entry_id):
             for e, p in zip(families, checked):
                 fresh = EnhancedOperator(e.R, e.mu, e.x, e.y)
                 assert verify_enhancement(fresh) == (tuple(p["residuals"]), True)
-                assert condition_scales(fresh) == tuple(p["scales"])
+                assert fresh.scales == tuple(p["scales"])
 
 
 class TestGaussNewtonOracle:
@@ -1144,10 +1155,10 @@ class TestSingularOperators:
     def test_verify_enhancement_rejects_singular(self):
         from braidgate.matrix_core import SingularMatrixError
 
+        # the quadruple inverts R when it is made, so it cannot be made
         singular = assemble([1] * 8)
-        e = EnhancedOperator(singular, I2, 1, 1)
         with pytest.raises(SingularMatrixError):
-            verify_enhancement(e)
+            EnhancedOperator(singular, I2, 1, 1)
 
     def test_negative_power_of_singular_word(self):
         from braidgate.matrix_core import SingularMatrixError

@@ -33,6 +33,7 @@ from braidgate.enhancement import (
     instantiate_recipe,
     link_polynomial,
     markov_check,
+    verify_enhancement,
 )
 from braidgate.matrix_core import I2, PAULI_Z
 from braidgate.yang_baxter import (
@@ -284,10 +285,8 @@ class TestStrandBound:
 
 
 @pytest.fixture
-def verifications(monkeypatch):
-    """A list that grows by one for every verification that computes the
-    residuals: each inverts R once.  A recorded pass returned without them
-    does not count."""
+def inversions(monkeypatch):
+    """A list that grows by one for every inversion of R in ``enhancement``."""
     calls = []
     invert = enhancement.invert
 
@@ -300,28 +299,27 @@ def verifications(monkeypatch):
 
 
 class TestMarkovCheckVerification:
-    def test_verifies_once(self, verifications):
+    def test_verifies_once(self, inversions):
         drawn, w = _draw("C1.I", 3)
-        # a quadruple not yet verified: markov_check verifies it once for
-        # all three of its words
+        # a quadruple computes its residuals when it is made: markov_check
+        # uses them and its R^-1 for all three of its words
+        inversions.clear()
         e = EnhancedOperator(drawn.R, drawn.mu, drawn.x, drawn.y)
-        verifications.clear()
         markov_check(e, w)
-        assert len(verifications) == 1
+        assert len(inversions) == 1
 
-    def test_instantiated_recipe_is_not_verified_again(self, verifications):
-        e, w = _draw("C1.I", 3)  # instantiate_recipe verified it
-        verifications.clear()
-        link_polynomial(e, w)
+    def test_instantiated_recipe_is_not_verified_again(self, inversions):
+        e, w = _draw("C1.I", 3)  # instantiate_recipe made and verified it
+        assert len(inversions) == 1
+        for tol in (1e-9, 1e-13):
+            assert verify_enhancement(e, tol)[1]
+            link_polynomial(e, w, tol=tol)
         markov_check(e, w)
-        assert len(verifications) == 0
-        # a tighter tolerance than the one it passed at verifies again
-        link_polynomial(e, w, tol=1e-13)
-        assert len(verifications) == 1
+        assert len(inversions) == 1
 
     def test_verified_quadruple_is_read_only(self):
         e, _ = _draw("C1.I", 3)
-        for a in (e.R, e.mu):
+        for a in (e.R, e.mu, e._r_inv):
             with pytest.raises(ValueError):
                 a[0, 0] = 0
 
