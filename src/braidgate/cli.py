@@ -78,18 +78,26 @@ def _parse_complex(text: str) -> complex:
 
 
 def _split_commas(text: str) -> list[str]:
-    """Split on commas that are not inside brackets."""
+    """Split on commas that are not inside brackets; a ']' with no '[' open
+    before it, or a '[' never closed, is a UsageError naming that text."""
     parts, depth, cur = [], 0, []
-    for ch in text:
+    for i, ch in enumerate(text):
         if ch == "[":
             depth += 1
+            if depth == 1:
+                opened = i
         elif ch == "]":
+            if depth == 0:
+                raise UsageError(f"unbalanced ']' in {''.join(cur) + ch!r}")
             depth -= 1
         if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
+    if depth:
+        raise UsageError(f"complex literal {text[opened:]!r} is not valid JSON: "
+                         "its '[' is never closed")
     if cur:
         parts.append("".join(cur))
     return parts

@@ -96,8 +96,8 @@ class EnhancedOperator:
     inverts R, or takes ``r_inv``, which must be invert(R) of this R, and
     computes once the max-norm ``residuals`` of (a)-(c) and the ``scales``
     each is judged against (see :func:`verify_enhancement`).  A singular R
-    raises ``SingularMatrixError`` here, and a Python zero x
-    ``ZeroDivisionError``.
+    raises ``SingularMatrixError`` here, and a zero x, of any numeric type,
+    ``InvalidEnhancementError``, since condition (c) divides by it.
     :func:`dataclasses.replace` makes a new quadruple, so it inverts its R
     again.
     """
@@ -114,6 +114,8 @@ class EnhancedOperator:
     scales: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, r_inv):
+        if self.x == 0:
+            raise InvalidEnhancementError("an enhancement needs x != 0: condition (c) takes y / x")
         for name in ("R", "mu"):
             a = np.array(getattr(self, name), dtype=complex)
             a.flags.writeable = False

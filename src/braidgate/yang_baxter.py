@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import heapq
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -260,6 +261,10 @@ def rep_of_word(r, word: BraidWord) -> np.ndarray:
 class WordPlan:
     """How to contract the closed braid of one word, in integers only.
 
+    ``word`` is the planned word reduced by far commutativity (see
+    :func:`plan_word`); it has the planned word's strands and writhe, and
+    everything below is built on its letters.
+
     The closed braid is a network with one 2x2x2x2 tensor per letter, axes
     (out_i, out_i+1, in_i, in_i+1).  On each strand an edge joins a letter's
     output to the input of the next letter applied to that strand (letters
@@ -326,8 +331,36 @@ def letter_tensors(r, site, plans, *, r_inv=None) -> dict[tuple[int, int], np.nd
             for exp, fold in keys}
 
 
+def _far_reduced(letters):
+    """``letters`` reduced by far commutativity, s_i s_j = s_j s_i for
+    |i - j| >= 2: in word order, a letter merges into the last kept letter on
+    its generator when no kept letter on a neighbouring generator comes
+    after that one, and a merged exponent of 0 deletes the kept letter.
+    Strands and writhe are unchanged."""
+    kept = []  # [generator, exponent] per kept letter, None once deleted
+    stacks = defaultdict(lambda: [-1])  # generator -> positions of its kept letters
+    for gen, exp in letters:
+        stack = stacks[gen]
+        top = stack[-1]
+        if top >= 0 and stacks[gen - 1][-1] < top and stacks[gen + 1][-1] < top:
+            kept[top][1] += exp
+            if kept[top][1] == 0:
+                kept[stack.pop()] = None
+        else:
+            stack.append(len(kept))
+            kept.append([gen, exp])
+    return tuple((g, e) for g, e in filter(None, kept))
+
+
 def plan_word(word: BraidWord) -> WordPlan:
     """Greedy pairwise contraction plan of the closed braid of ``word``.
+
+    The plan is made for ``word`` reduced by far commutativity (two letters
+    on one generator with only letters on generators at least two away
+    between them are one letter, and cancel when their exponents do), and
+    records that reduced word as its ``word``: same strands and writhe, and
+    one tensor and one step fewer per merged letter.  The caller's word is
+    not changed.
 
     Among tensors that share a label, the pair with the least
     size(result) - size(a) - size(b) contracts next (ties go to the lower
@@ -339,6 +372,9 @@ def plan_word(word: BraidWord) -> WordPlan:
     sum more than ``MAX_TERMS`` terms.  There is no bound on the strand count
     itself.
     """
+    letters = _far_reduced(word.letters)
+    if letters != word.letters:
+        word = BraidWord(word.strands, letters)
     cur: dict[int, tuple[int, int, int]] = {}  # strand -> (open label, letter, leg)
     first: dict[int, int] = {}  # strand -> label of its first input
     subs: list = []  # per tensor, its labels in axis order

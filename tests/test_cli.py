@@ -211,6 +211,14 @@ class TestOperatorSpecs:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {named} is not valid JSON: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("params,message", [
+        ("h1=[1,,h2=1", "error: complex literal '[1,,h2=1' is not valid JSON: "
+                        "its '[' is never closed\n"),
+        ("h1=1],h2=2", "error: unbalanced ']' in 'h1=1]'\n"),
+    ], ids=["unclosed", "unopened"])
+    def test_unbalanced_brackets_are_named(self, capsys, params, message):
+        assert run(capsys, "invariants", "--class", "C12.0", "--params", params) == (2, "", message)
+
     def test_malformed_complex_pair_is_usage_error(self, capsys):
         code, out, err = run(capsys, "invariants", "--class", "C12.0",
                              "--params", "h1=[null,0],h2=1")

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 import zlib
 
 import numpy as np
@@ -90,6 +91,15 @@ class TestVerifyEnhancement:
         assert_allclose(e.mu, PAULI_Z)
         # x = +- i sqrt(h1 h8) up to the simultaneous sign pairing
         assert abs(e.x**2 + params["h1"] * params["h8"]) < 1e-12
+
+    @pytest.mark.parametrize("x", [0, np.complex128(0)], ids=["int", "complex128"])
+    def test_zero_x_is_refused_when_made(self, x):
+        # condition (c) takes y / x: neither a ZeroDivisionError nor numpy's
+        # warnings and a NaN residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidEnhancementError, match="x != 0"):
+                EnhancedOperator(np.eye(4, dtype=complex), I2, x, 1)
 
     def test_broken_quadruple_rejected(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), PAULI_Z + 0.3 * I2, 1, 1)

@@ -141,6 +141,10 @@ SHAPES = {
     "disconnected": BraidWord(5, ((1, 1), (3, 1))),
     "same_generator": BraidWord(4, ((2, 1), (2, 2), (1, -1), (2, -2), (3, 1), (2, 1))),
     "exponent_3": BraidWord(3, ((1, 3), (2, -3), (1, -3), (2, 3))),
+    # s1 and s1 with only the far s3 between them: one letter s1^2
+    "far_commuting_merge": BraidWord(4, ((1, 1), (3, 1), (1, 1))),
+    # s1 and s1^-1 cancel across s3, so strands 1 and 2 are untouched
+    "far_commuting_cancellation": BraidWord(4, ((1, 1), (3, 1), (1, -1))),
     # applied last, the lone s4 gets global labels above einsum's 52
     "late_isolated_letter": BraidWord(
         6, ((4, 1),) + tuple((1 + k % 2, 1 if k % 3 else -1) for k in range(25))),
@@ -154,6 +158,31 @@ def test_link_polynomial_network_shapes(recipe_id, shape):
     _assert_matches_dense_trace(e, SHAPES[shape])
 
 
+class TestFarCommutingReduction:
+    # s1 moves across s3^2 onto the other s1, and s2 s4 s2^-1 is s4
+    WORD = "s1 s3^2 s1 s2 s4 s2^-1 s3"
+    REDUCED = "s1^2 s3^2 s4 s3"
+
+    def test_word_and_its_reduced_form_plan_alike(self):
+        plan = plan_word(BraidWord.parse(self.WORD, 5))
+        reduced = BraidWord.parse(self.REDUCED, 5)
+        assert plan.word == reduced
+        assert plan == plan_word(reduced)
+
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+    def test_word_and_its_reduced_form_give_one_value(self, recipe_id):
+        e, _ = _draw(recipe_id, 5)
+        value = link_polynomial(e, BraidWord.parse(self.WORD, 5))
+        assert value == link_polynomial(e, BraidWord.parse(self.REDUCED, 5))
+
+    def test_callers_word_is_unchanged(self):
+        w = BraidWord.parse(self.WORD, 5)
+        letters = w.letters
+        plan_word(w)
+        assert w.letters == letters
+        assert str(w) == "s1^1 s3^2 s1^1 s2^1 s4^1 s2^-1 s3^1"
+
+
 def _network_modulus_trace(e, word):
     """Tr[|rho| |mu|^(x n)] on the closed-braid network, by the library's
     plan: every tensor is replaced by its letter's power of |R| or |R^-1|
@@ -162,7 +191,7 @@ def _network_modulus_trace(e, word):
     r_inv = np.linalg.inv(e.R)
     mu = np.abs(e.mu)
     tensors = []
-    for (_, exp), fold in zip(reversed(word.letters), plan.folds):
+    for (_, exp), fold in zip(reversed(plan.word.letters), plan.folds):
         g = np.linalg.matrix_power(np.abs(e.R if exp > 0 else r_inv), abs(exp))
         site = np.kron(mu if fold & 2 else np.eye(2), mu if fold & 1 else np.eye(2))
         tensors.append((g @ site).reshape(2, 2, 2, 2))
@@ -269,7 +298,8 @@ class TestStrandBound:
         # while the planner holds only its own integers, about 4 MiB for
         # these 4860 letters.
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
-        plan_word(BraidWord(10, _full_twist(10)))
+        # a twist has no far-commuting letters to merge: its plan keeps all 90
+        assert plan_word(BraidWord(10, _full_twist(10))).word.letters == _full_twist(10)
         copies = BraidWord(540, sum((_full_twist(10, 10 * c) for c in range(54)), ()))
         with pytest.raises(ValueError, match=f"at once, above the limit of 2\\^{MAX_ENTRIES.bit_length() - 1}"):
             plan_word(copies)
