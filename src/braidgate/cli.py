@@ -488,12 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     entries = yang_baxter.MAX_ENTRIES.bit_length() - 1
     terms = yang_baxter.MAX_TERMS.bit_length() - 1
+    dense = yang_baxter.DENSE_STRANDS
     p = sub.add_parser(
         "linkpoly", help="evaluate the link polynomial of a braid word",
-        description="Evaluate L(w) by contracting the closed braid as a tensor network. "
-                    f"A word whose planned contraction would hold more than 2^{entries} "
-                    f"entries at once, or sum more than 2^{terms} terms in one step, is "
-                    "refused before anything is allocated (exit 2).")
+        description=f"Evaluate L(w) on the word reduced by far commutativity: up to {dense} "
+                    "strands (DENSE_STRANDS) on the dense 2^n x 2^n state mu^(x n), one 4x4 "
+                    "product per letter, and on more by contracting the closed braid as a "
+                    f"tensor network. A word whose planned contraction would hold more than "
+                    f"2^{entries} entries at once, or sum more than 2^{terms} terms in one "
+                    "step, is refused before anything is allocated (exit 2).")
     p.add_argument("--recipe", required=True, help="enhancement recipe id, e.g. C1.I")
     p.add_argument("--params", help="recipe parameters, e.g. h1=1,h4=2,h5=2")
     p.add_argument("--word", required=True, help='braid word, e.g. "s1^3 s2^-1"')

@@ -53,14 +53,18 @@ from .matrix_core import (
     tensor_product,
 )
 from .yang_baxter import (
+    DENSE_STRANDS,
     BraidWord,
     WordPlan,
+    _letter_powers,
     assemble,
     bind,
     braid_rep,
     catalog_entry,
+    dense_trace,
     evaluate_expr,
-    letter_tensors,
+    far_reduced,
+    folded_tensors,
     plan_word,
 )
 
@@ -96,8 +100,9 @@ class EnhancedOperator:
     inverts R, or takes ``r_inv``, which must be invert(R) of this R, and
     computes once the max-norm ``residuals`` of (a)-(c) and the ``scales``
     each is judged against (see :func:`verify_enhancement`).  A singular R
-    raises ``SingularMatrixError`` here, and a zero x, of any numeric type,
-    ``InvalidEnhancementError``, since condition (c) divides by it.
+    raises ``SingularMatrixError`` here, and a zero x or y, of any numeric
+    type, ``InvalidEnhancementError``: condition (c) divides by x, and a
+    link value by y^n.
     :func:`dataclasses.replace` makes a new quadruple, so it inverts its R
     again.
     """
@@ -116,6 +121,8 @@ class EnhancedOperator:
     def __post_init__(self, r_inv):
         if self.x == 0:
             raise InvalidEnhancementError("an enhancement needs x != 0: condition (c) takes y / x")
+        if self.y == 0:
+            raise InvalidEnhancementError("an enhancement needs y != 0: a link value takes y^-n")
         for name in ("R", "mu"):
             a = np.array(getattr(self, name), dtype=complex)
             a.flags.writeable = False
@@ -189,19 +196,36 @@ def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
         )
 
 
-def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
-    """L(w) for each planned word of a verified ``e``; the letter tensors
-    are made once for all, with the R^-1 ``e`` holds."""
-    tensors = letter_tensors(e.R, e.mu, plans, r_inv=e._r_inv)
+def _route(word: BraidWord) -> tuple[BraidWord, WordPlan | None]:
+    """The word a link trace evaluates, ``word`` reduced by far
+    commutativity, and its contraction plan: None up to ``DENSE_STRANDS``
+    strands, where the trace is taken densely."""
+    if word.strands <= DENSE_STRANDS:
+        return far_reduced(word), None
+    plan = plan_word(word)
+    return plan.word, plan
+
+
+def _link_values(e: EnhancedOperator, routes) -> list[complex]:
+    """L(w) for each routed word of a verified ``e`` (see :func:`_route`).
+    The letter powers are taken once for all words, with the R^-1 ``e``
+    holds; a planned word traces the letter tensors made from them, a dense
+    one applies them to mu^(x n)."""
+    powers = _letter_powers(e.R, (exp for word, _ in routes for _, exp in word.letters),
+                            e._r_inv)
+    keys = {key for _, plan in routes if plan is not None for key in plan.keys()}
+    tensors = folded_tensors(powers, e.mu, keys) if keys else None
     values = []
-    for plan in plans:
-        word = plan.word
+    for word, plan in routes:
         try:
-            value = plan.trace(tensors, e.mu)
+            if plan is None:
+                value = dense_trace(powers, word, e.mu)
+            else:
+                value = plan.trace(tensors, e.mu)
             values.append(complex(e.x ** (-word.writhe()) * e.y ** (-word.strands) * value))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # a power of x, y or tr(mu) out of range
             raise ValueError(
-                f"the link value of this {word.strands}-strand word overflows a float64"
+                f"the link value of this {word.strands}-strand word leaves the float64 range"
             ) from None
     return values
 
@@ -209,17 +233,22 @@ def _link_values(e: EnhancedOperator, plans: list[WordPlan]) -> list[complex]:
 def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float = DEFAULT_TOL) -> complex:
     """Evaluate L(w) = x^-w(xi) y^-n Tr[rho(xi) mu^(x n)].
 
-    The trace contracts the closed braid as a tensor network, one 2x2x2x2
-    tensor per letter with mu folded into the first letter on each strand
-    (see :func:`~braidgate.yang_baxter.plan_word`), so its cost follows the
-    diagram's treewidth rather than 2^n.  The contraction is planned first:
+    The trace is taken on the word reduced by far commutativity, by one of
+    two routes chosen by the strand count.  Up to ``DENSE_STRANDS`` (6)
+    strands the letters act on the dense 2^n x 2^n state mu^(x n), one 4x4
+    product each (:func:`~braidgate.yang_baxter.dense_trace`).  A wider word
+    contracts the closed braid as a tensor network, one 2x2x2x2 tensor per
+    letter with mu folded into the first letter on each strand (see
+    :func:`~braidgate.yang_baxter.plan_word`), so its cost follows the
+    diagram's treewidth rather than 2^n.  That contraction is planned first:
     a word whose plan would hold more than ``MAX_ENTRIES`` (2^25) entries at
     once, or sum more than ``MAX_TERMS`` (2^28) terms in one step, raises
-    ``ValueError`` before anything is allocated.  The quadruple must pass
+    ``ValueError`` before anything is allocated, and so does a value whose
+    factors leave the float64 range.  The quadruple must pass
     :func:`verify_enhancement` at ``tol``.
     """
     _require_enhancement(e, tol)
-    return _link_values(e, [plan_word(word)])[0]
+    return _link_values(e, [_route(word)])[0]
 
 
 def _inverse_word(word: BraidWord) -> BraidWord:
@@ -236,7 +265,11 @@ def markov_check(
 
     Conjugation compares L(c w c^-1) with L(w) for the supplied (or random)
     conjugator c; stabilization compares L on n+1 strands of w * s_n^(+-1)
-    with L(w) on n strands.
+    with L(w) on n strands.  Each word takes the route of
+    :func:`link_polynomial`, so at n = ``DENSE_STRANDS`` the stabilized word
+    is planned while the other two are dense.  All three are routed, and the
+    planned ones bounded, before any is evaluated, and their letter powers
+    are taken once for the three.
     """
     n = word.strands
     if conjugator is None:
@@ -250,10 +283,10 @@ def markov_check(
     )
     sign = 1 if (rng is None or rng.random() < 0.5) else -1
     widened = BraidWord(n + 1, word.letters + ((n, sign),))
-    # every word is planned, and so bounded, before any is evaluated
-    plans = [plan_word(w) for w in (word, conjugated, widened)]
+    # every word is routed, and a planned one bounded, before any is evaluated
+    routes = [_route(w) for w in (word, conjugated, widened)]
     _require_enhancement(e, DEFAULT_TOL)
-    base, conj, wide = _link_values(e, plans)
+    base, conj, wide = _link_values(e, routes)
     return abs(conj - base), abs(wide - base)
 
 
@@ -597,6 +630,8 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
     # the roots are found and judged for R / s with max|R / s| = max|s R^-1|:
     # the outcome of a root does not depend on the scale of R
+    if max_norm(r_inv) == 0:  # every entry of R^-1 is below the float64 range
+        raise ValueError(f"R^-1 underflows a float64 at max|R| = {max_norm(r):.3g}")
     scale = np.sqrt(max_norm(r) / max_norm(r_inv))
     norm = max_norm(r) / scale
     table = _condition_tables(r / scale, r_inv * scale)

@@ -80,6 +80,7 @@ __all__ = [
     "plan_word",
     "WordPlan",
     "MAX_STRANDS",
+    "DENSE_STRANDS",
     "MAX_ENTRIES",
     "MAX_TERMS",
     "pauli_expand",
@@ -203,10 +204,18 @@ class BraidWord:
 
 # A dense braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
 # bytes, 256 MiB at 12 strands.  Evaluating a word densely holds two such
-# states.  Only ``rep_of_word`` builds that state; a link trace contracts the
-# closed braid (``plan_word``), bounded by ``MAX_ENTRIES`` and ``MAX_TERMS``
-# instead.
+# states.  ``rep_of_word`` builds that state; a link trace builds it only up to
+# ``DENSE_STRANDS`` strands and contracts a wider closed braid (``plan_word``),
+# bounded by ``MAX_ENTRIES`` and ``MAX_TERMS``, instead.
 MAX_STRANDS = 12
+
+# The widest word whose link trace is taken on the dense 2^n x 2^n state
+# mu^(x n) (4096 entries at 6 strands), one 4x4 product per letter, with no
+# plan.  A link evaluation of a random word with three letters per strand
+# (median of 40, one BLAS thread), dense vs network: 62 vs 195 us at 3
+# strands, 120 vs 255 at 5, 235 vs 310 at 6, 790 vs 340 at 7, 3300 vs 365 at
+# 8.  A dense letter costs O(4^n), a planned one about 22 us at any width.
+DENSE_STRANDS = 6
 
 # The most complex entries a planned closed-braid contraction may hold at
 # once, counting every live tensor and the result being formed: 2^25, 512
@@ -247,14 +256,36 @@ def rep_of_word(r, word: BraidWord) -> np.ndarray:
     if n > MAX_STRANDS:
         raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
     powers = _letter_powers(r, (exp for _, exp in word.letters))
+    return apply_letters(powers, word, np.eye(2**n, dtype=complex))
+
+
+def apply_letters(powers, word: BraidWord, state: np.ndarray) -> np.ndarray:
+    """rho(word) @ state for a 2^n x 2^n ``state``, the letters applied last
+    first, each as one 4x4 product with its power from ``powers`` (exponent
+    -> 4x4 matrix) over the middle axis of the state viewed as
+    (2^(i-1), 4, 2^(n-i-1) * 2^n).  ``state`` is overwritten: the result is
+    it or one spare state of its size."""
+    n = word.strands
     dim = 2**n
-    state = np.eye(dim, dtype=complex)
     spare = np.empty_like(state)
     for gen, exp in reversed(word.letters):
         shape = (2 ** (gen - 1), 4, dim * 2 ** (n - gen - 1))
         np.matmul(powers[exp], state.reshape(shape), out=spare.reshape(shape))
         state, spare = spare, state
     return state
+
+
+def dense_trace(powers, word: BraidWord, site) -> complex:
+    """Tr[rho(word) site^(x n)] on the dense 2^n x 2^n state: ``site``'s
+    tensor power, the letters applied to it by :func:`apply_letters`."""
+    site = state = _site_matrix(site)
+    for _ in range(word.strands - 1):
+        # the next tensor power as site x state, one broadcast product: with
+        # the larger operand inner it is twice as fast as state x site at 6
+        # strands
+        dim = 2 * len(state)
+        state = (site[:, None, :, None] * state[None, :, None, :]).reshape(dim, dim)
+    return complex(np.trace(apply_letters(powers, word, state)))
 
 
 @dataclass(frozen=True)
@@ -307,6 +338,13 @@ class WordPlan:
         return value
 
 
+def _site_matrix(site) -> np.ndarray:
+    site = as_matrix(site)
+    if site.shape != (2, 2):
+        raise ValueError("the site of a closed braid is a 2x2 matrix")
+    return site
+
+
 def letter_tensors(r, site, plans, *, r_inv=None) -> dict[tuple[int, int], np.ndarray]:
     """The 2x2x2x2 tensor of every letter of the planned words, by
     (exponent, fold): the exponent's 4x4 power of R or R^-1, each taken once,
@@ -318,11 +356,14 @@ def letter_tensors(r, site, plans, *, r_inv=None) -> dict[tuple[int, int], np.nd
     computed, with the singularity check of ``invert``, when a letter has a
     negative exponent.
     """
-    site = as_matrix(site)
-    if site.shape != (2, 2):
-        raise ValueError("the site of a closed braid is a 2x2 matrix")
     keys = {key for plan in plans for key in plan.keys()}
-    powers = _letter_powers(r, (exp for exp, _ in keys), r_inv)
+    return folded_tensors(_letter_powers(r, (exp for exp, _ in keys), r_inv), site, keys)
+
+
+def folded_tensors(powers, site, keys) -> dict[tuple[int, int], np.ndarray]:
+    """The letter tensors of :func:`letter_tensors` for the (exponent, fold)
+    ``keys``, from ``powers`` (exponent -> 4x4 power of R or R^-1)."""
+    site = _site_matrix(site)
     # fold 1 = I x site, 2 = site x I, 3 = site x site, each np.kron(a, b)
     # written as one broadcast product: 9 us for the three, np.kron 63 us
     folded = [None] + [(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
@@ -331,15 +372,16 @@ def letter_tensors(r, site, plans, *, r_inv=None) -> dict[tuple[int, int], np.nd
             for exp, fold in keys}
 
 
-def _far_reduced(letters):
-    """``letters`` reduced by far commutativity, s_i s_j = s_j s_i for
+def far_reduced(word: BraidWord) -> BraidWord:
+    """``word`` reduced by far commutativity, s_i s_j = s_j s_i for
     |i - j| >= 2: in word order, a letter merges into the last kept letter on
     its generator when no kept letter on a neighbouring generator comes
     after that one, and a merged exponent of 0 deletes the kept letter.
-    Strands and writhe are unchanged."""
+    Strands and writhe are unchanged; ``word`` itself is returned when
+    nothing merges."""
     kept = []  # [generator, exponent] per kept letter, None once deleted
     stacks = defaultdict(lambda: [-1])  # generator -> positions of its kept letters
-    for gen, exp in letters:
+    for gen, exp in word.letters:
         stack = stacks[gen]
         top = stack[-1]
         if top >= 0 and stacks[gen - 1][-1] < top and stacks[gen + 1][-1] < top:
@@ -349,7 +391,8 @@ def _far_reduced(letters):
         else:
             stack.append(len(kept))
             kept.append([gen, exp])
-    return tuple((g, e) for g, e in filter(None, kept))
+    letters = tuple((g, e) for g, e in filter(None, kept))
+    return word if letters == word.letters else BraidWord(word.strands, letters)
 
 
 def plan_word(word: BraidWord) -> WordPlan:
@@ -372,9 +415,7 @@ def plan_word(word: BraidWord) -> WordPlan:
     sum more than ``MAX_TERMS`` terms.  There is no bound on the strand count
     itself.
     """
-    letters = _far_reduced(word.letters)
-    if letters != word.letters:
-        word = BraidWord(word.strands, letters)
+    word = far_reduced(word)
     cur: dict[int, tuple[int, int, int]] = {}  # strand -> (open label, letter, leg)
     first: dict[int, int] = {}  # strand -> label of its first input
     subs: list = []  # per tensor, its labels in axis order

@@ -644,6 +644,31 @@ def test_overflow_is_one_error_line(capsys, argv):
     assert err.startswith("error: this input overflows a float64") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # C3.mu2 and C3.mu3 give y = 0 here: not an enhancement, as x = 0 is not
+    (("linkpoly", "--recipe", "C3.mu3", "--params", "h1=1,h7=1,h8=1", "--word", "s1^-5"),
+     3, "error: an enhancement needs y != 0"),
+    (("linkpoly", "--recipe", "C3.mu2", "--params", "h1=1,h7=1,h8=1", "--word", "s1^-5"),
+     3, "error: an enhancement needs y != 0"),
+    # x and y near 1e-150: x^-writhe y^-n underflows in its intermediate powers
+    (("linkpoly", "--recipe", "C10.mu2", "--params", "h1=1e-150,h7=1e-150",
+      "--word", "s2^3 s1"),
+     2, "error: the link value of this 3-strand word leaves the float64 range"),
+    # every entry of R^-1 is below the float64 range, so R has no solver scale
+    (("enhance", "--class", "C10.1", "--params", "h1=[1e308,1e308],h2=1e-8"),
+     2, "error: R^-1 underflows a float64"),
+    (("enhance", "--class", "C9.2", "--params", "h1=[1e308,1e308],h7=1e-8"),
+     2, "error: R^-1 underflows a float64"),
+], ids=["zero-y-mu3", "zero-y-mu2", "prefactor-underflow", "solver-c10", "solver-c9"])
+def test_out_of_range_scalar_is_one_error_line(capsys, argv, code, message):
+    # each raised ZeroDivisionError with a traceback before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--xtype", "1,0,0,1,1,0,0,1", "--seed", "7"),
     ("enhance", "--class", "C11.0", "--params", "h7=1,h8=2", "--seed", "7"),

@@ -101,6 +101,12 @@ class TestVerifyEnhancement:
             with pytest.raises(InvalidEnhancementError, match="x != 0"):
                 EnhancedOperator(np.eye(4, dtype=complex), I2, x, 1)
 
+    @pytest.mark.parametrize("y", [0, np.complex128(0)], ids=["int", "complex128"])
+    def test_zero_y_is_refused_when_made(self, y):
+        # a link value takes y^-n, which used to raise ZeroDivisionError
+        with pytest.raises(InvalidEnhancementError, match="y != 0"):
+            EnhancedOperator(np.eye(4, dtype=complex), I2, 1, y)
+
     def test_broken_quadruple_rejected(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), PAULI_Z + 0.3 * I2, 1, 1)
         with pytest.raises(InvalidEnhancementError):

@@ -1,7 +1,9 @@
 """Word evaluation against dense oracles.
 
-``rep_of_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state,
-and ``link_polynomial`` contracts the closed braid as a tensor network.  The
+``rep_of_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state.
+``link_polynomial`` does the same to mu^(x n) up to ``DENSE_STRANDS`` strands,
+and contracts the closed braid as a tensor network on wider words; the
+network is checked against the dense route on narrow words too.  The
 oracles here are dense: ``rep_of_word`` is compared with rho(w) built the
 explicit way, one ``braid_rep`` factor per letter, raised with
 ``matrix_power`` and multiplied left to right; ``link_polynomial`` is
@@ -37,9 +39,11 @@ from braidgate.enhancement import (
 )
 from braidgate.matrix_core import I2, PAULI_Z
 from braidgate.yang_baxter import (
+    DENSE_STRANDS,
     MAX_ENTRIES,
     MAX_STRANDS,
     BraidWord,
+    WordPlan,
     braid_rep,
     letter_tensors,
     plan_word,
@@ -134,6 +138,62 @@ def test_plan_trace_matches_dense_trace_on_generic_operators(strands):
     assert abs(got - want) <= RTOL * _modulus_trace(r, w, site)
 
 
+class TestRouteSplit:
+    """Words up to ``DENSE_STRANDS`` strands are traced densely, wider ones
+    on their planned network."""
+
+    @pytest.mark.parametrize("strands", range(2, DENSE_STRANDS + 1))
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+    def test_dense_route_matches_the_network_and_the_oracle(self, recipe_id, strands):
+        e, w = _draw(recipe_id, strands)
+        pref = e.x ** (-w.writhe()) * e.y ** (-w.strands)
+        scale = abs(pref) * _modulus_trace(e.R, w, e.mu)
+        plan = plan_word(w)
+        network = pref * plan.trace(letter_tensors(e.R, e.mu, [plan]), e.mu)
+        oracle = pref * _dense_trace(e.R, w, e.mu)
+        got = link_polynomial(e, w)
+        assert abs(got - network) <= RTOL * scale
+        assert abs(got - oracle) <= RTOL * scale
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+    def test_stabilization_crosses_the_route_boundary(self, recipe_id, sign):
+        # the 6-strand word is traced densely and its 7-strand s6^(+-1)
+        # stabilization on its network; a Markov move leaves L unchanged
+        e, w = _draw(recipe_id, DENSE_STRANDS)
+        # markov_check stabilizes by s_n when its first draw is below 0.5
+        seed = next(k for k in range(100)
+                    if (np.random.default_rng(k).random() < 0.5) == (sign > 0))
+        widened = BraidWord(DENSE_STRANDS + 1, w.letters + ((DENSE_STRANDS, sign),))
+        _, res_stab = markov_check(e, w, conjugator=BraidWord(DENSE_STRANDS),
+                                   rng=np.random.default_rng(seed))
+
+        def scale(word):
+            return abs(e.x ** (-word.writhe()) * e.y ** (-word.strands)) * \
+                _modulus_trace(e.R, word, e.mu)
+
+        assert res_stab <= RTOL * (scale(w) + scale(widened))
+
+    def test_markov_check_routes_every_word_before_evaluating(self, monkeypatch):
+        events = []
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(enhancement, "_route", recorded("route", enhancement._route))
+        monkeypatch.setattr(enhancement, "plan_word", recorded("plan", enhancement.plan_word))
+        monkeypatch.setattr(enhancement, "dense_trace",
+                            recorded("dense", enhancement.dense_trace))
+        monkeypatch.setattr(WordPlan, "trace", recorded("network", WordPlan.trace))
+        e, w = _draw("C1.I", DENSE_STRANDS)
+        markov_check(e, w)
+        # base and conjugated words are dense, the stabilized one is planned
+        assert events == ["route", "route", "route", "plan", "dense", "dense", "network"]
+
+
 # Network shapes a random 3n-letter word rarely makes.
 SHAPES = {
     "untouched_strands": BraidWord(6, ((2, 1), (3, -2), (2, 3))),
@@ -174,6 +234,15 @@ class TestFarCommutingReduction:
         e, _ = _draw(recipe_id, 5)
         value = link_polynomial(e, BraidWord.parse(self.WORD, 5))
         assert value == link_polynomial(e, BraidWord.parse(self.REDUCED, 5))
+
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+    def test_reduced_form_gives_one_value_on_the_network(self, recipe_id):
+        # the 5-strand words above are traced densely; on 8 strands the
+        # same letters are planned
+        assert 5 <= DENSE_STRANDS < 8
+        e, _ = _draw(recipe_id, 5)
+        value = link_polynomial(e, BraidWord.parse(self.WORD, 8))
+        assert value == link_polynomial(e, BraidWord.parse(self.REDUCED, 8))
 
     def test_callers_word_is_unchanged(self):
         w = BraidWord.parse(self.WORD, 5)
