@@ -29,6 +29,7 @@ on one definite member; the partner is always the simultaneous sign flip
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 from dataclasses import InitVar, dataclass, field
@@ -56,7 +57,6 @@ from .yang_baxter import (
     DENSE_STRANDS,
     BraidWord,
     WordPlan,
-    _letter_powers,
     assemble,
     bind,
     braid_rep,
@@ -65,6 +65,7 @@ from .yang_baxter import (
     evaluate_expr,
     far_reduced,
     folded_tensors,
+    letter_powers,
     plan_word,
 )
 
@@ -210,23 +211,30 @@ def _link_values(e: EnhancedOperator, routes) -> list[complex]:
     """L(w) for each routed word of a verified ``e`` (see :func:`_route`).
     The letter powers are taken once for all words, with the R^-1 ``e``
     holds; a planned word traces the letter tensors made from them, a dense
-    one applies them to mu^(x n)."""
-    powers = _letter_powers(e.R, (exp for word, _ in routes for _, exp in word.letters),
-                            e._r_inv)
+    one applies them to mu^(x n).  A value that leaves the float64 range
+    raises ``ValueError``."""
+    powers = letter_powers(e.R, (exp for word, _ in routes for _, exp in word.letters),
+                           e._r_inv)
     keys = {key for _, plan in routes if plan is not None for key in plan.keys()}
     tensors = folded_tensors(powers, e.mu, keys) if keys else None
     values = []
     for word, plan in routes:
         try:
-            if plan is None:
-                value = dense_trace(powers, word, e.mu)
-            else:
-                value = plan.trace(tensors, e.mu)
-            values.append(complex(e.x ** (-word.writhe()) * e.y ** (-word.strands) * value))
-        except (OverflowError, ZeroDivisionError):  # a power of x, y or tr(mu) out of range
+            trace = dense_trace(powers, word, e.mu) if plan is None else plan.trace(tensors, e.mu)
+        except OverflowError:  # tr(mu)^k over the k strands no letter touches
+            trace = complex("inf")
+        # Python scalars x and y raise out of range; the solver's numpy ones
+        # give inf or nan, checked below with the value
+        try:
+            with np.errstate(all="ignore"):
+                value = complex(e.x ** (-word.writhe()) * e.y ** (-word.strands) * trace)
+        except (OverflowError, ZeroDivisionError):
+            value = complex("nan")
+        if not cmath.isfinite(value):
             raise ValueError(
                 f"the link value of this {word.strands}-strand word leaves the float64 range"
-            ) from None
+            )
+        values.append(value)
     return values
 
 
@@ -243,9 +251,9 @@ def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float = DEFAULT_T
     diagram's treewidth rather than 2^n.  That contraction is planned first:
     a word whose plan would hold more than ``MAX_ENTRIES`` (2^25) entries at
     once, or sum more than ``MAX_TERMS`` (2^28) terms in one step, raises
-    ``ValueError`` before anything is allocated, and so does a value whose
-    factors leave the float64 range.  The quadruple must pass
-    :func:`verify_enhancement` at ``tol``.
+    ``ValueError`` before anything is allocated, and so does a value that
+    leaves the float64 range, for Python or numpy x and y.  The quadruple
+    must pass :func:`verify_enhancement` at ``tol``.
     """
     _require_enhancement(e, tol)
     return _link_values(e, [_route(word)])[0]

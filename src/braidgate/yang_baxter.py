@@ -76,7 +76,9 @@ __all__ = [
     "ybe_scale",
     "braid_rep",
     "rep_of_word",
-    "letter_tensors",
+    "letter_powers",
+    "dense_trace",
+    "folded_tensors",
     "plan_word",
     "WordPlan",
     "MAX_STRANDS",
@@ -228,9 +230,14 @@ MAX_ENTRIES = 2**25
 MAX_TERMS = 2**28
 
 
-def _letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
-    """Each distinct exponent's 4x4 power of R or R^-1, taken once; R^-1 is
-    ``r_inv`` when given, else computed at the first negative exponent."""
+def letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
+    """Each distinct exponent's 4x4 power of R or R^-1, taken once.
+
+    ``r_inv`` is for a caller that already holds R^-1: it must be
+    ``invert(r)`` of the same R, and is used as given.  Left None, R^-1 is
+    computed, with the singularity check of ``invert``, at the first
+    negative exponent.
+    """
     r = _as_two_qubit(r)
     powers: dict[int, np.ndarray] = {}
     for exp in exponents:
@@ -255,11 +262,11 @@ def rep_of_word(r, word: BraidWord) -> np.ndarray:
     n = word.strands
     if n > MAX_STRANDS:
         raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
-    powers = _letter_powers(r, (exp for _, exp in word.letters))
-    return apply_letters(powers, word, np.eye(2**n, dtype=complex))
+    powers = letter_powers(r, (exp for _, exp in word.letters))
+    return _apply_letters(powers, word, np.eye(2**n, dtype=complex))
 
 
-def apply_letters(powers, word: BraidWord, state: np.ndarray) -> np.ndarray:
+def _apply_letters(powers, word: BraidWord, state: np.ndarray) -> np.ndarray:
     """rho(word) @ state for a 2^n x 2^n ``state``, the letters applied last
     first, each as one 4x4 product with its power from ``powers`` (exponent
     -> 4x4 matrix) over the middle axis of the state viewed as
@@ -277,7 +284,8 @@ def apply_letters(powers, word: BraidWord, state: np.ndarray) -> np.ndarray:
 
 def dense_trace(powers, word: BraidWord, site) -> complex:
     """Tr[rho(word) site^(x n)] on the dense 2^n x 2^n state: ``site``'s
-    tensor power, the letters applied to it by :func:`apply_letters`."""
+    tensor power, the letters applied to it one 4x4 product each, with their
+    ``powers`` from :func:`letter_powers`."""
     site = state = _site_matrix(site)
     for _ in range(word.strands - 1):
         # the next tensor power as site x state, one broadcast product: with
@@ -285,7 +293,7 @@ def dense_trace(powers, word: BraidWord, site) -> complex:
         # strands
         dim = 2 * len(state)
         state = (site[:, None, :, None] * state[None, :, None, :]).reshape(dim, dim)
-    return complex(np.trace(apply_letters(powers, word, state)))
+    return complex(np.trace(_apply_letters(powers, word, state)))
 
 
 @dataclass(frozen=True)
@@ -327,7 +335,7 @@ class WordPlan:
 
     def trace(self, tensors, site) -> complex:
         """Tr[rho(word) site^(x n)] by executing the plan on the letter
-        ``tensors`` of :func:`letter_tensors`, made with the same ``site``."""
+        ``tensors`` of :func:`folded_tensors`, made with the same ``site``."""
         tensors = [tensors[key] for key in self.keys()]
         for a, b, sa, sb, so in self.steps:
             tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
@@ -345,24 +353,11 @@ def _site_matrix(site) -> np.ndarray:
     return site
 
 
-def letter_tensors(r, site, plans, *, r_inv=None) -> dict[tuple[int, int], np.ndarray]:
-    """The 2x2x2x2 tensor of every letter of the planned words, by
-    (exponent, fold): the exponent's 4x4 power of R or R^-1, each taken once,
-    with the 2x2 ``site`` folded into the input side of the strands the
-    letter touches first (see :class:`WordPlan`).
-
-    ``r_inv`` is for a caller that already holds R^-1: it must be
-    ``invert(r)`` of the same R, and is used as given.  Left None, R^-1 is
-    computed, with the singularity check of ``invert``, when a letter has a
-    negative exponent.
-    """
-    keys = {key for plan in plans for key in plan.keys()}
-    return folded_tensors(_letter_powers(r, (exp for exp, _ in keys), r_inv), site, keys)
-
-
 def folded_tensors(powers, site, keys) -> dict[tuple[int, int], np.ndarray]:
-    """The letter tensors of :func:`letter_tensors` for the (exponent, fold)
-    ``keys``, from ``powers`` (exponent -> 4x4 power of R or R^-1)."""
+    """The 2x2x2x2 letter tensor of each (exponent, fold) in ``keys`` (see
+    :meth:`WordPlan.keys`): the exponent's power from :func:`letter_powers`
+    with the 2x2 ``site`` folded into the input side of the strands the
+    letter touches first (see :class:`WordPlan`)."""
     site = _site_matrix(site)
     # fold 1 = I x site, 2 = site x I, 3 = site x site, each np.kron(a, b)
     # written as one broadcast product: 9 us for the three, np.kron 63 us
