@@ -54,19 +54,13 @@ from .matrix_core import (
     tensor_product,
 )
 from .yang_baxter import (
-    DENSE_STRANDS,
     BraidWord,
-    WordPlan,
     assemble,
     bind,
     braid_rep,
     catalog_entry,
-    dense_trace,
+    closed_traces,
     evaluate_expr,
-    far_reduced,
-    folded_tensors,
-    letter_powers,
-    plan_word,
 )
 
 __all__ = [
@@ -197,32 +191,13 @@ def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
         )
 
 
-def _route(word: BraidWord) -> tuple[BraidWord, WordPlan | None]:
-    """The word a link trace evaluates, ``word`` reduced by far
-    commutativity, and its contraction plan: None up to ``DENSE_STRANDS``
-    strands, where the trace is taken densely."""
-    if word.strands <= DENSE_STRANDS:
-        return far_reduced(word), None
-    plan = plan_word(word)
-    return plan.word, plan
-
-
-def _link_values(e: EnhancedOperator, routes) -> list[complex]:
-    """L(w) for each routed word of a verified ``e`` (see :func:`_route`).
-    The letter powers are taken once for all words, with the R^-1 ``e``
-    holds; a planned word traces the letter tensors made from them, a dense
-    one applies them to mu^(x n).  A value that leaves the float64 range
-    raises ``ValueError``."""
-    powers = letter_powers(e.R, (exp for word, _ in routes for _, exp in word.letters),
-                           e._r_inv)
-    keys = {key for _, plan in routes if plan is not None for key in plan.keys()}
-    tensors = folded_tensors(powers, e.mu, keys) if keys else None
+def _link_values(e: EnhancedOperator, words) -> list[complex]:
+    """L(w) for each of ``words`` of a verified ``e``: x^-writhe y^-n times the
+    trace :func:`~braidgate.yang_baxter.closed_traces` takes with the R^-1
+    ``e`` holds.  A value that leaves the float64 range raises
+    ``ValueError``."""
     values = []
-    for word, plan in routes:
-        try:
-            trace = dense_trace(powers, word, e.mu) if plan is None else plan.trace(tensors, e.mu)
-        except OverflowError:  # tr(mu)^k over the k strands no letter touches
-            trace = complex("inf")
+    for word, trace in zip(words, closed_traces(e.R, e.mu, words, e._r_inv)):
         # Python scalars x and y raise out of range; the solver's numpy ones
         # give inf or nan, checked below with the value
         try:
@@ -241,22 +216,14 @@ def _link_values(e: EnhancedOperator, routes) -> list[complex]:
 def link_polynomial(e: EnhancedOperator, word: BraidWord, tol: float = DEFAULT_TOL) -> complex:
     """Evaluate L(w) = x^-w(xi) y^-n Tr[rho(xi) mu^(x n)].
 
-    The trace is taken on the word reduced by far commutativity, by one of
-    two routes chosen by the strand count.  Up to ``DENSE_STRANDS`` (6)
-    strands the letters act on the dense 2^n x 2^n state mu^(x n), one 4x4
-    product each (:func:`~braidgate.yang_baxter.dense_trace`).  A wider word
-    contracts the closed braid as a tensor network, one 2x2x2x2 tensor per
-    letter with mu folded into the first letter on each strand (see
-    :func:`~braidgate.yang_baxter.plan_word`), so its cost follows the
-    diagram's treewidth rather than 2^n.  That contraction is planned first:
-    a word whose plan would hold more than ``MAX_ENTRIES`` (2^25) entries at
-    once, or sum more than ``MAX_TERMS`` (2^28) terms in one step, raises
-    ``ValueError`` before anything is allocated, and so does a value that
-    leaves the float64 range, for Python or numpy x and y.  The quadruple
-    must pass :func:`verify_enhancement` at ``tol``.
+    The trace is :func:`~braidgate.yang_baxter.closed_traces` of the word
+    with mu as the site, so a word whose contraction would exceed its
+    bounds raises ``ValueError`` before anything is allocated, and so does
+    a value that leaves the float64 range, for Python or numpy x and y.
+    The quadruple must pass :func:`verify_enhancement` at ``tol``.
     """
     _require_enhancement(e, tol)
-    return _link_values(e, [_route(word)])[0]
+    return _link_values(e, [word])[0]
 
 
 def _inverse_word(word: BraidWord) -> BraidWord:
@@ -273,12 +240,12 @@ def markov_check(
 
     Conjugation compares L(c w c^-1) with L(w) for the supplied (or random)
     conjugator c; stabilization compares L on n+1 strands of w * s_n^(+-1)
-    with L(w) on n strands.  Each word takes the route of
-    :func:`link_polynomial`, so at n = ``DENSE_STRANDS`` the stabilized word
-    is planned while the other two are dense.  All three are routed, and the
-    planned ones bounded, before any is evaluated, and their letter powers
-    are taken once for the three.
+    with L(w) on n strands.  The quadruple is verified first, as by
+    :func:`link_polynomial`; the three traces are then one call of
+    :func:`~braidgate.yang_baxter.closed_traces`, so every word is bounded
+    before any is evaluated.
     """
+    _require_enhancement(e, DEFAULT_TOL)
     n = word.strands
     if conjugator is None:
         rng = np.random.default_rng(0) if rng is None else rng
@@ -291,10 +258,7 @@ def markov_check(
     )
     sign = 1 if (rng is None or rng.random() < 0.5) else -1
     widened = BraidWord(n + 1, word.letters + ((n, sign),))
-    # every word is routed, and a planned one bounded, before any is evaluated
-    routes = [_route(w) for w in (word, conjugated, widened)]
-    _require_enhancement(e, DEFAULT_TOL)
-    base, conj, wide = _link_values(e, routes)
+    base, conj, wide = _link_values(e, [word, conjugated, widened])
     return abs(conj - base), abs(wide - base)
 
 
@@ -640,7 +604,8 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     # the outcome of a root does not depend on the scale of R
     if max_norm(r_inv) == 0:  # every entry of R^-1 is below the float64 range
         raise ValueError(f"R^-1 underflows a float64 at max|R| = {max_norm(r):.3g}")
-    scale = np.sqrt(max_norm(r) / max_norm(r_inv))
+    # a ratio of square roots: the ratio itself overflows past max|R| ~ 1e154
+    scale = np.sqrt(max_norm(r)) / np.sqrt(max_norm(r_inv))
     norm = max_norm(r) / scale
     table = _condition_tables(r / scale, r_inv * scale)
     roots, counts = _roots(_system(table, norm))

@@ -57,6 +57,7 @@ from .matrix_core import (
     XTYPE_SUPPORT,
     _as_two_qubit,
     _checked_inverse,
+    _kron,
     as_matrix,
     invert,
     max_norm,
@@ -76,9 +77,7 @@ __all__ = [
     "ybe_scale",
     "braid_rep",
     "rep_of_word",
-    "letter_powers",
-    "dense_trace",
-    "folded_tensors",
+    "closed_traces",
     "plan_word",
     "WordPlan",
     "MAX_STRANDS",
@@ -206,9 +205,9 @@ class BraidWord:
 
 # A dense braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
 # bytes, 256 MiB at 12 strands.  Evaluating a word densely holds two such
-# states.  ``rep_of_word`` builds that state; a link trace builds it only up to
-# ``DENSE_STRANDS`` strands and contracts a wider closed braid (``plan_word``),
-# bounded by ``MAX_ENTRIES`` and ``MAX_TERMS``, instead.
+# states.  ``rep_of_word`` builds that state; ``closed_traces`` builds it only
+# up to ``DENSE_STRANDS`` strands and contracts a wider closed braid
+# (``plan_word``), bounded by ``MAX_ENTRIES`` and ``MAX_TERMS``, instead.
 MAX_STRANDS = 12
 
 # The widest word whose link trace is taken on the dense 2^n x 2^n state
@@ -231,7 +230,8 @@ MAX_TERMS = 2**28
 
 
 def letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
-    """Each distinct exponent's 4x4 power of R or R^-1, taken once.
+    """Each distinct exponent's 4x4 power of R or R^-1, taken once; +-1 take
+    R or R^-1 itself.
 
     ``r_inv`` is for a caller that already holds R^-1: it must be
     ``invert(r)`` of the same R, and is used as given.  Left None, R^-1 is
@@ -244,7 +244,8 @@ def letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
         if exp not in powers:
             if exp < 0 and r_inv is None:
                 r_inv = invert(r)
-            powers[exp] = np.linalg.matrix_power(r if exp > 0 else r_inv, abs(exp))
+            base = r if exp > 0 else r_inv
+            powers[exp] = base if abs(exp) == 1 else np.linalg.matrix_power(base, abs(exp))
     return powers
 
 
@@ -282,17 +283,15 @@ def _apply_letters(powers, word: BraidWord, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def dense_trace(powers, word: BraidWord, site) -> complex:
-    """Tr[rho(word) site^(x n)] on the dense 2^n x 2^n state: ``site``'s
-    tensor power, the letters applied to it one 4x4 product each, with their
-    ``powers`` from :func:`letter_powers`."""
-    site = state = _site_matrix(site)
+def _dense_trace(powers, word: BraidWord, site: np.ndarray) -> complex:
+    """Tr[rho(word) site^(x n)] on the dense 2^n x 2^n state: the 2x2
+    ``site``'s tensor power, the letters applied to it one 4x4 product each,
+    with their ``powers`` from :func:`letter_powers`."""
+    state = site
     for _ in range(word.strands - 1):
-        # the next tensor power as site x state, one broadcast product: with
-        # the larger operand inner it is twice as fast as state x site at 6
-        # strands
-        dim = 2 * len(state)
-        state = (site[:, None, :, None] * state[None, :, None, :]).reshape(dim, dim)
+        # site x state: with the larger operand inner it is twice as fast as
+        # state x site at 6 strands
+        state = _kron(site, state)
     return complex(np.trace(_apply_letters(powers, word, state)))
 
 
@@ -329,18 +328,23 @@ class WordPlan:
     roots: tuple[tuple[int, list[int]], ...]
     untouched: int
 
-    def keys(self):
-        """(exponent, fold) of each letter, in application order."""
-        return zip((exp for _, exp in reversed(self.word.letters)), self.folds)
-
-    def trace(self, tensors, site) -> complex:
-        """Tr[rho(word) site^(x n)] by executing the plan on the letter
-        ``tensors`` of :func:`folded_tensors`, made with the same ``site``."""
-        tensors = [tensors[key] for key in self.keys()]
+    def trace(self, powers, site) -> complex:
+        """Tr[rho(word) site^(x n)] by executing the plan on one 2x2x2x2
+        tensor per letter: its power from ``powers`` (exponent -> 4x4
+        matrix, see :func:`letter_powers`) with the 2x2 ``site`` folded into
+        the input side of the strands it touches first, each distinct
+        (exponent, fold) made once."""
+        site = _site_matrix(site)
+        # fold 1 = I x site, 2 = site x I, 3 = site x site
+        folded = (None, _kron(I2, site), _kron(site, I2), _kron(site, site))
+        keys = list(zip((exp for _, exp in reversed(self.word.letters)), self.folds))
+        made = {(exp, fold): (powers[exp] @ folded[fold] if fold else powers[exp])
+                .reshape(2, 2, 2, 2) for exp, fold in dict.fromkeys(keys)}
+        tensors = [made[key] for key in keys]
         for a, b, sa, sb, so in self.steps:
             tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
             tensors[a] = tensors[b] = None
-        value = complex(np.trace(as_matrix(site))) ** self.untouched
+        value = complex(np.trace(site)) ** self.untouched
         for k, subs in self.roots:
             value *= complex(np.einsum(tensors[k], subs, []))
         return value
@@ -351,20 +355,6 @@ def _site_matrix(site) -> np.ndarray:
     if site.shape != (2, 2):
         raise ValueError("the site of a closed braid is a 2x2 matrix")
     return site
-
-
-def folded_tensors(powers, site, keys) -> dict[tuple[int, int], np.ndarray]:
-    """The 2x2x2x2 letter tensor of each (exponent, fold) in ``keys`` (see
-    :meth:`WordPlan.keys`): the exponent's power from :func:`letter_powers`
-    with the 2x2 ``site`` folded into the input side of the strands the
-    letter touches first (see :class:`WordPlan`)."""
-    site = _site_matrix(site)
-    # fold 1 = I x site, 2 = site x I, 3 = site x site, each np.kron(a, b)
-    # written as one broadcast product: 9 us for the three, np.kron 63 us
-    folded = [None] + [(a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-                       for a, b in ((I2, site), (site, I2), (site, site))]
-    return {(exp, fold): (powers[exp] @ folded[fold] if fold else powers[exp]).reshape(2, 2, 2, 2)
-            for exp, fold in keys}
 
 
 def far_reduced(word: BraidWord) -> BraidWord:
@@ -507,6 +497,33 @@ def plan_word(word: BraidWord) -> WordPlan:
             local = {l: i for i, l in enumerate(dict.fromkeys(leg))}
             roots.append((k, [local[l] for l in leg]))
     return WordPlan(word, tuple(folds), tuple(steps), tuple(roots), word.strands - len(cur))
+
+
+def closed_traces(r, site, words: list[BraidWord], r_inv=None) -> list[complex]:
+    """Tr[rho(w) site^(x n)] of the closed braid of each of ``words``.
+
+    Each word is traced on its reduction by far commutativity (see
+    :func:`far_reduced`).  Up to ``DENSE_STRANDS`` strands its letters act
+    on the dense 2^n x 2^n state site^(x n), one 4x4 product each; a wider
+    word is contracted as a tensor network on its plan (see
+    :func:`plan_word`).  Every wider word is planned, and so bounded, before
+    any word is evaluated, and each distinct exponent's power of R or R^-1
+    is taken once for all the words (``r_inv`` as in :func:`letter_powers`).
+    A trace whose factor tr(site)^k, over the k strands no letter touches,
+    leaves the float64 range is inf.
+    """
+    site = _site_matrix(site)
+    plans = [plan_word(w) if w.strands > DENSE_STRANDS else None for w in words]
+    words = [far_reduced(w) if plan is None else plan.word for w, plan in zip(words, plans)]
+    powers = letter_powers(r, (exp for w in words for _, exp in w.letters), r_inv)
+    traces = []
+    for word, plan in zip(words, plans):
+        try:
+            traces.append(_dense_trace(powers, word, site) if plan is None
+                          else plan.trace(powers, site))
+        except OverflowError:  # tr(site)^k raises in Python complex arithmetic
+            traces.append(complex("inf"))
+    return traces
 
 
 @dataclass(frozen=True)

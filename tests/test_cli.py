@@ -548,6 +548,16 @@ class TestEnhanceCommand:
                                 "--params", "h1=1e-3,h8=2e-3,h2=1e-3")
         assert code == 0 and report["count"] == 5
 
+    @pytest.mark.parametrize("scale", ("1e-300", "1", "1e160", "1e300"))
+    def test_scaled_operator_keeps_its_families(self, capsys, scale):
+        # the solver's scale is sqrt(max|R|) / sqrt(max|R^-1|): the ratio
+        # under one root overflowed at 1e160 and refused the operator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_json(capsys, "enhance", "--class", "C10.1",
+                                    "--params", f"h1={scale},h2={scale}")
+        assert code == 0 and report["count"] == 3
+
     def test_double_roots_are_not_split(self, capsys):
         # class 10 has three recipes; two of these roots are double
         code, report = run_json(

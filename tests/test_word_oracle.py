@@ -1,11 +1,11 @@
 """Word evaluation against dense oracles.
 
 ``rep_of_word`` applies each letter's 4x4 power locally to a 2^n x 2^n state.
-``link_polynomial`` does the same to mu^(x n) up to ``DENSE_STRANDS`` strands,
-and contracts the closed braid as a tensor network on wider words; the
-network is checked against the dense route on narrow words too.  The
-oracles here are dense: ``rep_of_word`` is compared with rho(w) built the
-explicit way, one ``braid_rep`` factor per letter, raised with
+``closed_traces``, behind ``link_polynomial``, does the same to mu^(x n) up to
+``DENSE_STRANDS`` strands, and contracts the closed braid as a tensor network
+on wider words; the network is checked against the dense route on narrow
+words too.  The oracles here are dense: ``rep_of_word`` is compared with
+rho(w) built the explicit way, one ``braid_rep`` factor per letter, raised with
 ``matrix_power`` and multiplied left to right; ``link_polynomial`` is
 compared with Tr[rep_of_word(R, w) mu^(x n)].  The routes round
 differently, so every comparison is made against a stated scale:
@@ -28,7 +28,7 @@ import zlib
 import numpy as np
 import pytest
 
-from braidgate import enhancement
+from braidgate import enhancement, yang_baxter
 from braidgate.enhancement import (
     EnhancedOperator,
     InvalidEnhancementError,
@@ -46,7 +46,8 @@ from braidgate.yang_baxter import (
     BraidWord,
     WordPlan,
     braid_rep,
-    folded_tensors,
+    closed_traces,
+    far_reduced,
     letter_powers,
     plan_word,
     rep_of_word,
@@ -104,10 +105,9 @@ def _modulus_trace(r, word, mu):
     return np.trace(state.reshape(2**n, 2**n)).real
 
 
-def _letter_tensors(r, site, plans):
-    """The letter tensors of the planned words, R^-1 computed when needed."""
-    keys = {key for plan in plans for key in plan.keys()}
-    return folded_tensors(letter_powers(r, (exp for exp, _ in keys)), site, keys)
+def _powers(r, plan):
+    """The letter powers of a planned word, R^-1 computed when needed."""
+    return letter_powers(r, (exp for _, exp in plan.word.letters))
 
 
 def _assert_matches_dense_trace(e, w):
@@ -121,7 +121,7 @@ def _assert_network_matches_dense_trace(e, w):
     """The planned network of ``w`` against the dense oracle, on any width."""
     pref = e.x ** (-w.writhe()) * e.y ** (-w.strands)
     plan = plan_word(w)
-    network = pref * plan.trace(_letter_tensors(e.R, e.mu, [plan]), e.mu)
+    network = pref * plan.trace(_powers(e.R, plan), e.mu)
     scale = abs(pref) * _modulus_trace(e.R, w, e.mu)
     assert abs(network - pref * _dense_trace(e.R, w, e.mu)) <= RTOL * scale
 
@@ -151,8 +151,39 @@ def test_plan_trace_matches_dense_trace_on_generic_operators(strands):
     _, w = _draw("C1.I", strands)
     want = _dense_trace(r, w, site)
     plan = plan_word(w)
-    got = plan.trace(_letter_tensors(r, site, [plan]), site)
+    got = plan.trace(_powers(r, plan), site)
     assert abs(got - want) <= RTOL * _modulus_trace(r, w, site)
+
+
+def test_letter_powers_take_r_and_its_inverse_themselves():
+    rng = np.random.default_rng(5)
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    r_inv = np.linalg.inv(r)
+    powers = letter_powers(r, (1, -1, 2, -3, 1), r_inv)
+    assert powers[1] is r and powers[-1] is r_inv
+    assert np.array_equal(powers[2], np.linalg.matrix_power(r, 2))
+    assert np.array_equal(powers[-3], np.linalg.matrix_power(r_inv, 3))
+
+
+def test_closed_traces_of_a_list_match_each_word_alone():
+    # dense and planned words in one call share their letter powers; each
+    # trace keeps the bits of its route taken alone
+    rng = np.random.default_rng(7)
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    site = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    words = [_draw("C1.I", n)[1] for n in (3, DENSE_STRANDS + 2, DENSE_STRANDS, 2, 9)]
+    traces = closed_traces(r, site, words)
+    assert traces == [closed_traces(r, site, [w])[0] for w in words]
+    for w, got in zip(words, traces):
+        if w.strands <= DENSE_STRANDS:
+            reduced = far_reduced(w)
+            powers = letter_powers(r, (exp for _, exp in reduced.letters))
+            want = yang_baxter._dense_trace(powers, reduced, site)
+        else:
+            plan = plan_word(w)
+            want = plan.trace(_powers(r, plan), site)
+        assert got == want
+        assert abs(got - _dense_trace(r, w, site)) <= RTOL * _modulus_trace(r, w, site)
 
 
 class TestRouteSplit:
@@ -194,15 +225,15 @@ class TestRouteSplit:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(enhancement, "_route", recorded("route", enhancement._route))
-        monkeypatch.setattr(enhancement, "plan_word", recorded("plan", enhancement.plan_word))
-        monkeypatch.setattr(enhancement, "dense_trace",
-                            recorded("dense", enhancement.dense_trace))
+        monkeypatch.setattr(yang_baxter, "plan_word", recorded("plan", yang_baxter.plan_word))
+        monkeypatch.setattr(yang_baxter, "_dense_trace",
+                            recorded("dense", yang_baxter._dense_trace))
         monkeypatch.setattr(WordPlan, "trace", recorded("network", WordPlan.trace))
         e, w = _draw("C1.I", DENSE_STRANDS)
         markov_check(e, w)
         # base and conjugated words are dense, the stabilized one is planned
-        assert events == ["route", "route", "route", "plan", "dense", "dense", "network"]
+        # before either is traced
+        assert events == ["plan", "dense", "dense", "network"]
 
 
 # Network shapes a random 3n-letter word rarely makes.
