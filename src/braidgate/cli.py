@@ -71,8 +71,10 @@ def _parse_complex(text: str) -> complex:
     text = text.strip()
     if text.startswith("["):
         return _json_complex(_json_literal(text, "complex literal"))
+    if text.endswith("i"):  # the imaginary unit ends the literal; "inf" keeps its i
+        text = text[:-1] + "j"
     try:
-        return complex(text.replace("i", "j"))
+        return complex(text)
     except ValueError:
         raise UsageError(f"bad complex literal {text!r}") from None
 
@@ -494,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Evaluate L(w) on the word reduced by far commutativity: up to {dense} "
                     "strands (DENSE_STRANDS) on the dense 2^n x 2^n state mu^(x n), one 4x4 "
                     "product per letter, and on more by contracting the closed braid as a "
-                    f"tensor network. A word whose planned contraction would hold more than "
+                    "tensor network, one matrix product per step: generator by generator, or "
+                    f"in a greedy order where a tensor would exceed 2^{2 * dense} entries. A word "
+                    "whose planned contraction would hold more than "
                     f"2^{entries} entries at once, or sum more than 2^{terms} terms in one "
                     "step, is refused before anything is allocated (exit 2).")
     p.add_argument("--recipe", required=True, help="enhancement recipe id, e.g. C1.I")

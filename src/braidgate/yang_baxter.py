@@ -212,10 +212,12 @@ MAX_STRANDS = 12
 
 # The widest word whose link trace is taken on the dense 2^n x 2^n state
 # mu^(x n) (4096 entries at 6 strands), one 4x4 product per letter, with no
-# plan.  A link evaluation of a random word with three letters per strand
-# (median of 40, one BLAS thread), dense vs network: 62 vs 195 us at 3
-# strands, 120 vs 255 at 5, 235 vs 310 at 6, 790 vs 340 at 7, 3300 vs 365 at
-# 8.  A dense letter costs O(4^n), a planned one about 22 us at any width.
+# plan.  A link trace of a random word with three letters per strand (median
+# of 40, best of 9, one BLAS thread), dense vs network: 120 vs 204 us at 5
+# strands, 227 vs 226 at 6, 622 vs 245 at 7, 3161 vs 274 at 8.  A dense
+# letter costs O(4^n); a swept one a few microseconds at any width.  A sweep
+# whose running tensor would outgrow this state takes the greedy plan
+# instead: see ``plan_word``.
 DENSE_STRANDS = 6
 
 # The most complex entries a planned closed-braid contraction may hold at
@@ -223,9 +225,10 @@ DENSE_STRANDS = 6
 # MiB, the two 12-strand states of the dense route.
 MAX_ENTRIES = 2**25
 
-# The most terms one contraction step may sum: a two-operand einsum loops
-# over every value of the labels of both operands, about 5 ns a term, so a
-# step takes at most a second or two.
+# The most terms one contraction step may sum: a step is one matrix product
+# of (rows x shared) by (shared x columns), rows x shared x columns terms,
+# under a nanosecond a term on one BLAS thread, so a step takes well under a
+# second.
 MAX_TERMS = 2**28
 
 
@@ -309,45 +312,72 @@ class WordPlan:
     apply last first), and a closure edge joins the last output to the first
     input.  The 2x2 ``site`` of each strand is folded into the input side of
     the first letter applied to it; a strand no letter touches contributes
-    tr(site).  Labels are integers, and every label lies on exactly two
-    legs, so contracting two tensors leaves the labels that appear once on
-    the pair; a closure edge on the only letter of a strand lies on two legs
-    of that letter, and einsum sums it as a trace.
+    tr(site).  On a strand with only one letter the closure edge is a loop on
+    that letter, traced when its tensor is made: the tensor keeps the axes of
+    its other strand, or none.  Labels are integers, and every label left
+    lies on exactly two tensors.
 
-    ``folds`` follows the letters in application order: 2 when strand i is
-    first touched there, plus 1 for strand i+1.
-    ``steps`` are pairwise contractions ``(a, b, subs_a, subs_b, subs_out)``
-    whose result is the next tensor; subscripts are renumbered per step,
-    since einsum takes at most 52 labels.  ``roots`` are the tensors left,
-    one per connected component, with the subscripts they still trace over.
+    ``folds`` and ``loops`` follow the letters in application order: 2 when
+    strand i is first touched (folds) or closed (loops) there, plus 1 for
+    strand i+1.  ``steps`` are pairwise contractions ``(a, b, perm_a,
+    perm_b, rows_a, rows_b)`` whose result is the next tensor, one matrix
+    product each: tensor a, transposed by ``perm_a`` to its free axes then
+    the shared ones, as a matrix of ``rows_a`` rows, times tensor b,
+    transposed by ``perm_b`` to the shared axes in a's order then its free
+    ones, as a matrix of ``rows_b`` rows.  A permutation is None when the
+    axes are in order already.  The result's axes are a's free axes then
+    b's.  ``roots`` are the tensors left, one scalar per connected
+    component.
     """
 
     word: BraidWord
     folds: tuple[int, ...]
-    steps: tuple[tuple[int, int, list[int], list[int], list[int]], ...]
-    roots: tuple[tuple[int, list[int]], ...]
+    loops: tuple[int, ...]
+    steps: tuple[tuple[int, int, tuple | None, tuple | None, int, int], ...]
+    roots: tuple[int, ...]
     untouched: int
 
     def trace(self, powers, site) -> complex:
-        """Tr[rho(word) site^(x n)] by executing the plan on one 2x2x2x2
-        tensor per letter: its power from ``powers`` (exponent -> 4x4
-        matrix, see :func:`letter_powers`) with the 2x2 ``site`` folded into
-        the input side of the strands it touches first, each distinct
-        (exponent, fold) made once."""
+        """Tr[rho(word) site^(x n)] by executing the plan on one tensor per
+        letter: its power from ``powers`` (exponent -> 4x4 matrix, see
+        :func:`letter_powers`) with the 2x2 ``site`` folded into the input
+        side of the strands it touches first and its loops traced, each
+        distinct (exponent, fold, loops) made once."""
         site = _site_matrix(site)
         # fold 1 = I x site, 2 = site x I, 3 = site x site
         folded = (None, _kron(I2, site), _kron(site, I2), _kron(site, site))
-        keys = list(zip((exp for _, exp in reversed(self.word.letters)), self.folds))
-        made = {(exp, fold): (powers[exp] @ folded[fold] if fold else powers[exp])
-                .reshape(2, 2, 2, 2) for exp, fold in dict.fromkeys(keys)}
+        keys = list(zip((exp for _, exp in reversed(self.word.letters)), self.folds, self.loops))
+        made = {key: _letter_tensor(powers[key[0]], folded, *key[1:])
+                for key in dict.fromkeys(keys)}
         tensors = [made[key] for key in keys]
-        for a, b, sa, sb, so in self.steps:
-            tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
+        for a, b, perm_a, perm_b, rows_a, rows_b in self.steps:
+            tensors.append(_matrix(tensors[a], perm_a, rows_a)
+                           @ _matrix(tensors[b], perm_b, rows_b))
             tensors[a] = tensors[b] = None
         value = complex(np.trace(site)) ** self.untouched
-        for k, subs in self.roots:
-            value *= complex(np.einsum(tensors[k], subs, []))
+        for k in self.roots:
+            value *= tensors[k].item()
         return value
+
+
+def _letter_tensor(power, folded, fold, loops):
+    """A letter's 4x4 ``power`` with its fold applied and its loops traced:
+    over axes 0, 2 of (out_i, out_i+1, in_i, in_i+1) for strand i (loops 2),
+    over 1, 3 for strand i+1 (loops 1), over both for 3."""
+    t = power @ folded[fold] if fold else power
+    if loops == 3:
+        return np.trace(t)
+    if loops:
+        return np.trace(t.reshape(2, 2, 2, 2), axis1=2 - loops, axis2=4 - loops)
+    return t
+
+
+def _matrix(t, perm, rows):
+    """Tensor ``t`` with its axes permuted by ``perm`` (None: as they are),
+    viewed as a matrix of ``rows`` rows."""
+    if perm is not None:
+        t = t.reshape((2,) * len(perm)).transpose(perm)
+    return t.reshape(rows, -1)
 
 
 def _site_matrix(site) -> np.ndarray:
@@ -381,7 +411,8 @@ def far_reduced(word: BraidWord) -> BraidWord:
 
 
 def plan_word(word: BraidWord) -> WordPlan:
-    """Greedy pairwise contraction plan of the closed braid of ``word``.
+    """Contraction plan of the closed braid of ``word``: a generator sweep,
+    or the greedy plan where the sweep's tensors would grow too large.
 
     The plan is made for ``word`` reduced by far commutativity (two letters
     on one generator with only letters on generators at least two away
@@ -390,92 +421,167 @@ def plan_word(word: BraidWord) -> WordPlan:
     one tensor and one step fewer per merged letter.  The caller's word is
     not changed.
 
-    Among tensors that share a label, the pair with the least
-    size(result) - size(a) - size(b) contracts next (ties go to the lower
-    tensor numbers), taken from a heap of candidate pairs; a label-to-tensor
-    map finds the new neighbours of each result.  Only integers are touched,
-    so the plan is bounded before any array is allocated: it raises
-    ``ValueError`` when, at some step, the live tensors and the result being
-    formed would hold more than ``MAX_ENTRIES`` entries, or the step would
-    sum more than ``MAX_TERMS`` terms.  There is no bound on the strand count
-    itself.
+    The sweep (:func:`_sweep_plan`) takes each run of adjacent generators
+    that all have letters on its own and absorbs their letters into one
+    running tensor, generator by generator, in O(letters).  When some
+    running tensor would hold more than 2^(2 ``DENSE_STRANDS``) entries, the
+    size of the largest dense state, the greedy plan (:func:`_greedy_plan`)
+    is made instead.  Only integers are touched, so the plan is bounded
+    before any array is allocated: it raises ``ValueError`` when, at some
+    step, the live tensors and the result being formed would hold more than
+    ``MAX_ENTRIES`` entries, or the step would sum more than ``MAX_TERMS``
+    terms.  There is no bound on the strand count itself.
     """
     word = far_reduced(word)
+    gens = [gen for gen, _ in reversed(word.letters)]
     cur: dict[int, tuple[int, int, int]] = {}  # strand -> (open label, letter, leg)
     first: dict[int, int] = {}  # strand -> label of its first input
-    subs: list = []  # per tensor, its labels in axis order
-    owners: list[list[int]] = []  # per label, the tensors it lies on
+    subs: list[list[int]] = []  # per letter, its labels in axis order
     folds = []
-    for k, (gen, _) in enumerate(reversed(word.letters)):
+    labels = 0
+    for k, gen in enumerate(gens):
         fold = 0
         if gen in cur:
             in_a = cur[gen][0]
-            owners[in_a].append(k)
         else:
-            in_a = first[gen] = len(owners)
-            owners.append([k])
+            in_a = first[gen] = labels
+            labels += 1
             fold = 2
         if gen + 1 in cur:
             in_b = cur[gen + 1][0]
-            owners[in_b].append(k)
         else:
-            in_b = first[gen + 1] = len(owners)
-            owners.append([k])
+            in_b = first[gen + 1] = labels
+            labels += 1
             fold |= 1
-        out = len(owners)
-        owners += [k], [k]
-        subs.append([out, out + 1, in_a, in_b])
+        subs.append([labels, labels + 1, in_a, in_b])
         folds.append(fold)
-        cur[gen], cur[gen + 1] = (out, k, 0), (out + 1, k, 1)
-    for s, (last, k, leg) in cur.items():  # closure: last output = first input
-        subs[k][leg] = first[s]
-        owners[first[s]].append(k)
-        owners[last] = []
-    # a closure loop on a strand's only letter is not an open label of that
-    # letter: it appears twice in its subscripts and einsum sums it as a trace
-    opens = [4] * len(subs)  # per tensor, the number of its open labels
-    for _, k, _ in cur.values():
-        opens[k] = 2 * len(set(subs[k])) - 4
+        cur[gen], cur[gen + 1] = (labels, k, 0), (labels + 1, k, 1)
+        labels += 2
+    loops = [0] * len(subs)
+    for s, (_, k, leg) in cur.items():  # closure: last output = first input
+        if subs[k][leg + 2] == first[s]:  # the strand's only letter
+            loops[k] |= 2 >> leg
+        else:
+            subs[k][leg] = first[s]
+    for k, closed in enumerate(loops):
+        if closed:  # 2: drop axes 0, 2; 1: drop 1, 3
+            subs[k] = [l for axis, l in enumerate(subs[k]) if not closed & 2 >> axis % 2]
+    steps_roots = _sweep_plan(word.strands, gens, subs) or _greedy_plan(word.strands, subs)
+    return WordPlan(word, tuple(folds), tuple(loops), *steps_roots, word.strands - len(cur))
+
+
+def _pair(labels_a, labels_b):
+    """The step contracting tensors with ``labels_a`` and ``labels_b`` over
+    the labels they share: ``(perm_a, perm_b, rows_a, rows_b)`` as in
+    :class:`WordPlan`, and the labels of the result."""
+    shared = [l for l in labels_a if l in labels_b]
+    free_a = [l for l in labels_a if l not in shared]
+    free_b = [l for l in labels_b if l not in shared]
+    order_a, order_b = free_a + shared, shared + free_b
+    return ((None if order_a == labels_a else tuple(map(labels_a.index, order_a)),
+             None if order_b == labels_b else tuple(map(labels_b.index, order_b)),
+             1 << len(free_a), 1 << len(shared)), free_a + free_b)
+
+
+def _bound(strands: int, live: int, terms: int) -> None:
+    """Refuse a step that would leave ``live`` entries held at once or sum
+    ``terms`` terms, above ``MAX_ENTRIES`` or ``MAX_TERMS``."""
+    if live > MAX_ENTRIES:
+        raise ValueError(
+            f"contracting this {strands}-strand closed braid would hold "
+            f"{live} entries at once, above the limit of "
+            f"2^{MAX_ENTRIES.bit_length() - 1}"
+        )
+    if terms > MAX_TERMS:
+        raise ValueError(
+            f"contracting this {strands}-strand closed braid needs a step "
+            f"of 2^{terms.bit_length() - 1} terms, above the limit of "
+            f"2^{MAX_TERMS.bit_length() - 1}"
+        )
+
+
+def _sweep_plan(strands: int, gens: list[int], subs: list[list[int]]):
+    """Steps and roots of the generator sweep over letters on generators
+    ``gens`` with labels ``subs`` (application order), or None when a running
+    tensor would hold more than 2^(2 ``DENSE_STRANDS``) entries.
+
+    Each run of adjacent generators that all have letters is one component,
+    contracted into one running tensor: all the letters on s_g, then all on
+    s_g+1, and so on.  The letters of s_g go in application order, rotated
+    to start at one whose letter before it on strand g is on s_g-1, so each
+    shares a leg with the running tensor, whose open legs are then only the
+    edges between s_g and s_g+1.
+    """
+    last: dict[int, int] = {}  # strand -> generator of the last letter on it so far
+    before = []  # per letter, the generator of the letter before it on strand g
+    for gen in gens:
+        before.append(last.get(gen))
+        last[gen] = last[gen + 1] = gen
+    on = defaultdict(list)  # generator -> its letters in application order
+    for k, gen in enumerate(gens):
+        on[gen].append(k)
+        if before[k] is None:  # first on strand g: the letter before is its last
+            before[k] = last[gen]
+    live = 16 * len(subs)  # every letter's tensor is built before the first step
+    steps, roots = [], []
+    run = None
+    for gen in sorted(on):
+        ks = on[gen]
+        if gen - 1 in on:
+            j = next(j for j, k in enumerate(ks) if before[k] == gen - 1)
+            ks = ks[j:] + ks[:j]
+        else:  # a new component
+            if run is not None:
+                roots.append(run)
+            run, labels, held = ks[0], subs[ks[0]], 16
+            ks = ks[1:]
+        for k in ks:
+            step, labels = _pair(labels, subs[k])
+            if len(labels) > 2 * DENSE_STRANDS:
+                return None
+            entries = 1 << len(labels)
+            _bound(strands, live + entries, step[3] * entries)
+            live += entries - held - 16
+            steps.append((run, k, *step))
+            run, held = len(subs) + len(steps) - 1, entries
+    if run is not None:
+        roots.append(run)
+    return tuple(steps), tuple(roots)
+
+
+def _greedy_plan(strands: int, subs: list[list[int]]):
+    """Steps and roots of the greedy plan over letters with labels ``subs``.
+
+    Among tensors that share a label, the pair with the least
+    size(result) - size(a) - size(b) contracts next (ties go to the lower
+    tensor numbers), taken from a heap of candidate pairs; a label-to-tensor
+    map finds the new neighbours of each result.
+    """
+    subs = list(subs)
+    owners = defaultdict(list)  # label -> the two tensors it lies on
+    for k, labels in enumerate(subs):
+        for l in labels:
+            owners[l].append(k)
     held = [16] * len(subs)  # entries each tensor's array holds
     live = sum(held)  # every letter's tensor is built before the first step
     shared: dict[tuple[int, int], int] = {}
-    for o in owners:
-        if o and o[0] != o[1]:
-            shared[o[0], o[1]] = shared.get((o[0], o[1]), 0) + 1
-    heap = [((1 << opens[a] + opens[b] - 2 * n) - (1 << opens[a]) - (1 << opens[b]), a, b)
-            for (a, b), n in shared.items()]
+    for pair in owners.values():
+        shared[pair[0], pair[1]] = shared.get((pair[0], pair[1]), 0) + 1
+    heap = [((1 << len(subs[a]) + len(subs[b]) - 2 * n) - (1 << len(subs[a])) - (1 << len(subs[b])),
+             a, b) for (a, b), n in shared.items()]
     heapq.heapify(heap)
     steps = []
     while heap:
         _, a, b = heapq.heappop(heap)
         if subs[a] is None or subs[b] is None:
             continue
-        both = subs[a] + subs[b]
-        # renumbered in order of first appearance; a label on both tensors,
-        # or twice on one, is summed away
-        local = dict.fromkeys(both)
-        out = [l for l in local if both.count(l) == 1]
-        local = dict(zip(local, range(len(local))))
+        step, out = _pair(subs[a], subs[b])
         entries = 1 << len(out)
-        if live + entries > MAX_ENTRIES:
-            raise ValueError(
-                f"contracting this {word.strands}-strand closed braid would hold "
-                f"{live + entries} entries at once, above the limit of "
-                f"2^{MAX_ENTRIES.bit_length() - 1}"
-            )
-        if 1 << len(local) > MAX_TERMS:
-            raise ValueError(
-                f"contracting this {word.strands}-strand closed braid needs a step "
-                f"of 2^{len(local)} terms, above the limit of "
-                f"2^{MAX_TERMS.bit_length() - 1}"
-            )
-        idx = list(map(local.get, both))
-        k = len(subs[a])
-        steps.append((a, b, idx[:k], idx[k:], list(map(local.get, out))))
+        _bound(strands, live + entries, step[3] * entries)
+        steps.append((a, b, *step))
         live += entries - held[a] - held[b]
         c = len(subs)
         subs.append(out)
-        opens.append(len(out))
         held.append(entries)
         subs[a] = subs[b] = None
         shared = {}
@@ -489,14 +595,9 @@ def plan_word(word: BraidWord) -> WordPlan:
                 t = pair[0]
             shared[t] = shared.get(t, 0) + 1
         for t, n in shared.items():
-            score = (1 << opens[t] + len(out) - 2 * n) - (1 << opens[t]) - entries
+            score = (1 << len(subs[t]) + len(out) - 2 * n) - (1 << len(subs[t])) - entries
             heapq.heappush(heap, (score, t, c))
-    roots = []
-    for k, leg in enumerate(subs):
-        if leg is not None:  # a lone letter keeps its global labels: renumber them too
-            local = {l: i for i, l in enumerate(dict.fromkeys(leg))}
-            roots.append((k, [local[l] for l in leg]))
-    return WordPlan(word, tuple(folds), tuple(steps), tuple(roots), word.strands - len(cur))
+    return tuple(steps), tuple(k for k, labels in enumerate(subs) if labels is not None)
 
 
 def closed_traces(r, site, words: list[BraidWord], r_inv=None) -> list[complex]:
@@ -506,7 +607,7 @@ def closed_traces(r, site, words: list[BraidWord], r_inv=None) -> list[complex]:
     :func:`far_reduced`).  Up to ``DENSE_STRANDS`` strands its letters act
     on the dense 2^n x 2^n state site^(x n), one 4x4 product each; a wider
     word is contracted as a tensor network on its plan (see
-    :func:`plan_word`).  Every wider word is planned, and so bounded, before
+    :func:`plan_word`), one matrix product per step.  Every wider word is planned, and so bounded, before
     any word is evaluated, and each distinct exponent's power of R or R^-1
     is taken once for all the words (``r_inv`` as in :func:`letter_powers`).
     A trace whose factor tr(site)^k, over the k strands no letter touches,

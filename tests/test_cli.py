@@ -219,6 +219,12 @@ class TestOperatorSpecs:
     def test_unbalanced_brackets_are_named(self, capsys, params, message):
         assert run(capsys, "invariants", "--class", "C12.0", "--params", params) == (2, "", message)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "infinity", "nan"])
+    def test_non_finite_literals_are_refused_as_non_finite(self, capsys, value):
+        # only the imaginary unit i is read as j, so inf is a float, not "jnf"
+        assert run(capsys, "invariants", "--class", "C12.0", "--params", f"h1={value},h2=1") \
+            == (2, "", "error: matrix entries must be finite\n")
+
     def test_malformed_complex_pair_is_usage_error(self, capsys):
         code, out, err = run(capsys, "invariants", "--class", "C12.0",
                              "--params", "h1=[null,0],h2=1")

@@ -247,7 +247,8 @@ SHAPES = {
     "far_commuting_merge": BraidWord(4, ((1, 1), (3, 1), (1, 1))),
     # s1 and s1^-1 cancel across s3, so strands 1 and 2 are untouched
     "far_commuting_cancellation": BraidWord(4, ((1, 1), (3, 1), (1, -1))),
-    # applied last, the lone s4 gets global labels above einsum's 52
+    # applied last, the lone s4 closes on itself on both strands: its tensor
+    # is traced to a scalar root when it is made
     "late_isolated_letter": BraidWord(
         6, ((4, 1),) + tuple((1 + k % 2, 1 if k % 3 else -1) for k in range(25))),
 }
@@ -312,22 +313,13 @@ class TestFarCommutingReduction:
 
 def _network_modulus_trace(e, word):
     """Tr[|rho| |mu|^(x n)] on the closed-braid network, by the library's
-    plan: every tensor is replaced by its letter's power of |R| or |R^-1|
-    with |mu| folded in, so no term can cancel another."""
+    plan: traced with each letter's power of |R| or |R^-1| and with |mu|,
+    so no term can cancel another."""
     plan = plan_word(word)
-    r_inv = np.linalg.inv(e.R)
-    mu = np.abs(e.mu)
-    tensors = []
-    for (_, exp), fold in zip(reversed(plan.word.letters), plan.folds):
-        g = np.linalg.matrix_power(np.abs(e.R if exp > 0 else r_inv), abs(exp))
-        site = np.kron(mu if fold & 2 else np.eye(2), mu if fold & 1 else np.eye(2))
-        tensors.append((g @ site).reshape(2, 2, 2, 2))
-    for a, b, sa, sb, so in plan.steps:
-        tensors.append(np.einsum(tensors[a], sa, tensors[b], sb, so))
-    value = np.trace(mu) ** plan.untouched
-    for k, subs in plan.roots:
-        value *= np.einsum(tensors[k], subs, [])
-    return float(value)
+    bases = {1: np.abs(e.R), -1: np.abs(np.linalg.inv(e.R))}
+    powers = {exp: np.linalg.matrix_power(bases[np.sign(exp)], abs(exp))
+              for _, exp in plan.word.letters}
+    return plan.trace(powers, np.abs(e.mu)).real
 
 
 @pytest.mark.parametrize("strands", (12, 16, 20))
@@ -439,6 +431,87 @@ class TestStrandBound:
         e, _ = _draw("C4.mu5", 2)
         want = (np.trace(e.mu) / e.y) ** 11
         assert abs(link_polynomial(e, self.WORD) - want) <= RTOL * abs(want)
+
+
+@pytest.fixture
+def greedy_calls(monkeypatch):
+    """A list that grows by one for every greedy plan ``plan_word`` makes."""
+    calls = []
+    greedy = yang_baxter._greedy_plan
+
+    def counting(*args):
+        calls.append(1)
+        return greedy(*args)
+
+    monkeypatch.setattr(yang_baxter, "_greedy_plan", counting)
+    return calls
+
+
+# Sweep shapes a random 3n-letter word rarely makes, all wider than the dense
+# route.
+SWEEP_SHAPES = {
+    # s1 and s7 have one letter each: strands 1 and 8 close on their letters
+    "lone_edge_letters": BraidWord.parse(
+        "s1 s2 s3^-1 s2^2 s4 s3 s5 s4^-2 s6 s5 s7^-1 s6^2 s5 s4 s3 s2^-1", 8),
+    # no letter on s4 or s5: two components, and strand 5 untouched
+    "gap_generator": BraidWord.parse("s1 s2^-1 s1^2 s3 s2 s6 s7^-1 s8 s7 s6^2 s8^-1 s3^-1", 9),
+    # the lone s4^3 is a component of its own, traced to a scalar when made
+    "lone_component": BraidWord.parse("s1 s2 s1^-1 s2 s4^3 s6 s7^-2 s6 s7", 8),
+}
+
+# crc32 of the repr of the (a, b) pairs of the greedy plan of the full twist
+# on 7..10 strands, as the greedy planner made them when it planned every word
+GREEDY_TWIST_PAIRS = {7: 446538133, 8: 3500050325, 9: 1996442849, 10: 3925552020}
+
+
+class TestGeneratorSweep:
+    """Words wider than ``DENSE_STRANDS`` are planned by the generator sweep
+    unless a running tensor would outgrow the largest dense state."""
+
+    @pytest.mark.parametrize("strands", range(DENSE_STRANDS + 1, 11))
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+    def test_random_words_take_the_sweep(self, recipe_id, strands, greedy_calls):
+        e, w = _draw(recipe_id, strands)
+        _assert_network_matches_dense_trace(e, w)
+        _assert_matches_dense_trace(e, w)
+        assert greedy_calls == []
+        # every letter shares a leg with the running tensor: rows_b = 2^shared
+        assert all(rows_b > 1 for *_, rows_b in plan_word(w).steps)
+
+    @pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
+    @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
+    def test_sweep_shapes(self, recipe_id, shape, greedy_calls):
+        e, _ = _draw(recipe_id, 2)
+        _assert_network_matches_dense_trace(e, SWEEP_SHAPES[shape])
+        _assert_matches_dense_trace(e, SWEEP_SHAPES[shape])
+        assert greedy_calls == []
+
+    def test_sweep_shapes_have_their_components(self):
+        # one root per component, and the lone letters closed when made
+        roots = {name: len(plan_word(w).roots) for name, w in SWEEP_SHAPES.items()}
+        assert roots == {"lone_edge_letters": 1, "gap_generator": 2, "lone_component": 3}
+        for name, want in (("lone_edge_letters", {1: 2, 7: 1}), ("lone_component", {4: 3})):
+            plan = plan_word(SWEEP_SHAPES[name])
+            gens = [g for g, _ in reversed(plan.word.letters)]
+            assert {g: closed for g, closed in zip(gens, plan.loops) if closed} == want
+
+    @pytest.mark.parametrize("strands", sorted(GREEDY_TWIST_PAIRS))
+    def test_full_twists_fall_back_to_the_greedy_plan(self, strands, greedy_calls):
+        plan = plan_word(BraidWord(strands, _full_twist(strands)))
+        assert greedy_calls == [1]
+        pairs = [step[:2] for step in plan.steps]
+        assert zlib.crc32(repr(pairs).encode()) == GREEDY_TWIST_PAIRS[strands]
+
+    @pytest.mark.parametrize("strands", (DENSE_STRANDS + 1, DENSE_STRANDS + 2))
+    def test_greedy_plan_matches_dense_trace(self, strands):
+        rng = np.random.default_rng(200 + strands)
+        r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        site = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        w = BraidWord(strands, tuple((g, e) for g, e in zip(
+            (g for g, _ in _full_twist(strands)), rng.choice([-1, 1], size=strands * (strands - 1)))))
+        plan = plan_word(w)
+        got = plan.trace(_powers(r, plan), site)
+        assert abs(got - _dense_trace(r, w, site)) <= RTOL * _modulus_trace(r, w, site)
 
 
 @pytest.fixture
