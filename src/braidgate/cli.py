@@ -113,7 +113,10 @@ def _parse_params(text: str | None) -> dict[str, complex]:
         if "=" not in chunk:
             raise UsageError(f"expected name=value, got {chunk!r}")
         name, value = chunk.split("=", 1)
-        out[name.strip()] = _parse_complex(value)
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"parameter {name!r} given twice")
+        out[name] = _parse_complex(value)
     return out
 
 
@@ -140,6 +143,8 @@ def resolve_operator(args) -> tuple[np.ndarray, dict]:
              if getattr(args, name, None)]
     if len(given) != 1:
         raise UsageError("specify exactly one of --class, --xtype, --hietarinta, --matrix")
+    if given[0] in ("xtype", "matrix") and getattr(args, "params", None) is not None:
+        raise UsageError(f"--params applies to --class and --hietarinta, not --{given[0]}")
     params = _parse_params(getattr(args, "params", None))
     if args.cls:
         entry = yang_baxter.catalog_entry(args.cls)
@@ -493,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     dense = yang_baxter.DENSE_STRANDS
     p = sub.add_parser(
         "linkpoly", help="evaluate the link polynomial of a braid word",
-        description=f"Evaluate L(w) on the word reduced by far commutativity: up to {dense} "
+        description="Evaluate L(w) of the word, reduced by far commutativity when it is read "
+                    f"(the word the report echoes): up to {dense} "
                     "strands (DENSE_STRANDS) on the dense 2^n x 2^n state mu^(x n), one 4x4 "
                     "product per letter, and on more by contracting the closed braid as a "
                     "tensor network, one matrix product per step: generator by generator, or "

@@ -160,8 +160,13 @@ _BRAID_TOKEN = re.compile(r"s(\d+)(?:\^([+-]?\d+))?")
 class BraidWord:
     """A word in the braid group B_n as (generator, exponent) letters.
 
-    Canonicalization merges adjacent letters on the same generator and drops
-    zero exponents; generator indices must lie in [1, strands-1].
+    A word is reduced by far commutativity, s_i s_j = s_j s_i for
+    |i - j| >= 2, when it is made: in word order, a letter merges into the
+    last kept letter on its generator when no kept letter on a neighbouring
+    generator comes after that one, a merged exponent of 0 deletes the kept
+    letter, and zero exponents are dropped.  Strands and writhe are kept,
+    and a reduced word's letters reduce to themselves.  Generator indices
+    must lie in [1, strands-1].
     """
 
     strands: int
@@ -170,18 +175,24 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 2:
             raise ValueError("a braid word needs at least 2 strands")
-        merged: list[list[int]] = []
+        kept = []  # [generator, exponent] per kept letter, None once deleted
+        stacks = defaultdict(lambda: [-1])  # generator -> positions of its kept letters
         for gen, exp in self.letters:
             gen, exp = int(gen), int(exp)
             if not 1 <= gen <= self.strands - 1:
                 raise ValueError(f"generator s{gen} out of range for {self.strands} strands")
-            if merged and merged[-1][0] == gen:
-                merged[-1][1] += exp
-                if merged[-1][1] == 0:
-                    merged.pop()
-            elif exp != 0:
-                merged.append([gen, exp])
-        object.__setattr__(self, "letters", tuple((g, e) for g, e in merged))
+            if exp == 0:
+                continue
+            stack = stacks[gen]
+            top = stack[-1]
+            if top >= 0 and stacks[gen - 1][-1] < top and stacks[gen + 1][-1] < top:
+                kept[top][1] += exp
+                if kept[top][1] == 0:
+                    kept[stack.pop()] = None
+            else:
+                stack.append(len(kept))
+                kept.append([gen, exp])
+        object.__setattr__(self, "letters", tuple((g, e) for g, e in filter(None, kept)))
 
     @classmethod
     def parse(cls, text: str, strands: int | None = None) -> "BraidWord":
@@ -302,9 +313,7 @@ def _dense_trace(powers, word: BraidWord, site: np.ndarray) -> complex:
 class WordPlan:
     """How to contract the closed braid of one word, in integers only.
 
-    ``word`` is the planned word reduced by far commutativity (see
-    :func:`plan_word`); it has the planned word's strands and writhe, and
-    everything below is built on its letters.
+    ``word`` is the planned word; everything below is built on its letters.
 
     The closed braid is a network with one 2x2x2x2 tensor per letter, axes
     (out_i, out_i+1, in_i, in_i+1).  On each strand an edge joins a letter's
@@ -387,39 +396,10 @@ def _site_matrix(site) -> np.ndarray:
     return site
 
 
-def far_reduced(word: BraidWord) -> BraidWord:
-    """``word`` reduced by far commutativity, s_i s_j = s_j s_i for
-    |i - j| >= 2: in word order, a letter merges into the last kept letter on
-    its generator when no kept letter on a neighbouring generator comes
-    after that one, and a merged exponent of 0 deletes the kept letter.
-    Strands and writhe are unchanged; ``word`` itself is returned when
-    nothing merges."""
-    kept = []  # [generator, exponent] per kept letter, None once deleted
-    stacks = defaultdict(lambda: [-1])  # generator -> positions of its kept letters
-    for gen, exp in word.letters:
-        stack = stacks[gen]
-        top = stack[-1]
-        if top >= 0 and stacks[gen - 1][-1] < top and stacks[gen + 1][-1] < top:
-            kept[top][1] += exp
-            if kept[top][1] == 0:
-                kept[stack.pop()] = None
-        else:
-            stack.append(len(kept))
-            kept.append([gen, exp])
-    letters = tuple((g, e) for g, e in filter(None, kept))
-    return word if letters == word.letters else BraidWord(word.strands, letters)
-
-
 def plan_word(word: BraidWord) -> WordPlan:
     """Contraction plan of the closed braid of ``word``: a generator sweep,
-    or the greedy plan where the sweep's tensors would grow too large.
-
-    The plan is made for ``word`` reduced by far commutativity (two letters
-    on one generator with only letters on generators at least two away
-    between them are one letter, and cancel when their exponents do), and
-    records that reduced word as its ``word``: same strands and writhe, and
-    one tensor and one step fewer per merged letter.  The caller's word is
-    not changed.
+    or the greedy plan where the sweep's tensors would grow too large, with
+    one tensor per letter of ``word`` (reduced when it was made).
 
     The sweep (:func:`_sweep_plan`) takes each run of adjacent generators
     that all have letters on its own and absorbs their letters into one
@@ -432,7 +412,6 @@ def plan_word(word: BraidWord) -> WordPlan:
     ``MAX_ENTRIES`` entries, or the step would sum more than ``MAX_TERMS``
     terms.  There is no bound on the strand count itself.
     """
-    word = far_reduced(word)
     gens = [gen for gen, _ in reversed(word.letters)]
     cur: dict[int, tuple[int, int, int]] = {}  # strand -> (open label, letter, leg)
     first: dict[int, int] = {}  # strand -> label of its first input
@@ -603,19 +582,18 @@ def _greedy_plan(strands: int, subs: list[list[int]]):
 def closed_traces(r, site, words: list[BraidWord], r_inv=None) -> list[complex]:
     """Tr[rho(w) site^(x n)] of the closed braid of each of ``words``.
 
-    Each word is traced on its reduction by far commutativity (see
-    :func:`far_reduced`).  Up to ``DENSE_STRANDS`` strands its letters act
-    on the dense 2^n x 2^n state site^(x n), one 4x4 product each; a wider
-    word is contracted as a tensor network on its plan (see
-    :func:`plan_word`), one matrix product per step.  Every wider word is planned, and so bounded, before
-    any word is evaluated, and each distinct exponent's power of R or R^-1
-    is taken once for all the words (``r_inv`` as in :func:`letter_powers`).
+    Up to ``DENSE_STRANDS`` strands a word's letters act on the dense
+    2^n x 2^n state site^(x n), one 4x4 product each; a wider word is
+    contracted as a tensor network on its plan (see :func:`plan_word`), one
+    matrix product per step.  Every wider word is planned, and so bounded,
+    before any word is evaluated, and each distinct exponent's power of R or
+    R^-1 is taken once for all the words (``r_inv`` as in
+    :func:`letter_powers`).
     A trace whose factor tr(site)^k, over the k strands no letter touches,
     leaves the float64 range is inf.
     """
     site = _site_matrix(site)
     plans = [plan_word(w) if w.strands > DENSE_STRANDS else None for w in words]
-    words = [far_reduced(w) if plan is None else plan.word for w, plan in zip(words, plans)]
     powers = letter_powers(r, (exp for w in words for _, exp in w.letters), r_inv)
     traces = []
     for word, plan in zip(words, plans):

@@ -257,6 +257,19 @@ class TestOperatorSpecs:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        # the operator takes no names, so h1 would be dropped
+        (("epower", "--xtype", "1,0,0,0,0,1,0,1", "--params", "h1=5"),
+         "error: --params applies to --class and --hietarinta, not --xtype\n"),
+        (("epower", "--matrix", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", "--params", "h1=5"),
+         "error: --params applies to --class and --hietarinta, not --matrix\n"),
+        # a repeated name, not its last value
+        (("invariants", "--class", "C1.0", "--params", "h1=1,h4=1,h5=1,h8=1,h8=2"),
+         "error: parameter 'h8' given twice\n"),
+    ], ids=["xtype", "matrix", "repeated"])
+    def test_params_that_would_be_dropped_are_usage_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", message)
+
     def test_two_specs_rejected(self, capsys):
         code, _, _ = run(capsys, "invariants", "--class", "C1.0",
                          "--xtype", "1,0,0,0,0,0,0,1", "--params", "h1=1")

@@ -47,7 +47,6 @@ from braidgate.yang_baxter import (
     WordPlan,
     braid_rep,
     closed_traces,
-    far_reduced,
     letter_powers,
     plan_word,
     rep_of_word,
@@ -68,13 +67,13 @@ def _draw(recipe_id, strands):
     return instantiate_recipe(recipe_id, params), BraidWord(strands, letters)
 
 
-def _dense_rep(r, word):
-    """rho(word) and |rho| as explicit products of braid_rep factor powers."""
-    n = word.strands
+def _dense_rep(r, n, letters):
+    """rho and |rho| of (generator, exponent) ``letters`` on ``n`` strands as
+    explicit products of braid_rep factor powers."""
     r_inv = np.linalg.inv(r)
     rho = np.eye(2**n, dtype=complex)
     rho_abs = np.eye(2**n)
-    for gen, exp in word.letters:
+    for gen, exp in letters:
         g = braid_rep(r if exp > 0 else r_inv, gen, n)
         rho = rho @ np.linalg.matrix_power(g, abs(exp))
         rho_abs = rho_abs @ np.linalg.matrix_power(np.abs(g), abs(exp))
@@ -131,7 +130,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("recipe_id", FORMULA_RECIPES)
     def test_rep_of_word_matches_explicit_product(self, recipe_id, strands):
         e, w = _draw(recipe_id, strands)
-        rho, rho_abs = _dense_rep(e.R, w)
+        rho, rho_abs = _dense_rep(e.R, w.strands, w.letters)
         # entrywise, each entry against its own |rho| scale
         assert np.all(np.abs(rep_of_word(e.R, w) - rho) <= RTOL * rho_abs)
 
@@ -176,9 +175,8 @@ def test_closed_traces_of_a_list_match_each_word_alone():
     assert traces == [closed_traces(r, site, [w])[0] for w in words]
     for w, got in zip(words, traces):
         if w.strands <= DENSE_STRANDS:
-            reduced = far_reduced(w)
-            powers = letter_powers(r, (exp for _, exp in reduced.letters))
-            want = yang_baxter._dense_trace(powers, reduced, site)
+            powers = letter_powers(r, (exp for _, exp in w.letters))
+            want = yang_baxter._dense_trace(powers, w, site)
         else:
             plan = plan_word(w)
             want = plan.trace(_powers(r, plan), site)
@@ -303,12 +301,58 @@ class TestFarCommutingReduction:
         value = link_polynomial(e, BraidWord.parse(self.WORD, 8))
         assert value == link_polynomial(e, BraidWord.parse(self.REDUCED, 8))
 
-    def test_callers_word_is_unchanged(self):
-        w = BraidWord.parse(self.WORD, 5)
-        letters = w.letters
-        plan_word(w)
-        assert w.letters == letters
-        assert str(w) == "s1^1 s3^2 s1^1 s2^1 s4^1 s2^-1 s3^1"
+    def test_word_is_made_reduced(self):
+        assert BraidWord.parse(self.WORD, 5) == BraidWord.parse(self.REDUCED, 5)
+        assert str(BraidWord.parse(self.WORD, 5)) == "s1^2 s3^2 s4^1 s3^1"
+
+
+def _raw_letters(rng, strands):
+    """Raw (generator, exponent) letters with exponents in -2..2, zero
+    included: single letters, adjacent pairs on one generator that merge or
+    cancel, and, from 4 strands on, such pairs around a far letter."""
+    letters = []
+    for _ in range(2 * strands):
+        gen = int(rng.integers(1, strands))
+        exp = int(rng.integers(-2, 3))
+        pair = (gen, -exp if rng.random() < 0.5 else int(rng.integers(-2, 3)))
+        far = [g for g in range(1, strands) if abs(g - gen) >= 2]
+        move = rng.integers(3)
+        if move == 0:
+            letters += [(gen, exp), pair]
+        elif move == 1 and far:
+            letters += [(gen, exp), (int(rng.choice(far)), int(rng.choice([-1, 1]))), pair]
+        else:
+            letters.append((gen, exp))
+    return letters
+
+
+class TestCanonicalWord:
+    """A ``BraidWord`` is reduced by far commutativity when it is made.  The
+    oracle multiplies the raw letters and never sees a ``BraidWord``."""
+
+    @pytest.mark.parametrize("strands", range(2, 9))
+    def test_raw_letters_match_rep_of_word(self, strands):
+        # R is unitary, so every factor and both products have spectral norm
+        # 1 and the routes' rounding is a small multiple of eps per factor:
+        # entries are compared absolutely (largest difference on these draws
+        # 7.3e-16, while entries are of order 2^(-n/2))
+        rng = np.random.default_rng(200 + strands)
+        r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        for _ in range(3):
+            raw = _raw_letters(rng, strands)
+            rho, _ = _dense_rep(r, strands, raw)
+            assert np.abs(rep_of_word(r, BraidWord(strands, raw)) - rho).max() <= RTOL
+
+    @pytest.mark.parametrize("strands", range(2, 9))
+    def test_canonical_form_is_idempotent(self, strands):
+        rng = np.random.default_rng(300 + strands)
+        for _ in range(20):
+            raw = _raw_letters(rng, strands)
+            w = BraidWord(strands, raw)
+            assert w.strands == strands
+            assert w.writhe() == sum(exp for _, exp in raw)
+            assert 0 not in (exp for _, exp in w.letters)
+            assert BraidWord(strands, w.letters) == w
 
 
 def _network_modulus_trace(e, word):
@@ -417,7 +461,7 @@ class TestStrandBound:
         # while the planner holds only its own integers, about 4 MiB for
         # these 4860 letters.
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
-        # a twist has no far-commuting letters to merge: its plan keeps all 90
+        # a twist has no far-commuting letters to merge: its word keeps all 90
         assert plan_word(BraidWord(10, _full_twist(10))).word.letters == _full_twist(10)
         copies = BraidWord(540, sum((_full_twist(10, 10 * c) for c in range(54)), ()))
         with pytest.raises(ValueError, match=f"at once, above the limit of 2\\^{MAX_ENTRIES.bit_length() - 1}"):

@@ -136,6 +136,11 @@ class TestBraidWord:
         w = BraidWord(2, ((1, 2), (1, -2), (1, 1)))
         assert w.letters == ((1, 1),)
 
+    def test_canonicalization_commutes_far_letters(self):
+        # s1 s3 s1^-1 = s3, but s1 s2 s1 keeps its three letters
+        assert BraidWord(4, ((1, 1), (3, 1), (1, -1))).letters == ((3, 1),)
+        assert BraidWord(4, ((1, 1), (2, 1), (1, 1))).letters == ((1, 1), (2, 1), (1, 1))
+
     def test_writhe(self):
         assert BraidWord.parse("s1^3 s2^-1").writhe() == 2
         assert BraidWord(2, ((1, -2),)).writhe() == -2
