@@ -350,16 +350,11 @@ def cmd_enhance(args) -> int:
     solutions, points = enhancement._solve(r, args.tol)
     report = _base_report(args, "enhance")
     report["operator"] = echo
-    report["families"] = [
-        {"mu": s.mu_coeffs(), "x": s.x, "y": s.y}
-        for s in sorted(
-            solutions, key=lambda s: tuple(np.round(np.array(s.mu_coeffs()).view(float), 6))
-        )
-    ]
+    # families and points come in the solver's canonical order
+    report["families"] = [{"mu": s.mu_coeffs(), "x": s.x, "y": s.y} for s in solutions]
     report["count"] = len(solutions)
     report["nullity"] = sum(p["multiplicity"] for p in points)
-    report["points"] = sorted(
-        points, key=lambda p: tuple(np.round(np.array(p["mu"]).view(float), 6)))
+    report["points"] = points
     return _emit(args, report, failed=False)
 
 

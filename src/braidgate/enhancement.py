@@ -47,6 +47,7 @@ from .matrix_core import (
     PAULI_Z,
     RANK_TOL,
     SINGULAR_TOL,
+    _as_two_qubit,
     as_matrix,
     invert,
     max_norm,
@@ -94,8 +95,9 @@ class EnhancedOperator:
     R and mu are held as read-only complex copies.  Making the quadruple
     inverts R, or takes ``r_inv``, which must be invert(R) of this R, and
     computes once the max-norm ``residuals`` of (a)-(c) and the ``scales``
-    each is judged against (see :func:`verify_enhancement`).  A singular R
-    raises ``SingularMatrixError`` here, and a zero x or y, of any numeric
+    each is judged against (see :func:`verify_enhancement`).  An R that is
+    not 4x4 or a mu that is not 2x2 raises ``ValueError``, a singular R
+    ``SingularMatrixError`` here, and a zero x or y, of any numeric
     type, ``InvalidEnhancementError``: condition (c) divides by x, and a
     link value by y^n.
     :func:`dataclasses.replace` makes a new quadruple, so it inverts its R
@@ -122,6 +124,9 @@ class EnhancedOperator:
             a = np.array(getattr(self, name), dtype=complex)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if self.R.shape != (4, 4) or self.mu.shape != (2, 2):
+            raise ValueError(f"an enhancement needs a 4x4 R and a 2x2 mu, got shapes "
+                             f"{self.R.shape} and {self.mu.shape}")
         r_inv = invert(self.R) if r_inv is None else r_inv
         r_inv.flags.writeable = False
         residuals, scales = _conditions(self.R, r_inv, self.mu, self.x, self.y)
@@ -428,19 +433,22 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
 # mu x mu = sum_kl c_k c_l P_k x P_l, so conditions (a)-(c) are quadratic in
 # the Pauli coefficients c of mu: each is outer(c, c).ravel() @ (its table).
 _PAULIS = np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z])
-_PAULI_PAIRS = np.array([[np.kron(p, q) for q in _PAULIS] for p in _PAULIS])
+_PAULI_PAIRS = np.array([np.kron(p, q) for p in _PAULIS for q in _PAULIS])  # (k, l) as 4 k + l
 _MU_ROWS = _PAULIS.reshape(4, 4)  # mu.ravel() = c @ _MU_ROWS
 
 
 def _condition_tables(r, r_inv) -> np.ndarray:
-    """(16, 24) table T of R: row (k, l) holds, for mu x mu = P_k x P_l, the
-    entries of [R, mu x mu] (16), then tr_2 R (mu x mu) (4), then
-    tr_2 R^-1 (mu x mu) (4)."""
+    """(..., 16, 24) table T of each R of a stack: row (k, l) holds, for
+    mu x mu = P_k x P_l, the entries of [R, mu x mu] (16), then
+    tr_2 R (mu x mu) (4), then tr_2 R^-1 (mu x mu) (4)."""
     t = _PAULI_PAIRS
-    a = r @ t - t @ r
-    b = np.trace((r @ t).reshape(4, 4, 2, 2, 2, 2), axis1=3, axis2=5)
-    c = np.trace((r_inv @ t).reshape(4, 4, 2, 2, 2, 2), axis1=3, axis2=5)
-    return np.concatenate([a.reshape(16, 16), b.reshape(16, 4), c.reshape(16, 4)], axis=1)
+    rt = r[..., None, :, :] @ t
+    a = rt - t @ r[..., None, :, :]
+    lead = rt.shape[:-2]
+    b = np.trace(rt.reshape(*lead, 2, 2, 2, 2), axis1=-3, axis2=-1)
+    c = np.trace((r_inv[..., None, :, :] @ t).reshape(*lead, 2, 2, 2, 2), axis1=-3, axis2=-1)
+    return np.concatenate([a.reshape(*lead, 16), b.reshape(*lead, 4), c.reshape(*lead, 4)],
+                          axis=-1)
 
 
 # Eliminating x y = lambda and y / x = nu leaves a system in c alone: (a) is
@@ -478,6 +486,10 @@ _QUADRICS = _sum_matrix(_product_index(1, 1), 10).T
 _CUBICS = _sum_matrix(_product_index(2, 1), 20)
 _MINOR_I, _MINOR_J = np.triu_indices(4, 1)
 _QUADRIC_COUNT, _CUBIC_COUNT = 16, 2 * len(_MINOR_I)
+# the polynomial of each coefficient of the system: quadrics, then cubics
+_TERM_POLY = np.repeat(np.arange(_QUADRIC_COUNT + _CUBIC_COUNT),
+                       [10] * _QUADRIC_COUNT + [20] * _CUBIC_COUNT)
+_SYSTEM_END = len(_TERM_POLY)
 
 
 def _macaulay_layout(degree: int) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
@@ -514,27 +526,46 @@ def _macaulay(polys: np.ndarray, degree: int) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _system(table, norm) -> np.ndarray:
+def _linear_table() -> np.ndarray:
+    """(32, 528) table L with concat(R.ravel(), R^-1.ravel()) @ L = the
+    unscaled coefficients of the 16 quadrics (160), then the 12 cubics (240),
+    in c, then the (16, 8) columns of B and C of the condition table (128).
+    (a) and B are linear in R and C in R^-1, so row i is all of that for the
+    i-th basis pair: R = E_i and R^-1 = 0 for i < 16, then R = 0 and
+    R^-1 = E_(i-16).  Its entries are small Gaussian integers."""
+    basis = np.eye(32, dtype=complex).reshape(32, 2, 4, 4)
+    table = _condition_tables(basis[:, 0], basis[:, 1])  # (32, 16, 24)
+    quad = np.swapaxes(_QUADRICS @ table, 1, 2)  # (32, 24, 10): (a), then B, then C
+    traces = quad[:, 16:].reshape(32, 2, 4, 10, 1)  # B, then C, by entry
+    linear = _MU_ROWS.T[:, None, :]  # entry of mu by coefficient of c
+    # minor (i, j) by quadric monomial m and linear one n: B_im mu_jn - B_jm mu_in
+    minors = (traces[:, :, _MINOR_I] * linear[_MINOR_J]
+              - traces[:, :, _MINOR_J] * linear[_MINOR_I])
+    cubics = minors.reshape(32, _CUBIC_COUNT, 40) @ _CUBICS
+    return np.concatenate([quad[:, :16].reshape(32, -1), cubics.reshape(32, -1),
+                           table[:, :, 16:].reshape(32, -1)], axis=1)
+
+
+_LINEAR = _linear_table()
+
+
+def _system(r, r_inv, norm) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated coefficients of the 16 quadrics and 12 cubics in c, each
-    scaled to unit norm.  ``table`` is of an operator R with max|R| =
-    max|R^-1| = ``norm``; a polynomial at or below RANK_TOL * norm is rounding
-    of an identically zero one and is zeroed: scaled up, it would cut the null
-    space."""
-    quad = (_QUADRICS @ table).T  # (24, 10): (a), then B, then C
-    linear = _MU_ROWS.T  # (4, 4): entry of mu by coefficient of c
-    products = np.einsum("bim,jn->bijmn", quad[16:].reshape(2, 4, 10), linear)
-    minors = products[:, _MINOR_I, _MINOR_J] - products[:, _MINOR_J, _MINOR_I]
-    cubics = minors.reshape(_CUBIC_COUNT, 40) @ _CUBICS
-    norms = np.concatenate([np.linalg.norm(quad[:16], axis=1), np.linalg.norm(cubics, axis=1)])
-    kept = norms > RANK_TOL * norm
-    scale = np.where(kept, 1.0 / np.where(kept, norms, 1.0), 0.0)
-    return np.concatenate([(quad[:16] * scale[:16, None]).ravel(),
-                           (cubics * scale[16:, None]).ravel()])
+    scaled to unit norm, and the (16, 8) table of B and C, row (k, l) for
+    mu x mu = P_k x P_l, of an operator R with max|R| = max|R^-1| =
+    ``norm``: one product with :data:`_LINEAR`.  A polynomial at or below
+    RANK_TOL * norm is rounding of an identically zero one and is zeroed:
+    scaled up, it would cut the null space."""
+    linear = np.concatenate([r.ravel(), r_inv.ravel()]) @ _LINEAR
+    polys = linear[:_SYSTEM_END]
+    norms = np.sqrt(np.bincount(_TERM_POLY, polys.real**2 + polys.imag**2))
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > RANK_TOL * norm)
+    return polys * scale[_TERM_POLY], linear[_SYSTEM_END:].reshape(16, 8)
 
 
 def _roots(polys) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm c of each root of the system :func:`_system` returns, one row
-    per root, and the multiplicities, which sum to the Macaulay nullity.
+    """Unit-norm c of each root of the scaled system :func:`_system` returns,
+    one row per root, and the multiplicities, which sum to the Macaulay nullity.
     Raises ``ValueError`` when the roots are not isolated points."""
     # the R factor keeps the row space of the 208 x 35 matrix; its SVD is 35 x 35
     _, s, vh = np.linalg.svd(np.linalg.qr(_macaulay(polys, 4), mode="r"))
@@ -595,9 +626,10 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     its Pauli coefficients (the first nonzero one scaled to 1), lambda and nu
     at that scale, its multiplicity, its outcome (:data:`POINT_OUTCOMES`) and
     the residuals and scales of its verification, None for a degenerate
-    root.  Every other root's quadruple is made with the R^-1 the tables
-    were built from, so R is inverted once."""
-    r = as_matrix(r)
+    root, in the order :func:`solve_enhancement` states.  Every other root's
+    quadruple is made with the R^-1 the system was built from, so R is
+    inverted once."""
+    r = _as_two_qubit(r)
     r_inv = invert(r)
     # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
     # the roots are found and judged for R / s with max|R / s| = max|s R^-1|:
@@ -607,21 +639,28 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     # a ratio of square roots: the ratio itself overflows past max|R| ~ 1e154
     scale = np.sqrt(max_norm(r)) / np.sqrt(max_norm(r_inv))
     norm = max_norm(r) / scale
-    table = _condition_tables(r / scale, r_inv * scale)
-    roots, counts = _roots(_system(table, norm))
+    polys, table = _system(r / scale, r_inv * scale, norm)
+    roots, counts = _roots(polys)
+    # c has unit norm; its first nonzero coefficient is the pivot
+    pivots = roots[np.arange(len(roots)), np.argmax(np.abs(roots) > RANK_TOL, axis=1)]
+    coeffs = roots / pivots[:, None]
+    # the pencil's eigenvalue order is not canonical, since rounding permutes
+    # it; the coefficients at max modulus 1, rounded, as (Re, Im) pairs, are
+    keys = np.round(coeffs / np.max(np.abs(coeffs), axis=1, keepdims=True), 6).view(float)
+    order = sorted(range(len(keys)), key=keys.tolist().__getitem__)
     mus = roots @ _MU_ROWS
-    traces = np.einsum("pk,pl->pkl", roots, roots).reshape(-1, 16) @ table[:, 16:]
+    traces = np.einsum("pk,pl->pkl", roots, roots).reshape(-1, 16) @ table
     norms = np.sum(np.abs(mus) ** 2, axis=1)
     lams = np.sum(mus.conj() * traces[:, :4], axis=1) / norms
     nus = np.sum(mus.conj() * traces[:, 4:], axis=1) / norms
     families, points = [], []
-    for c, count, mu, lam, nu in zip(roots, counts, mus, lams, nus):
-        pivot = c[np.argmax(np.abs(c) > RANK_TOL)]  # c has unit norm
-        point = {"mu": tuple(c / pivot), "lambda": scale * lam / pivot,
-                 "nu": nu / (scale * pivot), "multiplicity": int(count),
+    for k in order:
+        mu, lam, nu, pivot = mus[k], lams[k], nus[k], pivots[k]
+        point = {"mu": tuple(coeffs[k]), "lambda": scale * lam / pivot,
+                 "nu": nu / (scale * pivot), "multiplicity": int(counts[k]),
                  "outcome": "degenerate", "residuals": None, "scales": None}
         if min(abs(lam), abs(nu)) > SINGULAR_TOL * norm * max_norm(mu):
-            e = _root_operator(r, r_inv, scale, c / pivot, lam / pivot, nu / pivot)
+            e = _root_operator(r, r_inv, scale, coeffs[k], lam / pivot, nu / pivot)
             residuals, ok = verify_enhancement(e, tol)
             point.update(outcome="family" if ok else "rejected_verification",
                          residuals=list(residuals), scales=list(e.scales))
@@ -646,6 +685,16 @@ def solve_enhancement(
     Solutions are reported normalized: the first nonzero Pauli coefficient of
     mu (scan order I, X, Y, Z) is scaled to one, and the simultaneous sign of
     (x, y) is canonicalized.  An empty list means that no root is a family.
+
+    The coefficients of the 16 quadrics and 12 cubics are linear in (R, R^-1),
+    so the system is one product of concat(R.ravel(), R^-1.ravel()) with a
+    constant table built at import; an R that is not 4x4 raises
+    ``ValueError``.  Roots, and so families, come in one order: by the Pauli
+    coefficients of mu, normalized as above and divided by their largest
+    modulus, each rounded to 6 decimals and compared as (Re, Im) in the
+    order I, X, Y, Z.  Rounding in the last bits permutes the eigenvalues
+    the roots are read from, but moves this order only if it carries a
+    coefficient across a 6-decimal boundary.
 
     ``starts`` and ``seed`` belonged to the former multi-start search.  They
     are accepted and ignored only because the benchmark's enhance_solve

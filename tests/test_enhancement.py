@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import warnings
 import zlib
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from braidgate import enhancement
 from braidgate.enhancement import (
     EnhancedOperator,
     InvalidEnhancementError,
     POINT_OUTCOMES,
     RECIPES,
+    _LINEAR,
     _MU_ROWS,
     _condition_tables,
     _conditions,
@@ -37,6 +40,7 @@ from braidgate.matrix_core import (
     partial_trace, tensor_product,
 )
 from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry, compile_expr
+from oracles import enhancement_system_oracle
 
 RNG = np.random.default_rng(55)
 
@@ -106,6 +110,13 @@ class TestVerifyEnhancement:
         # a link value takes y^-n, which used to raise ZeroDivisionError
         with pytest.raises(InvalidEnhancementError, match="y != 0"):
             EnhancedOperator(np.eye(4, dtype=complex), I2, 1, y)
+
+    @pytest.mark.parametrize("r,mu", [(np.eye(4), np.eye(3)), (np.eye(2), np.eye(2)),
+                                      (np.eye(4), np.ones(4))])
+    def test_wrong_shapes_are_refused_when_made(self, r, mu):
+        want = f"an enhancement needs a 4x4 R and a 2x2 mu, got shapes {r.shape} and {mu.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            EnhancedOperator(R=r, mu=mu, x=1, y=1)
 
     def test_broken_quadruple_rejected(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), PAULI_Z + 0.3 * I2, 1, 1)
@@ -662,6 +673,12 @@ class TestSolver:
                         e = EnhancedOperator(factor * r, mu, x, p["lambda"] / x)
                         assert verify_enhancement(e)[1]
 
+    @pytest.mark.parametrize("r", [np.eye(2), np.eye(8)])
+    def test_wrong_shapes_are_refused(self, r):
+        want = f"expected a 4x4 two-qubit operator, got {r.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            solve_enhancement(r)
+
     def test_identity_is_positive_dimensional(self):
         # for R = I every mu with tr mu = x y is an enhancement
         with pytest.raises(ValueError, match="positive-dimensional solution set"):
@@ -844,6 +861,70 @@ class TestSolverKernel:
             assert np.max(np.abs(jac - numeric)) < 1e-7 * np.max(np.abs(jac)), name
 
 
+def _operator(name):
+    """A KERNEL_OPERATORS entry, or "dense<seed>", a seeded dense complex R."""
+    if name.startswith("dense"):
+        rng = np.random.default_rng(int(name.removeprefix("dense")))
+        return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return _kernel_operator(name)[0]
+
+
+def _monomial_values(c, degree):
+    return np.array([np.prod(c[list(m)])
+                     for m in itertools.combinations_with_replacement(range(4), degree)])
+
+
+class TestLinearTable:
+    """The solver's system, one product with _LINEAR, against the per-call
+    oracle and against dense products at points c."""
+
+    @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("name", KERNEL_OPERATORS + ("dense0", "dense1", "dense2"))
+    def test_system_matches_per_call_oracle(self, name, factor):
+        r = factor * _operator(name)
+        r_inv = np.linalg.inv(r)
+        norm = max(np.max(np.abs(r)), np.max(np.abs(r_inv)))
+        polys, table = _system(r, r_inv, norm)
+        want_polys, want_table = enhancement_system_oracle(r, r_inv, norm)
+        # every polynomial has unit norm or is zeroed in both, so this is
+        # relative per polynomial, and a polynomial zeroed in one only fails
+        assert polys.shape == want_polys.shape == (400,)
+        assert np.max(np.abs(polys - want_polys)) <= 1e-14, name
+        assert np.count_nonzero(polys) > 0
+        for part in (slice(0, 4), slice(4, 8)):  # B at R's scale, then C at R^-1's
+            want = want_table[:, part]
+            assert np.max(np.abs(table[:, part] - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("name", KERNEL_OPERATORS + ("dense0",))
+    def test_unscaled_system_is_the_conditions_at_c(self, name):
+        # at random c the quadrics are [R, mu x mu], the cubics the minors
+        # B_i mu_j - B_j mu_i, then C_i mu_j - C_j mu_i, and the table gives
+        # B and C, with B = tr_2 R (mu x mu) and C = tr_2 R^-1 (mu x mu)
+        r = _operator(name)
+        r_inv = np.linalg.inv(r)
+        linear = np.concatenate([r.ravel(), r_inv.ravel()]) @ _LINEAR
+        quadrics, cubics = linear[:160].reshape(16, 10), linear[160:400].reshape(12, 20)
+        table = linear[400:].reshape(16, 8)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for _ in range(5):
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            mu = (c @ _MU_ROWS).reshape(2, 2)
+            mm = np.kron(mu, mu)
+            b = partial_trace(r @ mm, 2).ravel()
+            c_trace = partial_trace(r_inv @ mm, 2).ravel()
+            m = mu.ravel()
+            minors = [t[i] * m[j] - t[j] * m[i]
+                      for t in (b, c_trace) for i, j in itertools.combinations(range(4), 2)]
+            scale = max(np.max(np.abs(r)), np.max(np.abs(r_inv))) * np.max(np.abs(mu)) ** 2
+            tol = 1e-13 * scale
+            assert_allclose(quadrics @ _monomial_values(c, 2), (r @ mm - mm @ r).ravel(),
+                            rtol=0, atol=tol)
+            assert_allclose(cubics @ _monomial_values(c, 3), minors,
+                            rtol=0, atol=tol * np.max(np.abs(mu)))
+            assert_allclose(np.outer(c, c).ravel() @ table, np.concatenate([b, c_trace]),
+                            rtol=0, atol=tol)
+
+
 def _canonical(e):
     coeffs = np.array(e.mu_coeffs())
     pivot = next(c for c in coeffs if abs(c) > 1e-6)
@@ -934,7 +1015,7 @@ def _macaulay_nullity(r):
     """Nullity of the degree-4 Macaulay matrix the solver builds for R."""
     r_inv = np.linalg.inv(r)
     s = np.sqrt(np.max(np.abs(r)) / np.max(np.abs(r_inv)))
-    m4 = _macaulay(_system(_condition_tables(r / s, r_inv * s), np.max(np.abs(r)) / s), 4)
+    m4 = _macaulay(_system(r / s, r_inv * s, np.max(np.abs(r)) / s)[0], 4)
     return m4.shape[1] - numerical_rank(m4)
 
 
@@ -971,6 +1052,47 @@ def test_catalog_points_count_every_root(entry_id):
                 fresh = EnhancedOperator(e.R, e.mu, e.x, e.y)
                 assert verify_enhancement(fresh) == (tuple(p["residuals"]), True)
                 assert fresh.scales == tuple(p["scales"])
+
+
+def _sweep_operators():
+    """Five draws of each catalog entry, 20 generic H2,3 and 20 dense complex R."""
+    for entry_id in sorted(CATALOG):
+        for draw in range(5):
+            yield _catalog_draw(entry_id, draw)
+    for draw in range(20):
+        rng = np.random.default_rng([zlib.crc32(b"H2,3"), draw])
+        yield hietarinta_assemble("H2,3", {k: rand_complex(rng) for k in "kpqs"})
+    for draw in range(20):
+        rng = np.random.default_rng([zlib.crc32(b"dense"), draw])
+        yield rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+
+def _order_key(coeffs):
+    """The order solve_enhancement documents: the coefficients over their
+    largest modulus, rounded to 6 decimals, as (Re, Im) pairs."""
+    unit = np.round(np.array(coeffs) / np.max(np.abs(coeffs)), 6)
+    return [v for z in unit for v in (z.real, z.imag)]
+
+
+def test_root_order_is_canonical(monkeypatch):
+    # the per-call oracle's system differs from the _LINEAR product in its
+    # last bits, which permutes the pencil's eigenvalues for some operators;
+    # both routes give every operator's roots in the one documented order,
+    # with the same records and families
+    new = [_solve(r, DEFAULT_TOL) for r in _sweep_operators()]
+    monkeypatch.setattr(enhancement, "_system", enhancement_system_oracle)
+    per_call = [_solve(r, DEFAULT_TOL) for r in _sweep_operators()]
+    assert len(new) == 230 and sum(len(points) for _, points in new) > 230
+    for (families, points), (want_families, want_points) in zip(new, per_call):
+        assert ([(p["multiplicity"], p["outcome"]) for p in points]
+                == [(p["multiplicity"], p["outcome"]) for p in want_points])
+        keys = [_order_key(p["mu"]) for p in points]
+        assert keys == [_order_key(p["mu"]) for p in want_points]
+        assert keys == sorted(keys)
+        for e, want in zip(families, want_families, strict=True):
+            got = np.concatenate([e.mu.ravel(), [e.x, e.y]])
+            expected = np.concatenate([want.mu.ravel(), [want.x, want.y]])
+            assert np.max(np.abs(got - expected)) <= 1e-11 * max(1.0, np.max(np.abs(expected)))
 
 
 class TestGaussNewtonOracle:
