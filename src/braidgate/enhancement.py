@@ -48,7 +48,7 @@ from .matrix_core import (
     RANK_TOL,
     SINGULAR_TOL,
     _as_two_qubit,
-    as_matrix,
+    _kron,
     invert,
     max_norm,
     numerical_rank,
@@ -58,10 +58,11 @@ from .yang_baxter import (
     BraidWord,
     assemble,
     bind,
-    braid_rep,
     catalog_entry,
+    check_ybe,
     closed_traces,
     evaluate_expr,
+    letter_powers,
 )
 
 __all__ = [
@@ -709,76 +710,59 @@ def solve_enhancement(
 
 @dataclass(frozen=True)
 class AlgebraWitness:
-    kind: str
-    scale: complex
-    params: dict
+    """The max-norm residual of each relation, by name, and the verdict."""
+
     residuals: dict[str, float]
     realized: bool
 
 
+def _relation_residual(g, coeffs: dict[int, complex], g_inv=None) -> float:
+    """max|sum_k c_k g^k| over ``coeffs`` (k -> c_k, g^0 = I), the powers from
+    :func:`~braidgate.yang_baxter.letter_powers`, which takes ``g_inv`` as R^-1."""
+    powers = letter_powers(g, coeffs, g_inv)
+    return max_norm(sum(c * powers[k] for k, c in coeffs.items()))
+
+
 def bmw_witness(r, scale, l, m, tol: float = DEFAULT_TOL) -> AlgebraWitness:
-    """Check the BMW relations for g_i = scale * R on two and three strands."""
+    """Check the BMW relations for g = scale * R and e = (g + g^-1) / m - 1 on
+    two strands, and e_i g_j e_i = l e_i on three, with g_1 = g x I, g_2 = I x g."""
     if abs(m) < SINGULAR_TOL:
         raise ValueError("BMW witness requires m != 0")
-    r = as_matrix(r)
+    r = _as_two_qubit(r)
     scale, l, m = complex(scale), complex(l), complex(m)
-
-    def e_of(g):
-        return (g + invert(g)) / m - np.eye(g.shape[0], dtype=complex)
-
     g = scale * r
-    e = e_of(g)
-    coeff = (l + 1 / l) / m - 1
+    g_inv = invert(g)
+    e = (g + g_inv) / m - np.eye(4)
+    skein = {2: 1, 1: -(m + 1 / l), 0: 1 + m / l, -1: -1 / l}
+    g1, g2, e1, e2 = _kron(g, I2), _kron(I2, g), _kron(e, I2), _kron(I2, e)
     res = {
-        "e_squared": max_norm(e @ e - coeff * e),
+        "e_squared": max_norm(e @ e - ((l + 1 / l) / m - 1) * e),
         "eg_left": max_norm(e @ g - e / l),
         "eg_right": max_norm(g @ e - e / l),
-        "skein_cubic": max_norm(
-            g @ g - (m + 1 / l) * g + (1 + m / l) * np.eye(4) - invert(g) / l
-        ),
+        "skein_cubic": _relation_residual(g, skein, g_inv),
+        "ege_up": max_norm(e1 @ g2 @ e1 - l * e1),
+        "ege_down": max_norm(e2 @ g1 @ e2 - l * e2),
     }
-    g1 = scale * braid_rep(r, 1, 3)
-    g2 = scale * braid_rep(r, 2, 3)
-    e1, e2 = e_of(g1), e_of(g2)
-    res["ege_up"] = max_norm(e1 @ g2 @ e1 - l * e1)
-    res["ege_down"] = max_norm(e2 @ g1 @ e2 - l * e2)
-    scale_norm = max(max_norm(g), 1.0)
-    realized = all(v < tol * scale_norm for v in res.values())
-    return AlgebraWitness("BMW", scale, {"l": l, "m": m}, res, realized)
+    return AlgebraWitness(res, all(v < tol * max(max_norm(g), 1.0) for v in res.values()))
 
 
 def hecke_witness(r, scale, q, tol: float = DEFAULT_TOL) -> AlgebraWitness:
-    """Check sigma^2 = (q-1) sigma + q and the braid relation for sigma = scale * R."""
-    r = as_matrix(r)
-    scale, q = complex(scale), complex(q)
-    sigma = scale * r
-    res = {
-        "quadratic": max_norm(sigma @ sigma - (q - 1) * sigma - q * np.eye(4)),
-    }
-    s1 = scale * braid_rep(r, 1, 3)
-    s2 = scale * braid_rep(r, 2, 3)
-    res["braid"] = max_norm(s1 @ s2 @ s1 - s2 @ s1 @ s2)
-    scale_norm = max(max_norm(sigma) ** 2, 1.0)
-    realized = all(v < tol * scale_norm for v in res.values())
-    return AlgebraWitness("Hecke", scale, {"q": q}, res, realized)
+    """Check sigma^2 = (q-1) sigma + q and the braid relation, the residual of
+    :func:`~braidgate.yang_baxter.check_ybe`, for sigma = scale * R."""
+    r = _as_two_qubit(r)
+    sigma, q = complex(scale) * r, complex(q)
+    res = {"quadratic": _relation_residual(sigma, {2: 1, 1: -(q - 1), 0: -q}),
+           "braid": check_ybe(sigma)[0]}
+    return AlgebraWitness(res, all(v < tol * max(max_norm(sigma) ** 2, 1.0)
+                                   for v in res.values()))
 
 
 def jordan_witness(r, coeffs: dict[int, complex], tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check a polynomial identity sum_k c_k R^k = 0 (k = -1 allowed)."""
-    r = as_matrix(r)
-    total = np.zeros_like(r)
-    r_inv = None
-    for k, c in coeffs.items():
-        if k >= 0:
-            total = total + c * np.linalg.matrix_power(r, k)
-        else:
-            if r_inv is None:
-                r_inv = invert(r)
-            total = total + c * np.linalg.matrix_power(r_inv, -k)
-    res = {"identity": max_norm(total)}
+    r = _as_two_qubit(r)
+    res = {"identity": _relation_residual(r, coeffs)}
     scale_norm = max(max_norm(r) ** max((abs(k) for k in coeffs), default=1), 1.0)
-    realized = res["identity"] < tol * scale_norm
-    return AlgebraWitness("Jordan", 1.0, {"coeffs": dict(coeffs)}, res, realized)
+    return AlgebraWitness(res, res["identity"] < tol * scale_norm)
 
 
 class _Row(NamedTuple):

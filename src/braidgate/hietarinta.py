@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enhancement import EnhancedOperator, verify_enhancement
-from .matrix_core import (DEFAULT_TOL, SingularMatrixError, _as_two_qubit, as_matrix, invert,
-                          max_norm, tensor_product)
+from .matrix_core import (DEFAULT_TOL, PAULI_X, SingularMatrixError, _as_two_qubit, as_matrix,
+                          invert, max_norm, tensor_product)
 from .yang_baxter import assemble, bind, catalog_entry, evaluate_expr
 
 __all__ = [
@@ -89,31 +89,30 @@ def permutation_convert(r) -> np.ndarray:
     return PERMUTATION @ as_matrix(r)
 
 
+# Moves 3b and 3c conjugate by constant involutions: X x X negates every
+# index, and PERMUTATION swaps the two tensor factors.
+_INVOLUTIONS = {"3b": tensor_product(PAULI_X, PAULI_X), "3c": PERMUTATION}
+
+
 def discrete_transform(r, which: str) -> np.ndarray:
     """One of the three discrete solution-to-solution moves.
 
     "3a" transposes, "3b" negates all indices (conjugation by X x X), and
-    "3c" swaps the two tensor factors on rows and columns simultaneously.
+    "3c" swaps the two tensor factors on rows and columns simultaneously
+    (conjugation by :data:`PERMUTATION`).
     """
     r = _as_two_qubit(r)
     if which == "3a":
         return r.T.copy()
-    if which == "3b":
-        xx = np.array(
-            [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
-        )
-        return xx @ r @ xx
-    if which == "3c":
-        r4 = r.reshape(2, 2, 2, 2)
-        return np.einsum("ijkl->jilk", r4).reshape(4, 4)
+    if which in _INVOLUTIONS:
+        s = _INVOLUTIONS[which]
+        return s @ r @ s
     raise ValueError(f"unknown transform {which!r} (expected 3a, 3b, or 3c)")
 
 
 def conjugate(r, kappa, q) -> np.ndarray:
     """kappa (Q x Q) R (Q x Q)^-1, the continuous solution-preserving move."""
-    q = as_matrix(q)
-    qq = tensor_product(q, q)
-    return complex(kappa) * qq @ as_matrix(r) @ invert(qq)
+    return complex(kappa) * conjugate_split(r, q, q)
 
 
 def conjugate_split(r, q1, q2) -> np.ndarray:
@@ -165,15 +164,12 @@ class EquivalenceRecipe:
             kind = step[0]
             if kind in ("3a", "3b", "3c"):
                 m = discrete_transform(m, kind)
-            elif kind == "conj":
-                _, kappa_e, q_rows = step
-                q = np.array([[evaluate_expr(e, base) for e in row] for row in q_rows])
-                m = conjugate(m, evaluate_expr(kappa_e, base), q)
-            elif kind == "conj2":
-                _, q1_rows, q2_rows = step
-                q1 = np.array([[evaluate_expr(e, base) for e in row] for row in q1_rows])
-                q2 = np.array([[evaluate_expr(e, base) for e in row] for row in q2_rows])
-                m = conjugate_split(m, q1, q2)
+            elif kind in ("conj", "conj2"):
+                # ("conj", kappa, Q) is kappa times ("conj2", Q, Q)
+                kappa = evaluate_expr(step[1], base) if kind == "conj" else 1
+                qs = [np.array([[evaluate_expr(e, base) for e in row] for row in rows])
+                      for rows in step[1 + (kind == "conj"):]]
+                m = kappa * conjugate_split(m, qs[0], qs[-1])
             else:
                 raise ValueError(f"unknown step {step!r}")
         return m, self._materialize("target", self.target_params, base)

@@ -80,7 +80,6 @@ __all__ = [
     "closed_traces",
     "plan_word",
     "WordPlan",
-    "MAX_STRANDS",
     "DENSE_STRANDS",
     "MAX_ENTRIES",
     "MAX_TERMS",
@@ -140,7 +139,10 @@ def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:
-    """Generator sigma_i of B_n represented on n qubits: I^(i-1) x R x I^(n-i-1)."""
+    """Generator sigma_i of B_n represented on n qubits: I^(i-1) x R x I^(n-i-1).
+
+    No library route forms it; the tests build their dense oracles from it.
+    """
     r = _as_two_qubit(r)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for {n} strands")
@@ -214,26 +216,22 @@ class BraidWord:
         return " ".join(f"s{g}^{e}" for g, e in self.letters) or "<empty>"
 
 
-# A dense braid word on n strands acts on a 2^n x 2^n complex state: 16 * 4^n
-# bytes, 256 MiB at 12 strands.  Evaluating a word densely holds two such
-# states.  ``rep_of_word`` builds that state; ``closed_traces`` builds it only
-# up to ``DENSE_STRANDS`` strands and contracts a wider closed braid
-# (``plan_word``), bounded by ``MAX_ENTRIES`` and ``MAX_TERMS``, instead.
-MAX_STRANDS = 12
-
 # The widest word whose link trace is taken on the dense 2^n x 2^n state
 # mu^(x n) (4096 entries at 6 strands), one 4x4 product per letter, with no
-# plan.  A link trace of a random word with three letters per strand (median
-# of 40, best of 9, one BLAS thread), dense vs network: 120 vs 204 us at 5
-# strands, 227 vs 226 at 6, 622 vs 245 at 7, 3161 vs 274 at 8.  A dense
-# letter costs O(4^n); a swept one a few microseconds at any width.  A sweep
-# whose running tensor would outgrow this state takes the greedy plan
-# instead: see ``plan_word``.
+# plan.  Per trace of the words the benchmark's seed-0 link_eval inputs
+# evaluate (median over the words of the best of 9, one BLAS thread, three
+# runs on a 2-vCPU VM), dense vs plan_word and its trace: 48-75 vs 160-259 us
+# at 3 strands, 114-176 vs 223-346 at 5, 242-277 vs 234-279 at 6, 900-1272
+# vs 275-428 at 7.  A dense letter costs O(4^n); a swept one a few
+# microseconds at any width.  A sweep whose running tensor would outgrow
+# this state takes the greedy plan instead: see ``plan_word``.
 DENSE_STRANDS = 6
 
-# The most complex entries a planned closed-braid contraction may hold at
-# once, counting every live tensor and the result being formed: 2^25, 512
-# MiB, the two 12-strand states of the dense route.
+# The most complex entries a closed-braid evaluation may hold at once: 2^25,
+# 512 MiB.  ``rep_of_word`` holds two dense 2^n x 2^n states, so it takes at
+# most 12 strands; ``closed_traces`` builds one only up to ``DENSE_STRANDS``
+# strands and contracts a wider closed braid (``plan_word``) instead,
+# counting every live tensor and the result being formed.
 MAX_ENTRIES = 2**25
 
 # The most terms one contraction step may sum: a step is one matrix product
@@ -245,7 +243,7 @@ MAX_TERMS = 2**28
 
 def letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
     """Each distinct exponent's 4x4 power of R or R^-1, taken once; +-1 take
-    R or R^-1 itself.
+    R or R^-1 itself, and 0 the identity.
 
     ``r_inv`` is for a caller that already holds R^-1: it must be
     ``invert(r)`` of the same R, and is used as given.  Left None, R^-1 is
@@ -258,7 +256,7 @@ def letter_powers(r, exponents, r_inv=None) -> dict[int, np.ndarray]:
         if exp not in powers:
             if exp < 0 and r_inv is None:
                 r_inv = invert(r)
-            base = r if exp > 0 else r_inv
+            base = r if exp >= 0 else r_inv
             powers[exp] = base if abs(exp) == 1 else np.linalg.matrix_power(base, abs(exp))
     return powers
 
@@ -270,13 +268,14 @@ def rep_of_word(r, word: BraidWord) -> np.ndarray:
     letters act right to left on the rows of a state that starts at the
     identity: a letter on strands i, i+1 is one 4x4 product over the middle
     axis of the state viewed as (2^(i-1), 4, 2^(n-i-1) * 2^n), so it costs
-    O(4^n) rather than the O(8^n) of a dense 2^n x 2^n product.  Words on more
-    than ``MAX_STRANDS`` strands raise ``ValueError`` before anything is
-    allocated.
+    O(4^n) rather than the O(8^n) of a dense 2^n x 2^n product.  A word whose
+    two states, 2 * 4^n entries, would exceed ``MAX_ENTRIES`` (13 strands and
+    up) raises ``ValueError`` before anything is allocated.
     """
     n = word.strands
-    if n > MAX_STRANDS:
-        raise ValueError(f"{n} strands exceed the limit of {MAX_STRANDS}")
+    if 2 * 4**n > MAX_ENTRIES:
+        raise ValueError(f"the two dense states of {n} strands, 2^{2 * n + 1} entries, "
+                         f"exceed the limit of 2^{MAX_ENTRIES.bit_length() - 1}")
     powers = letter_powers(r, (exp for _, exp in word.letters))
     return _apply_letters(powers, word, np.eye(2**n, dtype=complex))
 

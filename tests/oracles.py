@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 
 from braidgate.entangling_power import _det_sq, _qubit_states
-from braidgate.matrix_core import (I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL, _as_two_qubit,
-                                   partial_trace)
+from braidgate.matrix_core import (DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL,
+                                   _as_two_qubit, max_norm, partial_trace)
+from braidgate.yang_baxter import braid_rep
 
 
 def entangling_power_monte_carlo(r, samples: int = 1_000_000, seed: int = 0) -> float:
@@ -59,3 +60,54 @@ def enhancement_system_oracle(r, r_inv, norm):
         size = np.linalg.norm(poly)
         polys.append(poly / size if size > RANK_TOL * norm else np.zeros_like(poly))
     return np.concatenate(polys), table
+
+
+def bmw_witness_oracle(r, scale, l, m, tol: float = DEFAULT_TOL) -> tuple[dict, bool]:
+    """The BMW relations as ``enhancement.bmw_witness`` checks them, written
+    out: e = (g + g^-1) / m - 1 with a dense inverse on two strands and on
+    three, where g_i = scale * braid_rep(R, i, 3), and the skein cubic as
+    an explicit polynomial.  Returns the residuals and the verdict."""
+    r = _as_two_qubit(r)
+
+    def e_of(g):
+        return (g + np.linalg.inv(g)) / m - np.eye(len(g))
+
+    g = scale * r
+    e = e_of(g)
+    g1, g2 = scale * braid_rep(r, 1, 3), scale * braid_rep(r, 2, 3)
+    e1, e2 = e_of(g1), e_of(g2)
+    res = {
+        "e_squared": max_norm(e @ e - ((l + 1 / l) / m - 1) * e),
+        "eg_left": max_norm(e @ g - e / l),
+        "eg_right": max_norm(g @ e - e / l),
+        "skein_cubic": max_norm(g @ g - (m + 1 / l) * g + (1 + m / l) * np.eye(4)
+                                - np.linalg.inv(g) / l),
+        "ege_up": max_norm(e1 @ g2 @ e1 - l * e1),
+        "ege_down": max_norm(e2 @ g1 @ e2 - l * e2),
+    }
+    return res, all(v < tol * max(max_norm(g), 1.0) for v in res.values())
+
+
+def hecke_witness_oracle(r, scale, q, tol: float = DEFAULT_TOL) -> tuple[dict, bool]:
+    """The Hecke quadratic sigma^2 - (q-1) sigma - q and the braid relation
+    s1 s2 s1 = s2 s1 s2 with s_i = scale * braid_rep(R, i, 3), as
+    ``enhancement.hecke_witness`` checks them.  Returns the residuals and the
+    verdict."""
+    r = _as_two_qubit(r)
+    sigma = scale * r
+    s1, s2 = scale * braid_rep(r, 1, 3), scale * braid_rep(r, 2, 3)
+    res = {"quadratic": max_norm(sigma @ sigma - (q - 1) * sigma - q * np.eye(4)),
+           "braid": max_norm(s1 @ s2 @ s1 - s2 @ s1 @ s2)}
+    return res, all(v < tol * max(max_norm(sigma) ** 2, 1.0) for v in res.values())
+
+
+def jordan_witness_oracle(r, coeffs: dict, tol: float = DEFAULT_TOL) -> tuple[dict, bool]:
+    """sum_k c_k R^k with each power taken by ``np.linalg.matrix_power`` of R
+    or of its dense inverse, as ``enhancement.jordan_witness`` checks it.
+    Returns the residual and the verdict."""
+    r = _as_two_qubit(r)
+    total = sum(c * np.linalg.matrix_power(r if k >= 0 else np.linalg.inv(r), abs(k))
+                for k, c in coeffs.items())
+    res = {"identity": max_norm(total)}
+    scale = max(max_norm(r) ** max(abs(k) for k in coeffs), 1.0)
+    return res, res["identity"] < tol * scale

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from braidgate import enhancement
+from braidgate import enhancement, entangling_power
 from braidgate.cli import main
 from braidgate.enhancement import POINT_OUTCOMES
 from braidgate.entangling_power import entangling_power_quadrature
@@ -790,6 +790,17 @@ class TestReportAll(object):
             assert code == 0
             written.append((outdir / "catalog_report.json").read_bytes())
         assert written[0] == written[1]
+
+    def test_failed_epower_formula_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        # a per-class entangling-power formula that disagrees with the closed
+        # form is a failed check: exit 1, with the report still written
+        monkeypatch.setitem(entangling_power._CLASS_EPOWER, 3,
+                            entangling_power._CLASS_EPOWER[3] + "+1")
+        code, out, _ = run(capsys, "report-all", "--outdir", str(tmp_path), "--seed", "0")
+        assert code == 1 and out == f"wrote {tmp_path / 'catalog_report.json'}\n"
+        entries = json.loads((tmp_path / "catalog_report.json").read_text())["entries"]
+        assert abs(entries["C3.0"]["epower"]["difference"] - 1) < 1e-9
+        assert all(v["ybe_pass"] and v["eigen_report_pass"] for v in entries.values())
 
     def test_blocked_output_path_is_usage_error(self, capsys, tmp_path):
         blocker = tmp_path / "taken"

@@ -40,7 +40,8 @@ from braidgate.matrix_core import (
     partial_trace, tensor_product,
 )
 from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry, compile_expr
-from oracles import enhancement_system_oracle
+from oracles import (bmw_witness_oracle, enhancement_system_oracle, hecke_witness_oracle,
+                     jordan_witness_oracle)
 
 RNG = np.random.default_rng(55)
 
@@ -1287,6 +1288,51 @@ class TestAlgebraWitnesses:
     def test_bmw_requires_nonzero_m(self):
         with pytest.raises(ValueError):
             bmw_witness(np.eye(4), 1, 1, 0)
+
+    @pytest.mark.parametrize("size", [2, 8])
+    @pytest.mark.parametrize("call", [
+        lambda r: bmw_witness(r, 1, 1, 1),
+        lambda r: hecke_witness(r, 1, 1),
+        lambda r: jordan_witness(r, {1: 1, -1: 1}),
+    ], ids=["bmw", "hecke", "jordan"])
+    def test_witnesses_refuse_a_non_two_qubit_operator(self, call, size):
+        with pytest.raises(ValueError, match=rf"^expected a 4x4 two-qubit operator, got \({size}, {size}\)$"):
+            call(np.eye(size))
+
+    @pytest.mark.parametrize("class_id", range(1, 13))
+    def test_witnesses_match_the_written_out_relations(self, class_id):
+        """On seeded draws of each class, every witness gives the verdict of
+        the relations written out with braid_rep operators, dense inverses
+        and explicit polynomials, and residuals within rounding of theirs;
+        and so on the draw moved off its class by 1e-3."""
+        rng = np.random.default_rng(class_id)
+        entry = CATALOG[f"C{class_id}.0"]
+        kind = "bmw" if class_id in (1, 2, 7) else "jordan" if class_id == 9 else "hecke"
+        witness, oracle, algebra = {
+            "bmw": (bmw_witness, bmw_witness_oracle, class_bmw_params),
+            "hecke": (hecke_witness, hecke_witness_oracle, class_hecke_params),
+            "jordan": (jordan_witness, jordan_witness_oracle,
+                       lambda c, p: (class_jordan_coeffs(c, p),)),
+        }[kind]
+        verdicts = []
+        for _ in range(200):
+            params = entry.random_params(rng)
+            if class_id == 1:  # class 1 realizes BMW at h8 = h1 only
+                params = {k: params[k] for k in ("h1", "h4", "h5")}
+                r = assemble(entry.fill({**params, "h8": params["h1"]}))
+            else:
+                r = assemble(entry.fill(params))
+            args = algebra(class_id, params)
+            g = (args[0] if kind != "jordan" else 1) * r
+            scale = max(max_norm(g), 1.0) ** (1 if kind == "bmw" else 2)
+            for op in (r, r + 1e-3 * rng.normal(size=(4, 4))):
+                w, (want, realized) = witness(op, *args), oracle(op, *args)
+                assert w.realized == realized, (class_id, params)
+                assert w.residuals.keys() == want.keys()
+                for name, v in w.residuals.items():
+                    assert abs(v - want[name]) <= 1e-13 * scale, (class_id, name, v, want[name])
+                verdicts.append(realized)
+        assert verdicts == [True, False] * 200
 
 
 class TestSingularOperators:

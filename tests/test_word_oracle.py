@@ -42,7 +42,6 @@ from braidgate.matrix_core import I2, PAULI_Z
 from braidgate.yang_baxter import (
     DENSE_STRANDS,
     MAX_ENTRIES,
-    MAX_STRANDS,
     BraidWord,
     WordPlan,
     braid_rep,
@@ -417,12 +416,16 @@ def _full_twist(strands, offset=0):
 
 
 class TestStrandBound:
-    # at MAX_STRANDS + 1 one dense state alone would take 1 GiB
-    WORD = BraidWord(MAX_STRANDS + 1, ((1, 1), (MAX_STRANDS, -1)))
+    # 13 strands, the fewest whose two dense states, 2 * 4^13 = 2^27 entries,
+    # exceed MAX_ENTRIES: one state alone would take 1 GiB
+    WORD = BraidWord(13, ((1, 1), (12, -1)))
     TWIST = BraidWord(14, _full_twist(14))
 
     def test_rep_of_word_refuses_before_allocating(self):
+        assert 2 * 4**12 <= MAX_ENTRIES < 2 * 4**13
         assert _peak_bytes(rep_of_word, np.eye(4), self.WORD) < 2**20
+        with pytest.raises(ValueError, match=r"2\^27 entries, exceed the limit of 2\^25$"):
+            rep_of_word(np.eye(4), self.WORD)
 
     def test_link_polynomial_refuses_before_allocating(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), I2, 1, 2)
