@@ -42,9 +42,8 @@ from .matrix_core import (
     DEFAULT_TOL,
     I2,
     IMAGINARY_TOL,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULI_PAIRS,
+    PAULIS,
     RANK_TOL,
     SINGULAR_TOL,
     _as_two_qubit,
@@ -84,6 +83,10 @@ __all__ = [
     "class_jordan_coeffs",
     "InvalidEnhancementError",
 ]
+
+# mu.ravel() = c @ _MU_ROWS for the Pauli coefficients c of mu
+_MU_ROWS = PAULIS.reshape(4, 4)
+
 
 class InvalidEnhancementError(ValueError):
     """The quadruple does not satisfy the enhancement conditions."""
@@ -136,42 +139,34 @@ class EnhancedOperator:
         object.__setattr__(self, "scales", scales)
 
     def mu_coeffs(self) -> tuple[complex, complex, complex, complex]:
-        """Pauli coefficients (alpha, beta, gamma, delta) of mu."""
-        m = self.mu
-        return (
-            complex((m[0, 0] + m[1, 1]) / 2),
-            complex((m[0, 1] + m[1, 0]) / 2),
-            complex((m[0, 1] - m[1, 0]) * 1j / 2),
-            complex((m[0, 0] - m[1, 1]) / 2),
-        )
+        """Pauli coefficients (alpha, beta, gamma, delta) of mu: tr(P_k mu) / 2."""
+        return tuple((_MU_ROWS @ self.mu.T.ravel() / 2).tolist())
 
 
-def _mu_matrix(alpha, beta, gamma, delta) -> np.ndarray:
-    return alpha * I2 + beta * PAULI_X + gamma * PAULI_Y + delta * PAULI_Z
+def _condition_terms(rs, mm):
+    """The terms of conditions (a)-(c) at mu x mu = mm: [R, mm], and tr_2 R mm
+    stacked on tr_2 R^-1 mm, for rs = [R, R^-1] of shape (2, ..., 4, 4) and a
+    4x4 mm or a stack of them, broadcast against R."""
+    products = rs @ mm  # R mm, R^-1 mm
+    blocks = products.reshape(*products.shape[:-2], 2, 2, 2, 2)
+    return products[0] - mm @ rs[0], blocks[..., 0, :, 0] + blocks[..., 1, :, 1]
 
 
 def _conditions(r, r_inv, mu, x, y):
     """Max-norm residuals of conditions (a)-(c) for (mu, x, y), and their
     scales: max(1, max|R| max|mu|^2) for (a), that or |x y| max|mu| for (b),
     and max(1, max|R^-1| max|mu|^2, |y / x| max|mu|) for (c), as two float
-    triples.
-
-    R (mu x mu) and R^-1 (mu x mu) are one stacked product and tr_2 of both
-    one sum of reshaped slices; each entry is formed as by the separate
-    products and :func:`~braidgate.matrix_core.partial_trace`.
+    triples.  The terms are :func:`_condition_terms` at mm = mu x mu.
     """
-    mm = tensor_product(mu, mu)
     rs = np.array([r, r_inv])
-    products = rs @ mm  # R (mu x mu), R^-1 (mu x mu)
-    blocks = products.reshape(2, 2, 2, 2, 2)
-    traces = blocks[:, :, 0, :, 0] + blocks[:, :, 1, :, 1]
+    comm, traces = _condition_terms(rs, tensor_product(mu, mu))
     lam, nu = x * y, y / x
     rest = traces - np.array([lam, nu])[:, None, None] * mu  # (b), (c)
     res_b, res_c = np.abs(rest).max(axis=(1, 2)).tolist()
     r_n, r_inv_n = np.abs(rs).max(axis=(1, 2)).tolist()
     mu_n = max_norm(mu)
     return (
-        (max_norm(products[0] - mm @ r), res_b, res_c),
+        (max_norm(comm), res_b, res_c),
         (max(1.0, r_n * mu_n**2), max(1.0, r_n * mu_n**2, abs(lam) * mu_n),
          max(1.0, r_inv_n * mu_n**2, abs(nu) * mu_n)),
     )
@@ -411,14 +406,13 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
         class_params[slot] = evaluate_expr(expr, env)
     r = assemble(entry.fill(class_params))
     try:
-        alpha, beta, gamma, delta, x, y = _evaluate_row(env, recipe.let,
-                                                        (*recipe.mu, recipe.x, recipe.y))
+        *c, x, y = _evaluate_row(env, recipe.let, (*recipe.mu, recipe.x, recipe.y))
     except ZeroDivisionError:
         raise InvalidEnhancementError(
             f"{recipe_id} is undefined at {params}: its formulas divide by zero"
         ) from None
-    candidate = EnhancedOperator(R=r, mu=_mu_matrix(alpha, beta, gamma, delta),
-                                 x=x, y=y, recipe_id=recipe_id)
+    candidate = EnhancedOperator(R=r, mu=(np.array(c) @ _MU_ROWS).reshape(2, 2), x=x, y=y,
+                                 recipe_id=recipe_id)
     residuals, ok = verify_enhancement(candidate, tol)
     if not ok:
         raise InvalidEnhancementError(
@@ -433,22 +427,13 @@ def instantiate_recipe(recipe_id: str, params: dict, tol: float = DEFAULT_TOL) -
 
 # mu x mu = sum_kl c_k c_l P_k x P_l, so conditions (a)-(c) are quadratic in
 # the Pauli coefficients c of mu: each is outer(c, c).ravel() @ (its table).
-_PAULIS = np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z])
-_PAULI_PAIRS = np.array([np.kron(p, q) for p in _PAULIS for q in _PAULIS])  # (k, l) as 4 k + l
-_MU_ROWS = _PAULIS.reshape(4, 4)  # mu.ravel() = c @ _MU_ROWS
-
-
 def _condition_tables(r, r_inv) -> np.ndarray:
     """(..., 16, 24) table T of each R of a stack: row (k, l) holds, for
-    mu x mu = P_k x P_l, the entries of [R, mu x mu] (16), then
-    tr_2 R (mu x mu) (4), then tr_2 R^-1 (mu x mu) (4)."""
-    t = _PAULI_PAIRS
-    rt = r[..., None, :, :] @ t
-    a = rt - t @ r[..., None, :, :]
-    lead = rt.shape[:-2]
-    b = np.trace(rt.reshape(*lead, 2, 2, 2, 2), axis1=-3, axis2=-1)
-    c = np.trace((r_inv[..., None, :, :] @ t).reshape(*lead, 2, 2, 2, 2), axis1=-3, axis2=-1)
-    return np.concatenate([a.reshape(*lead, 16), b.reshape(*lead, 4), c.reshape(*lead, 4)],
+    mu x mu = P_k x P_l (``PAULI_PAIRS``), the entries of [R, mu x mu] (16),
+    then tr_2 R (mu x mu) (4), then tr_2 R^-1 (mu x mu) (4)."""
+    comm, traces = _condition_terms(np.array([r, r_inv])[..., None, :, :], PAULI_PAIRS)
+    lead = comm.shape[:-2]
+    return np.concatenate([comm.reshape(*lead, 16), np.moveaxis(traces, 0, -3).reshape(*lead, 8)],
                           axis=-1)
 
 
@@ -619,7 +604,8 @@ def _root_operator(r, r_inv, scale, coeffs, lam, nu) -> EnhancedOperator:
     # imaginary x is judged by Im x, so rounding in Re x cannot split a family
     if abs(x.real) <= IMAGINARY_TOL * abs(x) and x.imag < 0:
         x, y = -x, -y
-    return EnhancedOperator(R=r, mu=_mu_matrix(*coeffs), x=scale * x, y=y, r_inv=r_inv)
+    return EnhancedOperator(R=r, mu=(coeffs @ _MU_ROWS).reshape(2, 2), x=scale * x, y=y,
+                            r_inv=r_inv)
 
 
 def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
@@ -726,8 +712,8 @@ def _relation_residual(g, coeffs: dict[int, complex], g_inv=None) -> float:
 def bmw_witness(r, scale, l, m, tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check the BMW relations for g = scale * R and e = (g + g^-1) / m - 1 on
     two strands, and e_i g_j e_i = l e_i on three, with g_1 = g x I, g_2 = I x g."""
-    if abs(m) < SINGULAR_TOL:
-        raise ValueError("BMW witness requires m != 0")
+    if min(abs(l), abs(m)) < SINGULAR_TOL:  # the relations divide by both
+        raise ValueError("BMW witness requires l != 0 and m != 0")
     r = _as_two_qubit(r)
     scale, l, m = complex(scale), complex(l), complex(m)
     g = scale * r

@@ -116,9 +116,13 @@ def conjugate(r, kappa, q) -> np.ndarray:
 
 
 def conjugate_split(r, q1, q2) -> np.ndarray:
-    """(Q1 x Q2) R (Q1 x Q2)^-1 with independent one-qubit factors."""
-    qq = tensor_product(as_matrix(q1), as_matrix(q2))
-    return qq @ as_matrix(r) @ invert(qq)
+    """(Q1 x Q2) R (Q1 x Q2)^-1 with independent one-qubit factors; an R that
+    is not 4x4 or a factor that is not 2x2 raises ``ValueError``."""
+    if np.shape(q1) != (2, 2) or np.shape(q2) != (2, 2):
+        raise ValueError(
+            f"expected 2x2 one-qubit factors, got shapes {np.shape(q1)} and {np.shape(q2)}")
+    qq = tensor_product(q1, q2)
+    return qq @ _as_two_qubit(r) @ invert(qq)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
+    "PAULIS",
+    "PAULI_PAIRS",
     "SingularMatrixError",
     "as_matrix",
     "tensor_product",
@@ -111,12 +113,14 @@ def tensor_product(a, b) -> np.ndarray:
     return _kron(as_matrix(a), as_matrix(b))
 
 
+# The one Pauli basis: P_0..P_3 = I, X, Y, Z, and the sixteen two-qubit words
+# P_k x P_l at index 4 k + l.
+PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
+PAULI_PAIRS = np.array([_kron(p, q) for p in PAULIS for q in PAULIS])
+
 # The six one-qubit generators of the local algebra: X, Y, Z on qubit 1, then
 # on qubit 2, each a 4x4 operator.
-LOCAL_PAULIS = np.array(
-    [tensor_product(p, I2) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-    + [tensor_product(I2, p) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-)
+LOCAL_PAULIS = PAULI_PAIRS[[4, 8, 12, 1, 2, 3]]
 
 
 def _as_two_qubit(r) -> np.ndarray:

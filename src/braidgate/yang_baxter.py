@@ -49,9 +49,7 @@ from .matrix_core import (
     DRAW_MIN_DET,
     I2,
     LOCAL_PAULIS,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULI_PAIRS,
     RANK_TOL,
     SINGULAR_TOL,
     XTYPE_SUPPORT,
@@ -604,9 +602,13 @@ def closed_traces(r, site, words: list[BraidWord], r_inv=None) -> list[complex]:
     return traces
 
 
-@dataclass(frozen=True)
-class PauliExpansion:
-    """Coefficients of an X-type operator on the eight supported Pauli words."""
+# The eight Pauli words that span the X-type operators, II, ZI, IZ, ZZ, XX,
+# XY, YX, YY (``PAULI_PAIRS`` at 4 k + l), one flattened word per row.
+_XTYPE_WORDS = PAULI_PAIRS[[0, 12, 3, 15, 5, 6, 9, 10]].reshape(8, 16)
+
+
+class PauliExpansion(NamedTuple):
+    """Coefficients of an X-type operator on its eight Pauli words, an 8-tuple."""
 
     l: complex
     a3: complex
@@ -618,31 +620,14 @@ class PauliExpansion:
     b5: complex
 
     def reassemble(self) -> np.ndarray:
-        return (
-            self.l * tensor_product(I2, I2)
-            + self.a3 * tensor_product(PAULI_Z, I2)
-            + self.a6 * tensor_product(I2, PAULI_Z)
-            + self.b9 * tensor_product(PAULI_Z, PAULI_Z)
-            + self.b1 * tensor_product(PAULI_X, PAULI_X)
-            + self.b2 * tensor_product(PAULI_X, PAULI_Y)
-            + self.b4 * tensor_product(PAULI_Y, PAULI_X)
-            + self.b5 * tensor_product(PAULI_Y, PAULI_Y)
-        )
+        """The operator sum_P c_P P over the eight words."""
+        return (np.array(self, dtype=complex) @ _XTYPE_WORDS).reshape(4, 4)
 
 
 def pauli_expand(h) -> PauliExpansion:
-    """Expand an X-type operator over {II, ZI, IZ, ZZ, XX, XY, YX, YY}."""
-    h1, h2, h3, h4, h5, h6, h7, h8 = h
-    return PauliExpansion(
-        l=(h1 + h3 + h6 + h8) / 4,
-        a3=(h1 + h3 - h6 - h8) / 4,
-        a6=(h1 - h3 + h6 - h8) / 4,
-        b9=(h1 - h3 - h6 + h8) / 4,
-        b1=(h2 + h4 + h5 + h7) / 4,
-        b2=1j * (h2 - h4 + h5 - h7) / 4,
-        b4=1j * (h2 + h4 - h5 - h7) / 4,
-        b5=(-h2 + h4 + h5 - h7) / 4,
-    )
+    """Expand the X-type operator of h1..h8 (see :func:`assemble`) over
+    II, ZI, IZ, ZZ, XX, XY, YX, YY: the coefficient of word P is tr(P R) / 4."""
+    return PauliExpansion(*(_XTYPE_WORDS @ assemble(h).T.ravel() / 4).tolist())
 
 
 def lie_orbit_rank(r) -> tuple[int, dict[str, dict]]:

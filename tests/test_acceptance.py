@@ -167,7 +167,7 @@ def test_criterion_05_enhancement_catalog():
     for entry_id, count in expected_counts.items():
         entry = CATALOG[entry_id]
         r = assemble(entry.fill(entry.random_params(rng)))
-        sols = solve_enhancement(r, TOL, starts=200)
+        sols = solve_enhancement(r, TOL)
         assert len(sols) == count, (entry_id, len(sols))
     report(5, "33 recipes x 20 draws valid; solver family counts C2:1, C6:5, C11:1")
 
@@ -487,7 +487,7 @@ def test_criterion_12_appendix_b():
         assert jordan_witness(rep["matrix"], rep["jordan"]).realized
     generic = rh_extras_report("H2,3", {"k": rc(), "p": rc(), "q": rc(), "s": rc()})
     assert not generic["enhanceable"]
-    sols = solve_enhancement(generic["matrix"], TOL, starts=200)
+    sols = solve_enhancement(generic["matrix"], TOL)
     assert sols == []
     report(12, "H1,3 and H2,3 reports match direct computation; enhancement"
-               " exists only at q = -p (none found elsewhere at 200 starts)")
+               " exists only at q = -p (the exact solver finds none elsewhere)")

@@ -521,6 +521,21 @@ class TestEnhanceCommand:
             passed = all(r < report["tolerance"] * s for r, s in zip(p["residuals"], p["scales"]))
             assert passed == (p["outcome"] == "family")
 
+    @pytest.mark.parametrize("argv", [
+        ("--class", "C6.0", "--params", "h1=1,h8=2,h2=1"),
+        ("--class", "C3.0", "--params", "h1=1,h7=2,h8=3"),
+        ("--class", "C12.0", "--params", "h1=1,h2=2"),
+    ], ids=["C6.0", "C3.0", "C12.0"])
+    def test_family_mu_is_its_point_mu(self, capsys, argv):
+        # families[].mu is mu_coeffs() of the quadruple made from its point's
+        # coefficients, X and Y parts included
+        code, report = run_json(capsys, "enhance", *argv)
+        found = [p for p in report["points"] if p["outcome"] == "family"]
+        assert code == 0 and len(found) == report["count"] > 1
+        for family, point in zip(report["families"], found):
+            got, want = (np.array(v) @ [1, 1j] for v in (family["mu"], point["mu"]))
+            assert np.abs(got - want).max() <= 1e-12
+
     def test_degenerate_points_are_not_checked(self, capsys):
         code, report = run_json(capsys, "enhance", "--class", "C9.2", "--params", "h1=1,h7=2")
         assert code == 0

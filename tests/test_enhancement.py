@@ -39,7 +39,8 @@ from braidgate.matrix_core import (
     DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, XTYPE_SUPPORT, max_norm, numerical_rank,
     partial_trace, tensor_product,
 )
-from braidgate.yang_baxter import BraidWord, CATALOG, assemble, catalog_entry, compile_expr
+from braidgate.yang_baxter import (BraidWord, CATALOG, assemble, catalog_entry, compile_expr,
+                                   evaluate_expr)
 from oracles import (bmw_witness_oracle, enhancement_system_oracle, hecke_witness_oracle,
                      jordan_witness_oracle)
 
@@ -130,6 +131,19 @@ class TestVerifyEnhancement:
             e = instantiate_recipe(recipe_id, recipe_draw(recipe_id))
             residuals, ok = verify_enhancement(e)
             assert ok, f"{recipe_id}: {residuals}"
+
+    @pytest.mark.parametrize("recipe_id", sorted(RECIPES))
+    def test_mu_coeffs_are_the_recipe_coefficients(self, recipe_id):
+        # X and Y parts included: mu_coeffs() inverts the Pauli sum the
+        # recipe's (alpha, beta, gamma, delta) build
+        params, e = well_conditioned_draw(recipe_id)
+        recipe = RECIPES[recipe_id]
+        env = dict(params)
+        for name, expr in recipe.let.items():
+            env[name] = evaluate_expr(expr, env)
+        want = np.array([evaluate_expr(expr, env) for expr in recipe.mu])
+        got = np.array(e.mu_coeffs())
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
     def test_failing_recipe_raises(self):
         # near h1 = h8 the class-6 formulas cancel, and the instance fails
@@ -583,7 +597,7 @@ class TestSolver:
     def test_class2_only_identity_family(self):
         entry = CATALOG["C2.0"]
         r = assemble(entry.fill(entry.random_params(RNG)))
-        sols = solve_enhancement(r, starts=60)
+        sols = solve_enhancement(r)
         assert len(sols) == 1
         coeffs = sols[0].mu_coeffs()
         assert abs(coeffs[0] - 1) < 1e-8
@@ -592,7 +606,7 @@ class TestSolver:
     def test_class11_only_z_family(self):
         entry = CATALOG["C11.0"]
         r = assemble(entry.fill(entry.random_params(RNG)))
-        sols = solve_enhancement(r, starts=60)
+        sols = solve_enhancement(r)
         assert len(sols) == 1
         coeffs = sols[0].mu_coeffs()
         assert max(abs(c) for c in coeffs[:3]) < 1e-8 and abs(coeffs[3] - 1) < 1e-8
@@ -602,7 +616,7 @@ class TestSolver:
         entry = CATALOG["C6.0"]
         params = entry.random_params(np.random.default_rng(600 + draw))
         r = assemble(entry.fill(params))
-        sols = solve_enhancement(r, starts=200)
+        sols = solve_enhancement(r)
         assert len(sols) == 5
         # they match the cataloged recipes up to normalization and sign
         expected = []
@@ -1288,6 +1302,11 @@ class TestAlgebraWitnesses:
     def test_bmw_requires_nonzero_m(self):
         with pytest.raises(ValueError):
             bmw_witness(np.eye(4), 1, 1, 0)
+
+    def test_bmw_requires_nonzero_l(self):
+        # the relations divide by l: this was a ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^BMW witness requires l != 0 and m != 0$"):
+            bmw_witness(np.eye(4), 1, 0, 1)
 
     @pytest.mark.parametrize("size", [2, 8])
     @pytest.mark.parametrize("call", [

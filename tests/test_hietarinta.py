@@ -136,6 +136,17 @@ class TestConjugation:
         residual, ok = check_ybe(conjugate(r, rand_complex(), q))
         assert ok
 
+    @pytest.mark.parametrize("call", [
+        lambda r, q: conjugate(r, 1, q),
+        lambda r, q: conjugate_split(r, np.eye(2), q),
+    ], ids=["conjugate", "conjugate_split"])
+    def test_wrong_shapes_are_refused(self, call):
+        # these gave matmul's "size 4 is different from 9"
+        with pytest.raises(ValueError, match=r"^expected a 4x4 two-qubit operator, got \(8, 8\)$"):
+            call(np.eye(8), np.eye(2))
+        with pytest.raises(ValueError, match=r"^expected 2x2 one-qubit factors, got shapes "):
+            call(np.eye(4), np.eye(3))
+
     def test_kappa_scaling_of_invariants(self):
         r = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         kappa = rand_complex()
@@ -298,7 +309,7 @@ class TestAppendixB:
         k, p, q, s = rand_complex(), rand_complex(), rand_complex(), rand_complex()
         rep = rh_extras_report("H2,3", {"k": k, "p": p, "q": q, "s": s})
         assert not rep["enhanceable"]
-        sols = solve_enhancement(rep["matrix"], starts=40)
+        sols = solve_enhancement(rep["matrix"])
         assert sols == []
 
     @pytest.mark.parametrize("k,p,q,verdict", [

@@ -263,6 +263,38 @@ def test_thresholds_are_named_in_matrix_core():
     assert found == []
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names one module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]: node.lineno
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used | exported]
+
+
+def test_modules_import_only_what_they_use():
+    # __init__ imports to re-export; every other module imports a name only
+    # to use it or to list it in __all__
+    modules = sorted(Path(braidgate.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    found = [hit for path in modules if path.name != "__init__.py"
+             for hit in _unused_imports(path)]
+    assert found == []
+
+
+def test_unused_import_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import numpy as np\nfrom .matrix_core import PAULI_X, I2, max_norm\n"
+                      "__all__ = ['max_norm']\nEYE = np.eye(2) + I2\n")
+    assert _unused_imports(module) == ["m.py:3: PAULI_X"]
+
+
 def test_library_does_not_read_the_environment(monkeypatch):
     # only the CLI resolves BRAIDGATE_TOL; a library call never sees it
     monkeypatch.setenv("BRAIDGATE_TOL", "not a number")

@@ -382,6 +382,26 @@ class TestPauliExpansion:
             h = XTypeParams(*(rand_complex() for _ in range(8)))
             assert max_norm(pauli_expand(h).reassemble() - assemble(h)) < 1e-14
 
+    def test_coefficients_are_traces_with_their_words(self):
+        # each coefficient is tr(P R) / 4 with its own word, built here by
+        # np.kron, so a swapped label fails
+        words = {"l": (I2, I2), "a3": (PAULI_Z, I2), "a6": (I2, PAULI_Z),
+                 "b9": (PAULI_Z, PAULI_Z), "b1": (PAULI_X, PAULI_X), "b2": (PAULI_X, PAULI_Y),
+                 "b4": (PAULI_Y, PAULI_X), "b5": (PAULI_Y, PAULI_Y)}
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            h = XTypeParams(*(rand_complex(rng) for _ in range(8)))
+            r = assemble(h)
+            pe = pauli_expand(h)
+            assert pe._fields == tuple(words) and len(pe) == 8
+            for name, (p, q) in words.items():
+                want = np.trace(np.kron(p, q) @ r) / 4
+                assert abs(getattr(pe, name) - want) <= 1e-15 * max_norm(r)
+
+    def test_refuses_seven_parameters(self):
+        with pytest.raises(ValueError, match="^expected eight X-type parameters$"):
+            pauli_expand([1] * 7)
+
     @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
                     min_size=8, max_size=8))
     @settings(max_examples=60, deadline=None)
