@@ -563,6 +563,12 @@ def main(argv=None) -> int:
         # inf or NaN that a check compares
         with np.errstate(over="raise", invalid="raise"):
             code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here at the latest
+    except BrokenPipeError:
+        # the reader has gone: exit 1 with no traceback, and point stdout at
+        # devnull so that the flush at interpreter exit stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_FAILED
     except (SingularMatrixError, InadmissibleParamsError, InvalidEnhancementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR

@@ -299,45 +299,38 @@ RECIPE_TABLE: tuple[EquivalenceRecipe, ...] = (
                       target_params={"h1": "I*h1", "h2": "h2"}),
 )
 
-# Split (Q1 x Q2) conjugations relate operators across different H families
-# and are not part of the family-preserving move set, so the classification
-# walk excludes them.
-def _is_family_edge(r_: EquivalenceRecipe) -> bool:
-    return not any(step[0] == "conj2" for step in r_.steps)
+
+def _family_steps() -> dict[str, tuple[str, tuple[str, str, tuple[str, ...]]]]:
+    """Each catalog entry's next step toward its H family, as (next name,
+    (source, target, moves)).  A recipe from a family into the entry,
+    reversed, wins; otherwise the entry's first recipe with no split
+    (Q1 x Q2) conjugation, which relates operators across H families and is
+    not a family-preserving move."""
+    steps = {}
+    for r_ in RECIPE_TABLE:
+        if r_.source in HIETARINTA_FORMS:
+            steps[r_.target] = (r_.source, (r_.source, r_.target, ("conjugation (reversed)",)))
+        elif all(step[0] != "conj2" for step in r_.steps):
+            steps.setdefault(r_.source, (r_.target, (r_.source, r_.target,
+                                                     tuple(step[0] for step in r_.steps))))
+    return steps
 
 
-_BY_SOURCE = {}
-for _r_ in RECIPE_TABLE:
-    if _is_family_edge(_r_):
-        _BY_SOURCE.setdefault(_r_.source, _r_)
-_FROM_FAMILY = {
-    r_.target: r_.source
-    for r_ in RECIPE_TABLE
-    if r_.source in HIETARINTA_FORMS
-}
+_FAMILY_STEPS = _family_steps()
 
 
 def classify(entry_id: str) -> dict:
     """Resolve a catalog entry to its H family by following recipe chains."""
-    entry = catalog_entry(entry_id)  # validates the id
-    steps: list[dict] = []
-    current = entry.entry_id
-    for _ in range(10):
-        if current in HIETARINTA_FORMS:
-            return {"entry": entry_id, "family": current, "chain": steps}
-        if current in _FROM_FAMILY:
-            fam = _FROM_FAMILY[current]
-            steps.append({"source": fam, "target": current,
-                          "moves": ["conjugation (reversed)"]})
-            return {"entry": entry_id, "family": fam, "chain": steps}
-        if current in _BY_SOURCE:
-            r_ = _BY_SOURCE[current]
-            steps.append({"source": r_.source, "target": r_.target,
-                          "moves": [s[0] for s in r_.steps]})
-            current = r_.target
-            continue
-        raise KeyError(f"no stored recipe covers {current}")
-    raise RuntimeError("recipe chain did not terminate")
+    current = catalog_entry(entry_id).entry_id  # validates the id
+    chain: list[dict] = []
+    while current not in HIETARINTA_FORMS:
+        if current not in _FAMILY_STEPS:
+            raise KeyError(f"no stored recipe covers {current}")
+        if len(chain) == len(_FAMILY_STEPS):  # a longer chain repeats an entry
+            raise RuntimeError(f"the recipe chain from {entry_id} does not terminate")
+        current, (source, target, moves) = _FAMILY_STEPS[current]
+        chain.append({"source": source, "target": target, "moves": list(moves)})
+    return {"entry": entry_id, "family": current, "chain": chain}
 
 
 # ---------------------------------------------------------------------------
@@ -362,51 +355,33 @@ def rh_extras_report(which: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         r_inv = invert(r)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"{which} requires k != 0: {exc}") from None
+    # both families have class 9's spectrum: lam three times and -lam once
     if which == "H1,3":
         k, pp, q = p.values()
+        lam = k**2
         mu = np.eye(2, dtype=complex) - (pp + q) / (2 * k) * np.array(
-            [[0, 2], [0, 0]], dtype=complex
-        )  # X + iY = [[0, 2], [0, 0]]
-        enhanced = EnhancedOperator(R=r, mu=mu, x=k**2, y=1.0, r_inv=r_inv)
-        return {
-            "family": "H1,3",
-            "matrix": r,
-            "invariants": {
-                "I1": 2 * k**2,
-                "I2_4": -2 * k**4,
-                "I2_5": -2 * k**4,
-                "I2_8": 4 * k**4,
-                "I2_9": 2 * k**4,
-                "I2_10": 2 * k**4,
-            },
-            "eigenvalues": {"value": k**2, "multiplicities": (3, 1)},
-            "enhanced": enhanced,
-            "link_values": {"even": 4.0, "odd": 2.0},
-            "entangling_power": abs(k) ** 4 * abs(pp + q) ** 2
-            * (abs(k) ** 2 + abs(q) ** 2) / 9,
-            "hecke": {"scale": 1 / k**2, "q": 1.0},
-        }
-    k, pp, q, s = p.values()
-    # enhanceable exactly when (mu = I, x = k, y = 1) passes verify_enhancement
-    # at tol, which judges each condition against its own scale
-    candidate = EnhancedOperator(R=r, mu=np.eye(2, dtype=complex), x=k, y=1.0,
-                                 r_inv=r_inv)
+            [[0, 2], [0, 0]], dtype=complex)  # X + iY = [[0, 2], [0, 0]]
+        extras = {"entangling_power": abs(k) ** 4 * abs(pp + q) ** 2
+                  * (abs(k) ** 2 + abs(q) ** 2) / 9,
+                  "hecke": {"scale": 1 / lam, "q": 1.0}}
+    else:
+        k, pp, q, s = p.values()
+        lam = k
+        mu = np.eye(2, dtype=complex)
+        extras = {"entangling_power": abs(k * s - pp * q) ** 2 / 9,
+                  "jordan": {2: 1, 1: -k, 0: -(k**2), -1: k**3}}
     out = {
-        "family": "H2,3",
+        "family": which,
         "matrix": r,
-        "invariants": {
-            "I1": 2 * k,
-            "I2_4": -2 * k**2,
-            "I2_5": -2 * k**2,
-            "I2_8": 4 * k**2,
-            "I2_9": 2 * k**2,
-            "I2_10": 2 * k**2,
-        },
-        "eigenvalues": {"value": k, "multiplicities": (3, 1)},
-        "entangling_power": abs(k * s - pp * q) ** 2 / 9,
-        "jordan": {2: 1, 1: -k, 0: -(k**2), -1: k**3},
-        "enhanceable": verify_enhancement(candidate, tol)[1],
+        "invariants": {"I1": 2 * lam, "I2_4": -2 * lam**2, "I2_5": -2 * lam**2,
+                       "I2_8": 4 * lam**2, "I2_9": 2 * lam**2, "I2_10": 2 * lam**2},
+        "eigenvalues": {"value": lam, "multiplicities": (3, 1)},
+        **extras,
     }
+    # enhanceable exactly when (mu, x = lam, y = 1) passes verify_enhancement
+    # at tol, which judges each condition against its own scale
+    candidate = EnhancedOperator(R=r, mu=mu, x=lam, y=1.0, r_inv=r_inv)
+    out["enhanceable"] = verify_enhancement(candidate, tol)[1]
     if out["enhanceable"]:
         out["enhanced"] = candidate
         out["link_values"] = {"even": 4.0, "odd": 2.0}

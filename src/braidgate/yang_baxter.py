@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -114,26 +115,35 @@ def assemble(h) -> np.ndarray:
 
 
 def ybe_scale(r) -> float:
-    """max(1, max|R|)^3, the scale of the Yang-Baxter residual: both sides
-    are products of three copies of R."""
-    return max(1.0, max_norm(r)) ** 3
+    """max|R|^3, the scale of the Yang-Baxter residual: both sides are
+    products of three copies of R, so the verdict does not depend on the
+    scale of R."""
+    return max_norm(r) ** 3
 
 
 def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     """Residual and verdict of the braided Yang-Baxter equation on 8x8.
 
-    The residual passes below ``tol`` times :func:`ybe_scale`, so rounding
-    at large parameters does not fail a solution.  The verdict also requires
-    invertibility, since a braiding operator is by definition an invertible
-    solution (the all-ones X pattern, for example, satisfies the equation
-    identically but is singular).
+    The residual passes below ``tol`` times :func:`ybe_scale`, so the
+    verdict does not depend on the scale of R: rounding at large parameters
+    does not fail a solution, and a non-solution scaled down does not pass.
+    Below max|R| = 2^-256 the rounding of a product of three R would
+    underflow, so 2^512 R is checked instead: a power of two scales every
+    product exactly, and its residual is 2^1536 times R's.  The verdict also
+    requires invertibility, since a braiding operator is by definition an
+    invertible solution (the all-ones X pattern, for example, satisfies the
+    equation identically but is singular).
     """
     r = _as_two_qubit(r)
+    r_max = max_norm(r)
+    if 0 < r_max < 2.0**-256:
+        residual, ok = check_ybe(2.0**512 * r, tol)
+        return math.ldexp(residual, -1536), ok
     a = tensor_product(r, I2)
     b = tensor_product(I2, r)
     residual = max_norm(a @ b @ a - b @ a @ b)
     invertible = _checked_inverse(r)[0] is not None
-    return residual, residual < tol * ybe_scale(r) and invertible
+    return residual, residual < tol * r_max**3 and invertible
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:
@@ -636,19 +646,18 @@ def lie_orbit_rank(r) -> tuple[int, dict[str, dict]]:
     Commutes the operator with the six one-qubit generators {X, Y, Z} x I and
     I x {X, Y, Z} (``LOCAL_PAULIS``), stacks the flattened commutators,
     and counts singular values above RANK_TOL times the largest.  The report
-    notes which generators keep the commutator inside the X pattern, to
-    RANK_TOL of its scale (only Z1 and Z2 do, for generic parameters).
+    notes which commutators are nonzero and which stay inside the X pattern
+    (only Z1's and Z2's do, for generic parameters), both to RANK_TOL times
+    max|R|, so neither flag depends on the scale of R.
     """
     r = _as_two_qubit(r)
     comms = LOCAL_PAULIS @ r - r @ LOCAL_PAULIS
+    tol = RANK_TOL * max_norm(r)
     report: dict[str, dict] = {}
     names = [f"{p}{q}" for q in "12" for p in "XYZ"]  # the order of LOCAL_PAULIS
     for name, comm in zip(names, comms):
-        off_pattern = max_norm(comm[~XTYPE_SUPPORT])
-        report[name] = {
-            "nonzero": max_norm(comm) > RANK_TOL,
-            "preserves_xtype": off_pattern <= RANK_TOL * max(max_norm(comm), 1.0),
-        }
+        report[name] = {"nonzero": max_norm(comm) > tol,
+                        "preserves_xtype": max_norm(comm[~XTYPE_SUPPORT]) <= tol}
     return numerical_rank(comms.reshape(6, 16)), report
 
 

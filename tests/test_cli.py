@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import braidgate
 from braidgate import enhancement, entangling_power
 from braidgate.cli import main
 from braidgate.enhancement import POINT_OUTCOMES
@@ -84,6 +89,14 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert report["checks"]["ybe"]["pass"]
+
+    def test_scaled_down_non_solution_fails(self, capsys):
+        # the residual, 2.1e-12, is judged against max|R|^3, not against 1
+        m = 1e-4 * np.random.default_rng(1).normal(size=(4, 4))
+        code, report = run_json(capsys, "verify", "--matrix", json.dumps(m.tolist()))
+        ybe = report["checks"]["ybe"]
+        assert code == 1 and not ybe["pass"]
+        assert ybe["scale"] == np.abs(m).max() ** 3 and ybe["residual"] > 1e-9 * ybe["scale"]
 
     def test_all_ones_fails(self, capsys):
         code, report = run_json(capsys, "verify", "--xtype", "1,1,1,1,1,1,1,1")
@@ -646,6 +659,20 @@ def test_exit_codes(capsys, argv, code):
     assert got == code
     if code >= 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_closed_stdout_is_exit_1_without_traceback(fmt):
+    # the read end of the pipe is closed before the command writes
+    env = dict(os.environ, PYTHONPATH=str(Path(braidgate.__file__).parents[1]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "braidgate.cli", "catalog", "--class", "3",
+                              *fmt], stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert run.returncode == 1 and run.stderr == ""
 
 
 def test_help_lists_exit_codes(capsys):

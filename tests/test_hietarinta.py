@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from braidgate import hietarinta
 from braidgate.enhancement import (EnhancedOperator, jordan_witness, link_polynomial,
                                    solve_enhancement, verify_enhancement)
 from braidgate.entangling_power import entangling_power_quadrature
@@ -18,9 +19,10 @@ from braidgate.hietarinta import (
     rh_extras_report,
     verify_recipe,
 )
-from braidgate.invariants import quadratic_invariants
+from braidgate.invariants import _CLASS_FORMULAS, quadratic_invariants
 from braidgate.matrix_core import SingularMatrixError
-from braidgate.yang_baxter import BraidWord, CATALOG, XTypeParams, assemble, check_ybe
+from braidgate.yang_baxter import (BraidWord, CATALOG, XTypeParams, assemble, check_ybe,
+                                  evaluate_expr)
 
 RNG = np.random.default_rng(91)
 
@@ -216,9 +218,77 @@ class TestClassify:
         "C12.0": "H1,1", "C12.1": "H1,1",
     }
 
+    # every entry's chain as (source, target, comma-separated moves); a step
+    # out of a family into the entry is the reversed family conjugation
+    CHAINS = {
+        "C1.0": [("C1.0", "H3,1", "")],
+        "C2.0": [("C2.0", "H1,4", "")],
+        "C3.0": [("C3.0", "H1,2", "3b")],
+        "C3.1": [("C3.1", "C3.0", "3b,3c,3a"), ("C3.0", "H1,2", "3b")],
+        "C3.2": [("C3.2", "C3.0", "3b,3c"), ("C3.0", "H1,2", "3b")],
+        "C3.3": [("C3.3", "C3.0", "3a"), ("C3.0", "H1,2", "3b")],
+        "C3.4": [("C3.4", "C3.3", "3c"), ("C3.3", "C3.0", "3a"), ("C3.0", "H1,2", "3b")],
+        "C3.5": [("C3.5", "C3.1", "3a,3c"), ("C3.1", "C3.0", "3b,3c,3a"), ("C3.0", "H1,2", "3b")],
+        "C3.6": [("C3.6", "C3.1", "3c"), ("C3.1", "C3.0", "3b,3c,3a"), ("C3.0", "H1,2", "3b")],
+        "C3.7": [("C3.7", "C3.0", "3c"), ("C3.0", "H1,2", "3b")],
+        "C4.0": [("C4.0", "H2,1", "3c")],
+        "C4.1": [("C4.1", "C4.0", "3a,3c"), ("C4.0", "H2,1", "3c")],
+        "C5.0": [("C5.0", "H2,2", "3c")],
+        "C5.1": [("C5.1", "C5.0", "3a,3c"), ("C5.0", "H2,2", "3c")],
+        "C6.0": [("H1,1", "C6.0", "conjugation (reversed)")],
+        "C6.1": [("C6.1", "C6.0", "conj"), ("H1,1", "C6.0", "conjugation (reversed)")],
+        "C7.0": [("H1,4", "C7.0", "conjugation (reversed)")],
+        "C7.1": [("H3,1", "C7.1", "conjugation (reversed)")],
+        "C8.0": [("H0,2", "C8.0", "conjugation (reversed)")],
+        "C8.1": [("C8.1", "C8.0", "3c"), ("H0,2", "C8.0", "conjugation (reversed)")],
+        "C9.0": [("H0,1", "C9.0", "conjugation (reversed)")],
+        "C9.1": [("C9.1", "C9.0", "3a"), ("H0,1", "C9.0", "conjugation (reversed)")],
+        "C9.2": [("C9.2", "H2,3'", "3a")],
+        "C9.3": [("C9.3", "C9.2", "3a"), ("C9.2", "H2,3'", "3a")],
+        "C10.0": [("C10.0", "H1,2", "3b")],
+        "C10.1": [("C10.1", "C10.0", "3a"), ("C10.0", "H1,2", "3b")],
+        "C10.2": [("C10.2", "C10.0", "3b,3a"), ("C10.0", "H1,2", "3b")],
+        "C10.3": [("C10.3", "C10.2", "3a"), ("C10.2", "C10.0", "3b,3a"), ("C10.0", "H1,2", "3b")],
+        "C11.0": [("C11.0", "H1,2", "3a")],
+        "C11.1": [("C11.1", "C11.0", "3b,3c"), ("C11.0", "H1,2", "3a")],
+        "C11.2": [("C11.2", "C11.1", "3a"), ("C11.1", "C11.0", "3b,3c"), ("C11.0", "H1,2", "3a")],
+        "C11.3": [("C11.3", "C11.0", "3a"), ("C11.0", "H1,2", "3a")],
+        "C11.4": [("C11.4", "C11.2", "3c"), ("C11.2", "C11.1", "3a"), ("C11.1", "C11.0", "3b,3c"),
+                 ("C11.0", "H1,2", "3a")],
+        "C11.5": [("C11.5", "C11.3", "3c"), ("C11.3", "C11.0", "3a"), ("C11.0", "H1,2", "3a")],
+        "C11.6": [("C11.6", "C11.0", "3c"), ("C11.0", "H1,2", "3a")],
+        "C11.7": [("C11.7", "C11.1", "3c"), ("C11.1", "C11.0", "3b,3c"), ("C11.0", "H1,2", "3a")],
+        "C12.0": [("H1,1", "C12.0", "conjugation (reversed)")],
+        "C12.1": [("C12.1", "C12.0", "3a,3b"), ("H1,1", "C12.0", "conjugation (reversed)")],
+    }
+
     def test_every_entry_classified(self):
         for entry_id, family in self.EXPECTED.items():
             assert classify(entry_id)["family"] == family
+
+    def test_every_chain_pinned(self):
+        assert sorted(self.CHAINS) == sorted(CATALOG) == sorted(self.EXPECTED)
+        for entry_id, chain in self.CHAINS.items():
+            want = [{"source": src, "target": tgt, "moves": moves.split(",") if moves else []}
+                    for src, tgt, moves in chain]
+            assert classify(entry_id) == {"entry": entry_id, "family": self.EXPECTED[entry_id],
+                                          "chain": want}, entry_id
+
+    def test_editing_a_chain_leaves_the_table(self):
+        first = classify("C3.5")
+        for step in first["chain"]:
+            step["moves"].reverse()
+            step["moves"].append("3a")
+        first["chain"].clear()
+        assert [step["moves"] for step in classify("C3.5")["chain"]] == [
+            ["3a", "3c"], ["3b", "3c", "3a"], ["3b"]]
+
+    def test_a_cycle_is_refused(self, monkeypatch):
+        cycle = {"C3.0": ("C3.1", ("C3.0", "C3.1", ("3c",))),
+                 "C3.1": ("C3.0", ("C3.1", "C3.0", ("3c",)))}
+        monkeypatch.setattr(hietarinta, "_FAMILY_STEPS", cycle)
+        with pytest.raises(RuntimeError, match="does not terminate"):
+            classify("C3.0")
 
     def test_unknown_entry(self):
         with pytest.raises(KeyError):
@@ -350,3 +420,30 @@ class TestAppendixB:
     def test_bad_family_name(self):
         with pytest.raises(ValueError):
             rh_extras_report("H3,1", {"k": 1})
+
+    @pytest.mark.parametrize("which", ["H1,3", "H2,3"])
+    def test_class9_spectrum_and_invariants(self, which):
+        # lam = k^2 for H1,3 and k for H2,3: lam three times and -lam once,
+        # and class 9's invariants at lam
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            params = form_draw(which, rng)
+            if which == "H2,3" and i % 2:
+                params["q"] = -params["p"]  # enhanceable
+            rep = rh_extras_report(which, params)
+            lam = params["k"] ** 2 if which == "H1,3" else params["k"]
+            assert rep["eigenvalues"] == {"value": lam, "multiplicities": (3, 1)}
+            eig = np.linalg.eigvals(rep["matrix"])
+            assert sum(abs(v - lam) < 1e-9 * abs(lam) for v in eig) == 3
+            assert sum(abs(v + lam) < 1e-9 * abs(lam) for v in eig) == 1
+            want = {"I1": 2 * lam, **{key: evaluate_expr(expr, {"lam": lam})
+                                      for key, expr in _CLASS_FORMULAS[9].items()}}
+            assert rep["invariants"].keys() == want.keys()
+            for key, value in want.items():
+                assert abs(rep["invariants"][key] - value) <= 1e-12 * abs(value), key
+
+    def test_h13_enhancement_is_verified(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            rep = rh_extras_report("H1,3", form_draw("H1,3", rng))
+            assert rep["enhanceable"] is verify_enhancement(rep["enhanced"])[1] is True

@@ -94,6 +94,25 @@ class TestCheckYBE:
         residual, ok = check_ybe(r)
         assert not ok and residual > 1.0
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_verdict_does_not_depend_on_the_scale(self, scale):
+        # the residual is judged against max|R|^3: a non-solution scaled down
+        # does not pass, and a solution scaled either way does not fail
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            assert not check_ybe(scale * rng.normal(size=(4, 4)))[1]
+        for entry in CATALOG.values():
+            r = assemble(entry.fill(entry.random_params(rng)))
+            assert check_ybe(scale * r)[1], entry.entry_id
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-300])
+    def test_tiny_operator_keeps_its_verdict(self, scale):
+        # max|R|^3 underflows here, and so does the rounding of every product
+        # of three R; 2^512 R, checked in its place, keeps the verdicts apart
+        r = assemble(CATALOG["C1.0"].fill({"h1": 1, "h4": 2, "h5": 3, "h8": 4}))
+        assert check_ybe(scale * r) == (0.0, True)
+        assert not check_ybe(scale * assemble([1, 2, 3, 4, 5, 6, 7, 8]))[1]
+
 
 class TestBraidRep:
     def test_two_strands_is_r(self):
@@ -412,18 +431,16 @@ class TestPauliExpansion:
 
 
 def orbit_oracle(r):
-    """lie_orbit_rank with one kron per generator, as it was first written."""
-    rows, report = [], {}
+    """lie_orbit_rank with one kron per generator, as it was first written,
+    with both flags judged against RANK_TOL max|R|."""
+    rows, report, tol = [], {}, RANK_TOL * max_norm(r)
     for name, g, pos in (("X1", PAULI_X, 1), ("Y1", PAULI_Y, 1), ("Z1", PAULI_Z, 1),
                          ("X2", PAULI_X, 2), ("Y2", PAULI_Y, 2), ("Z2", PAULI_Z, 2)):
         full = tensor_product(g, I2) if pos == 1 else tensor_product(I2, g)
         comm = full @ r - r @ full
         rows.append(comm.ravel())
-        off_pattern = max_norm(comm[~XTYPE_SUPPORT])
-        report[name] = {
-            "nonzero": max_norm(comm) > RANK_TOL,
-            "preserves_xtype": off_pattern <= RANK_TOL * max(max_norm(comm), 1.0),
-        }
+        report[name] = {"nonzero": max_norm(comm) > tol,
+                        "preserves_xtype": max_norm(comm[~XTYPE_SUPPORT]) <= tol}
     return numerical_rank(np.array(rows)), report
 
 
@@ -489,6 +506,15 @@ class TestLieOrbit:
             [(h2 - h4 + h5 - h7) / 2, 1j * (h2 + h4 + h5 + h7) / 2,
              1j * (h2 - h4 - h5 + h7) / 2, (-h2 - h4 + h5 + h7) / 2],
         )
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e6])
+    def test_flags_do_not_depend_on_the_scale(self, scale):
+        # both flags are judged against RANK_TOL max|R|; judged absolutely,
+        # every commutator at 1e-9 read zero and inside the X pattern
+        r = assemble(CATALOG["C1.0"].fill({"h1": 1, "h4": 2, "h5": 3, "h8": 4}))
+        rank, report = lie_orbit_rank(r)
+        assert rank == 5 and not all(v["preserves_xtype"] for v in report.values())
+        assert lie_orbit_rank(scale * r) == (rank, report)
 
     def test_diagonal_rank_drops(self):
         h = XTypeParams(h1=rand_complex(), h3=rand_complex(),
