@@ -50,7 +50,6 @@ from .matrix_core import (
     _kron,
     invert,
     max_norm,
-    numerical_rank,
     tensor_product,
 )
 from .yang_baxter import (
@@ -152,6 +151,11 @@ def _condition_terms(rs, mm):
     return products[0] - mm @ rs[0], blocks[..., 0, :, 0] + blocks[..., 1, :, 1]
 
 
+# where [R, mu x mu], the (b) and (c) rests, R, R^-1 and mu start in the
+# flat terms of _conditions
+_CONDITION_SPANS = np.array([0, 16, 20, 24, 40, 56])
+
+
 def _conditions(r, r_inv, mu, x, y):
     """Max-norm residuals of conditions (a)-(c) for (mu, x, y), and their
     scales: max(1, max|R| max|mu|^2) for (a), that or |x y| max|mu| for (b),
@@ -162,11 +166,10 @@ def _conditions(r, r_inv, mu, x, y):
     comm, traces = _condition_terms(rs, tensor_product(mu, mu))
     lam, nu = x * y, y / x
     rest = traces - np.array([lam, nu])[:, None, None] * mu  # (b), (c)
-    res_b, res_c = np.abs(rest).max(axis=(1, 2)).tolist()
-    r_n, r_inv_n = np.abs(rs).max(axis=(1, 2)).tolist()
-    mu_n = max_norm(mu)
+    terms = np.abs(np.concatenate([comm.ravel(), rest.ravel(), rs.ravel(), mu.ravel()]))
+    res_a, res_b, res_c, r_n, r_inv_n, mu_n = np.maximum.reduceat(terms, _CONDITION_SPANS).tolist()
     return (
-        (max_norm(comm), res_b, res_c),
+        (res_a, res_b, res_c),
         (max(1.0, r_n * mu_n**2), max(1.0, r_n * mu_n**2, abs(lam) * mu_n),
          max(1.0, r_inv_n * mu_n**2, abs(nu) * mu_n)),
     )
@@ -478,38 +481,41 @@ _TERM_POLY = np.repeat(np.arange(_QUADRIC_COUNT + _CUBIC_COUNT),
 _SYSTEM_END = len(_TERM_POLY)
 
 
-def _macaulay_layout(degree: int) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-    """Shape and the flat (target, source) indices that place every
-    monomial multiple of the 16 quadrics and 12 cubics in the degree-``degree``
-    Macaulay matrix.  Sources index the concatenated (16, 10) quadric and
-    (12, 20) cubic coefficients; no two sources share a target."""
-    cols = len(_monomials(degree))
+def _macaulay_layout() -> tuple[np.ndarray, np.ndarray]:
+    """The flat (target, source) indices that place every monomial multiple
+    of the 16 quadrics and 12 cubics in the 76 x 20 degree-3 Macaulay matrix:
+    each quadric times c_0..c_3, then each cubic.  Sources index the
+    concatenated (16, 10) quadric and (12, 20) cubic coefficients; no two
+    sources share a target."""
     target, source = [], []
     rows = 0
     for count, d, offset in ((_QUADRIC_COUNT, 2, 0), (_CUBIC_COUNT, 3, _QUADRIC_COUNT * 10)):
-        product = _product_index(d, degree - d)
+        product = _product_index(d, 3 - d)
         terms, shifts = product.shape
         for poly in range(count):
             for shift in range(shifts):
-                target.append(rows * cols + product[:, shift])
+                target.append(rows * 20 + product[:, shift])
                 source.append(offset + poly * terms + np.arange(terms))
                 rows += 1
-    return (rows, cols), np.concatenate(target), np.concatenate(source)
+    return np.concatenate(target), np.concatenate(source)
 
 
-_MACAULAY = {d: _macaulay_layout(d) for d in (3, 4)}
+_MACAULAY_TARGET, _MACAULAY_SOURCE = _macaulay_layout()
 # degree-4 column of each degree-3 monomial times c_k: (20, 4)
 _SHIFT = _product_index(3, 1)
+# flat index of the (4, 20, 35) degree-4 placement: entry (k, i, _SHIFT[j, k])
+# takes R3[i, j], so row (k, i) is row i of R3 shifted by c_k
+_PLACE = (np.arange(4)[:, None, None] * 20 + np.arange(20)[:, None]) * 35 + _SHIFT.T[:, None, :]
 # fixed generic linear forms h0, h1: M_k multiplies by c_k / h0(c), h1(M) by h1(c) / h0(c)
 _FORMS = np.array([[0.61 + 0.23j, -0.37 + 0.52j, 0.83 - 0.19j, 0.29 + 0.71j],
                    [-0.44 + 0.67j, 0.91 + 0.13j, 0.17 - 0.58j, -0.72 - 0.31j]])
 
 
-def _macaulay(polys: np.ndarray, degree: int) -> np.ndarray:
-    shape, target, source = _MACAULAY[degree]
-    out = np.zeros(shape[0] * shape[1], dtype=complex)
-    out[target] = polys[source]
-    return out.reshape(shape)
+def _macaulay(polys: np.ndarray) -> np.ndarray:
+    """The 76 x 20 degree-3 Macaulay matrix of the scaled system."""
+    out = np.zeros(76 * 20, dtype=complex)
+    out[_MACAULAY_TARGET] = polys[_MACAULAY_SOURCE]
+    return out.reshape(76, 20)
 
 
 def _linear_table() -> np.ndarray:
@@ -549,22 +555,39 @@ def _system(r, r_inv, norm) -> tuple[np.ndarray, np.ndarray]:
     return polys * scale[_TERM_POLY], linear[_SYSTEM_END:].reshape(16, 8)
 
 
+def _null_space(polys) -> tuple[int, np.ndarray]:
+    """The degree-3 Macaulay nullity of the scaled system :func:`_system`
+    returns, and an orthonormal basis of the degree-4 null space, one vector
+    per column, both cut at RANK_TOL.
+
+    The system has no quartics, so every degree-4 row is a degree-3 row times
+    some c_k.  With M3 = Q R3, Q orthonormal, M4 v = 0 exactly when
+    R3 v[_SHIFT[:, k]] = 0 for k = 0..3: R3 placed at the four shifts, 80 rows,
+    has the null space of the 208-row degree-4 matrix.  One QR of M3 gives
+    both nullities, since the singular values of R3 are M3's."""
+    r3 = np.linalg.qr(_macaulay(polys), mode="r")
+    s3 = np.linalg.svd(r3, compute_uv=False)
+    placed = np.zeros(80 * 35, dtype=complex)
+    placed[_PLACE] = r3
+    # the R factor keeps the row space of the 80 x 35 placement; its SVD is 35 x 35
+    _, s, vh = np.linalg.svd(np.linalg.qr(placed.reshape(80, 35), mode="r"))
+    nullity = int(np.sum(s <= RANK_TOL * s[0]))
+    return int(np.sum(s3 <= RANK_TOL * s3[0])), vh[len(s) - nullity:].conj().T
+
+
 def _roots(polys) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm c of each root of the scaled system :func:`_system` returns,
     one row per root, and the multiplicities, which sum to the Macaulay nullity.
     Raises ``ValueError`` when the roots are not isolated points."""
-    # the R factor keeps the row space of the 208 x 35 matrix; its SVD is 35 x 35
-    _, s, vh = np.linalg.svd(np.linalg.qr(_macaulay(polys, 4), mode="r"))
-    nullity = int(np.sum(s <= RANK_TOL * s[0]))
-    m3 = _macaulay(polys, 3)
-    degree3 = m3.shape[1] - numerical_rank(m3)
+    degree3, null = _null_space(polys)
+    nullity = null.shape[1]
     if nullity != degree3:
         raise ValueError(
             "the enhancement conditions of this operator have a positive-dimensional "
             f"solution set: Macaulay nullity {degree3} at degree 3, {nullity} at degree 4")
     if nullity == 0:
         return np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
-    shifted = vh[len(s) - nullity:].conj().T[_SHIFT]  # (20, 4, nullity): rows c_k * m3
+    shifted = null[_SHIFT]  # (20, 4, nullity): rows c_k * m3
     # mult[:, k] is the multiplication matrix M_k of c_k / h0(c): (h0 * m3) M_k = c_k * m3
     mult, *_ = np.linalg.lstsq(_FORMS[0] @ shifted, shifted.reshape(20, -1), rcond=None)
     mult = mult.reshape(nullity, 4, nullity)
@@ -621,11 +644,12 @@ def _solve(r, tol) -> tuple[list[EnhancedOperator], list[dict]]:
     # (mu, x, y) enhances R exactly when (mu, x / s, y) enhances R / s, so
     # the roots are found and judged for R / s with max|R / s| = max|s R^-1|:
     # the outcome of a root does not depend on the scale of R
-    if max_norm(r_inv) == 0:  # every entry of R^-1 is below the float64 range
-        raise ValueError(f"R^-1 underflows a float64 at max|R| = {max_norm(r):.3g}")
+    r_n, r_inv_n = max_norm(r), max_norm(r_inv)
+    if r_inv_n == 0:  # every entry of R^-1 is below the float64 range
+        raise ValueError(f"R^-1 underflows a float64 at max|R| = {r_n:.3g}")
     # a ratio of square roots: the ratio itself overflows past max|R| ~ 1e154
-    scale = np.sqrt(max_norm(r)) / np.sqrt(max_norm(r_inv))
-    norm = max_norm(r) / scale
+    scale = np.sqrt(r_n) / np.sqrt(r_inv_n)
+    norm = r_n / scale
     polys, table = _system(r / scale, r_inv * scale, norm)
     roots, counts = _roots(polys)
     # c has unit norm; its first nonzero coefficient is the pivot
@@ -666,7 +690,10 @@ def solve_enhancement(
     coefficients c of mu, solved exactly in projective space: every root comes
     from the null space of their degree-4 Macaulay matrix, whose nullity must
     equal the degree-3 one (otherwise the solution set is positive-dimensional
-    and ``ValueError`` is raised).  A root of multiplicity k, a cluster of k
+    and ``ValueError`` is raised).  The system has no quartics, so one QR of
+    the degree-3 matrix gives both: its R factor, placed at the four shifts
+    by c_0..c_3, has the degree-4 matrix's null space in 80 rows instead of
+    208.  A root of multiplicity k, a cluster of k
     eigenvalues, is read off the cluster's invariant subspace, and judged with
     x = sqrt(lambda / nu) and y = lambda / x as in :data:`POINT_OUTCOMES`.
     Solutions are reported normalized: the first nonzero Pauli coefficient of

@@ -170,7 +170,8 @@ def _checked_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
     except np.linalg.LinAlgError:
         return None, np.inf
     # each 1-norm is the largest column abs-sum, as np.linalg.norm(., 1) takes it
-    cond = float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    norm_a, norm_inv = np.abs(np.array([a, inv])).sum(axis=1).max(axis=1)
+    cond = float(norm_a * norm_inv)
     # a NaN from an overflowed inverse fails the comparison too
     return (inv if cond <= 1 / SINGULAR_TOL else None), cond
 

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 
+from braidgate.enhancement import _MONOMIAL_INDEX
 from braidgate.entangling_power import _det_sq, _qubit_states
 from braidgate.matrix_core import (DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL,
                                    _as_two_qubit, max_norm, partial_trace)
@@ -60,6 +61,26 @@ def enhancement_system_oracle(r, r_inv, norm):
         size = np.linalg.norm(poly)
         polys.append(poly / size if size > RANK_TOL * norm else np.zeros_like(poly))
     return np.concatenate(polys), table
+
+
+def macaulay_oracle(polys, degree: int) -> np.ndarray:
+    """The degree-``degree`` Macaulay matrix of the system
+    ``enhancement._system`` returns, written out: one row for each of the 16
+    quadrics and 12 cubics times each monomial that lifts it to ``degree``,
+    with a column for each monomial of ``degree`` (``_MONOMIAL_INDEX``).  At
+    degree 4 it is 208 x 35, at degree 3 76 x 20."""
+    monomials = [list(itertools.combinations_with_replacement(range(4), d))
+                 for d in range(degree + 1)]
+    system = [(polys[10 * k:10 * k + 10], 2) for k in range(16)]
+    system += [(polys[160 + 20 * k:180 + 20 * k], 3) for k in range(12)]
+    rows = []
+    for coeffs, d in system:
+        for lift in monomials[degree - d]:
+            row = np.zeros(len(monomials[degree]), dtype=complex)
+            for term, coeff in zip(monomials[d], coeffs, strict=True):
+                row[_MONOMIAL_INDEX[tuple(sorted(term + lift))]] += coeff
+            rows.append(row)
+    return np.array(rows)
 
 
 def bmw_witness_oracle(r, scale, l, m, tol: float = DEFAULT_TOL) -> tuple[dict, bool]:

@@ -635,12 +635,14 @@ class TestEnhanceCommand:
             (1, "family"), (5, "degenerate")]
 
     def test_positive_dimensional_is_refused(self, capsys):
-        # for R = I every mu with tr mu = x y is an enhancement
-        identity = json.dumps(np.eye(4).tolist())
-        code, out, err = run(capsys, "enhance", "--matrix", identity, "--json")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "positive-dimensional" in err
-        assert err.count("\n") == 1
+        # for R = I every mu with tr mu = x y is an enhancement; diag(1, 2, 2, 1)
+        # has a curve of roots
+        for r, degree3, degree4 in ((np.eye(4), 20, 35), (np.diag([1, 2, 2, 1]), 7, 8)):
+            code, out, err = run(capsys, "enhance", "--matrix", json.dumps(r.tolist()), "--json")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "positive-dimensional" in err
+            assert f"nullity {degree3} at degree 3, {degree4} at degree 4" in err
+            assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -18,7 +18,7 @@ from braidgate.enhancement import (
     _MU_ROWS,
     _condition_tables,
     _conditions,
-    _macaulay,
+    _null_space,
     _root_operator,
     _solve,
     _system,
@@ -36,13 +36,13 @@ from braidgate.enhancement import (
 )
 from braidgate.hietarinta import hietarinta_assemble
 from braidgate.matrix_core import (
-    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, XTYPE_SUPPORT, max_norm, numerical_rank,
+    DEFAULT_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, RANK_TOL, XTYPE_SUPPORT, max_norm, numerical_rank,
     partial_trace, tensor_product,
 )
 from braidgate.yang_baxter import (BraidWord, CATALOG, assemble, catalog_entry, compile_expr,
                                    evaluate_expr)
 from oracles import (bmw_witness_oracle, enhancement_system_oracle, hecke_witness_oracle,
-                     jordan_witness_oracle)
+                     jordan_witness_oracle, macaulay_oracle)
 
 RNG = np.random.default_rng(55)
 
@@ -695,9 +695,14 @@ class TestSolver:
             solve_enhancement(r)
 
     def test_identity_is_positive_dimensional(self):
-        # for R = I every mu with tr mu = x y is an enhancement
-        with pytest.raises(ValueError, match="positive-dimensional solution set"):
-            solve_enhancement(np.eye(4))
+        # for R = I every mu with tr mu = x y is an enhancement, and every
+        # monomial is in the null space; diag(1, 2, 2, 1) has a curve of
+        # roots whose degree-3 nullity is not the whole space
+        for r, degree3, degree4 in ((np.eye(4), 20, 35), (np.diag([1, 2, 2, 1]), 7, 8)):
+            want = ("positive-dimensional solution set: "
+                    f"Macaulay nullity {degree3} at degree 3, {degree4} at degree 4")
+            with pytest.raises(ValueError, match=f"{re.escape(want)}$"):
+                solve_enhancement(r)
 
     def test_double_roots_are_one_family_each(self):
         # C10.1 has three recipes; two of its roots are double, and each
@@ -1026,11 +1031,16 @@ def test_every_root_solves_the_conditions(name):
         assert _point_residual(r, p) < 1e-12
 
 
-def _macaulay_nullity(r):
-    """Nullity of the degree-4 Macaulay matrix the solver builds for R."""
+def _scaled_system(r):
+    """The scaled system the solver builds for R, at its scale."""
     r_inv = np.linalg.inv(r)
     s = np.sqrt(np.max(np.abs(r)) / np.max(np.abs(r_inv)))
-    m4 = _macaulay(_system(r / s, r_inv * s, np.max(np.abs(r)) / s)[0], 4)
+    return _system(r / s, r_inv * s, np.max(np.abs(r)) / s)[0]
+
+
+def _macaulay_nullity(r):
+    """Nullity of the written-out degree-4 Macaulay matrix of the solver's system for R."""
+    m4 = macaulay_oracle(_scaled_system(r), 4)
     return m4.shape[1] - numerical_rank(m4)
 
 
@@ -1108,6 +1118,25 @@ def test_root_order_is_canonical(monkeypatch):
             got = np.concatenate([e.mu.ravel(), [e.x, e.y]])
             expected = np.concatenate([want.mu.ravel(), [want.x, want.y]])
             assert np.max(np.abs(got - expected)) <= 1e-11 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_null_space_matches_the_macaulay_oracle():
+    # the solver takes both nullities from one QR of the degree-3 matrix and
+    # its degree-4 null space from that R factor placed at the four shifts,
+    # 80 rows; the written-out 76- and 208-row matrices have the same
+    # nullities, and the 208-row one annihilates the solver's null basis
+    operators = [*_sweep_operators(), np.eye(4),
+                 assemble(CATALOG["C9.2"].fill({"h1": 1, "h7": 2})),
+                 assemble(CATALOG["C6.0"].fill(C6_ILL_CONDITIONED))]
+    assert len(operators) == 233
+    for r in operators:
+        polys = _scaled_system(r)
+        degree3, null = _null_space(polys)
+        m3, m4 = macaulay_oracle(polys, 3), macaulay_oracle(polys, 4)
+        assert degree3 == m3.shape[1] - numerical_rank(m3)
+        assert null.shape[1] == m4.shape[1] - numerical_rank(m4)
+        bound = RANK_TOL * np.linalg.norm(m4, 2)
+        assert np.all(np.linalg.norm(m4 @ null, axis=0) <= bound)
 
 
 class TestGaussNewtonOracle:
