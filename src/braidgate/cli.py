@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
     ids = invariants.check_identities(inv)
     scale = invariants.identity_scale(r)
     checks["invariant_identities"] = {"residuals": list(ids), "scale": scale,
-                                      "pass": all(v < args.tol * scale for v in ids)}
+                                      "pass": all(v <= args.tol * scale for v in ids)}
     if args.enhancements:
         if not args.cls:
             raise UsageError("--enhancements requires --class")
@@ -324,7 +324,7 @@ def cmd_invariants(args) -> int:
     report["identity_scale"] = scale
     if is_xtype(r, args.tol):
         report["xtype_closed_forms"] = invariants.xtype_closed_forms(r[XTYPE_SUPPORT])
-    failed = not all(v < args.tol * scale for v in ids)
+    failed = not all(v <= args.tol * scale for v in ids)
     return _emit(args, report, failed)
 
 
@@ -369,7 +369,7 @@ def cmd_epower(args) -> int:
         closed = entangling_power.entangling_power_closed(r, args.tol)
         report["closed"] = closed
         report["difference"] = abs(closed - value)
-        report["scale"] = np.linalg.norm(r) ** 4 / 36
+        report["scale"] = entangling_power.epower_scale(r)
         failed = not report["difference"] <= args.tol * report["scale"]  # NaN fails
     return _emit(args, report, failed)
 
@@ -379,16 +379,13 @@ def cmd_classify(args) -> int:
         raise UsageError("classify needs --class")
     report = _base_report(args, "classify")
     report.update(hietarinta.classify(args.cls))  # an unknown id is a usage error
-    if args.params:
-        recipe = next(
-            (r_ for r_ in hietarinta.RECIPE_TABLE if r_.source == args.cls
-             or r_.target == args.cls),
-            None,
-        )
-        if recipe is not None:
-            report["recipe_residual"] = hietarinta.verify_recipe(
-                recipe, _parse_params(args.params))
-    return _emit(args, report, failed=False)
+    if args.params:  # every catalog entry is a recipe's source or target
+        recipe = next(r_ for r_ in hietarinta.RECIPE_TABLE if args.cls in (r_.source, r_.target))
+        got, want = recipe.run(_parse_params(args.params))
+        residual, scale = max_norm(got - want), max_norm(want)
+        report.update(recipe_residual=residual, recipe_scale=scale,
+                      recipe_pass=residual <= DEFAULT_TOL * scale)
+    return _emit(args, report, failed=not report.get("recipe_pass", True))
 
 
 def cmd_orbit(args) -> int:

@@ -158,9 +158,9 @@ _CONDITION_SPANS = np.array([0, 16, 20, 24, 40, 56])
 
 def _conditions(r, r_inv, mu, x, y):
     """Max-norm residuals of conditions (a)-(c) for (mu, x, y), and their
-    scales: max(1, max|R| max|mu|^2) for (a), that or |x y| max|mu| for (b),
-    and max(1, max|R^-1| max|mu|^2, |y / x| max|mu|) for (c), as two float
-    triples.  The terms are :func:`_condition_terms` at mm = mu x mu.
+    scales, the sizes of their terms: max|R| max|mu|^2 for (a), that or
+    |x y| max|mu| for (b), and max(max|R^-1| max|mu|^2, |y / x| max|mu|) for
+    (c), as two float triples.  The terms are :func:`_condition_terms` at mm = mu x mu.
     """
     rs = np.array([r, r_inv])
     comm, traces = _condition_terms(rs, tensor_product(mu, mu))
@@ -170,21 +170,20 @@ def _conditions(r, r_inv, mu, x, y):
     res_a, res_b, res_c, r_n, r_inv_n, mu_n = np.maximum.reduceat(terms, _CONDITION_SPANS).tolist()
     return (
         (res_a, res_b, res_c),
-        (max(1.0, r_n * mu_n**2), max(1.0, r_n * mu_n**2, abs(lam) * mu_n),
-         max(1.0, r_inv_n * mu_n**2, abs(nu) * mu_n)),
+        (r_n * mu_n**2, max(r_n * mu_n**2, abs(lam) * mu_n),
+         max(r_inv_n * mu_n**2, abs(nu) * mu_n)),
     )
 
 
 def verify_enhancement(e: EnhancedOperator, tol: float = DEFAULT_TOL):
     """Residuals of conditions (a), (b), (c) in max-norm, plus the verdict.
 
-    Residuals are reported raw; the verdict compares each against the
-    condition's own magnitude scale (``e.scales``), so near-degenerate
-    parameters (tiny eigenvalues blowing up mu) are judged relatively.  Both
-    were computed when ``e`` was made, so verifying again, at any ``tol``,
-    computes nothing.
+    Residuals are reported raw; each passes at most ``tol`` times its
+    condition's scale (``e.scales``), the size of its terms, so the verdict
+    does not depend on the scale of R, x or mu.  Both were computed when
+    ``e`` was made, so verifying again, at any ``tol``, computes nothing.
     """
-    return e.residuals, all(v < tol * s for v, s in zip(e.residuals, e.scales))
+    return e.residuals, all(v <= tol * s for v, s in zip(e.residuals, e.scales))
 
 
 def _require_enhancement(e: EnhancedOperator, tol: float) -> None:
@@ -738,8 +737,9 @@ def _relation_residual(g, coeffs: dict[int, complex], g_inv=None) -> float:
 
 def bmw_witness(r, scale, l, m, tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check the BMW relations for g = scale * R and e = (g + g^-1) / m - 1 on
-    two strands, and e_i g_j e_i = l e_i on three, with g_1 = g x I, g_2 = I x g."""
-    if min(abs(l), abs(m)) < SINGULAR_TOL:  # the relations divide by both
+    two strands, and e_i g_j e_i = l e_i on three, with g_1 = g x I, g_2 = I x g,
+    against ``tol`` max|g|."""
+    if l == 0 or m == 0:  # the relations divide by both
         raise ValueError("BMW witness requires l != 0 and m != 0")
     r = _as_two_qubit(r)
     scale, l, m = complex(scale), complex(l), complex(m)
@@ -756,26 +756,27 @@ def bmw_witness(r, scale, l, m, tol: float = DEFAULT_TOL) -> AlgebraWitness:
         "ege_up": max_norm(e1 @ g2 @ e1 - l * e1),
         "ege_down": max_norm(e2 @ g1 @ e2 - l * e2),
     }
-    return AlgebraWitness(res, all(v < tol * max(max_norm(g), 1.0) for v in res.values()))
+    return AlgebraWitness(res, all(v <= tol * max_norm(g) for v in res.values()))
 
 
 def hecke_witness(r, scale, q, tol: float = DEFAULT_TOL) -> AlgebraWitness:
     """Check sigma^2 = (q-1) sigma + q and the braid relation, the residual of
-    :func:`~braidgate.yang_baxter.check_ybe`, for sigma = scale * R."""
+    :func:`~braidgate.yang_baxter.check_ybe`, for sigma = scale * R, against
+    ``tol`` max|sigma|^2 and ``tol`` max|sigma|^3."""
     r = _as_two_qubit(r)
     sigma, q = complex(scale) * r, complex(q)
     res = {"quadratic": _relation_residual(sigma, {2: 1, 1: -(q - 1), 0: -q}),
            "braid": check_ybe(sigma)[0]}
-    return AlgebraWitness(res, all(v < tol * max(max_norm(sigma) ** 2, 1.0)
-                                   for v in res.values()))
+    s = max_norm(sigma)
+    return AlgebraWitness(res, res["quadratic"] <= tol * s**2 and res["braid"] <= tol * s**3)
 
 
 def jordan_witness(r, coeffs: dict[int, complex], tol: float = DEFAULT_TOL) -> AlgebraWitness:
-    """Check a polynomial identity sum_k c_k R^k = 0 (k = -1 allowed)."""
+    """Check sum_k c_k R^k = 0 (k = -1 allowed) against ``tol`` max|R|^max|k|."""
     r = _as_two_qubit(r)
     res = {"identity": _relation_residual(r, coeffs)}
-    scale_norm = max(max_norm(r) ** max((abs(k) for k in coeffs), default=1), 1.0)
-    return AlgebraWitness(res, res["identity"] < tol * scale_norm)
+    degree = max(map(abs, coeffs), default=1)
+    return AlgebraWitness(res, res["identity"] <= tol * max_norm(r) ** degree)
 
 
 class _Row(NamedTuple):

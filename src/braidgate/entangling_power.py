@@ -51,6 +51,7 @@ __all__ = [
     "entangling_power_quadrature",
     "unitary_xtype",
     "class_epower",
+    "epower_scale",
     "state_action_rank",
     "EIGEN_EXPRESSIBLE_CLASSES",
 ]
@@ -128,6 +129,11 @@ def entangling_power_closed(r, tol: float = DEFAULT_TOL) -> float:
     )
     second = abs(h1 * h8 + h2 * h7 - h3 * h6 - h4 * h5) ** 2
     return float(first / 9 + second / 36)
+
+
+def epower_scale(r) -> float:
+    """||R||_F^4 / 36, an entangling power's scale: both grow as R^4."""
+    return float(np.linalg.norm(_as_two_qubit(r)) ** 4 / 36)
 
 
 def _qubit_states(phi, theta) -> np.ndarray:
@@ -257,21 +263,23 @@ def class_epower(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) ->
     """Per-class closed form for the entangling power, cross-checked.
 
     Returns the formula value, the general X-type closed form, their
-    difference, and whether this class's value is expressible through the
-    operator's eigenvalues alone (only classes 1 and 2 are).
+    difference, which passes at most ``tol`` times :func:`epower_scale`, and
+    whether this class's value is expressible through the operator's
+    eigenvalues alone (only classes 1 and 2 are).
     """
     if entry.variant_id != 0:
         raise ValueError("per-class entangling power formulas address representatives (.0)")
     p = bind(entry.entry_id, entry.free_params, params)
     formula = evaluate_expr(_CLASS_EPOWER[entry.class_id], p).real
-    general = entangling_power_closed(assemble(entry.fill(p)))
+    r = assemble(entry.fill(p))
+    general = entangling_power_closed(r)
     return {
         "entry": entry.entry_id,
         "formula": formula,
         "closed": general,
         "difference": abs(formula - general),
         "eigen_expressible": entry.class_id in EIGEN_EXPRESSIBLE_CLASSES,
-        "passed": abs(formula - general) < tol * max(1.0, abs(general)),
+        "passed": abs(formula - general) <= tol * epower_scale(r),
     }
 
 

@@ -18,6 +18,7 @@ I1^2 identically and is therefore fully invariant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +160,8 @@ def contraction_oracle(r, which: str) -> complex:
 
 def identity_scale(r) -> float:
     """16 max(1, max|R|)^2, the scale of the :func:`check_identities`
-    residuals: each quadratic invariant sums at most 16 products of two
-    entries of R."""
+    residuals (each invariant sums at most 16 products of two entries of R),
+    floored at 1: they hold for every R, and the floor absorbs underflow."""
     return 16 * max(1.0, max_norm(r)) ** 2
 
 
@@ -200,11 +201,11 @@ def reconstruct_params(inv: InvariantSet, eigenvalues, tol: float = DEFAULT_TOL)
     ``h2*h7`` and ``h4*h5`` are branch-free.
 
     Raises ValueError when the invariants and eigenvalues cannot come from a
-    common source (detected through the trace, which both must reproduce).
+    common source: both must give the trace, to ``tol`` max(|I1|, sum |lam|).
     """
     l1p, l1m, l2p, l2m = (complex(v) for v in eigenvalues)
     lam_sum = l1p + l1m + l2p + l2m
-    scale = max(abs(inv.I1), abs(lam_sum), 1.0)
+    scale = max(abs(inv.I1), abs(l1p) + abs(l1m) + abs(l2p) + abs(l2m))
     if not abs(inv.I1 - lam_sum) <= tol * scale:  # NaN is inconsistent too
         raise ValueError(
             "inconsistent inputs: eigenvalue sum does not reproduce the trace "
@@ -299,6 +300,17 @@ _DEPENDENCE_RELATIONS: dict[int, tuple[str, ...]] = {
 }
 
 
+def _degree(expr: str) -> int:
+    """A homogeneous relation's degree in the invariants, log2 of its growth
+    when they all double at a generic point: 2 for the second of classes 3-5."""
+    point = {f"I2_{k}": complex(k, 1) for k in (4, 5, 8, 9, 10)}
+    grown = evaluate_expr(expr, {k: 2 * v for k, v in point.items()}) / evaluate_expr(expr, point)
+    return round(math.log2(abs(grown)))
+
+
+_DEGREES = {expr: _degree(expr) for exprs in _DEPENDENCE_RELATIONS.values() for expr in exprs}
+
+
 @dataclass(frozen=True)
 class EigenReport:
     """Comparison of per-class eigenvalue formulas against direct evaluation."""
@@ -314,24 +326,27 @@ class EigenReport:
 
 
 def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) -> EigenReport:
-    """Evaluate the class's invariant-vs-eigenvalue formulas at given params."""
+    """Evaluate the class's invariant-vs-eigenvalue formulas at given params.
+
+    Judged on the invariants times 2^-2e, e the ``frexp`` exponent of max|R|
+    (exact, and no product underflows): the formula difference passes at most
+    ``tol`` s, s the largest scaled invariant, a relation of degree d at most
+    ``tol`` s^d.  Both are reported at R's scale."""
     h = entry.fill(params)
     inv = quadratic_invariants(assemble(h))
-    direct = {f"I2_{r}": inv.q(r) for r in (4, 5, 8, 9, 10)}
+    direct = {f"I2_{k}": inv.q(k) for k in (4, 5, 8, 9, 10)}
     eig = entry.eigen_values(params)
     closed = {k: evaluate_expr(expr, eig) for k, expr in _CLASS_FORMULAS[entry.class_id].items()}
     max_diff = max(abs(closed[k] - direct[k]) for k in closed)
-    deps = tuple(abs(evaluate_expr(expr, direct))
-                 for expr in _DEPENDENCE_RELATIONS[entry.class_id])
-    scale = max(max(abs(v) for v in direct.values()), 1.0)
-    passed = max_diff < tol * scale and all(d < tol * scale for d in deps)
-    return EigenReport(
-        entry_id=entry.entry_id,
-        eigenvalues=eig,
-        closed=closed,
-        direct=direct,
-        independent_count=INDEPENDENT_COUNTS[entry.class_id],
-        max_diff=max_diff,
-        dependence_residuals=deps,
-        passed=passed,
-    )
+    e = math.frexp(max(map(abs, h)))[1]  # max|R|, read off the slots
+    unit = {k: complex(math.ldexp(v.real, -2 * e), math.ldexp(v.imag, -2 * e))
+            for k, v in direct.items()}
+    size = max(map(abs, unit.values()))
+    relations = [(abs(evaluate_expr(x, unit)), _DEGREES[x])
+                 for x in _DEPENDENCE_RELATIONS[entry.class_id]]
+    passed = (math.ldexp(max_diff, -2 * e) <= tol * size
+              and all(v <= tol * size**d for v, d in relations))
+    return EigenReport(entry_id=entry.entry_id, eigenvalues=eig, closed=closed, direct=direct,
+                       independent_count=INDEPENDENT_COUNTS[entry.class_id], max_diff=max_diff,
+                       dependence_residuals=tuple(math.ldexp(v, 2 * e * d) for v, d in relations),
+                       passed=passed)

@@ -41,8 +41,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 # A matrix is singular when its 1-norm condition number exceeds 1 / SINGULAR_TOL,
-# which scaling the matrix does not change.  A scalar that must be nonzero
-# fails when |z| < SINGULAR_TOL.
+# which scaling the matrix does not change: the package's one singularity rule.
 SINGULAR_TOL = 1e-12
 
 # Singular values at or below RANK_TOL times the largest count as zero.

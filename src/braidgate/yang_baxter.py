@@ -52,7 +52,6 @@ from .matrix_core import (
     LOCAL_PAULIS,
     PAULI_PAIRS,
     RANK_TOL,
-    SINGULAR_TOL,
     XTYPE_SUPPORT,
     _as_two_qubit,
     _checked_inverse,
@@ -89,7 +88,7 @@ __all__ = [
 
 
 class InadmissibleParamsError(ValueError):
-    """Parameters make one of a catalog entry's ``nonzero`` expressions vanish."""
+    """Parameters at which a catalog entry's constraint divides by zero."""
 
 
 class XTypeParams(NamedTuple):
@@ -124,26 +123,19 @@ def ybe_scale(r) -> float:
 def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     """Residual and verdict of the braided Yang-Baxter equation on 8x8.
 
-    The residual passes below ``tol`` times :func:`ybe_scale`, so the
-    verdict does not depend on the scale of R: rounding at large parameters
-    does not fail a solution, and a non-solution scaled down does not pass.
-    Below max|R| = 2^-256 the rounding of a product of three R would
-    underflow, so 2^512 R is checked instead: a power of two scales every
-    product exactly, and its residual is 2^1536 times R's.  The verdict also
-    requires invertibility, since a braiding operator is by definition an
-    invertible solution (the all-ones X pattern, for example, satisfies the
-    equation identically but is singular).
+    It is checked on R / 2^e, e the ``frexp`` exponent of max|R|, an exact
+    scaling under which no product of three R underflows or overflows; the
+    residual, reported at R's scale, passes at most ``tol`` :func:`ybe_scale`.
+    A braiding operator is invertible by definition, so a singular R fails
+    (the all-ones X pattern solves the equation identically).
     """
-    r = _as_two_qubit(r)
-    r_max = max_norm(r)
-    if 0 < r_max < 2.0**-256:
-        residual, ok = check_ybe(2.0**512 * r, tol)
-        return math.ldexp(residual, -1536), ok
-    a = tensor_product(r, I2)
-    b = tensor_product(I2, r)
+    r = np.ascontiguousarray(_as_two_qubit(r))
+    m, e = math.frexp(max_norm(r))  # max|R| = m 2^e, m in [1/2, 1)
+    unit = np.ldexp(r.view(float), -e).view(complex)  # exact, a subnormal R too
+    a, b = tensor_product(unit, I2), tensor_product(I2, unit)
     residual = max_norm(a @ b @ a - b @ a @ b)
     invertible = _checked_inverse(r)[0] is not None
-    return residual, residual < tol * r_max**3 and invertible
+    return math.ldexp(residual, 3 * e), residual <= tol * m**3 and invertible
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:
@@ -719,7 +711,6 @@ class CatalogEntry:
     constraints: dict[str, str]
     eigen_pattern: str
     eigen_named: dict[str, str]
-    nonzero: tuple[str, ...] = ()
     enhancement_refs: tuple[str, ...] = ()
 
     @property
@@ -727,15 +718,15 @@ class CatalogEntry:
         return f"C{self.class_id}.{self.variant_id}"
 
     def fill(self, params: dict[str, complex]) -> XTypeParams:
+        """The eight slots; a constraint dividing by zero is inadmissible."""
         env = bind(self.entry_id, self.free_params, params)
-        for expr in self.nonzero:
-            if abs(evaluate_expr(expr, env)) < SINGULAR_TOL:
-                raise InadmissibleParamsError(
-                    f"{self.entry_id}: requires nonzero {expr}"
-                )
         full = dict(env)
         for slot, expr in self.constraints.items():
-            full[slot] = evaluate_expr(expr, env)
+            try:
+                full[slot] = evaluate_expr(expr, env)
+            except ZeroDivisionError:
+                raise InadmissibleParamsError(
+                    f"{self.entry_id}: {slot} = {expr} divides by zero") from None
         return XTypeParams(*(full.get(slot, 0j) for slot in XTypeParams._fields))
 
     def eigen_values(self, params: dict[str, complex]) -> dict[str, complex]:
@@ -804,7 +795,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             {"h2": "0", "h3": "0", "h7": "0", "h5": "h1/h4*(h1-h6)", "h8": "h1"},
             "lam1=h1 (x3), lam2=-h1+h6",
             {"lam1": "h1", "lam2": "-h1+h6"},
-            nonzero=("h4",),
             enhancement_refs=("C4.I", "C4.Z", "C4.I+Z", "C4.I-Z", "C4.mu5"),
         )
     )
@@ -814,7 +804,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             {"h2": "0", "h6": "0", "h7": "0", "h5": "h1/h4*(h1-h3)", "h8": "h1"},
             "lam1=h1 (x3), lam2=-h1+h3",
             {"lam1": "h1", "lam2": "-h1+h3"},
-            nonzero=("h4",),
         )
     )
     entries.append(
@@ -823,7 +812,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             {"h2": "0", "h3": "0", "h7": "0", "h5": "h1/h4*(h1-h6)", "h8": "-h1+h6"},
             "lam+=h1 (x2), lam-=-h1+h6 (x2)",
             {"lamp": "h1", "lamm": "-h1+h6"},
-            nonzero=("h4",),
             enhancement_refs=("C5.Z", "C5.I+Z", "C5.I-Z"),
         )
     )
@@ -834,7 +822,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             {"h2": "0", "h6": "0", "h7": "0", "h5": "h1/h4*(h1-h3)", "h8": "-h1+h3"},
             "lam+=-h1+h3 (x2), lam-=h1 (x2)",
             {"lamp": "-h1+h3", "lamm": "h1"},
-            nonzero=("h4",),
         )
     )
 
@@ -851,7 +838,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             },
             "lam+- = [h1+h8 +- sqrt(2(h1^2+h8^2))]/2 (x2 each)",
             c6_eigen,
-            nonzero=("h2",),
             enhancement_refs=("C6.Z", "C6.mu2", "C6.mu3", "C6.mu4", "C6.mu5"),
         )
     )
@@ -867,7 +853,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             },
             "lam+- = [h1+h8 +- sqrt(2(h1^2+h8^2))]/2 (x2 each)",
             c6_eigen,
-            nonzero=("h2",),
         )
     )
 
@@ -878,7 +863,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             {"h4": "-h1", "h5": "-h1", "h6": "h3", "h8": "h1", "h7": "h3**2/h2"},
             "lam+=h1+h3 (x2), +-lam-=+-(h1-h3)",
             c7_eigen,
-            nonzero=("h2",),
             enhancement_refs=("C7.I",),
         )
     )
@@ -888,7 +872,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
             {"h4": "h1", "h5": "h1", "h6": "h3", "h8": "h1", "h7": "h3**2/h2"},
             "lam+=h1+h3 (x2), +-lam-=+-(h1-h3)",
             c7_eigen,
-            nonzero=("h2",),
         )
     )
 
@@ -901,7 +884,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
                  "h7": "-h1**2/h2"},
                 "lam+- = (1 +- I) h1 (x2 each)",
                 c8_eigen,
-                nonzero=("h2",),
                 enhancement_refs=("C8.I",) if k == 0 else (),
             )
         )
@@ -953,7 +935,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
              "h8": "-1j*h1", "h7": "-1j/2*h1**2/h2"},
             "lam=(1-I)/2 h1 (x4)",
             {"lam": "(1-1j)/2*h1"},
-            nonzero=("h2",),
             enhancement_refs=("C12.Z", "C12.mu2", "C12.mu3", "C12.mu4", "C12.mu5"),
         )
     )
@@ -964,7 +945,6 @@ def _build_catalog() -> dict[str, CatalogEntry]:
              "h8": "1j*h1", "h7": "1j/2*h1**2/h2"},
             "lam=(1+I)/2 h1 (x4)",
             {"lam": "(1+1j)/2*h1"},
-            nonzero=("h2",),
         )
     )
 

@@ -106,7 +106,7 @@ def bmw_witness_oracle(r, scale, l, m, tol: float = DEFAULT_TOL) -> tuple[dict, 
         "ege_up": max_norm(e1 @ g2 @ e1 - l * e1),
         "ege_down": max_norm(e2 @ g1 @ e2 - l * e2),
     }
-    return res, all(v < tol * max(max_norm(g), 1.0) for v in res.values())
+    return res, all(v <= tol * max_norm(g) for v in res.values())
 
 
 def hecke_witness_oracle(r, scale, q, tol: float = DEFAULT_TOL) -> tuple[dict, bool]:
@@ -119,7 +119,8 @@ def hecke_witness_oracle(r, scale, q, tol: float = DEFAULT_TOL) -> tuple[dict, b
     s1, s2 = scale * braid_rep(r, 1, 3), scale * braid_rep(r, 2, 3)
     res = {"quadratic": max_norm(sigma @ sigma - (q - 1) * sigma - q * np.eye(4)),
            "braid": max_norm(s1 @ s2 @ s1 - s2 @ s1 @ s2)}
-    return res, all(v < tol * max(max_norm(sigma) ** 2, 1.0) for v in res.values())
+    size = max_norm(sigma)
+    return res, res["quadratic"] <= tol * size**2 and res["braid"] <= tol * size**3
 
 
 def jordan_witness_oracle(r, coeffs: dict, tol: float = DEFAULT_TOL) -> tuple[dict, bool]:
@@ -130,5 +131,4 @@ def jordan_witness_oracle(r, coeffs: dict, tol: float = DEFAULT_TOL) -> tuple[di
     total = sum(c * np.linalg.matrix_power(r if k >= 0 else np.linalg.inv(r), abs(k))
                 for k, c in coeffs.items())
     res = {"identity": max_norm(total)}
-    scale = max(max_norm(r) ** max(abs(k) for k in coeffs), 1.0)
-    return res, res["identity"] < tol * scale
+    return res, res["identity"] <= tol * max_norm(r) ** max(abs(k) for k in coeffs)

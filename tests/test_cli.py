@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import braidgate
-from braidgate import enhancement, entangling_power
+from braidgate import enhancement, entangling_power, hietarinta
 from braidgate.cli import main
 from braidgate.enhancement import POINT_OUTCOMES
 from braidgate.entangling_power import entangling_power_quadrature
@@ -491,6 +491,18 @@ class TestClassifyCommand:
                                 "--params", "h1=1,h2=1,h8=2")
         assert code == 0
         assert report["recipe_residual"] < 1e-12
+        # the scale is max|target|, here C6.0's h7 = (h1 + h8)^2 / (4 h2)
+        assert report["recipe_scale"] == 2.25 and report["recipe_pass"] is True
+
+    def test_failing_recipe_is_exit_1(self, capsys, monkeypatch):
+        # C6.0 read as its own source with h1 and h8 swapped is not C6.0
+        wrong = hietarinta.EquivalenceRecipe("C6.0", "C6.0", ("h1", "h2", "h8"),
+                                             target_params={"h1": "h8", "h2": "h2", "h8": "h1"})
+        monkeypatch.setattr(hietarinta, "RECIPE_TABLE", (wrong,))
+        code, report = run_json(capsys, "classify", "--class", "C6.0",
+                                "--params", "h1=1,h2=1,h8=2")
+        assert code == 1 and report["recipe_pass"] is False
+        assert report["recipe_residual"] > 1e-9 * report["recipe_scale"]
 
     @pytest.mark.parametrize("params,named", [
         ("h1=1", "missing ['h2', 'h8']"),
@@ -647,13 +659,15 @@ class TestEnhanceCommand:
 
 @pytest.mark.parametrize("argv,code", [
     (("verify", "--class", "C6.0", "--params", "h1=1,h8=2,h2=1"), 0),
+    # a valid operator at any scale: no absolute guard on h2 refuses it
+    (("verify", "--class", "C6.0", "--params", "h1=1e-13,h8=2e-13,h2=1e-13"), 0),
     (("verify", "--xtype", "1,1,1,1,1,1,1,1"), 1),
     (("verify", "--class", "C6.0", "--params", "h1=1,h8=2"), 2),
     (("verify", "--class", "C6.0", "--params", "h1=1,h8=1,h2=0"), 3),
     (("enhance", "--matrix", json.dumps(np.diag([1, 1, 1, 0]).tolist())), 3),
     (("linkpoly", "--recipe", "C4.mu5", "--params", "h1=1,h4=1,h6=2", "--word", "s1"), 3),
-], ids=["pass", "check-failed", "missing-param", "inadmissible", "singular",
-        "invalid-enhancement"])
+], ids=["pass", "pass-scaled-down", "check-failed", "missing-param", "inadmissible",
+        "singular", "invalid-enhancement"])
 def test_exit_codes(capsys, argv, code):
     # 0 pass, 1 a failed check, 2 a usage error, 3 a singular or inadmissible
     # operator or an invalid enhancement; every error is one line

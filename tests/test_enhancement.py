@@ -120,6 +120,18 @@ class TestVerifyEnhancement:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             EnhancedOperator(R=r, mu=mu, x=1, y=1)
 
+    @pytest.mark.parametrize("t", [1.0, 1e-4, 1e-8, 1e-10, 1e-12])
+    def test_scaled_down_non_enhancement_is_refused(self, t):
+        # M with tr_2 M = I and R = t M^-1: (c) holds at every t and (b)
+        # misses by about t, which a scale floored at 1 would pass from
+        # t = 1e-10 down
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m -= tensor_product(partial_trace(m, 2) - I2, I2) / 2
+        e = EnhancedOperator(t * np.linalg.inv(m), I2, t, 1)
+        residuals, ok = verify_enhancement(e)
+        assert not ok and residuals[1] > 0.1 * t and residuals[2] <= 1e-9 * e.scales[2]
+
     def test_broken_quadruple_rejected(self):
         e = EnhancedOperator(np.eye(4, dtype=complex), PAULI_Z + 0.3 * I2, 1, 1)
         with pytest.raises(InvalidEnhancementError):
@@ -165,9 +177,9 @@ def _reference_conditions(r, mu, x, y):
     residuals = (max_norm(r @ mm - mm @ r),
                  max_norm(partial_trace(r @ mm, 2) - x * y * mu),
                  max_norm(partial_trace(r_inv @ mm, 2) - y / x * mu))
-    scales = (max(1.0, max_norm(r) * mu_n**2),
-              max(1.0, max_norm(r) * mu_n**2, abs(x * y) * mu_n),
-              max(1.0, max_norm(r_inv) * mu_n**2, abs(y / x) * mu_n))
+    scales = (max_norm(r) * mu_n**2,
+              max(max_norm(r) * mu_n**2, abs(x * y) * mu_n),
+              max(max_norm(r_inv) * mu_n**2, abs(y / x) * mu_n))
     return residuals, scales
 
 
@@ -199,7 +211,7 @@ class TestConditionKernel:
             for tol in (DEFAULT_TOL, 1e-15):
                 residuals, ok = verify_enhancement(e, tol)
                 assert residuals == want
-                assert ok == all(v < tol * s for v, s in zip(want, want_scales))
+                assert ok == all(v <= tol * s for v, s in zip(want, want_scales))
 
 
 @pytest.fixture
@@ -1305,6 +1317,11 @@ class TestAlgebraWitnesses:
         assert not hecke_witness(r, 1 / params["h1"], 1).realized
         w = jordan_witness(r, class_jordan_coeffs(9, params))
         assert w.realized
+        # judged against max|R|^2, not 1: the identity of h1 = 2e-5 does not
+        # hold at h1 = 1e-5, though its residual is below 1e-9
+        r = assemble(catalog_entry("C9.0").fill({"h1": 1e-5, "h7": 5e-6}))
+        w = jordan_witness(r, class_jordan_coeffs(9, {"h1": 2e-5, "h7": 5e-6}))
+        assert not w.realized and w.residuals["identity"] < 1e-9
 
     def test_class1_operator_identities(self):
         h1, h4, h5, h8 = (rand_complex() for _ in range(4))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from braidgate.invariants import (
     INDEPENDENT_COUNTS,
     _CLASS_FORMULAS,
+    _DEGREES,
     _DEPENDENCE_RELATIONS,
     _W,
     check_identities,
@@ -297,6 +298,18 @@ class TestClassEigenReports:
         for relation in relations:
             assert sympy.cancel(value(relation, direct)) == 0, relation
             assert sympy.cancel(value(relation + "+I2_9/7", direct)) != 0, relation
+
+    def test_relation_degrees(self):
+        # the report judges a relation of degree d against s^d: each relation
+        # is homogeneous of the degree its probe finds, and two are quadratic
+        sympy = pytest.importorskip("sympy")
+        _, value, _ = _symbolic_invariants(CATALOG["C1.0"])
+        t = sympy.Symbol("t")
+        invariants = {f"I2_{k}": sympy.Symbol(f"I2_{k}") for k in (4, 5, 8, 9, 10)}
+        for relation, degree in _DEGREES.items():
+            scaled = value(relation, {k: t * v for k, v in invariants.items()})
+            assert sympy.cancel(scaled - t**degree * value(relation, invariants)) == 0, relation
+        assert sorted(_DEGREES.values()) == [1] * 14 + [2] * 2
 
     def test_counts_table(self):
         assert INDEPENDENT_COUNTS == {1: 3, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2,

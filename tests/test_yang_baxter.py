@@ -277,7 +277,7 @@ def _let_expressions(record, names, let):
 def _table_expressions():
     """(record, names it may use, its expression strings) for every table."""
     for eid, entry in CATALOG.items():
-        exprs = [*entry.constraints.values(), *entry.nonzero, *entry.eigen_named.values()]
+        exprs = [*entry.constraints.values(), *entry.eigen_named.values()]
         yield eid, set(entry.free_params), exprs
         # every entry of a class names the eigenvalue combinations its formulas use
         yield f"{eid}.formulas", set(entry.eigen_named), _CLASS_FORMULAS[entry.class_id].values()
