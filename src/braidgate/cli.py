@@ -494,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         "linkpoly", help="evaluate the link polynomial of a braid word",
         description="Evaluate L(w) of the word, reduced by far commutativity when it is read "
                     f"(the word the report echoes): up to {dense} "
-                    "strands (DENSE_STRANDS) on the dense 2^n x 2^n state mu^(x n), one 4x4 "
+                    "strands (DENSE_STRANDS) on the dense state mu^(x m) of the m strands left "
+                    "once each edge strand with at most one letter is traced out, one 4x4 "
                     "product per letter, and on more by contracting the closed braid as a "
                     "tensor network, one matrix product per step: generator by generator, or "
                     f"in a greedy order where a tensor would exceed 2^{2 * dense} entries. A word "

@@ -246,7 +246,9 @@ def markov_check(
     with L(w) on n strands.  The quadruple is verified first, as by
     :func:`link_polynomial`; the three traces are then one call of
     :func:`~braidgate.yang_baxter.closed_traces`, so every word is bounded
-    before any is evaluated.
+    before any is evaluated.  Strand n+1 of the stabilized word has one
+    letter, s_n^(+-1), and either route closes it on that letter, so on the
+    dense route that word is contracted on n strands or fewer, not n+1.
     """
     _require_enhancement(e, DEFAULT_TOL)
     n = word.strands

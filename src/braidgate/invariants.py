@@ -325,13 +325,23 @@ class EigenReport:
     passed: bool
 
 
+def _at_scale(value: float, exponent: int) -> float:
+    """``value`` 2^``exponent``, or inf where that leaves the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) -> EigenReport:
     """Evaluate the class's invariant-vs-eigenvalue formulas at given params.
 
     Judged on the invariants times 2^-2e, e the ``frexp`` exponent of max|R|
     (exact, and no product underflows): the formula difference passes at most
     ``tol`` s, s the largest scaled invariant, a relation of degree d at most
-    ``tol`` s^d.  Both are reported at R's scale."""
+    ``tol`` s^d.  Both are reported at R's scale, where a relation's residual
+    of degree d is its scaled value times 2^(2ed): one that leaves the float
+    range there (max|R| near 1e100 or more) is reported as inf."""
     h = entry.fill(params)
     inv = quadratic_invariants(assemble(h))
     direct = {f"I2_{k}": inv.q(k) for k in (4, 5, 8, 9, 10)}
@@ -348,5 +358,5 @@ def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_T
               and all(v <= tol * size**d for v, d in relations))
     return EigenReport(entry_id=entry.entry_id, eigenvalues=eig, closed=closed, direct=direct,
                        independent_count=INDEPENDENT_COUNTS[entry.class_id], max_diff=max_diff,
-                       dependence_residuals=tuple(math.ldexp(v, 2 * e * d) for v, d in relations),
+                       dependence_residuals=tuple(_at_scale(v, 2 * e * d) for v, d in relations),
                        passed=passed)

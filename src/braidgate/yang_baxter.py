@@ -216,13 +216,15 @@ class BraidWord:
         return " ".join(f"s{g}^{e}" for g, e in self.letters) or "<empty>"
 
 
-# The widest word whose link trace is taken on the dense 2^n x 2^n state
-# mu^(x n) (4096 entries at 6 strands), one 4x4 product per letter, with no
-# plan.  Per trace of the words the benchmark's seed-0 link_eval inputs
-# evaluate (median over the words of the best of 9, one BLAS thread, three
-# runs on a 2-vCPU VM), dense vs plan_word and its trace: 48-75 vs 160-259 us
-# at 3 strands, 114-176 vs 223-346 at 5, 242-277 vs 234-279 at 6, 900-1272
-# vs 275-428 at 7.  A dense letter costs O(4^n); a swept one a few
+# The widest word whose link trace is taken on a dense state, 2^m x 2^m for
+# the m <= n strands left once each edge strand with at most one letter is
+# traced out (4096 entries at 6), one 4x4 product per letter, with no plan.
+# Per trace of the words the benchmark's seed-0 link_eval inputs evaluate
+# (median over the words of the best of 9, one BLAS thread, three runs on a
+# 2-vCPU VM), dense vs plan_word and its trace: 39-41 vs 120-129 us at 3
+# strands, 88-95 vs 164-181 at 5, 139-162 vs 163-171 at 6 (102-110 vs
+# 168-186 on the 5-strand Markov checks' stabilized words), 454-480 vs
+# 179-190 at 7.  A dense letter costs O(4^m); a swept one a few
 # microseconds at any width.  A sweep whose running tensor would outgrow
 # this state takes the greedy plan instead: see ``plan_word``.
 DENSE_STRANDS = 6
@@ -277,35 +279,68 @@ def rep_of_word(r, word: BraidWord) -> np.ndarray:
         raise ValueError(f"the two dense states of {n} strands, 2^{2 * n + 1} entries, "
                          f"exceed the limit of 2^{MAX_ENTRIES.bit_length() - 1}")
     powers = letter_powers(r, (exp for _, exp in word.letters))
-    return _apply_letters(powers, word, np.eye(2**n, dtype=complex))
+    return _apply_letters([(gen, powers[exp]) for gen, exp in word.letters],
+                          np.eye(2**n, dtype=complex))
 
 
-def _apply_letters(powers, word: BraidWord, state: np.ndarray) -> np.ndarray:
-    """rho(word) @ state for a 2^n x 2^n ``state``, the letters applied last
-    first, each as one 4x4 product with its power from ``powers`` (exponent
-    -> 4x4 matrix) over the middle axis of the state viewed as
+def _apply_letters(letters, state: np.ndarray) -> np.ndarray:
+    """rho @ state for a 2^n x 2^n ``state`` and ``letters``, (generator,
+    4x4 matrix) pairs in word order, applied last first, each as one 4x4
+    product over the middle axis of the state viewed as
     (2^(i-1), 4, 2^(n-i-1) * 2^n).  ``state`` is overwritten: the result is
     it or one spare state of its size."""
-    n = word.strands
-    dim = 2**n
     spare = np.empty_like(state)
-    for gen, exp in reversed(word.letters):
-        shape = (2 ** (gen - 1), 4, dim * 2 ** (n - gen - 1))
-        np.matmul(powers[exp], state.reshape(shape), out=spare.reshape(shape))
+    for gen, matrix in reversed(letters):
+        shape = (2 ** (gen - 1), 4, -1)
+        np.matmul(matrix, state.reshape(shape), out=spare.reshape(shape))
         state, spare = spare, state
     return state
 
 
 def _dense_trace(powers, word: BraidWord, site: np.ndarray) -> complex:
-    """Tr[rho(word) site^(x n)] on the dense 2^n x 2^n state: the 2x2
-    ``site``'s tensor power, the letters applied to it one 4x4 product each,
-    with their ``powers`` from :func:`letter_powers`."""
+    """Tr[rho(word) site^(x n)] on a dense state, the letters' 4x4 powers
+    from ``powers`` (see :func:`letter_powers`).
+
+    While more than two strands remain, an edge strand that at most one
+    letter touches is traced out first: strand n when at most one letter
+    lies on s_n-1, else strand 1 when at most one lies on s_1.  A strand no
+    letter touches is a factor tr(site).  A strand one letter touches closes
+    on that letter, traced with its site folded in by the plan route's
+    kernel (:func:`_letter_tensor`); the 2x2 operator K left acts on the
+    letter's other strand, as I x K (or K x I) on the neighbouring
+    generator, and the generators are renumbered.  The letters left act on
+    the 2^m x 2^m state site^(x m) of the m strands left, one 4x4 product
+    each, and the value is the trace of the result.
+    """
+    letters = [(gen, powers[exp]) for gen, exp in word.letters]
+    n, untouched, folded = word.strands, 0, None
+    while n > 2:
+        for edge, fold in ((n - 1, 1), (1, 2)):  # fold and loop as in WordPlan
+            on = [k for k, (gen, _) in enumerate(letters) if gen == edge]
+            if len(on) <= 1:
+                break
+        else:
+            break
+        if on:
+            if folded is None:
+                folded = (None, _kron(I2, site), _kron(site, I2))
+            k = on[0]
+            loop = _letter_tensor(letters[k][1], folded, fold, fold)
+            letters[k] = (n - 2, _kron(I2, loop)) if fold == 1 else (2, _kron(loop, I2))
+        else:
+            untouched += 1
+        if fold == 2:
+            letters = [(gen - 1, matrix) for gen, matrix in letters]
+        n -= 1
     state = site
-    for _ in range(word.strands - 1):
+    for _ in range(n - 1):
         # site x state: with the larger operand inner it is twice as fast as
         # state x site at 6 strands
         state = _kron(site, state)
-    return complex(np.trace(_apply_letters(powers, word, state)))
+    value = complex(np.trace(_apply_letters(letters, state)))
+    if untouched:  # a factor 1 + 0j would make an inf value inf + nan j
+        value *= complex(np.trace(site)) ** untouched
+    return value
 
 
 @dataclass(frozen=True)
@@ -581,13 +616,15 @@ def _greedy_plan(strands: int, subs: list[list[int]]):
 def closed_traces(r, site, words: list[BraidWord], r_inv=None) -> list[complex]:
     """Tr[rho(w) site^(x n)] of the closed braid of each of ``words``.
 
-    Up to ``DENSE_STRANDS`` strands a word's letters act on the dense
-    2^n x 2^n state site^(x n), one 4x4 product each; a wider word is
-    contracted as a tensor network on its plan (see :func:`plan_word`), one
-    matrix product per step.  Every wider word is planned, and so bounded,
-    before any word is evaluated, and each distinct exponent's power of R or
-    R^-1 is taken once for all the words (``r_inv`` as in
-    :func:`letter_powers`).
+    Up to ``DENSE_STRANDS`` strands each edge strand that at most one letter
+    touches is traced out first, as a factor tr(site) or as a loop on its
+    letter like the plan's (see :func:`_dense_trace`), and the letters act
+    on the dense state site^(x m) of the m strands left, one 4x4 product
+    each; a wider word is contracted as a tensor network on its plan (see
+    :func:`plan_word`), one matrix product per step.  Every wider word is
+    planned, and so bounded, before any word is evaluated, and each
+    distinct exponent's power of R or R^-1 is taken once for all the words
+    (``r_inv`` as in :func:`letter_powers`).
     A trace whose factor tr(site)^k, over the k strands no letter touches,
     leaves the float64 range is inf.
     """

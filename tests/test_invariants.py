@@ -238,6 +238,13 @@ class TestClassEigenReports:
         assert_allclose(rep.closed["I2_9"], 14)
         assert rep.passed and rep.independent_count == 2
 
+    def test_residual_past_the_float_range_is_inf(self):
+        # the quadratic relation's residual at R's scale is about 1e384 here;
+        # the verdict is taken on the scaled invariants and still holds
+        rep = class_eigen_report(CATALOG["C3.0"], {"h1": 1.3e100, "h7": 0.4e100, "h8": 2.1e100})
+        assert rep.passed
+        assert rep.dependence_residuals[-1] == float("inf")
+
     def test_class8_values(self):
         rep = class_eigen_report(CATALOG["C8.0"], {"h1": 1, "h2": rand_complex()})
         assert_allclose(rep.closed["I2_4"], 8)

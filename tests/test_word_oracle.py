@@ -183,6 +183,55 @@ def test_closed_traces_of_a_list_match_each_word_alone():
         assert abs(got - _dense_trace(r, w, site)) <= RTOL * _modulus_trace(r, w, site)
 
 
+# Letters on (s_1, s_n-1) once a word is reduced; None is two or more.
+EDGE_COUNTS = {
+    "one_on_s1": (1, None),
+    "one_on_last": (None, 1),
+    "one_on_both": (1, 1),
+    "none_on_s1": (0, None),
+    "none_on_last": (None, 0),
+    "none_on_both": (0, 0),
+}
+
+
+def _edge_word(rng, strands, on_first, on_last):
+    """A word with 2n letters on the inner generators s_2..s_n-2 and
+    ``on_first`` letters on s_1 and ``on_last`` on s_n-1 once it is reduced
+    (None: two or more), exponents in +-{1, 2, 3}, drawn until the reduced
+    word has those counts."""
+    def exp():
+        return int(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+    for _ in range(100):
+        letters = [(int(rng.integers(2, strands - 1)), exp())
+                   for _ in range(2 * strands if strands > 3 else 0)]
+        for gen, count in ((1, on_first), (strands - 1, on_last)):
+            for _ in range(int(rng.integers(2, 5)) if count is None else count):
+                letters.insert(int(rng.integers(len(letters) + 1)), (gen, exp()))
+        word = BraidWord(strands, tuple(letters))
+        counts = [sum(g == edge for g, _ in word.letters) for edge in (1, strands - 1)]
+        if all(c == want if want is not None else c >= 2
+               for c, want in zip(counts, (on_first, on_last))):
+            return word
+    raise AssertionError(f"no {strands}-strand word with edge counts {on_first}, {on_last}")
+
+
+@pytest.mark.parametrize("kind, strands", [
+    (kind, n) for kind, counts in sorted(EDGE_COUNTS.items()) for n in range(3, DENSE_STRANDS + 1)
+    # on 3 strands letters on s2 alone merge into one
+    if n > 3 or 0 not in counts or counts == (0, 0)])
+def test_dense_route_traces_out_edge_strands(kind, strands):
+    # an edge strand with at most one letter is traced out before the dense
+    # state is formed; a generic R and site tell its two strands apart
+    rng = np.random.default_rng(zlib.crc32(f"{kind}/{strands}".encode()))
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    site = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for _ in range(4):
+        w = _edge_word(rng, strands, *EDGE_COUNTS[kind])
+        got = closed_traces(r, site, [w])[0]
+        assert abs(got - _dense_trace(r, w, site)) <= RTOL * _modulus_trace(r, w, site), w
+
+
 class TestRouteSplit:
     """Words up to ``DENSE_STRANDS`` strands are traced densely, wider ones
     on their planned network."""
@@ -231,6 +280,24 @@ class TestRouteSplit:
         # base and conjugated words are dense, the stabilized one is planned
         # before either is traced
         assert events == ["plan", "dense", "dense", "network"]
+
+    def test_markov_check_traces_the_added_strand_out(self, monkeypatch):
+        # the widened 6-strand word has one letter on s5, the s5^(+-1) it was
+        # stabilized by, so strand 6 closes on it and the word is contracted
+        # on 5 strands, as the base and conjugated words are
+        sizes = []
+        apply_letters = yang_baxter._apply_letters
+
+        def recorded(*args):
+            sizes.append(len(args[-1]))  # the state, the last argument
+            return apply_letters(*args)
+
+        monkeypatch.setattr(yang_baxter, "_apply_letters", recorded)
+        e, _ = _draw("C1.I", 5)
+        # two letters on each of s1 and s4, so no strand of w is traced out
+        w = BraidWord.parse("s1 s2 s1^-1 s3 s4 s3^2 s4^-1 s2", 5)
+        markov_check(e, w, conjugator=BraidWord(5))
+        assert sizes == [2**5] * 3
 
 
 # Network shapes a random 3n-letter word rarely makes.
