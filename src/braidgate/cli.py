@@ -290,7 +290,8 @@ def cmd_verify(args) -> int:
             raise UsageError(f"--enhancements takes a class representative, "
                              f"C{entry.class_id}.0, not the variant {args.cls}")
         # a recipe pins class parameters (C1.I sets h8 = h1), so it enhances
-        # the operator named only where its R is that operator
+        # the operator named only where its R is that operator; a recipe that
+        # instantiates has passed (a)-(c) at args.tol
         bound = args.tol * max_norm(r)
         recipes = {}
         for rid in entry.enhancement_refs:
@@ -303,8 +304,7 @@ def cmd_verify(args) -> int:
             if max_norm(e.R - r) > bound:
                 recipes[rid] = {"applies": False}
                 continue
-            residuals, ok = enhancement.verify_enhancement(e, args.tol)
-            recipes[rid] = {"residuals": list(residuals), "scales": list(e.scales), "pass": ok}
+            recipes[rid] = {"residuals": list(e.residuals), "scales": list(e.scales), "pass": True}
         checks["enhancements"] = recipes
     report["checks"] = checks
     failed = not (checks["ybe"]["pass"] and checks["invariant_identities"]["pass"]
@@ -446,8 +446,9 @@ def _add_operator_flags(p: argparse.ArgumentParser):
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--csv", action="store_true", help="emit CSV rows")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="emit a JSON report")
+    group.add_argument("--csv", action="store_true", help="emit CSV rows")
 
 
 def _add_tol_flag(p: argparse.ArgumentParser):

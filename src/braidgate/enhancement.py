@@ -276,24 +276,30 @@ class EnhancementRecipe:
     """A closed-form (mu, x, y) family for one operator class.
 
     ``constraints`` pins class parameters the recipe requires (e.g. h8 = h1);
-    ``free_params`` is what remains.  ``let`` names intermediates, each an
-    expression over the free parameters and the names before it; ``mu``
-    holds the Pauli coefficients (alpha, beta, gamma, delta) and ``x`` and
-    ``y`` the scalars, all expressions over the free parameters and the
-    ``let`` names.  ``link_behavior`` records what the two-strand closures
-    evaluate to: "formula" (nontrivial), "constant", or "vanish".
+    ``free_params``, derived once when the record is made, is what remains
+    of the representative's free parameters, in their order.  ``let`` names
+    intermediates, each an expression over the free parameters and the names
+    before it; ``mu`` holds the Pauli coefficients (alpha, beta, gamma,
+    delta) and ``x`` and ``y`` the scalars, all expressions over the free
+    parameters and the ``let`` names.  ``link_behavior`` records what the
+    two-strand closures evaluate to: "formula" (nontrivial), "constant", or
+    "vanish".
     """
 
     recipe_id: str
     class_id: int
     mu_label: str
-    free_params: tuple[str, ...]
     mu: tuple[str, str, str, str]
     x: str
     y: str
     link_behavior: str
     constraints: dict[str, str] = field(default_factory=dict)
     let: dict[str, str] = field(default_factory=dict)
+    free_params: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        free = catalog_entry(self.entry_id).free_params
+        object.__setattr__(self, "free_params", tuple(k for k in free if k not in self.constraints))
 
     @property
     def entry_id(self) -> str:
@@ -323,70 +329,57 @@ _I_MINUS_Z = ("1", "0", "0", "-1")
 
 RECIPES: dict[str, EnhancementRecipe] = {r.recipe_id: r for r in (
     # Class 1: diagonal corners h1, h8 with anti-diagonal middle block
-    EnhancementRecipe("C1.I", 1, "I", ("h1", "h4", "h5"), _I, "h1", "1", "formula",
-                      constraints={"h8": "h1"}),
-    EnhancementRecipe("C1.Z", 1, "Z", ("h1", "h4", "h5"), _Z, "h1", "1", "formula",
-                      constraints={"h8": "-h1"}),
-    EnhancementRecipe("C1.I+Z", 1, "I+Z", ("h1", "h4", "h5", "h8"), _I_PLUS_Z, "h1", "2",
-                      "constant"),
-    EnhancementRecipe("C1.I-Z", 1, "I-Z", ("h1", "h4", "h5", "h8"), _I_MINUS_Z, "h8", "2",
-                      "constant"),
-    EnhancementRecipe("C2.I", 2, "I", ("h2", "h3", "h7"), _I, "h3", "1", "formula"),
-    EnhancementRecipe("C3.Z", 3, "Z", ("h1", "h7", "h8"), _Z, "1j*s1*s8", "-1j*s1/s8",
-                      "vanish", let={"s1": "sqrt(h1)", "s8": "sqrt(h8)"}),
-    EnhancementRecipe("C3.mu2", 3, "-wI+X-iY+wZ", ("h1", "h7", "h8"),
-                      ("-1*w", "1", "-1j", "1*w"), "h8", "-1*2*w", "constant", let=_C3_W),
-    EnhancementRecipe("C3.mu3", 3, "+wI+X-iY-wZ", ("h1", "h7", "h8"),
-                      ("1*w", "1", "-1j", "-1*w"), "h8", "1*2*w", "constant", let=_C3_W),
-    EnhancementRecipe("C4.I", 4, "I", ("h1", "h4"), _I, "h1", "1", "constant",
-                      constraints={"h6": "0"}),
-    EnhancementRecipe("C4.Z", 4, "Z", ("h1", "h4"), _Z, "1j*h1", "-1j", "vanish",
-                      constraints={"h6": "2*h1"}),
-    EnhancementRecipe("C4.I+Z", 4, "I+Z", ("h1", "h4", "h6"), _I_PLUS_Z, "h1", "2", "constant"),
-    EnhancementRecipe("C4.I-Z", 4, "I-Z", ("h1", "h4", "h6"), _I_MINUS_Z, "h1", "2", "constant"),
-    EnhancementRecipe("C4.mu5", 4, "I+h6/(2h1-h6) Z", ("h1", "h4", "h6"),
-                      ("1", "0", "0", "h6/(2*h1-h6)"), "s1**3/sd", "2*s1*sd/(2*h1-h6)",
-                      "formula", let=_C45_ROOTS),
-    EnhancementRecipe("C5.Z", 5, "Z", ("h1", "h4", "h6"), _Z, "s1*sd", "s1/sd", "vanish",
-                      let=_C45_ROOTS),
-    EnhancementRecipe("C5.I+Z", 5, "I+Z", ("h1", "h4", "h6"), _I_PLUS_Z, "h1", "2", "constant"),
-    EnhancementRecipe("C5.I-Z", 5, "I-Z", ("h1", "h4", "h6"), _I_MINUS_Z, "h1-h6", "-2",
-                      "constant"),
-    EnhancementRecipe("C6.Z", 6, "Z", ("h1", "h2", "h8"), _Z, "(h1-h8)/2", "1", "vanish"),
-    EnhancementRecipe("C6.mu2", 6, "I+..X+..Y-(2lam+/(h1-h8))Z", ("h1", "h2", "h8"),
+    EnhancementRecipe("C1.I", 1, "I", _I, "h1", "1", "formula", constraints={"h8": "h1"}),
+    EnhancementRecipe("C1.Z", 1, "Z", _Z, "h1", "1", "formula", constraints={"h8": "-h1"}),
+    EnhancementRecipe("C1.I+Z", 1, "I+Z", _I_PLUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C1.I-Z", 1, "I-Z", _I_MINUS_Z, "h8", "2", "constant"),
+    EnhancementRecipe("C2.I", 2, "I", _I, "h3", "1", "formula"),
+    EnhancementRecipe("C3.Z", 3, "Z", _Z, "1j*s1*s8", "-1j*s1/s8", "vanish",
+                      let={"s1": "sqrt(h1)", "s8": "sqrt(h8)"}),
+    EnhancementRecipe("C3.mu2", 3, "-wI+X-iY+wZ", ("-1*w", "1", "-1j", "1*w"), "h8", "-1*2*w",
+                      "constant", let=_C3_W),
+    EnhancementRecipe("C3.mu3", 3, "+wI+X-iY-wZ", ("1*w", "1", "-1j", "-1*w"), "h8", "1*2*w",
+                      "constant", let=_C3_W),
+    EnhancementRecipe("C4.I", 4, "I", _I, "h1", "1", "constant", constraints={"h6": "0"}),
+    EnhancementRecipe("C4.Z", 4, "Z", _Z, "1j*h1", "-1j", "vanish", constraints={"h6": "2*h1"}),
+    EnhancementRecipe("C4.I+Z", 4, "I+Z", _I_PLUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C4.I-Z", 4, "I-Z", _I_MINUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C4.mu5", 4, "I+h6/(2h1-h6) Z", ("1", "0", "0", "h6/(2*h1-h6)"),
+                      "s1**3/sd", "2*s1*sd/(2*h1-h6)", "formula", let=_C45_ROOTS),
+    EnhancementRecipe("C5.Z", 5, "Z", _Z, "s1*sd", "s1/sd", "vanish", let=_C45_ROOTS),
+    EnhancementRecipe("C5.I+Z", 5, "I+Z", _I_PLUS_Z, "h1", "2", "constant"),
+    EnhancementRecipe("C5.I-Z", 5, "I-Z", _I_MINUS_Z, "h1-h6", "-2", "constant"),
+    EnhancementRecipe("C6.Z", 6, "Z", _Z, "(h1-h8)/2", "1", "vanish"),
+    EnhancementRecipe("C6.mu2", 6, "I+..X+..Y-(2lam+/(h1-h8))Z",
                       ("1", "1*0.5j*(h1+2*h2+h8)/den", "1*0.5*(h1-2*h2+h8)/den",
                        "-2*lp/(h1-h8)"), "lm", "2", "constant", let=_C6_LOW),
-    EnhancementRecipe("C6.mu3", 6, "I-..X-..Y-(2lam+/(h1-h8))Z", ("h1", "h2", "h8"),
+    EnhancementRecipe("C6.mu3", 6, "I-..X-..Y-(2lam+/(h1-h8))Z",
                       ("1", "-1*0.5j*(h1+2*h2+h8)/den", "-1*0.5*(h1-2*h2+h8)/den",
                        "-2*lp/(h1-h8)"), "lm", "2", "constant", let=_C6_LOW),
-    EnhancementRecipe("C6.mu4", 6, "I+..X+..Y+(2lam-/(h1-h8))Z", ("h1", "h2", "h8"),
+    EnhancementRecipe("C6.mu4", 6, "I+..X+..Y+(2lam-/(h1-h8))Z",
                       ("1", "1*0.5j*(h1-2*h2+h8)/den", "1*0.5*(h1+2*h2+h8)/den",
                        "2*lm/(h1-h8)"), "lm", "2", "constant", let=_C6_HIGH),
-    EnhancementRecipe("C6.mu5", 6, "I-..X-..Y+(2lam-/(h1-h8))Z", ("h1", "h2", "h8"),
+    EnhancementRecipe("C6.mu5", 6, "I-..X-..Y+(2lam-/(h1-h8))Z",
                       ("1", "-1*0.5j*(h1-2*h2+h8)/den", "-1*0.5*(h1+2*h2+h8)/den",
                        "2*lm/(h1-h8)"), "lm", "2", "constant", let=_C6_HIGH),
-    EnhancementRecipe("C7.I", 7, "I", ("h1", "h2", "h3"), _I, "h1+h3", "1", "formula"),
-    EnhancementRecipe("C8.I", 8, "I", ("h1", "h2"), _I, "sqrt(2)*h1", "sqrt(2)", "constant"),
-    EnhancementRecipe("C9.I", 9, "I", ("h1", "h7"), _I, "h1", "1", "constant"),
-    EnhancementRecipe("C10.Z", 10, "Z", ("h1", "h7"), _Z, "h1", "1", "vanish"),
-    EnhancementRecipe("C10.mu2", 10, "-wI+X-iY+wZ", ("h1", "h7"),
-                      ("-1*w", "1", "-1j", "1*w"), "h1", "1*2*w", "constant", let=_C10_W),
-    EnhancementRecipe("C10.mu3", 10, "+wI+X-iY-wZ", ("h1", "h7"),
-                      ("1*w", "1", "-1j", "-1*w"), "h1", "-1*2*w", "constant", let=_C10_W),
-    EnhancementRecipe("C11.Z", 11, "Z", ("h7", "h8"), _Z, "1j*h8", "1j", "vanish"),
-    EnhancementRecipe("C12.Z", 12, "Z", ("h1", "h2"), _Z, "(1+1j)/2*h1", "1", "vanish"),
-    EnhancementRecipe("C12.mu2", 12, "I-AX+iBY+iZ", ("h1", "h2"),
-                      ("1", "-1*a", "1*1j*b", "1j"), "(1-1j)/2*h1", "2", "constant",
-                      let=_C12_AB),
-    EnhancementRecipe("C12.mu3", 12, "I+AX-iBY+iZ", ("h1", "h2"),
-                      ("1", "1*a", "-1*1j*b", "1j"), "(1-1j)/2*h1", "2", "constant",
-                      let=_C12_AB),
-    EnhancementRecipe("C12.mu4", 12, "I+iBX+AY-iZ", ("h1", "h2"),
-                      ("1", "1*1j*b", "1*a", "-1j"), "(1-1j)/2*h1", "2", "constant",
-                      let=_C12_AB),
-    EnhancementRecipe("C12.mu5", 12, "I-iBX-AY-iZ", ("h1", "h2"),
-                      ("1", "-1*1j*b", "-1*a", "-1j"), "(1-1j)/2*h1", "2", "constant",
-                      let=_C12_AB),
+    EnhancementRecipe("C7.I", 7, "I", _I, "h1+h3", "1", "formula"),
+    EnhancementRecipe("C8.I", 8, "I", _I, "sqrt(2)*h1", "sqrt(2)", "constant"),
+    EnhancementRecipe("C9.I", 9, "I", _I, "h1", "1", "constant"),
+    EnhancementRecipe("C10.Z", 10, "Z", _Z, "h1", "1", "vanish"),
+    EnhancementRecipe("C10.mu2", 10, "-wI+X-iY+wZ", ("-1*w", "1", "-1j", "1*w"), "h1", "1*2*w",
+                      "constant", let=_C10_W),
+    EnhancementRecipe("C10.mu3", 10, "+wI+X-iY-wZ", ("1*w", "1", "-1j", "-1*w"), "h1", "-1*2*w",
+                      "constant", let=_C10_W),
+    EnhancementRecipe("C11.Z", 11, "Z", _Z, "1j*h8", "1j", "vanish"),
+    EnhancementRecipe("C12.Z", 12, "Z", _Z, "(1+1j)/2*h1", "1", "vanish"),
+    EnhancementRecipe("C12.mu2", 12, "I-AX+iBY+iZ", ("1", "-1*a", "1*1j*b", "1j"),
+                      "(1-1j)/2*h1", "2", "constant", let=_C12_AB),
+    EnhancementRecipe("C12.mu3", 12, "I+AX-iBY+iZ", ("1", "1*a", "-1*1j*b", "1j"),
+                      "(1-1j)/2*h1", "2", "constant", let=_C12_AB),
+    EnhancementRecipe("C12.mu4", 12, "I+iBX+AY-iZ", ("1", "1*1j*b", "1*a", "-1j"),
+                      "(1-1j)/2*h1", "2", "constant", let=_C12_AB),
+    EnhancementRecipe("C12.mu5", 12, "I-iBX-AY-iZ", ("1", "-1*1j*b", "-1*a", "-1j"),
+                      "(1-1j)/2*h1", "2", "constant", let=_C12_AB),
 )}
 
 
@@ -782,12 +775,13 @@ def jordan_witness(r, coeffs: dict[int, complex], tol: float = DEFAULT_TOL) -> A
 
 
 class _Row(NamedTuple):
-    """One class's algebra parameters: the names it takes, its ``let``
-    intermediates and its expressions, keyed by what they are."""
+    """One class's algebra parameters: its expressions, keyed by what they
+    are, its ``let`` intermediates, and the representative's free
+    parameters it ``pins`` (a row takes the others, in their order)."""
 
-    names: tuple[str, ...]
     exprs: dict
     let: dict[str, str] = {}
+    pins: tuple[str, ...] = ()
 
 
 def _evaluate_row(env: dict[str, complex], let: dict[str, str], exprs) -> list[complex]:
@@ -798,48 +792,49 @@ def _evaluate_row(env: dict[str, complex], let: dict[str, str], exprs) -> list[c
     return [evaluate_expr(expr, env) for expr in exprs]
 
 
-def _class_row(kind: str, rows: dict, key, params: dict) -> dict:
-    """The expressions of ``rows[key]`` at ``params``, keyed as in the row;
-    ``ValueError`` for a class with no ``kind``."""
+def _class_row(kind: str, rows: dict, class_id: int, params: dict, variant: str = "") -> dict:
+    """The expressions of the class's row (``"<class>.<variant>"`` for a
+    variant) at ``params``, keyed as in the row; ``ValueError`` for a class
+    with no ``kind``."""
+    key = f"{class_id}.{variant}" if variant else class_id
     if key not in rows:
         raise ValueError(f"no {kind} recorded for class {key}")
     row = rows[key]
-    env = bind(f"the class-{key} {kind}", row.names, params)
+    names = [k for k in catalog_entry(f"C{class_id}.0").free_params if k not in row.pins]
+    env = bind(f"the class-{key} {kind}", names, params)
     return dict(zip(row.exprs, _evaluate_row(env, row.let, row.exprs.values())))
 
 
 # Class 7's m follows the (lam+ - lam-)/sqrt(lam+ lam-) pattern of classes 1
-# and 2; with lam+- = h1 +- h3 that difference is 2 h3.
+# and 2; with lam+- = h1 +- h3 that difference is 2 h3.  Class 1 realizes it
+# at h8 = h1 only.
 _BMW_ROWS = {
-    1: _Row(("h1", "h4", "h5"), {"scale": "-1j/(s1*s2)", "l": "1j*s1/s2",
-                                 "m": "-1j*(h1-lam2)/(s1*s2)"},
-            {"lam2": "sqrt(h4*h5)", "s1": "sqrt(h1)", "s2": "sqrt(lam2)"}),
-    2: _Row(("h2", "h3", "h7"), {"scale": "-1j/(s1*s2)", "l": "1j*s2/s1",
-                                 "m": "-1j*(h3-lam1)/(s1*s2)"},
+    1: _Row({"scale": "-1j/(s1*s2)", "l": "1j*s1/s2", "m": "-1j*(h1-lam2)/(s1*s2)"},
+            {"lam2": "sqrt(h4*h5)", "s1": "sqrt(h1)", "s2": "sqrt(lam2)"}, pins=("h8",)),
+    2: _Row({"scale": "-1j/(s1*s2)", "l": "1j*s2/s1", "m": "-1j*(h3-lam1)/(s1*s2)"},
             {"lam1": "sqrt(h2*h7)", "s1": "sqrt(lam1)", "s2": "sqrt(h3)"}),
-    7: _Row(("h1", "h2", "h3"), {"scale": "1j/(sp*sm)", "l": "-1j*sp/sm", "m": "2j*h3/(sp*sm)"},
+    7: _Row({"scale": "1j/(sp*sm)", "l": "-1j*sp/sm", "m": "2j*h3/(sp*sm)"},
             {"sp": "sqrt(h1+h3)", "sm": "sqrt(h1-h3)"}),
 }
 
 _HECKE_ROWS = {
-    3: _Row(("h1", "h7", "h8"), {"scale": "-1/h1", "q": "-h8/h1"}),
-    4: _Row(("h1", "h4", "h6"), {"scale": "1/(h1-h6)", "q": "h1/(h1-h6)"}),
-    5: _Row(("h1", "h4", "h6"), {"scale": "-1/h1", "q": "(h1-h6)/h1"}),
-    6: _Row(("h1", "h2", "h8"), {"scale": "-1/lp", "q": "-lm/lp"}, _C6_ROOTS),
-    8: _Row(("h1", "h2"), {"scale": "-(1-1j)/(2*h1)", "q": "1j"}),
-    10: _Row(("h1", "h7"), {"scale": "1/h1", "q": "1"}),
-    11: _Row(("h7", "h8"), {"scale": "-1/h8", "q": "-1"}),
-    12: _Row(("h1", "h2"), {"scale": "-(1+1j)/h1", "q": "-1"}),
+    3: _Row({"scale": "-1/h1", "q": "-h8/h1"}),
+    4: _Row({"scale": "1/(h1-h6)", "q": "h1/(h1-h6)"}),
+    5: _Row({"scale": "-1/h1", "q": "(h1-h6)/h1"}),
+    6: _Row({"scale": "-1/lp", "q": "-lm/lp"}, _C6_ROOTS),
+    8: _Row({"scale": "-(1-1j)/(2*h1)", "q": "1j"}),
+    10: _Row({"scale": "1/h1", "q": "1"}),
+    11: _Row({"scale": "-1/h8", "q": "-1"}),
+    12: _Row({"scale": "-(1+1j)/h1", "q": "-1"}),
 }
 
 # Coefficients c_k of the identities sum_k c_k R^k = 0, keyed by class or
-# "<class>.<variant>"
+# "<class>.<variant>"; class 1's cubic holds at h8 = -h1
 _JORDAN_ROWS = {
-    9: _Row(("h1", "h7"), {2: "1", 1: "-h1", 0: "-(h1**2)", -1: "h1**3"}),
-    "1.muZ": _Row(("h1", "h4", "h5"), {3: "1", 1: "-(h1**2+prod)", -1: "h1**2*prod"},
-                  {"prod": "h4*h5"}),
-    1: _Row(("h1", "h4", "h5", "h8"), {3: "1", 2: "-(h1+h8)", 1: "h1*h8-prod",
-                                       0: "(h1+h8)*prod", -1: "-h1*h8*prod"},
+    9: _Row({2: "1", 1: "-h1", 0: "-(h1**2)", -1: "h1**3"}),
+    "1.muZ": _Row({3: "1", 1: "-(h1**2+prod)", -1: "h1**2*prod"}, {"prod": "h4*h5"},
+                  pins=("h8",)),
+    1: _Row({3: "1", 2: "-(h1+h8)", 1: "h1*h8-prod", 0: "(h1+h8)*prod", -1: "-h1*h8*prod"},
             {"prod": "h4*h5"}),
 }
 
@@ -867,5 +862,4 @@ def class_jordan_coeffs(class_id: int, params: dict, variant: str = "") -> dict[
     cubic identity at h8 = -h1 ("muZ"), which takes (h1, h4, h5) as recipe
     C1.Z does, and a quartic one in general.
     """
-    key = f"{class_id}.{variant}" if variant else class_id
-    return _class_row("operator identity", _JORDAN_ROWS, key, params)
+    return _class_row("operator identity", _JORDAN_ROWS, class_id, params, variant)

@@ -14,14 +14,14 @@ variant -> representative -> H form); :func:`classify` follows them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .enhancement import EnhancedOperator, verify_enhancement
 from .matrix_core import (DEFAULT_TOL, PAULI_X, SingularMatrixError, _as_two_qubit, as_matrix,
                           invert, max_norm, tensor_product)
-from .yang_baxter import assemble, bind, catalog_entry, evaluate_expr
+from .yang_baxter import CATALOG, assemble, bind, catalog_entry, evaluate_expr
 
 __all__ = [
     "HIETARINTA_FORMS",
@@ -134,7 +134,9 @@ class EquivalenceRecipe:
     """One verified equivalence: steps(source(params)) == target(params).
 
     ``base_params`` names the independent parameters, exactly the ones
-    :meth:`run` takes.  ``source_params`` and ``target_params`` give each
+    :meth:`run` takes: the free parameters of the catalog side (the source
+    if it is a catalog entry, else the target), derived once when the record
+    is made.  ``source_params`` and ``target_params`` give each
     side's parameters as expressions over them; ``None`` passes the base
     parameters through unchanged.  Steps are tuples:
     ("3a",), ("3b",), ("3c",), ("conj", kappa_expr, ((q11, q12), (q21, q22))),
@@ -144,10 +146,14 @@ class EquivalenceRecipe:
 
     source: str
     target: str
-    base_params: tuple[str, ...]
     steps: tuple[tuple, ...] = ()
     source_params: dict[str, str] | None = None
     target_params: dict[str, str] | None = None
+    base_params: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        side = self.source if self.source in CATALOG else self.target
+        object.__setattr__(self, "base_params", catalog_entry(side).free_params)
 
     def _materialize(self, side: str, exprs: dict[str, str] | None, base: dict):
         name = self.source if side == "source" else self.target
@@ -189,113 +195,96 @@ def verify_recipe(recipe: EquivalenceRecipe, base: dict) -> float:
 _C6_LAM_P = "(h1+h8+sqrt(2*(h1**2+h8**2)))/2"
 
 RECIPE_TABLE: tuple[EquivalenceRecipe, ...] = (
-    EquivalenceRecipe("C1.0", "H3,1", ("h1", "h4", "h5", "h8"),
-                      target_params={"k": "h1", "p": "h4", "q": "h5", "s": "h8"}),
-    EquivalenceRecipe("C2.0", "H1,4", ("h2", "h3", "h7"),
-                      target_params={"k": "h3", "p": "h2", "q": "h7"}),
+    EquivalenceRecipe("C1.0", "H3,1", target_params={"k": "h1", "p": "h4", "q": "h5", "s": "h8"}),
+    EquivalenceRecipe("C2.0", "H1,4", target_params={"k": "h3", "p": "h2", "q": "h7"}),
 
-    EquivalenceRecipe("C3.0", "H1,2", ("h1", "h7", "h8"), steps=(("3b",),),
+    EquivalenceRecipe("C3.0", "H1,2", steps=(("3b",),),
                       target_params={"k": "h7", "p": "h8", "q": "-h1"}),
-    EquivalenceRecipe("C3.1", "C3.0", ("h1", "h7", "h8"),
-                      steps=(("3b",), ("3c",), ("3a",)),
+    EquivalenceRecipe("C3.1", "C3.0", steps=(("3b",), ("3c",), ("3a",)),
                       target_params={"h1": "h8", "h8": "h1", "h7": "h7"}),
-    EquivalenceRecipe("C3.2", "C3.0", ("h1", "h2", "h8"), steps=(("3b",), ("3c",)),
+    EquivalenceRecipe("C3.2", "C3.0", steps=(("3b",), ("3c",)),
                       target_params={"h1": "h8", "h8": "h1", "h7": "h2"}),
-    EquivalenceRecipe("C3.3", "C3.0", ("h1", "h2", "h8"), steps=(("3a",),),
+    EquivalenceRecipe("C3.3", "C3.0", steps=(("3a",),),
                       target_params={"h1": "h1", "h8": "h8", "h7": "h2"}),
     # the printed step for C3.4 is (3b); only (3c) lands on C3.3
-    EquivalenceRecipe("C3.4", "C3.3", ("h1", "h2", "h8"), steps=(("3c",),)),
-    EquivalenceRecipe("C3.5", "C3.1", ("h1", "h2", "h8"), steps=(("3a",), ("3c",)),
+    EquivalenceRecipe("C3.4", "C3.3", steps=(("3c",),)),
+    EquivalenceRecipe("C3.5", "C3.1", steps=(("3a",), ("3c",)),
                       target_params={"h1": "h1", "h8": "h8", "h7": "h2"}),
-    EquivalenceRecipe("C3.6", "C3.1", ("h1", "h7", "h8"), steps=(("3c",),)),
-    EquivalenceRecipe("C3.7", "C3.0", ("h1", "h7", "h8"), steps=(("3c",),)),
+    EquivalenceRecipe("C3.6", "C3.1", steps=(("3c",),)),
+    EquivalenceRecipe("C3.7", "C3.0", steps=(("3c",),)),
 
-    EquivalenceRecipe("C4.0", "H2,1", ("h1", "h4", "h6"), steps=(("3c",),),
+    EquivalenceRecipe("C4.0", "H2,1", steps=(("3c",),),
                       target_params={"k": "sqrt(h1)", "p": "sqrt(h1)/h4*(h1-h6)",
                                      "q": "h4/sqrt(h1)"}),
-    EquivalenceRecipe("C4.1", "C4.0", ("h1", "h3", "h4"), steps=(("3a",), ("3c",)),
+    EquivalenceRecipe("C4.1", "C4.0", steps=(("3a",), ("3c",)),
                       target_params={"h1": "h1", "h4": "h4", "h6": "h3"}),
-    EquivalenceRecipe("C5.0", "H2,2", ("h1", "h4", "h6"), steps=(("3c",),),
+    EquivalenceRecipe("C5.0", "H2,2", steps=(("3c",),),
                       target_params={"k": "sqrt(h1)", "p": "sqrt(h1)/h4*(h1-h6)",
                                      "q": "h4/sqrt(h1)"}),
-    EquivalenceRecipe("C5.1", "C5.0", ("h1", "h3", "h4"), steps=(("3a",), ("3c",)),
+    EquivalenceRecipe("C5.1", "C5.0", steps=(("3a",), ("3c",)),
                       target_params={"h1": "h1", "h4": "h4", "h6": "h3"}),
 
     # Class 6 <- H1,1 at p = (h1-h8)/2, q = -lam+ (the printed p = (h1+h8)/2
     # fails the diagonal equations; see the project notes)
-    EquivalenceRecipe("H1,1", "C6.0", ("h1", "h2", "h8"),
+    EquivalenceRecipe("H1,1", "C6.0",
                       steps=(("conj", f"-1/(2*({_C6_LAM_P}))",
                               (("sqrt(2*h2)", "0"), ("0", "sqrt(h1+h8)"))),),
                       source_params={"p": "(h1-h8)/2", "q": f"-({_C6_LAM_P})"}),
-    EquivalenceRecipe("C6.1", "C6.0", ("h1", "h2", "h8"),
+    EquivalenceRecipe("C6.1", "C6.0",
                       steps=(("conj", "-1", (("1", "0"), ("0", "1"))),),
                       target_params={"h1": "-h1", "h2": "-h2", "h8": "-h8"}),
 
-    EquivalenceRecipe("H1,4", "C7.0", ("h1", "h2", "h3"),
+    EquivalenceRecipe("H1,4", "C7.0",
                       steps=(("conj", "1",
                               (("I*sqrt(h2)", "-I*sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)"))),),
                       source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3"}),
-    EquivalenceRecipe("H3,1", "C7.1", ("h1", "h2", "h3"),
+    EquivalenceRecipe("H3,1", "C7.1",
                       steps=(("conj", "1",
                               (("sqrt(h2)", "-sqrt(h2)"), ("sqrt(h3)", "sqrt(h3)"))),),
-                      source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3",
-                                     "s": "h1+h3"}),
-    EquivalenceRecipe("C7.0", "C7.1", ("h1", "h2", "h3"),
-                      steps=(("conj2", (("1", "0"), ("0", "-I")),
-                              (("1", "0"), ("0", "I"))),)),
+                      source_params={"k": "h1+h3", "p": "h1-h3", "q": "h1-h3", "s": "h1+h3"}),
+    EquivalenceRecipe("C7.0", "C7.1",
+                      steps=(("conj2", (("1", "0"), ("0", "-I")), (("1", "0"), ("0", "I"))),)),
 
-    EquivalenceRecipe("H0,2", "C8.0", ("h1", "h2"),
+    EquivalenceRecipe("H0,2", "C8.0",
                       steps=(("conj", "h1", (("0", "I*sqrt(h2)"), ("sqrt(h1)", "0"))),),
                       source_params={}),
-    EquivalenceRecipe("C8.1", "C8.0", ("h1", "h2"), steps=(("3c",),)),
+    EquivalenceRecipe("C8.1", "C8.0", steps=(("3c",),)),
 
-    EquivalenceRecipe("H0,1", "C9.0", ("h1", "h7"),
+    EquivalenceRecipe("H0,1", "C9.0",
                       steps=(("conj", "h1", (("sqrt(h7)", "0"), ("0", "sqrt(h1)"))),
                              ("3a",)),
                       source_params={}),
-    EquivalenceRecipe("C9.1", "C9.0", ("h1", "h2"), steps=(("3a",),),
-                      target_params={"h1": "h1", "h7": "h2"}),
-    EquivalenceRecipe("C9.2", "H2,3'", ("h1", "h7"), steps=(("3a",),),
-                      target_params={"k": "h1", "s": "h7"}),
-    EquivalenceRecipe("C9.3", "C9.2", ("h1", "h2"), steps=(("3a",),),
-                      target_params={"h1": "h1", "h7": "h2"}),
-    EquivalenceRecipe("C9.0", "C9.2", ("h1", "h7"),
-                      steps=(("conj2", (("1", "0"), ("0", "-I")),
-                              (("1", "0"), ("0", "I"))),)),
+    EquivalenceRecipe("C9.1", "C9.0", steps=(("3a",),), target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C9.2", "H2,3'", steps=(("3a",),), target_params={"k": "h1", "s": "h7"}),
+    EquivalenceRecipe("C9.3", "C9.2", steps=(("3a",),), target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C9.0", "C9.2",
+                      steps=(("conj2", (("1", "0"), ("0", "-I")), (("1", "0"), ("0", "I"))),)),
 
-    EquivalenceRecipe("C10.0", "H1,2", ("h1", "h7"), steps=(("3b",),),
+    EquivalenceRecipe("C10.0", "H1,2", steps=(("3b",),),
                       target_params={"k": "h7", "p": "-h1", "q": "-h1"}),
-    EquivalenceRecipe("C10.1", "C10.0", ("h1", "h2"), steps=(("3a",),),
-                      target_params={"h1": "h1", "h7": "h2"}),
-    EquivalenceRecipe("C10.2", "C10.0", ("h1", "h7"), steps=(("3b",), ("3a",)),
+    EquivalenceRecipe("C10.1", "C10.0", steps=(("3a",),), target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C10.2", "C10.0", steps=(("3b",), ("3a",)),
                       target_params={"h1": "-h1", "h7": "h7"}),
-    EquivalenceRecipe("C10.3", "C10.2", ("h1", "h2"), steps=(("3a",),),
-                      target_params={"h1": "h1", "h7": "h2"}),
+    EquivalenceRecipe("C10.3", "C10.2", steps=(("3a",),), target_params={"h1": "h1", "h7": "h2"}),
 
-    EquivalenceRecipe("C11.0", "H1,2", ("h7", "h8"), steps=(("3a",),),
+    EquivalenceRecipe("C11.0", "H1,2", steps=(("3a",),),
                       target_params={"k": "h7", "p": "h8", "q": "-h8"}),
-    EquivalenceRecipe("C11.1", "C11.0", ("h2", "h8"), steps=(("3b",), ("3c",)),
+    EquivalenceRecipe("C11.1", "C11.0", steps=(("3b",), ("3c",)),
                       target_params={"h8": "h8", "h7": "h2"}),
-    EquivalenceRecipe("C11.2", "C11.1", ("h7", "h8"), steps=(("3a",),),
-                      target_params={"h8": "h8", "h2": "h7"}),
-    EquivalenceRecipe("C11.3", "C11.0", ("h2", "h8"), steps=(("3a",),),
-                      target_params={"h8": "h8", "h7": "h2"}),
-    EquivalenceRecipe("C11.4", "C11.2", ("h1", "h7"), steps=(("3c",),),
-                      target_params={"h8": "h1", "h7": "h7"}),
-    EquivalenceRecipe("C11.5", "C11.3", ("h1", "h2"), steps=(("3c",),),
-                      target_params={"h8": "h1", "h2": "h2"}),
-    EquivalenceRecipe("C11.6", "C11.0", ("h1", "h7"), steps=(("3c",),),
-                      target_params={"h8": "h1", "h7": "h7"}),
-    EquivalenceRecipe("C11.7", "C11.1", ("h1", "h2"), steps=(("3c",),),
-                      target_params={"h8": "h1", "h2": "h2"}),
+    EquivalenceRecipe("C11.2", "C11.1", steps=(("3a",),), target_params={"h8": "h8", "h2": "h7"}),
+    EquivalenceRecipe("C11.3", "C11.0", steps=(("3a",),), target_params={"h8": "h8", "h7": "h2"}),
+    EquivalenceRecipe("C11.4", "C11.2", steps=(("3c",),), target_params={"h8": "h1", "h7": "h7"}),
+    EquivalenceRecipe("C11.5", "C11.3", steps=(("3c",),), target_params={"h8": "h1", "h2": "h2"}),
+    EquivalenceRecipe("C11.6", "C11.0", steps=(("3c",),), target_params={"h8": "h1", "h7": "h7"}),
+    EquivalenceRecipe("C11.7", "C11.1", steps=(("3c",),), target_params={"h8": "h1", "h2": "h2"}),
 
-    EquivalenceRecipe("H1,1", "C12.0", ("h1", "h2"),
+    EquivalenceRecipe("H1,1", "C12.0",
                       steps=(("conj", "h1/(2*(1+I))",
                               (("sqrt((1+I)*h2)", "0"), ("0", "-sqrt(h1)"))),),
                       source_params={"p": "1", "q": "I"}),
     # direction-consistent relabel: transforming the variant gives the
     # representative at h1 -> i h1
-    EquivalenceRecipe("C12.1", "C12.0", ("h1", "h2"), steps=(("3a",), ("3b",)),
+    EquivalenceRecipe("C12.1", "C12.0", steps=(("3a",), ("3b",)),
                       target_params={"h1": "I*h1", "h2": "h2"}),
 )
 

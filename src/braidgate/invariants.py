@@ -28,6 +28,7 @@ from .matrix_core import (
     DRAW_MIN_DET,
     _EPS,
     _as_two_qubit,
+    at_scale,
     max_norm,
 )
 from .yang_baxter import CatalogEntry, assemble, evaluate_expr
@@ -325,14 +326,6 @@ class EigenReport:
     passed: bool
 
 
-def _at_scale(value: float, exponent: int) -> float:
-    """``value`` 2^``exponent``, or inf where that leaves the float range."""
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        return math.inf
-
-
 def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_TOL) -> EigenReport:
     """Evaluate the class's invariant-vs-eigenvalue formulas at given params.
 
@@ -358,5 +351,5 @@ def class_eigen_report(entry: CatalogEntry, params: dict, tol: float = DEFAULT_T
               and all(v <= tol * size**d for v, d in relations))
     return EigenReport(entry_id=entry.entry_id, eigenvalues=eig, closed=closed, direct=direct,
                        independent_count=INDEPENDENT_COUNTS[entry.class_id], max_diff=max_diff,
-                       dependence_residuals=tuple(_at_scale(v, 2 * e * d) for v, d in relations),
+                       dependence_residuals=tuple(at_scale(v, 2 * e * d) for v, d in relations),
                        passed=passed)

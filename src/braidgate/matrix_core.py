@@ -8,6 +8,8 @@ All functions are pure, and every threshold of the package is named here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "invert",
     "eigenvalues_xtype",
     "max_norm",
+    "at_scale",
     "is_xtype",
     "numerical_rank",
     "XTYPE_SUPPORT",
@@ -92,6 +95,15 @@ def as_matrix(m) -> np.ndarray:
 def max_norm(m) -> float:
     """Entrywise max-abs norm used for all residual reporting."""
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
+
+
+def at_scale(value: float, exponent: int) -> float:
+    """``value`` 2^``exponent``: a value judged on R / 2^e, reported at R's
+    scale, or inf where that leaves the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

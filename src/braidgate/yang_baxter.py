@@ -57,6 +57,7 @@ from .matrix_core import (
     _checked_inverse,
     _kron,
     as_matrix,
+    at_scale,
     invert,
     max_norm,
     numerical_rank,
@@ -116,8 +117,9 @@ def assemble(h) -> np.ndarray:
 def ybe_scale(r) -> float:
     """max|R|^3, the scale of the Yang-Baxter residual: both sides are
     products of three copies of R, so the verdict does not depend on the
-    scale of R."""
-    return max_norm(r) ** 3
+    scale of R.  It is m^3 2^3e from max|R| = m 2^e, inf past the float range."""
+    m, e = math.frexp(max_norm(r))
+    return at_scale(m**3, 3 * e)
 
 
 def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
@@ -125,7 +127,8 @@ def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
 
     It is checked on R / 2^e, e the ``frexp`` exponent of max|R|, an exact
     scaling under which no product of three R underflows or overflows; the
-    residual, reported at R's scale, passes at most ``tol`` :func:`ybe_scale`.
+    residual, reported at R's scale (inf past the float range), passes at
+    most ``tol`` :func:`ybe_scale`.
     A braiding operator is invertible by definition, so a singular R fails
     (the all-ones X pattern solves the equation identically).
     """
@@ -135,7 +138,7 @@ def check_ybe(r, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     a, b = tensor_product(unit, I2), tensor_product(I2, unit)
     residual = max_norm(a @ b @ a - b @ a @ b)
     invertible = _checked_inverse(r)[0] is not None
-    return math.ldexp(residual, 3 * e), residual <= tol * m**3 and invertible
+    return at_scale(residual, 3 * e), residual <= tol * m**3 and invertible
 
 
 def braid_rep(r, i: int, n: int) -> np.ndarray:

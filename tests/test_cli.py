@@ -496,7 +496,7 @@ class TestClassifyCommand:
 
     def test_failing_recipe_is_exit_1(self, capsys, monkeypatch):
         # C6.0 read as its own source with h1 and h8 swapped is not C6.0
-        wrong = hietarinta.EquivalenceRecipe("C6.0", "C6.0", ("h1", "h2", "h8"),
+        wrong = hietarinta.EquivalenceRecipe("C6.0", "C6.0",
                                              target_params={"h1": "h8", "h2": "h2", "h8": "h1"})
         monkeypatch.setattr(hietarinta, "RECIPE_TABLE", (wrong,))
         code, report = run_json(capsys, "classify", "--class", "C6.0",
@@ -731,6 +731,15 @@ def test_overflow_is_one_error_line(capsys, argv):
     assert err.startswith("error: this input overflows a float64") and err.count("\n") == 1
 
 
+def test_ybe_scale_past_the_float_range_is_inf(capsys):
+    # max|R|^3 leaves the float range past about 5.6e102, but the verdict is
+    # homogeneous in R: it passes, and its scale is reported as inf
+    code, report = run_json(capsys, "verify", "--class", "C1.0",
+                            "--params", "h1=1e103,h4=2e103,h5=3e103,h8=4e103")
+    assert code == 0
+    assert report["checks"]["ybe"] == {"residual": 0.0, "scale": float("inf"), "pass": True}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     # C3.mu2 and C3.mu3 give y = 0 here: not an enhancement, as x = 0 is not
     (("linkpoly", "--recipe", "C3.mu3", "--params", "h1=1,h7=1,h8=1", "--word", "s1^-5"),
@@ -770,6 +779,18 @@ def test_inert_flags_are_gone(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--class", "2", "--json", "--csv"),
+    ("verify", "--class", "C2.0", "--params", "h2=1,h3=2,h7=3", "--csv", "--json"),
+], ids=["catalog", "verify"])
+def test_json_and_csv_are_exclusive(capsys, argv):
+    # the pair once printed CSV and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestOrbitCommand:

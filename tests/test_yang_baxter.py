@@ -293,7 +293,7 @@ def _table_expressions():
         yield rid, names, [*recipe.mu, recipe.x, recipe.y]
     for kind, rows in (("bmw", _BMW_ROWS), ("hecke", _HECKE_ROWS), ("jordan", _JORDAN_ROWS)):
         for cls, row in rows.items():
-            names = set(row.names)
+            names = set(CATALOG[f"C{str(cls).split('.')[0]}.0"].free_params) - set(row.pins)
             yield from _let_expressions(f"C{cls}.{kind}", names, row.let)
             yield f"C{cls}.{kind}", names, row.exprs.values()
     for recipe in RECIPE_TABLE:
@@ -304,6 +304,18 @@ def _table_expressions():
 
 
 class TestTableExpressions:
+    def test_parameter_lists_derive_from_the_catalog(self):
+        # a recipe's free_params, a row's names and an equivalence's
+        # base_params are the catalog's free parameters less the pinned ones,
+        # so every pin must be one of them and every equivalence needs a
+        # catalog side
+        pins = [(rid, RECIPES[rid].class_id, set(RECIPES[rid].constraints)) for rid in RECIPES]
+        for rows in (_BMW_ROWS, _HECKE_ROWS, _JORDAN_ROWS):
+            pins += [(key, int(str(key).split(".")[0]), set(row.pins)) for key, row in rows.items()]
+        for record, cls, pinned in pins:
+            assert pinned <= set(CATALOG[f"C{cls}.0"].free_params), (record, pinned)
+        assert all(r.source in CATALOG or r.target in CATALOG for r in RECIPE_TABLE)
+
     def test_names_are_the_records_parameters(self):
         count = 0
         for record, params, exprs in _table_expressions():
